@@ -39,14 +39,25 @@ class FlowState:
 
 @dataclass
 class FlowResult:
+    """Outcome of :func:`run_flow`.
+
+    ``trace`` holds one row per visited surface, in ``FlowState`` field
+    order without the iteration (the row index): L_beta, res_l2,
+    res_linf, min_cos_alpha, tau.
+    """
+
     surface: ImmersedSurface
-    states: list = field(default_factory=list)
+    trace: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
     converged: bool = False
     snapshots: list = field(default_factory=list)
 
     @property
+    def states(self) -> list:
+        return [FlowState(k, *row) for k, row in enumerate(self.trace.tolist())]
+
+    @property
     def iterations(self) -> int:
-        return len(self.states) - 1 if self.states else 0
+        return max(len(self.trace) - 1, 0)
 
 
 def stable_step(G: SurfaceGeometry, beta: float) -> float:
@@ -69,14 +80,35 @@ def stable_step(G: SurfaceGeometry, beta: float) -> float:
 
 
 def _accepts(surface, ambient, beta, current_l, cos_floor):
-    """Value of the functional if the candidate passes all gates, else None."""
+    """(L_beta, geometry) of the candidate if it passes all gates, else None."""
+    G = SurfaceGeometry(surface, ambient)
     try:
-        value = l_beta(surface, ambient, beta, cos_floor=cos_floor)
+        value = l_beta(surface, ambient, beta, cos_floor=cos_floor, geometry=G)
     except (NotImmersed, NotSymplectic):
         return None
     if not np.isfinite(value) or value >= current_l:
         return None
-    return value
+    return value, G
+
+
+def _line_search(surface, ambient, beta, G, el, current, tau, cos_floor):
+    """Backtrack from step size ``tau`` along the weighted descent velocity.
+
+    ``G``, ``el`` and ``current`` are the geometry, critical operator and
+    L_beta of ``surface``.  Returns (candidate, its L_beta, its geometry,
+    accepted tau); raises FlowStalled when tau falls below TAU_MIN.
+    """
+    weight = G.cos_alpha ** (-(beta + 3.0))
+    velocity = weight[..., None] * el.vector
+    while tau >= TAU_MIN:
+        candidate = surface.displaced(tau * velocity)
+        accepted = _accepts(candidate, ambient, beta, current, cos_floor)
+        if accepted is not None:
+            return candidate, *accepted, tau
+        tau *= 0.5
+    raise FlowStalled(
+        f"line search fell below tau = {TAU_MIN:g} without descent"
+    )
 
 
 def flow_step(
@@ -102,19 +134,12 @@ def flow_step(
     if el.norm_linf < STATIONARY_LINF:
         state = FlowState(0, current, el.norm_l2, el.norm_linf, min_ca, 0.0)
         return surface, state
-    weight = G.cos_alpha ** (-(beta + 3.0))
-    velocity = weight[..., None] * el.vector
     tau = tau_init if tau_init is not None else stable_step(G, beta)
-    while tau >= TAU_MIN:
-        candidate = surface.displaced(tau * velocity)
-        value = _accepts(candidate, ambient, beta, current, cos_floor)
-        if value is not None:
-            state = FlowState(0, current, el.norm_l2, el.norm_linf, min_ca, tau)
-            return candidate, state
-        tau *= 0.5
-    raise FlowStalled(
-        f"line search fell below tau = {TAU_MIN:g} without descent"
+    candidate, _, _, tau = _line_search(
+        surface, ambient, beta, G, el, current, tau, cos_floor
     )
+    state = FlowState(0, current, el.norm_l2, el.norm_linf, min_ca, tau)
+    return candidate, state
 
 
 def run_flow(
@@ -132,40 +157,38 @@ def run_flow(
     The convergence check runs before each step, so an already-critical
     input returns immediately.  The trace records one state per visited
     surface including the final one (with tau = 0 on the last row).
+    Each visited surface gets one geometry, one critical operator and
+    one L_beta evaluation: the line search hands over those of the
+    accepted candidate.
     """
     beta = validate_beta(beta, for_flow=True)
     result = FlowResult(surface)
+    G = SurfaceGeometry(surface, ambient)
+    value = l_beta(surface, ambient, beta, cos_floor=cos_floor, geometry=G)
+    rows = []
     tau_prev = None
     for iteration in range(max_iterations + 1):
-        G = SurfaceGeometry(surface, ambient)
         el = el_operator(surface, ambient, beta, geometry=G)
-        value = l_beta(surface, ambient, beta, cos_floor=cos_floor, geometry=G)
-        state = FlowState(
-            iteration, value, el.norm_l2, el.norm_linf,
-            float(np.min(G.cos_alpha)), 0.0,
-        )
+        row = [value, el.norm_l2, el.norm_linf, float(np.min(G.cos_alpha)), 0.0]
+        rows.append(row)
         if el.norm_linf <= res_tol:
-            result.states.append(state)
             result.converged = True
             break
         if iteration == max_iterations:
-            result.states.append(state)
+            break
+        if el.norm_linf < STATIONARY_LINF:
+            result.converged = True
             break
         base = stable_step(G, beta)
         tau_init = base if tau_prev is None else min(2.0 * tau_prev, base)
-        surface, step_state = flow_step(
-            surface, ambient, beta, tau_init=tau_init,
-            cos_floor=cos_floor, geometry=G,
+        surface, value, G, tau_prev = _line_search(
+            surface, ambient, beta, G, el, value, tau_init, cos_floor
         )
-        state.tau = step_state.tau
-        result.states.append(state)
-        if step_state.tau == 0.0:
-            result.converged = True
-            break
-        tau_prev = step_state.tau
+        row[4] = tau_prev
         if snapshot_every and iteration % snapshot_every == 0:
             result.snapshots.append((iteration, surface))
     result.surface = surface
+    result.trace = np.array(rows, dtype=np.float64)
     return result
 
 

@@ -12,7 +12,8 @@ equations used by the component residuals below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,13 +96,28 @@ def jj_grad_perp(geometry: SurfaceGeometry, cross_check: bool = False):
 
 @dataclass
 class ELField:
-    """Euler-Lagrange residual field of the angle-weighted functional."""
+    """Euler-Lagrange residual field of the angle-weighted functional.
+
+    The adapted-gauge components are computed on first access: they need
+    the adapted normal frame, which the norms and the flow never read.
+    """
 
     vector: np.ndarray  # (n_theta, n_phi, 4) chart components, normal
-    comp3: np.ndarray  # <E, e3> in the adapted gauge
-    comp4: np.ndarray  # <E, e4>
     norm_l2: float
     norm_linf: float
+    geometry: SurfaceGeometry = field(repr=False, compare=False)
+
+    @cached_property
+    def comp3(self) -> np.ndarray:
+        """<E, e3> in the adapted gauge."""
+        G = self.geometry
+        return G.dot(self.vector, G.adapted_frame.e3)
+
+    @cached_property
+    def comp4(self) -> np.ndarray:
+        """<E, e4> in the adapted gauge."""
+        G = self.geometry
+        return G.dot(self.vector, G.adapted_frame.e4)
 
 
 def el_operator(
@@ -117,13 +133,10 @@ def el_operator(
     E = ca[..., None] ** 3 * G.mean_curvature
     if beta != 0.0:
         E = E - beta * jj_grad_perp(G)
-    fr = G.adapted_frame
-    comp3 = G.dot(E, fr.e3)
-    comp4 = G.dot(E, fr.e4)
     mag = np.sqrt(G.dot(E, E))
     norm_l2 = float(np.sqrt(np.sum(mag**2 * G.area_weights)))
     norm_linf = float(np.max(mag))
-    return ELField(E, comp3, comp4, norm_l2, norm_linf)
+    return ELField(E, norm_l2, norm_linf, G)
 
 
 def el_components(

@@ -36,7 +36,6 @@ __all__ = [
     "ImmersedSurface",
     "AdaptedFrame",
     "SurfaceGeometry",
-    "build_adapted_frame",
     "read_surface",
     "write_surface",
     "zbar_graph",
@@ -561,12 +560,6 @@ class SurfaceGeometry:
     @cached_property
     def min_cos_alpha(self):
         return float(np.min(self.cos_alpha))
-
-
-def build_adapted_frame(surface: ImmersedSurface, ambient: AmbientManifold,
-                        frame_tol: float = 1e-6) -> AdaptedFrame:
-    """Adapted orthonormal frames at every grid node of a surface."""
-    return SurfaceGeometry(surface, ambient, frame_tol=frame_tol).adapted_frame
 
 
 # -- generators --------------------------------------------------------

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .ambient import AmbientManifold
-from .errors import NotSymplectic
-from .functional import el_components, el_operator, jj_grad_perp, validate_beta
+from .functional import el_operator, jj_grad_perp, validate_beta
 from .surface import ImmersedSurface, SurfaceGeometry
 
 __all__ = [

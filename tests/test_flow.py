@@ -6,6 +6,7 @@ import pytest
 from symcrit.ambient import euclidean_c2
 from symcrit.errors import FlowStalled, NotSymplectic
 from symcrit.flow import FlowState, flow_step, run_flow, stable_step, write_trace
+from symcrit.functional import el_operator, l_beta
 from symcrit.surface import (
     SurfaceGeometry,
     holomorphic_graph,
@@ -40,8 +41,6 @@ def test_critical_input_converges_without_stepping():
 
 def test_step_decreases_functional():
     S = small_case()
-    from symcrit.functional import l_beta
-
     before = l_beta(S, EUC, 1.0)
     S2, state = flow_step(S, EUC, 1.0)
     after = l_beta(S2, EUC, 1.0)
@@ -122,3 +121,46 @@ def test_state_fields_consistent():
         assert s.iteration == k
         assert s.res_l2 > 0 and s.res_linf > 0
         assert 0 < s.min_cos_alpha <= 1.0
+
+
+def reference_flow(S, beta, max_iterations, res_tol):
+    """run_flow spelled out as a loop of public flow_step calls."""
+    states, tau_prev = [], None
+    for iteration in range(max_iterations + 1):
+        G = SurfaceGeometry(S, EUC)
+        el = el_operator(S, EUC, beta, geometry=G)
+        if el.norm_linf <= res_tol or iteration == max_iterations:
+            value = l_beta(S, EUC, beta, geometry=G)
+            min_ca = float(np.min(G.cos_alpha))
+            states.append(
+                FlowState(iteration, value, el.norm_l2, el.norm_linf, min_ca, 0.0)
+            )
+            return S, states
+        base = stable_step(G, beta)
+        tau_init = base if tau_prev is None else min(2.0 * tau_prev, base)
+        S, state = flow_step(S, EUC, beta, tau_init=tau_init, geometry=G)
+        state.iteration = iteration
+        states.append(state)
+        tau_prev = state.tau
+
+
+@pytest.mark.parametrize("max_iterations", [6, 400])
+def test_run_flow_matches_flow_step_loop(tmp_path, max_iterations):
+    S = small_case(n=16)
+    res = run_flow(S, EUC, 1.0, max_iterations=max_iterations, res_tol=2e-3)
+    ref_surface, ref_states = reference_flow(S, 1.0, max_iterations, 2e-3)
+    assert res.converged == (max_iterations == 400)
+    assert res.trace.shape == (len(ref_states), 5)
+    assert res.trace.dtype == np.float64
+    assert res.states == ref_states
+    assert all(type(s.iteration) is int for s in res.states)
+    assert res.iterations == len(ref_states) - 1
+    assert res.surface.periodic_part.tobytes() == ref_surface.periodic_part.tobytes()
+    path = tmp_path / "trace.csv"
+    write_trace(res, path)
+    want = ["iteration,L_beta,res_l2,res_linf,min_cos_alpha,tau"] + [
+        f"{s.iteration},{s.l_beta:.17g},{s.res_l2:.17g},"
+        f"{s.res_linf:.17g},{s.min_cos_alpha:.17g},{s.tau:.17g}"
+        for s in ref_states
+    ]
+    assert path.read_text() == "\n".join(want) + "\n"

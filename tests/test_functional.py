@@ -125,6 +125,17 @@ def test_el_components_match_vector():
     assert np.max(np.abs(el.comp4 - ca3 * r4)) < 1e-10
 
 
+def test_el_frame_components_are_lazy():
+    S = perturbed_graph(0.5, 0.05, n_theta=24, n_phi=24)
+    G = SurfaceGeometry(S, EUC)
+    el = el_operator(S, EUC, 1.0, geometry=G)
+    assert "adapted_frame" not in G.__dict__
+    comp3, comp4 = el.comp3, el.comp4
+    assert "adapted_frame" in G.__dict__
+    assert np.array_equal(comp3, G.dot(el.vector, G.adapted_frame.e3))
+    assert np.array_equal(comp4, G.dot(el.vector, G.adapted_frame.e4))
+
+
 def test_jj_grad_perp_identity_matches_raw_projection():
     S = perturbed_graph(0.5, 0.05, n_theta=48, n_phi=48)
     for ambient in (EUC, conformal("0.1*sin(p1) + 0.05*cos(p2)")):
