@@ -10,13 +10,15 @@ fixed index conventions:
 * Field derivatives ``d[C, ...]`` put the differentiation index first,
   so ``dg[C, A, B]`` is the partial of g_AB along coordinate C.
 
-Derivatives of user fields fall back to 4th-order central differences
-with step ``fd_step`` whenever analytic derivative fields are absent.
+Derivatives of user fields are 4th-order central differences with
+step ``fd_step``, except for an analytic ``metric_derivative_field``
+and the zero derivatives of constant fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -150,19 +152,23 @@ class AmbientManifold:
     """Chart description of an ambient Hermitian 4-manifold.
 
     ``metric_field(points)`` and ``j_field(points)`` must accept an
-    (..., 4) array and return (..., 4, 4).  Optional analytic derivative
-    fields return (..., 4, 4, 4) with the derivative index first.
+    (..., 4) array and return (..., 4, 4).  The optional analytic
+    ``metric_derivative_field`` returns (..., 4, 4, 4) with the derivative
+    index first.  ``fd_step`` must be finite and positive.
     """
 
     metric_field: Callable[[np.ndarray], np.ndarray]
     j_field: Callable[[np.ndarray], np.ndarray]
     metric_derivative_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    j_derivative_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-3
     structure_tol: float = 1e-8
     name: str = "custom"
     flat_metric: bool = False  # metric is constant in the chart
     constant_j: bool = False  # J is constant in the chart
+
+    def __post_init__(self):
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ValueError(f"fd_step must be finite and positive, got {self.fd_step}")
 
     # -- basic fields -------------------------------------------------
 
@@ -250,8 +256,6 @@ class AmbientManifold:
         if self.constant_j:
             points = np.asarray(points, dtype=float)
             return np.zeros(points.shape[:-1] + (4, 4, 4))
-        if self.j_derivative_field is not None:
-            return np.asarray(self.j_derivative_field(points), dtype=float)
         return self._fd_derivative(lambda q: self.j_at(q, check=False), points)
 
     # -- connection and curvature -------------------------------------
@@ -268,7 +272,7 @@ class AmbientManifold:
         brackets = (
             np.einsum("...bdc->...dbc", dg)
             + np.einsum("...cdb->...dbc", dg)
-            - np.einsum("...dbc->...dbc", dg)
+            - dg
         )
         return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, brackets)
 
@@ -345,7 +349,7 @@ class AmbientManifold:
             return np.zeros(points.shape[:-1] + (4, 4, 4))
         domega = self._fd_derivative(self.kahler_form_at, points)
         return (
-            np.einsum("...abc->...abc", domega)
+            domega
             + np.einsum("...bca->...abc", domega)
             + np.einsum("...cab->...abc", domega)
         )
@@ -399,15 +403,10 @@ def conformal(expression: str, fd_step: float = 1e-3) -> AmbientManifold:
         points = np.asarray(points, dtype=float)
         return np.broadcast_to(STANDARD_J, points.shape[:-1] + (4, 4)).copy()
 
-    def j_derivative(points):
-        points = np.asarray(points, dtype=float)
-        return np.zeros(points.shape[:-1] + (4, 4, 4))
-
     manifold = AmbientManifold(
         metric_field=metric,
         j_field=jfield,
         metric_derivative_field=metric_derivative,
-        j_derivative_field=j_derivative,
         fd_step=fd_step,
         name=f"conformal({expression})",
         constant_j=True,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,6 +108,17 @@ def _parse_value(text: str):
         return text
 
 
+def _number(text: str, key: str, kind=float):
+    """A finite int or float from config text, or a ConfigError naming the key."""
+    try:
+        value = kind(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"{key} = {text!r} is not a finite {kind.__name__}")
+
+
 def _parse_generator_args(text: str) -> dict:
     out = {}
     for token in text.split():
@@ -128,19 +140,19 @@ def load_config(path: str, args) -> RunConfig:
 
     amb = parser["ambient"] if parser.has_section("ambient") else {}
     kind = amb.get("kind", "euclidean").strip()
-    fd_step = float(amb.get("fd_step", "1e-3"))
-    if kind == "euclidean":
-        ambient = euclidean_c2(fd_step=fd_step)
-    elif kind == "conformal":
-        expr = amb.get("lambda", "").strip()
-        if not expr:
-            raise ConfigError("conformal ambient needs a lambda expression")
-        try:
+    fd_step = _number(amb.get("fd_step", "1e-3"), "[ambient] fd_step")
+    try:
+        if kind == "euclidean":
+            ambient = euclidean_c2(fd_step=fd_step)
+        elif kind == "conformal":
+            expr = amb.get("lambda", "").strip()
+            if not expr:
+                raise ConfigError("conformal ambient needs a lambda expression")
             ambient = conformal(expr, fd_step=fd_step)
-        except ValueError as err:
-            raise ConfigError(f"bad lambda expression: {err}") from None
-    else:
-        raise ConfigError(f"unknown ambient kind {kind!r}")
+        else:
+            raise ConfigError(f"unknown ambient kind {kind!r}")
+    except ValueError as err:
+        raise ConfigError(f"[ambient] {err}") from None
 
     cfg = RunConfig(ambient=ambient)
 
@@ -163,21 +175,22 @@ def load_config(path: str, args) -> RunConfig:
     for c in cfg.checks:
         if c not in CHECKS:
             raise ConfigError(f"unknown check {c!r} (have: {', '.join(CHECKS)})")
-    cfg.beta = float(task.get("beta", "1.0"))
-    cfg.levels = [int(v) for v in task.get("levels", "32,64").split(",")]
+    cfg.beta = _number(task.get("beta", "1.0"), "[task] beta")
+    levels = getattr(args, "levels", None) or task.get("levels", "32,64")
+    cfg.levels = [_number(n, "levels", int) for n in levels.split(",")]
     if task.get("tol"):
-        cfg.tol = float(task["tol"])
-    cfg.sin_alpha_min = float(task.get("sin_alpha_min", "0.1"))
-    cfg.max_iterations = int(task.get("max_iterations", "2000"))
-    cfg.res_tol = float(task.get("res_tol", "1e-3"))
+        cfg.tol = _number(task["tol"], "[task] tol")
+    cfg.sin_alpha_min = _number(task.get("sin_alpha_min", "0.1"),
+                                "[task] sin_alpha_min")
+    cfg.max_iterations = _number(task.get("max_iterations", "2000"),
+                                 "[task] max_iterations", int)
+    cfg.res_tol = _number(task.get("res_tol", "1e-3"), "[task] res_tol")
 
     out = parser["output"] if parser.has_section("output") else {}
     cfg.out_dir = Path(out.get("dir", "."))
 
     if getattr(args, "beta", None) is not None:
         cfg.beta = args.beta
-    if getattr(args, "levels", None):
-        cfg.levels = [int(v) for v in args.levels.split(",")]
     if getattr(args, "tol", None) is not None:
         cfg.tol = args.tol
     if getattr(args, "out", None):
@@ -187,8 +200,8 @@ def load_config(path: str, args) -> RunConfig:
         validate_beta(cfg.beta, for_flow=(args.command == "flow"))
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    if any(n < 8 for n in cfg.levels):
-        raise ConfigError("levels below 8 nodes per direction are not usable")
+    if cfg.levels[0] < 8 or np.any(np.diff(cfg.levels) <= 0):
+        raise ConfigError(f"levels must be >= 8 and strictly increase, got {cfg.levels}")
     return cfg
 
 

@@ -13,12 +13,14 @@ functional, the flow) never pay for curvature or frame assembly.
 Frame conventions at a node:
 
 * e1, e2 span the tangent plane, oriented like (theta, phi);
-* e3, e4 span the normal plane, completing a positively oriented
-  orthonormal 4-frame in the chart;
-* x = <J e1, e2>, y = <J e1, e3>, z = <J e1, e4>.  Where sin(alpha)
-  exceeds ``frame_tol`` the normal pair is rotated so that z = 0 and
-  y = sin(alpha) >= 0 (the adapted gauge); elsewhere the node is
-  flagged unadapted and left in the raw gauge.
+* x = <J e1, e2>, y = <J e1, e3>, z = <J e1, e4>;
+* e3 is the unit normal part of J e1 where its length, sin(alpha),
+  exceeds ``FRAME_TOL`` (the adapted gauge: y = sin(alpha), z = 0);
+  elsewhere the node is flagged unadapted and e3 is the unit normal
+  part of the chart axis whose normal part is longest (the raw gauge);
+* e4 is the unit normal part of J(x e3 - y e2) orthogonal to e3, which
+  is J(x e3 - y e2) itself in the adapted gauge.  The frame is oriented
+  by J, which for ``STANDARD_J`` is the chart orientation.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# |normal part of J e1| = sin(alpha) below which a node is left unadapted
+FRAME_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,7 @@ class AdaptedFrame:
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
-    adapted: np.ndarray  # bool mask, False where sin(alpha) <= frame_tol
-    frame_tol: float
+    adapted: np.ndarray  # bool mask, False where sin(alpha) <= FRAME_TOL
 
 
 class SurfaceGeometry:
@@ -157,11 +160,9 @@ class SurfaceGeometry:
     in axes of length 2 ordered (e3, e4).
     """
 
-    def __init__(self, surface: ImmersedSurface, ambient: AmbientManifold,
-                 frame_tol: float = 1e-6):
+    def __init__(self, surface: ImmersedSurface, ambient: AmbientManifold):
         self.surface = surface
         self.ambient = ambient
-        self.frame_tol = frame_tol
 
     # ---- parametric derivatives
 
@@ -290,7 +291,6 @@ class SurfaceGeometry:
 
     @cached_property
     def _tangent_frame(self):
-        g = self.amb_g
         fth, fph = self.fth, self.fph
         n1 = np.sqrt(self.dot(fth, fth))
         e1 = fth / n1[..., None]
@@ -334,45 +334,27 @@ class SurfaceGeometry:
     # ---- adapted normal frame
 
     @cached_property
-    def _normal_frame(self):
-        """Raw orthonormal normal pair (n1, n2), positively oriented."""
-        g = self.amb_g
-        P = self.normal_projector
-        cand = np.einsum("...ab,cb->...ca", P, np.eye(4))  # (nt, np, 4 cands, 4)
-        norms = np.einsum("...ab,...ca,...cb->...c", g, cand, cand)
-        first = np.argmax(norms, axis=-1)
-        n1 = np.take_along_axis(cand, first[..., None, None], axis=-2)[..., 0, :]
-        n1 = n1 / np.sqrt(self.dot(n1, n1))[..., None]
-        gn1 = np.einsum("...ab,...b->...a", g, n1)
-        cand2 = cand - np.einsum("...ca,...a->...c", cand, gn1)[..., None] * n1[..., None, :]
-        norms2 = np.einsum("...ab,...ca,...cb->...c", g, cand2, cand2)
-        np.put_along_axis(norms2, first[..., None], -1.0, axis=-1)
-        second = np.argmax(norms2, axis=-1)
-        n2 = np.take_along_axis(cand2, second[..., None, None], axis=-2)[..., 0, :]
-        n2 = n2 / np.sqrt(self.dot(n2, n2))[..., None]
-        # fix chart orientation of the full 4-frame by flipping n2
-        frame = np.stack([self.e1, self.e2, n1, n2], axis=-1)
-        sign = np.sign(np.linalg.det(frame))
-        n2 = n2 * sign[..., None]
-        return n1, n2
-
-    @cached_property
     def adapted_frame(self) -> AdaptedFrame:
         e1, e2 = self.e1, self.e2
-        n1, n2 = self._normal_frame
         je1 = np.einsum("...ab,...b->...a", self.amb_j, e1)
-        v1 = self.dot(je1, n1)
-        v2 = self.dot(je1, n2)
-        r = np.hypot(v1, v2)
-        ok = r > self.frame_tol
-        c = np.where(ok, v1 / np.where(ok, r, 1.0), 1.0)
-        s = np.where(ok, v2 / np.where(ok, r, 1.0), 0.0)
-        e3 = c[..., None] * n1 + s[..., None] * n2
-        e4 = -s[..., None] * n1 + c[..., None] * n2
         x = self.dot(je1, e2)
+        e3 = self.project_normal(je1)
+        r = np.sqrt(self.dot(e3, e3))
+        ok = r > FRAME_TOL
+        e3 /= np.where(ok, r, 1.0)[..., None]
+        if not ok.all():
+            axes = np.swapaxes(self.normal_projector[~ok], -1, -2)  # (m, 4, 4)
+            norms = np.einsum("...ab,...ca,...cb->...c", self.amb_g[~ok], axes, axes)
+            best = np.argmax(norms, axis=-1)
+            m = np.arange(best.size)
+            e3[~ok] = axes[m, best] / np.sqrt(norms[m, best])[:, None]
         y = self.dot(je1, e3)
+        w = x[..., None] * e3 - y[..., None] * e2
+        e4 = self.project_normal(np.einsum("...ab,...b->...a", self.amb_j, w))
+        e4 -= self.dot(e4, e3)[..., None] * e3
+        e4 /= np.sqrt(self.dot(e4, e4))[..., None]
         z = self.dot(je1, e4)
-        return AdaptedFrame(e1, e2, e3, e4, x, y, z, ok, self.frame_tol)
+        return AdaptedFrame(e1, e2, e3, e4, x, y, z, ok)
 
     @cached_property
     def frame_matrix(self):

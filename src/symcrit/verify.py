@@ -133,10 +133,15 @@ def _orders(rows):
     return out
 
 
-def _as_sequence(surfaces):
+def _refinement_levels(surfaces):
+    """One surface, or a list whose grid sizes strictly increase."""
     if isinstance(surfaces, ImmersedSurface):
         return [surfaces]
-    return list(surfaces)
+    surfaces = list(surfaces)
+    sizes = [(S.n_theta, S.n_phi) for S in surfaces]
+    if np.any(np.diff(sizes, axis=0) <= 0):
+        raise ValueError(f"refinement grid sizes must strictly increase, got {sizes}")
+    return surfaces
 
 
 # -- gradient identity -------------------------------------------------
@@ -159,7 +164,7 @@ def gradient_identity_residuals(G: SurfaceGeometry):
 
 def verify_gradient_identities(surfaces, ambient: AmbientManifold,
                                order_tol: float = 1.9) -> Report:
-    surfaces = _as_sequence(surfaces)
+    surfaces = _refinement_levels(surfaces)
     rows = []
     excluded = total = 0
     finest_res = None
@@ -265,7 +270,7 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
                               k_sign: int | None = None,
                               order_tol: float = 1.9) -> Report:
     """Refinement study of the unconditional angle-Laplacian identity."""
-    surfaces = _as_sequence(surfaces)
+    surfaces = _refinement_levels(surfaces)
     geoms = [SurfaceGeometry(S, ambient) for S in surfaces]
     notes = []
     flip_res = None

@@ -76,6 +76,14 @@ def test_broken_j_raises_structure_violation():
         M.j_at(np.zeros(4))
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
+def test_bad_fd_step_raises(step):
+    with pytest.raises(ValueError, match="fd_step"):
+        euclidean_c2(fd_step=step)
+    with pytest.raises(ValueError, match="fd_step"):
+        conformal("0.1*sin(p1)", fd_step=step)
+
+
 # -- conformal family --------------------------------------------------
 
 

@@ -159,6 +159,58 @@ params = c=0.5
     assert main(["verify", "--config", cfg]) == 2
 
 
+BAD_NUMBER = """
+[ambient]
+kind = conformal
+lambda = 0.1*sin(p1)
+{ambient}
+
+[surface]
+generator = perturbed
+params = c=0.5 eps=0.05
+
+[task]
+check = gradient
+{task}
+"""
+
+
+@pytest.mark.parametrize(
+    "ambient_line, task_line, key",
+    [
+        ("fd_step = 0", "", "fd_step"),
+        ("fd_step = -1e-3", "", "fd_step"),
+        ("fd_step = nan", "", "fd_step"),
+        ("fd_step = abc", "", "fd_step"),
+        ("", "beta = one", "beta"),
+        ("", "tol = 1e-3x", "tol"),
+        ("", "max_iterations = 2e3", "max_iterations"),
+        ("", "levels = 16,x", "levels"),
+    ],
+    ids=["fd_step-zero", "fd_step-negative", "fd_step-nan", "fd_step-text",
+         "beta", "tol", "max_iterations", "levels"],
+)
+def test_bad_number_is_config_error(tmp_path, capsys, ambient_line, task_line, key):
+    cfg = write_config(tmp_path, BAD_NUMBER.format(ambient=ambient_line, task=task_line))
+    code = main(["verify", "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "task_line, flags",
+    [("levels = 32,16", []), ("", ["--levels", "32,32"])],
+    ids=["config", "flag"],
+)
+def test_levels_not_increasing_is_config_error(tmp_path, capsys, task_line, flags):
+    cfg = write_config(tmp_path, BAD_NUMBER.format(ambient="", task=task_line))
+    code = main(["verify", "--config", cfg] + flags)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "strictly increase" in err
+
+
 def test_flow_on_lagrangian_input_fails_with_diagnostic(tmp_path, capsys):
     spath = tmp_path / "lag.txt"
     write_surface(lagrangian_torus(1.0, 1.0, n_theta=16, n_phi=16), spath)

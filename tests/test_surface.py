@@ -67,10 +67,14 @@ def test_angle_between_zero_and_one_on_generic_surface():
 @pytest.mark.parametrize(
     "surface",
     [perturbed_graph(0.5, 0.05, n_theta=24, n_phi=24),
-     revolution_torus(2.0, 0.5, n_theta=24, n_phi=24)],
-    ids=["graph", "torus"],
+     revolution_torus(2.0, 0.5, n_theta=24, n_phi=24),
+     holomorphic_graph(0.3, -0.2, n_theta=24, n_phi=24),
+     lagrangian_torus(n_theta=24, n_phi=24)],
+    ids=["graph", "torus", "holomorphic", "lagrangian"],
 )
 def test_frame_orthonormal(surface, ambient):
+    """Orthonormal and chart-oriented, also on all-unadapted (holomorphic)
+    and cos(alpha) = 0 (Lagrangian) input."""
     G = geometry(surface, ambient)
     fr = G.adapted_frame
     vecs = [fr.e1, fr.e2, fr.e3, fr.e4]
@@ -79,6 +83,7 @@ def test_frame_orthonormal(surface, ambient):
             got = G.dot(vecs[a], vecs[b])
             want = 1.0 if a == b else 0.0
             assert np.max(np.abs(got - want)) < 1e-10
+    assert np.all(np.linalg.det(G.frame_matrix) > 0)
 
 
 @pytest.mark.parametrize("ambient", [EUC, CONF], ids=["euclid", "conformal"])

@@ -48,6 +48,15 @@ def test_laplacian_identity_refines_at_order_four(ambient):
     assert rep.k_term_sign == 1
 
 
+@pytest.mark.parametrize("levels", [(32, 16), (24, 24)], ids=["decreasing", "repeated"])
+def test_refinement_levels_must_strictly_increase(levels):
+    surfaces = ladder(levels)
+    with pytest.raises(ValueError, match="strictly increase"):
+        V.verify_gradient_identities(surfaces, EUC)
+    with pytest.raises(ValueError, match="strictly increase"):
+        V.verify_laplacian_identity(surfaces, EUC)
+
+
 def test_laplacian_identity_j_terms_vanish_on_flat_kahler():
     rep = V.verify_laplacian_identity(ladder((32,)), EUC)
     assert rep.values["max_j_term"] < 1e-12
