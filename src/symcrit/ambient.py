@@ -41,6 +41,9 @@ __all__ = [
     "STANDARD_J",
 ]
 
+# Largest metric asymmetry, |J^2 + I| and |J^T g J - g| the field checks accept
+STRUCTURE_TOL = 1e-8
+
 # Standard complex structure of C^2 = R^4 acting on column vectors:
 # J d1 = d2, J d2 = -d1, J d3 = d4, J d4 = -d3.
 STANDARD_J = np.array(
@@ -161,7 +164,6 @@ class AmbientManifold:
     j_field: Callable[[np.ndarray], np.ndarray]
     metric_derivative_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-3
-    structure_tol: float = 1e-8
     name: str = "custom"
     flat_metric: bool = False  # metric is constant in the chart
     constant_j: bool = False  # J is constant in the chart
@@ -187,7 +189,7 @@ class AmbientManifold:
         g = np.asarray(self.metric_field(points), dtype=float)
         if check:
             sym = float(np.max(np.abs(g - np.swapaxes(g, -2, -1))))
-            if sym > self.structure_tol:
+            if sym > STRUCTURE_TOL:
                 raise AmbientDegenerate(
                     f"metric not symmetric (max asymmetry {sym:.3e})"
                 )
@@ -214,12 +216,12 @@ class AmbientManifold:
         if check:
             eye = np.eye(4)
             sq = float(np.max(np.abs(np.einsum("...ab,...bc->...ac", J, J) + eye)))
-            if sq > self.structure_tol:
+            if sq > STRUCTURE_TOL:
                 raise StructureViolation(f"J^2 + I residual {sq:.3e}")
             g = self.metric_at(points, check=False)
             gj = np.einsum("...ca,...cd,...db->...ab", J, g, J)
             comp = float(np.max(np.abs(gj - g)))
-            if comp > self.structure_tol:
+            if comp > STRUCTURE_TOL:
                 raise StructureViolation(
                     f"J not metric compatible, |J^T g J - g| = {comp:.3e}"
                 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ambient import AmbientManifold
 from .errors import FlowStalled, NotImmersed, NotSymplectic
-from .functional import COS_FLOOR, el_operator, l_beta, validate_beta
+from .functional import el_operator, l_beta, validate_beta
 from .surface import ImmersedSurface, SurfaceGeometry
 
 __all__ = ["FlowResult", "FlowState", "flow_step", "run_flow", "write_trace"]
@@ -49,7 +49,6 @@ class FlowResult:
     surface: ImmersedSurface
     trace: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
     converged: bool = False
-    snapshots: list = field(default_factory=list)
 
     @property
     def states(self) -> list:
@@ -79,11 +78,11 @@ def stable_step(G: SurfaceGeometry, beta: float) -> float:
     return 1.7 / lam
 
 
-def _accepts(surface, ambient, beta, current_l, cos_floor):
+def _accepts(surface, ambient, beta, current_l):
     """(L_beta, geometry) of the candidate if it passes all gates, else None."""
     G = SurfaceGeometry(surface, ambient)
     try:
-        value = l_beta(surface, ambient, beta, cos_floor=cos_floor, geometry=G)
+        value = l_beta(surface, ambient, beta, geometry=G)
     except (NotImmersed, NotSymplectic):
         return None
     if not np.isfinite(value) or value >= current_l:
@@ -91,7 +90,7 @@ def _accepts(surface, ambient, beta, current_l, cos_floor):
     return value, G
 
 
-def _line_search(surface, ambient, beta, G, el, current, tau, cos_floor):
+def _line_search(surface, ambient, beta, G, el, current, tau):
     """Backtrack from step size ``tau`` along the weighted descent velocity.
 
     ``G``, ``el`` and ``current`` are the geometry, critical operator and
@@ -102,7 +101,7 @@ def _line_search(surface, ambient, beta, G, el, current, tau, cos_floor):
     velocity = weight[..., None] * el.vector
     while tau >= TAU_MIN:
         candidate = surface.displaced(tau * velocity)
-        accepted = _accepts(candidate, ambient, beta, current, cos_floor)
+        accepted = _accepts(candidate, ambient, beta, current)
         if accepted is not None:
             return candidate, *accepted, tau
         tau *= 0.5
@@ -116,7 +115,6 @@ def flow_step(
     ambient: AmbientManifold,
     beta: float,
     tau_init: float | None = None,
-    cos_floor: float = COS_FLOOR,
     geometry: SurfaceGeometry | None = None,
 ):
     """One backtracking descent step.
@@ -129,15 +127,13 @@ def flow_step(
     beta = validate_beta(beta, for_flow=True)
     G = geometry or SurfaceGeometry(surface, ambient)
     el = el_operator(surface, ambient, beta, geometry=G)
-    current = l_beta(surface, ambient, beta, cos_floor=cos_floor, geometry=G)
+    current = l_beta(surface, ambient, beta, geometry=G)
     min_ca = float(np.min(G.cos_alpha))
     if el.norm_linf < STATIONARY_LINF:
         state = FlowState(0, current, el.norm_l2, el.norm_linf, min_ca, 0.0)
         return surface, state
     tau = tau_init if tau_init is not None else stable_step(G, beta)
-    candidate, _, _, tau = _line_search(
-        surface, ambient, beta, G, el, current, tau, cos_floor
-    )
+    candidate, _, _, tau = _line_search(surface, ambient, beta, G, el, current, tau)
     state = FlowState(0, current, el.norm_l2, el.norm_linf, min_ca, tau)
     return candidate, state
 
@@ -148,8 +144,6 @@ def run_flow(
     beta: float,
     max_iterations: int = 2000,
     res_tol: float = 1e-3,
-    cos_floor: float = COS_FLOOR,
-    snapshot_every: int = 0,
 ) -> FlowResult:
     """Descend until the Linf residual of the critical operator drops
     below ``res_tol`` or the iteration budget runs out.
@@ -164,7 +158,7 @@ def run_flow(
     beta = validate_beta(beta, for_flow=True)
     result = FlowResult(surface)
     G = SurfaceGeometry(surface, ambient)
-    value = l_beta(surface, ambient, beta, cos_floor=cos_floor, geometry=G)
+    value = l_beta(surface, ambient, beta, geometry=G)
     rows = []
     tau_prev = None
     for iteration in range(max_iterations + 1):
@@ -182,11 +176,9 @@ def run_flow(
         base = stable_step(G, beta)
         tau_init = base if tau_prev is None else min(2.0 * tau_prev, base)
         surface, value, G, tau_prev = _line_search(
-            surface, ambient, beta, G, el, value, tau_init, cos_floor
+            surface, ambient, beta, G, el, value, tau_init
         )
         row[4] = tau_prev
-        if snapshot_every and iteration % snapshot_every == 0:
-            result.snapshots.append((iteration, surface))
     result.surface = surface
     result.trace = np.array(rows, dtype=np.float64)
     return result

@@ -12,6 +12,7 @@ equations used by the component residuals below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,6 +36,8 @@ COS_FLOOR = 1e-4
 
 def validate_beta(beta: float, for_flow: bool = False) -> float:
     beta = float(beta)
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     if beta == -1.0:
         raise ValueError("beta = -1 is outside the functional family")
     if for_flow and beta < 0.0:

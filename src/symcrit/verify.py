@@ -14,13 +14,14 @@ ambient) and every report records the sign it used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ambient import AmbientManifold
-from .functional import el_operator, jj_grad_perp, validate_beta
+from .functional import el_operator, jj_grad_perp, l_beta, validate_beta
 from .surface import ImmersedSurface, SurfaceGeometry
 
 __all__ = [
@@ -38,6 +39,9 @@ __all__ = [
 
 NEAR_CRITICAL_LINF = 1e-3
 CONDITION_TOL = 1e-8
+ORDER_TOL = 1.9  # least observed convergence order a study accepts
+ORACLE_TOL = 1e-6  # cyclic condition against the d(omega) oracle
+FLAT_KAHLER_TOL = 1e-12  # covariant-J terms on a flat Kahler ambient
 
 
 def _fmt(x) -> str:
@@ -109,39 +113,68 @@ class Report:
             fh.write(self.to_text())
 
 
-def _norms(field_abs, weights, mask=None):
-    if mask is not None:
-        vals = np.where(mask, field_abs, 0.0)
-        w = np.where(mask, weights, 0.0)
-    else:
-        vals, w = field_abs, weights
+def _norms(field_abs, weights, mask):
+    vals = np.where(mask, field_abs, 0.0)
+    w = np.where(mask, weights, 0.0)
     l2 = float(np.sqrt(np.sum(vals**2 * w)))
     linf = float(np.max(vals))
     return l2, linf
 
 
-def _orders(rows):
-    """Fill the order column of refinement rows from successive Linf."""
-    out = []
-    for k, (n, l2, linf) in enumerate(rows):
-        if k == 0:
-            out.append((n, l2, linf, float("nan")))
-        else:
-            prev = rows[k - 1][2]
-            order = math.log2(prev / linf) if linf > 0 and prev > 0 else float("nan")
-            out.append((n, l2, linf, order))
-    return out
-
-
 def _refinement_levels(surfaces):
-    """One surface, or a list whose grid sizes strictly increase."""
+    """One surface, or a non-empty list whose grid sizes strictly increase."""
     if isinstance(surfaces, ImmersedSurface):
         return [surfaces]
     surfaces = list(surfaces)
     sizes = [(S.n_theta, S.n_phi) for S in surfaces]
-    if np.any(np.diff(sizes, axis=0) <= 0):
-        raise ValueError(f"refinement grid sizes must strictly increase, got {sizes}")
+    if not sizes or np.any(np.diff(sizes, axis=0) <= 0):
+        raise ValueError(
+            f"refinement needs at least one surface and grid sizes that "
+            f"strictly increase, got {sizes}"
+        )
     return surfaces
+
+
+def _refinement_study(check, ambient, geometries, residual, single_tol, notes):
+    """Refinement study of the field ``residual(G)`` over ``geometries``.
+
+    Norms and the reported residual field cover adapted nodes only.
+    Several levels pass when every observed order reaches ``ORDER_TOL``;
+    a single level passes when its Linf is below ``single_tol``.  More
+    than 10% unadapted nodes on the finest level make the study
+    inconclusive.  ``notes`` is extended in place.
+    """
+    rows = []  # (n, l2, linf, order observed from the previous level)
+    for G in geometries:
+        res = residual(G)
+        mask = G.adapted_frame.adapted
+        l2, linf = _norms(np.abs(res), G.area_weights, mask)
+        prev = rows[-1][2] if rows else 0.0
+        order = math.log2(prev / linf) if linf > 0 and prev > 0 else float("nan")
+        rows.append((G.surface.n_theta, l2, linf, order))
+    if len(rows) > 1:
+        ok = all(r[3] >= ORDER_TOL for r in rows[1:])
+    else:
+        ok = rows[0][2] < single_tol
+        notes.append("single level: order not measured, absolute tolerance applied")
+    status = "pass" if ok else "fail"
+    excluded = int(np.sum(~mask))
+    if excluded > 0.1 * mask.size:
+        status, ok = "inconclusive", False
+        notes.append("more than 10% of nodes excluded (frame unadapted)")
+    return Report(
+        check=check,
+        ambient=ambient.name,
+        status=status,
+        passed=ok,
+        tolerances={"order": ORDER_TOL},
+        values={"finest_res_linf": rows[-1][2], "finest_res_l2": rows[-1][1]},
+        notes=notes,
+        refinement=rows,
+        excluded_nodes=excluded,
+        total_nodes=int(mask.size),
+        residual_field=np.where(mask, res, 0.0),
+    )
 
 
 # -- gradient identity -------------------------------------------------
@@ -162,50 +195,21 @@ def gradient_identity_residuals(G: SurfaceGeometry):
     return r1, r2
 
 
-def verify_gradient_identities(surfaces, ambient: AmbientManifold,
-                               order_tol: float = 1.9) -> Report:
-    surfaces = _refinement_levels(surfaces)
-    rows = []
-    excluded = total = 0
-    finest_res = None
-    for S in surfaces:
-        G = SurfaceGeometry(S, ambient)
+def verify_gradient_identities(surfaces, ambient: AmbientManifold) -> Report:
+    """Refinement study of the larger of the two gradient-identity residuals.
+
+    Each level's geometry is built only when the study reaches it, so
+    one level's caches are alive at a time.
+    """
+
+    def residual(G):
         r1, r2 = gradient_identity_residuals(G)
-        mask = G.adapted_frame.adapted
-        combined = np.maximum(np.abs(r1), np.abs(r2))
-        l2, linf = _norms(combined, G.area_weights, mask)
-        rows.append((S.n_theta, l2, linf))
-        excluded = int(np.sum(~mask))
-        total = int(mask.size)
-        finest_res = np.where(mask, combined, 0.0)
-    rows = _orders(rows)
-    orders = [r[3] for r in rows[1:]]
-    if len(surfaces) == 1:
-        ok = rows[-1][2] < 1e-4
-        status = "pass" if ok else "fail"
-        note = "single level: order not measured, absolute tolerance applied"
-        notes = [note]
-    else:
-        ok = all(o >= order_tol for o in orders)
-        status = "pass" if ok else "fail"
-        notes = []
-    if total and excluded > 0.1 * total:
-        status, ok = "inconclusive", False
-        notes.append("more than 10% of nodes excluded (frame unadapted)")
-    rep = Report(
-        check="gradient_identities",
-        ambient=ambient.name,
-        status=status,
-        passed=ok,
-        tolerances={"order": order_tol},
-        values={"finest_res_linf": rows[-1][2], "finest_res_l2": rows[-1][1]},
-        notes=notes,
-        refinement=rows,
-        excluded_nodes=excluded,
-        total_nodes=total,
-        residual_field=finest_res,
+        return np.maximum(np.abs(r1), np.abs(r2))
+
+    geometries = (SurfaceGeometry(S, ambient) for S in _refinement_levels(surfaces))
+    return _refinement_study(
+        "gradient_identities", ambient, geometries, residual, 1e-4, []
     )
-    return rep
 
 
 # -- angle Laplacian identity -----------------------------------------
@@ -267,11 +271,13 @@ def calibrate_curvature_sign(G: SurfaceGeometry) -> tuple[int, float, float]:
 
 
 def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
-                              k_sign: int | None = None,
-                              order_tol: float = 1.9) -> Report:
-    """Refinement study of the unconditional angle-Laplacian identity."""
-    surfaces = _refinement_levels(surfaces)
-    geoms = [SurfaceGeometry(S, ambient) for S in surfaces]
+                              k_sign: int | None = None) -> Report:
+    """Refinement study of the unconditional angle-Laplacian identity.
+
+    On flat Kahler ambients the covariant-J terms of the finest level
+    must also vanish to ``FLAT_KAHLER_TOL``.
+    """
+    geoms = [SurfaceGeometry(S, ambient) for S in _refinement_levels(surfaces)]
     notes = []
     flip_res = None
     if k_sign is None:
@@ -279,59 +285,31 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
             k_sign = 1
             notes.append("flat ambient: curvature term vanishes, sign +1 by default")
         else:
-            k_sign, keep, flip_res = calibrate_curvature_sign(geoms[-1])
+            k_sign, _, flip_res = calibrate_curvature_sign(geoms[-1])
             notes.append("curvature-term sign calibrated by brute force")
-    rows = []
-    excluded = total = 0
-    finest_res = None
-    kahler_jterm = 0.0
-    for G in geoms:
-        terms = laplacian_identity_terms(G, k_sign)
-        mask = G.adapted_frame.adapted
-        l2, linf = _norms(np.abs(terms["residual"]), G.area_weights, mask)
-        rows.append((G.surface.n_theta, l2, linf))
-        excluded = int(np.sum(~mask))
-        total = int(mask.size)
-        finest_res = np.where(mask, terms["residual"], 0.0)
-        kahler_jterm = max(
-            float(np.max(np.abs(terms["j_second"]))),
-            float(np.max(np.abs(terms["j_coupling"]))),
-            float(np.max(np.abs(G.nabla_j_frame))),
-        )
-    rows = _orders(rows)
-    orders = [r[3] for r in rows[1:]]
-    values = {
-        "finest_res_linf": rows[-1][2],
-        "finest_res_l2": rows[-1][1],
-        "max_j_term": kahler_jterm,
-    }
-    if flip_res is not None:
-        values["flipped_sign_res_linf"] = flip_res
-    if len(surfaces) > 1:
-        ok = all(o >= order_tol for o in orders)
-    else:
-        ok = rows[-1][2] < 1e-3
-        notes.append("single level: order not measured, absolute tolerance applied")
-    if ambient.flat_metric and ambient.constant_j:
-        ok = ok and kahler_jterm < 1e-12
-    status = "pass" if ok else "fail"
-    if total and excluded > 0.1 * total:
-        status, ok = "inconclusive", False
-        notes.append("more than 10% of nodes excluded (frame unadapted)")
-    return Report(
-        check="laplacian_identity",
-        ambient=ambient.name,
-        status=status,
-        passed=ok,
-        k_term_sign=k_sign,
-        tolerances={"order": order_tol, "kahler_j_terms": 1e-12},
-        values=values,
-        notes=notes,
-        refinement=rows,
-        excluded_nodes=excluded,
-        total_nodes=total,
-        residual_field=finest_res,
+    terms = {}
+
+    def residual(G):
+        terms.update(laplacian_identity_terms(G, k_sign))
+        return terms["residual"]
+
+    rep = _refinement_study(
+        "laplacian_identity", ambient, geoms, residual, 1e-3, notes
     )
+    # terms now holds the finest level's contributions
+    j_term = max(
+        float(np.max(np.abs(f)))
+        for f in (terms["j_second"], terms["j_coupling"], geoms[-1].nabla_j_frame)
+    )
+    rep.k_term_sign = k_sign
+    rep.tolerances["kahler_j_terms"] = FLAT_KAHLER_TOL
+    rep.values["max_j_term"] = j_term
+    if flip_res is not None:
+        rep.values["flipped_sign_res_linf"] = flip_res
+    flat_kahler = ambient.flat_metric and ambient.constant_j
+    if rep.passed and flat_kahler and not j_term < FLAT_KAHLER_TOL:
+        rep.status, rep.passed = "fail", False
+    return rep
 
 
 # -- conditional identity at critical points --------------------------
@@ -395,8 +373,7 @@ def condition_cyclic_residuals(G: SurfaceGeometry):
 
 
 def check_condition_cyclic(surface: ImmersedSurface,
-                           ambient: AmbientManifold,
-                           oracle_tol: float = 1e-6) -> Report:
+                           ambient: AmbientManifold) -> Report:
     """Evaluate the cyclic condition and validate it against d(omega).
 
     The report's pass line certifies agreement with the independent
@@ -412,14 +389,14 @@ def check_condition_cyclic(surface: ImmersedSurface,
         mismatches.append(np.abs(val - oracle))
     mismatch = float(np.max(np.maximum(*mismatches)))
     cond = float(np.max(np.maximum(np.abs(c3), np.abs(c4))))
-    ok = mismatch < oracle_tol
+    ok = mismatch < ORACLE_TOL
     holds = cond < CONDITION_TOL
     return Report(
         check="condition_cyclic",
         ambient=ambient.name,
         status="pass" if ok else "fail",
         passed=ok,
-        tolerances={"oracle_mismatch": oracle_tol},
+        tolerances={"oracle_mismatch": ORACLE_TOL},
         values={
             "condition_res_linf": cond,
             "oracle_mismatch": mismatch,
@@ -442,8 +419,7 @@ def condition_symmetric_residuals(G: SurfaceGeometry):
 
 
 def check_condition_symmetric(surface: ImmersedSurface,
-                              ambient: AmbientManifold,
-                              tol: float = 1e-12) -> Report:
+                              ambient: AmbientManifold) -> Report:
     """Evaluate the symmetric normal condition; on flat Kahler it is exact.
 
     When the condition holds, three consequences are spot-checked: the
@@ -466,17 +442,17 @@ def check_condition_symmetric(surface: ImmersedSurface,
         pair1 = float(np.max(np.abs(jf[..., 1, 0, 2] - jf[..., 0, 2, 1])))
         pair2 = float(np.max(np.abs(jf[..., 0, 3, 1] - jf[..., 1, 0, 3])))
         values["consequence_res"] = max(diag, pair1, pair2)
-        ok = values["consequence_res"] < max(tol, 10.0 * cond + 1e-12)
+        ok = values["consequence_res"] < 10.0 * cond + FLAT_KAHLER_TOL
     else:
         notes.append("condition violated: consequence identities not applicable")
     if ambient.flat_metric and ambient.constant_j:
-        ok = ok and cond < tol
+        ok = ok and cond < FLAT_KAHLER_TOL
     return Report(
         check="condition_symmetric",
         ambient=ambient.name,
         status="pass" if ok else "fail",
         passed=ok,
-        tolerances={"flat_kahler_res": tol},
+        tolerances={"flat_kahler_res": FLAT_KAHLER_TOL},
         values=values,
         notes=notes,
         total_nodes=int(res[..., 0, 0].size),
@@ -489,7 +465,6 @@ def verify_critical_identity(
     ambient: AmbientManifold,
     beta: float,
     sin_alpha_min: float = 0.1,
-    k_sign: int = 1,
     resid_tol: float | None = None,
 ) -> Report:
     """Check the critical-point form of the angle-Laplacian identity.
@@ -512,7 +487,7 @@ def verify_critical_identity(
     near_critical = el.norm_linf < NEAR_CRITICAL_LINF
     conditions_hold = cond_res < CONDITION_TOL
 
-    terms = critical_identity_terms(G, beta, k_sign)
+    terms = critical_identity_terms(G, beta)
     mask = (G.sin_alpha > sin_alpha_min) & G.adapted_frame.adapted
     excluded = int(np.sum(~mask))
     total = int(mask.size)
@@ -550,7 +525,7 @@ def verify_critical_identity(
         status=status,
         passed=passed,
         beta=beta,
-        k_term_sign=k_sign,
+        k_term_sign=1,
         tolerances=tols,
         values={
             "res_linf": linf,
@@ -605,7 +580,6 @@ def verify_first_variation(
     beta: float,
     delta: float = 1e-4,
     rel_tol: float = 1e-3,
-    order_tol: float = 1.9,
 ) -> Report:
     """Compare the analytic first variation against difference quotients.
 
@@ -616,23 +590,15 @@ def verify_first_variation(
     offset shared by every stencil.
     """
     beta = validate_beta(beta)
-    from .functional import l_beta  # local import to keep module load light
-
     G = SurfaceGeometry(surface, ambient)
     cyc3, cyc4 = condition_cyclic_residuals(G)
     cyc = float(np.max(np.maximum(np.abs(cyc3), np.abs(cyc4))))
 
-    def fd2(xi, d):
-        lp = l_beta(surface.displaced(d * xi), ambient, beta)
-        lm = l_beta(surface.displaced(-d * xi), ambient, beta)
-        return (lp - lm) / (2.0 * d)
+    def fd2(at, d):
+        return (at(d) - at(-d)) / (2.0 * d)
 
-    def fd4(xi, d):
-        lp1 = l_beta(surface.displaced(d * xi), ambient, beta)
-        lm1 = l_beta(surface.displaced(-d * xi), ambient, beta)
-        lp2 = l_beta(surface.displaced(2.0 * d * xi), ambient, beta)
-        lm2 = l_beta(surface.displaced(-2.0 * d * xi), ambient, beta)
-        return (-lp2 + 8.0 * lp1 - 8.0 * lm1 + lm2) / (12.0 * d)
+    def fd4(at, d):
+        return (-at(2.0 * d) + 8.0 * at(d) - 8.0 * at(-d) + at(-2.0 * d)) / (12.0 * d)
 
     ladder = (4e-3, 2e-3, 1e-3)
     scale = abs(l_beta(surface, ambient, beta, geometry=G))
@@ -643,8 +609,10 @@ def verify_first_variation(
     worst_rel = 0.0
     measured_orders = []
     for idx, xi in enumerate(_variation_fields(G), start=1):
+        # L_beta of the surface displaced by t * xi, evaluated once per step t
+        at = functools.cache(lambda t: l_beta(surface.displaced(t * xi), ambient, beta))
         analytic = analytic_first_variation(G, beta, xi)
-        measured = fd2(xi, delta)
+        measured = fd2(at, delta)
         values[f"field{idx}.analytic"] = analytic
         if abs(analytic) < stationary_floor:
             # Stationary direction: the quotient measures roundoff, so an
@@ -655,20 +623,20 @@ def verify_first_variation(
             notes.append(f"field{idx} stationary: absolute check, order skipped")
             continue
         rel = abs(measured - analytic) / abs(analytic)
-        reference = fd4(xi, ladder[-1])
-        errs = [abs(fd2(xi, d) - reference) for d in ladder]
+        reference = fd4(at, ladder[-1])
+        errs = [abs(fd2(at, d) - reference) for d in ladder]
         orders = [
             math.log2(errs[k - 1] / errs[k]) if errs[k] > 0 else float("nan")
             for k in range(1, len(errs))
         ]
         order = min(orders)
-        rel4 = abs(fd4(xi, delta) - analytic) / abs(analytic)
+        rel4 = abs(fd4(at, delta) - analytic) / abs(analytic)
         values[f"field{idx}.rel_err"] = rel
         values[f"field{idx}.rel_err_4pt"] = rel4
         values[f"field{idx}.delta_order"] = order
         worst_rel = max(worst_rel, rel)
         measured_orders.append(order)
-        ok = ok and rel < rel_tol and order >= order_tol
+        ok = ok and rel < rel_tol and order >= ORDER_TOL
     values["cyclic_condition_res"] = cyc
     values["worst_rel_err"] = worst_rel
     values["worst_delta_order"] = (
@@ -682,7 +650,7 @@ def verify_first_variation(
         status="pass" if ok else "fail",
         passed=ok,
         beta=beta,
-        tolerances={"rel_err": rel_tol, "delta_order": order_tol},
+        tolerances={"rel_err": rel_tol, "delta_order": ORDER_TOL},
         values=values,
         notes=notes,
         total_nodes=int(G.cos_alpha.size),

@@ -198,6 +198,14 @@ def test_bad_number_is_config_error(tmp_path, capsys, ambient_line, task_line, k
     assert "config error" in err and key in err
 
 
+def test_non_finite_beta_flag_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, BAD_NUMBER.format(ambient="", task=""))
+    code = main(["verify", "--config", cfg, "--beta", "nan"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "beta" in err
+
+
 @pytest.mark.parametrize(
     "task_line, flags",
     [("levels = 32,16", []), ("", ["--levels", "32,32"])],

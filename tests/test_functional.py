@@ -58,6 +58,15 @@ def test_beta_minus_one_rejected():
         l_beta(zbar_graph(0.5, n_theta=8, n_phi=8), EUC, -1.0)
 
 
+@pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_beta_rejected(beta):
+    for for_flow in (False, True):
+        with pytest.raises(ValueError, match="finite"):
+            validate_beta(beta, for_flow=for_flow)
+    with pytest.raises(ValueError, match="finite"):
+        l_beta(zbar_graph(0.5, n_theta=8, n_phi=8), EUC, beta)
+
+
 def test_negative_beta_allowed_for_energy_not_flow():
     assert validate_beta(-0.5) == -0.5
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from symcrit.ambient import conformal, euclidean_c2
+from symcrit.functional import l_beta
 from symcrit.surface import (
     SurfaceGeometry,
     holomorphic_graph,
@@ -48,7 +49,9 @@ def test_laplacian_identity_refines_at_order_four(ambient):
     assert rep.k_term_sign == 1
 
 
-@pytest.mark.parametrize("levels", [(32, 16), (24, 24)], ids=["decreasing", "repeated"])
+@pytest.mark.parametrize(
+    "levels", [(32, 16), (24, 24), ()], ids=["decreasing", "repeated", "empty"]
+)
 def test_refinement_levels_must_strictly_increase(levels):
     surfaces = ladder(levels)
     with pytest.raises(ValueError, match="strictly increase"):
@@ -130,6 +133,22 @@ def test_first_variation_on_critical_graph_takes_stationary_path():
     assert rep.passed
     assert np.isnan(rep.values["worst_delta_order"])
     assert any("stationary" in n for n in rep.notes)
+
+
+def test_first_variation_builds_each_displaced_surface_once(monkeypatch):
+    # 3 fields x 10 distinct steps: +-delta, +-2 delta and the +-1e-3, +-2e-3,
+    # +-4e-3 of the order ladder; the 4-point quotients reuse them
+    fresh = []
+
+    def counting_l_beta(*args, **kwargs):
+        if kwargs.get("geometry") is None:
+            fresh.append(1)
+        return l_beta(*args, **kwargs)
+
+    monkeypatch.setattr(V, "l_beta", counting_l_beta)
+    rep = V.verify_first_variation(ladder((64,))[0], EUC, 1.0)
+    assert rep.passed
+    assert len(fresh) == 30
 
 
 def test_first_variation_rejects_beta_minus_one():
