@@ -10,15 +10,20 @@ fixed index conventions:
 * Field derivatives ``d[C, ...]`` put the differentiation index first,
   so ``dg[C, A, B]`` is the partial of g_AB along coordinate C.
 
-Derivatives of user fields are 4th-order central differences with
-step ``fd_step``, except for an analytic ``metric_derivative_field``
-and the zero derivatives of constant fields.
+A user-built :class:`AmbientManifold` gets its field derivatives as
+4th-order central differences with step ``fd_step``, except for an
+analytic ``metric_derivative_field`` and the zero derivatives of
+constant fields; its curvature differences the Christoffel field.  The
+conformal ambient (:class:`ConformalManifold`) needs no differences: its
+connection and curvature are closed forms in the first and second
+partials of the conformal exponent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +38,7 @@ from .errors import AmbientDegenerate, StructureViolation
 
 __all__ = [
     "AmbientManifold",
+    "ConformalManifold",
     "ConnectionData",
     "CurvatureData",
     "euclidean_c2",
@@ -66,9 +72,10 @@ def parse_scalar_field(expression: str):
     """Parse a closed-form scalar field of p1..p4 into a vectorized callable.
 
     The expression language is deliberately small: arithmetic, powers
-    (both ``**`` and ``^``), sin, cos, exp.  Returns ``(value, grad)``
-    where ``value(points)`` maps an (..., 4) array to (...) values and
-    ``grad(points)`` to (..., 4) first partials.
+    (both ``**`` and ``^``), sin, cos, exp.  Returns ``(value, grad,
+    hess)`` where ``value(points)`` maps an (..., 4) array to (...)
+    values, ``grad(points)`` to (..., 4) first partials and
+    ``hess(points)`` to (..., 4, 4) second partials.
     """
     local = {f"p{i}": _COORDS[i - 1] for i in range(1, 5)}
     local.update({"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "pi": sp.pi})
@@ -96,25 +103,27 @@ def parse_scalar_field(expression: str):
             f"unknown functions in scalar field: {', '.join(sorted(unknown_fns))}"
         )
 
-    value_fn = sp.lambdify(_COORDS, expr, modules="numpy")
-    grad_fns = [sp.lambdify(_COORDS, sp.diff(expr, c), modules="numpy") for c in _COORDS]
+    value = _vectorized([expr], ())
+    grad = _vectorized([sp.diff(expr, c) for c in _COORDS], (4,))
+    second = [sp.diff(expr, a, b) for a in _COORDS for b in _COORDS]
+    hess = _vectorized(second, (4, 4))
+    return value, grad, hess
 
-    def value(points):
-        points = np.asarray(points, dtype=float)
-        comps = [points[..., i] for i in range(4)]
-        out = value_fn(*comps)
-        return np.broadcast_to(np.asarray(out, dtype=float), points.shape[:-1]).copy()
 
-    def grad(points):
+def _vectorized(exprs, shape):
+    """Callable mapping (..., 4) points to the ``exprs`` as a (...) + shape array."""
+    fns = [sp.lambdify(_COORDS, e, modules="numpy") for e in exprs]
+
+    def evaluate(points):
         points = np.asarray(points, dtype=float)
         comps = [points[..., i] for i in range(4)]
         cols = [
             np.broadcast_to(np.asarray(fn(*comps), dtype=float), points.shape[:-1])
-            for fn in grad_fns
+            for fn in fns
         ]
-        return np.stack(cols, axis=-1)
+        return np.stack(cols, axis=-1).reshape(points.shape[:-1] + shape)
 
-    return value, grad
+    return evaluate
 
 
 @dataclass
@@ -174,19 +183,27 @@ class AmbientManifold:
 
     # -- basic fields -------------------------------------------------
 
+    @cached_property
+    def _metric_sample(self) -> np.ndarray:
+        """The checked metric at the origin; a flat metric is this everywhere."""
+        return self._checked_metric(np.zeros(4), True)
+
+    @cached_property
+    def _j_sample(self) -> np.ndarray:
+        """The checked J at the origin; a constant J is this everywhere."""
+        return self._checked_j(np.zeros(4), True)
+
     def metric_at(self, points, check: bool = True) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if self.flat_metric:
-            # constant field: check a single sample once, then broadcast
-            cached = getattr(self, "_metric_cache", None)
-            if cached is None:
-                cached = self._checked_metric(np.zeros(4), True)
-                self._metric_cache = cached
-            return np.broadcast_to(cached, points.shape[:-1] + (4, 4))
+            return np.broadcast_to(self._metric_sample, points.shape[:-1] + (4, 4))
         return self._checked_metric(points, check)
 
     def _checked_metric(self, points, check: bool) -> np.ndarray:
-        g = np.asarray(self.metric_field(points), dtype=float)
+        with np.errstate(all="ignore"):
+            g = np.asarray(self.metric_field(points), dtype=float)
+        if not np.isfinite(g).all():
+            raise AmbientDegenerate("metric not finite at some evaluation point")
         if check:
             sym = float(np.max(np.abs(g - np.swapaxes(g, -2, -1))))
             if sym > STRUCTURE_TOL:
@@ -204,15 +221,14 @@ class AmbientManifold:
     def j_at(self, points, check: bool = True) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         if self.constant_j:
-            cached = getattr(self, "_j_cache", None)
-            if cached is None:
-                cached = self._checked_j(np.zeros(4), True)
-                self._j_cache = cached
-            return np.broadcast_to(cached, points.shape[:-1] + (4, 4))
+            return np.broadcast_to(self._j_sample, points.shape[:-1] + (4, 4))
         return self._checked_j(points, check)
 
     def _checked_j(self, points, check: bool) -> np.ndarray:
-        J = np.asarray(self.j_field(points), dtype=float)
+        with np.errstate(all="ignore"):
+            J = np.asarray(self.j_field(points), dtype=float)
+        if not np.isfinite(J).all():
+            raise StructureViolation("J not finite at some evaluation point")
         if check:
             eye = np.eye(4)
             sq = float(np.max(np.abs(np.einsum("...ab,...bc->...ac", J, J) + eye)))
@@ -286,9 +302,9 @@ class AmbientManifold:
     def christoffel_derivative_at(self, points) -> np.ndarray:
         """Partial derivatives of the Christoffel field, [C, A, B, D] order.
 
-        Always finite differences: the closed-form fields only supply
-        first metric derivatives.  Output (..., 4, 4, 4, 4) with the
-        derivative index first.
+        Finite differences of ``christoffel_at``, which is all a chart
+        description offers; only this class's ``curvature_at`` uses
+        them.  Output (..., 4, 4, 4, 4) with the derivative index first.
         """
         points = np.asarray(points, dtype=float)
         if self.flat_metric:
@@ -381,14 +397,62 @@ def euclidean_c2(fd_step: float = 1e-3) -> AmbientManifold:
     )
 
 
-def conformal(expression: str, fd_step: float = 1e-3) -> AmbientManifold:
+@dataclass(kw_only=True)
+class ConformalManifold(AmbientManifold):
+    """Conformally flat g = exp(2 lam) delta with the constant standard J.
+
+    The exponent lam comes with its first and second partials, each a
+    callable from (..., 4) points, so the connection and the curvature
+    are closed forms and no field is differenced.
+    """
+
+    conformal_exponent: Callable[[np.ndarray], np.ndarray]  # lam, (...)
+    conformal_gradient: Callable[[np.ndarray], np.ndarray]  # d lam, (..., 4)
+    conformal_hessian: Callable[[np.ndarray], np.ndarray]  # d d lam, (..., 4, 4)
+
+    def christoffel_at(self, points) -> np.ndarray:
+        """Gamma^a_bc = delta^a_b lam_c + delta^a_c lam_b - delta_bc lam_a."""
+        grad = self.conformal_gradient(points)
+        eye = np.eye(4)
+        first = eye[:, :, None] * grad[..., None, None, :]  # delta_ab lam_c
+        return first + np.swapaxes(first, -1, -2) - grad[..., :, None, None] * eye
+
+    def curvature_at(self, points) -> np.ndarray:
+        """Fully covariant curvature K_ABCD by the conformal-change formula.
+
+        For exp(2 lam) delta (Besse, *Einstein Manifolds*, 1.J), in this
+        module's convention, K = -exp(2 lam) (T o delta) with
+        T = dd lam - dlam dlam + |dlam|^2 delta / 2 and (T o delta)_abcd
+        = T_ad delta_bc + T_bc delta_ad - T_ac delta_bd - T_bd delta_ac.
+        """
+        grad = self.conformal_gradient(points)
+        eye = np.eye(4)
+        T = (
+            self.conformal_hessian(points)
+            - grad[..., :, None] * grad[..., None, :]
+            + (0.5 * np.sum(grad**2, axis=-1))[..., None, None] * eye
+        )
+        # exp(2 lam) read off the metric, so an overflow raises AmbientDegenerate
+        factor = self.metric_at(points, check=False)[..., 0, 0]
+        K = np.zeros(T.shape[:-2] + (4, 4, 4, 4))
+        for i in range(4):
+            K[..., :, i, i, :] += T  # T_ad delta_bc
+            K[..., i, :, :, i] += T  # T_bc delta_ad
+            K[..., :, i, :, i] -= T  # T_ac delta_bd
+            K[..., i, :, i, :] -= T  # T_bd delta_ac
+        K *= -factor[..., None, None, None, None]
+        return K
+
+
+def conformal(expression: str, fd_step: float = 1e-3) -> ConformalManifold:
     """Conformally flat Hermitian structure g = exp(2*lam) * delta.
 
     ``expression`` is the conformal exponent lam as a function of
     p1..p4.  J stays the constant standard structure, which keeps it
-    compatible with g.  Metric first derivatives are analytic.
+    compatible with g.  The metric's first derivatives, the connection
+    and the curvature are closed forms in the sympy partials of lam.
     """
-    lam, dlam = parse_scalar_field(expression)
+    lam, dlam, ddlam = parse_scalar_field(expression)
 
     def metric(points):
         points = np.asarray(points, dtype=float)
@@ -405,14 +469,14 @@ def conformal(expression: str, fd_step: float = 1e-3) -> AmbientManifold:
         points = np.asarray(points, dtype=float)
         return np.broadcast_to(STANDARD_J, points.shape[:-1] + (4, 4)).copy()
 
-    manifold = AmbientManifold(
+    return ConformalManifold(
         metric_field=metric,
         j_field=jfield,
         metric_derivative_field=metric_derivative,
         fd_step=fd_step,
         name=f"conformal({expression})",
         constant_j=True,
+        conformal_exponent=lam,
+        conformal_gradient=dlam,
+        conformal_hessian=ddlam,
     )
-    manifold.conformal_exponent = lam  # used by the d(omega) oracle
-    manifold.conformal_gradient = dlam
-    return manifold

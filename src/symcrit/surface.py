@@ -461,12 +461,15 @@ class SurfaceGeometry:
 
         k runs over the two tangent directions; a, b over the full frame.
         """
+        if self.ambient.constant_j and self.ambient.flat_metric:
+            return np.zeros(self.pos.shape[:-1] + (2, 4, 4))
         fr = self.frame_matrix  # (..., 4 frame, 4 chart)
         tang = fr[..., :2, :]
         S = self.nabla_j_tensor
         dj = np.einsum("...kc,...cab->...kab", tang, S)
-        return np.einsum("...kab,...mb,...ad,...nd->...kmn", dj, fr,
-                         self.amb_g, fr)
+        # [k, n, m] = <e_n, (nabla_{e_k} J) e_m>_g as two batched 4x4 products
+        djm = dj @ np.swapaxes(fr, -1, -2)[..., None, :, :]  # [k, a, m]
+        return np.swapaxes((fr @ self.amb_g)[..., None, :, :] @ djm, -1, -2)
 
     @cached_property
     def curvature_frame_components(self):
@@ -476,10 +479,11 @@ class SurfaceGeometry:
             return zero, zero.copy()
         K = self.ambient.curvature_at(self.pos)
         fr = self.adapted_frame
-        k1213 = np.einsum("...abcd,...a,...b,...c,...d->...",
-                          K, fr.e1, fr.e2, fr.e1, fr.e3)
-        k1224 = np.einsum("...abcd,...a,...b,...c,...d->...",
-                          K, fr.e1, fr.e2, fr.e2, fr.e4)
+        # K(e1, e2, ., .) once, as a 4x4 block per node
+        k12 = np.einsum("...abcd,...a->...bcd", K, fr.e1)
+        k12 = np.einsum("...bcd,...b->...cd", k12, fr.e2)
+        k1213 = np.einsum("...c,...cd,...d->...", fr.e1, k12, fr.e3)
+        k1224 = np.einsum("...c,...cd,...d->...", fr.e2, k12, fr.e4)
         return k1213, k1224
 
     # ---- assembled second-order frame quantities

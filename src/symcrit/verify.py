@@ -245,16 +245,39 @@ def laplacian_identity_terms(G: SurfaceGeometry, k_sign: int = 1) -> dict:
                 + jf[..., k, 0, n + 2] * h[..., n, 1, k]
             )
     lhs = G.laplace_beltrami(ca)
-    residual = lhs - (quad + mean_deriv + curv + j_second + j_coupling)
-    return {
+    return _with_residual({
         "lhs": lhs,
         "quad": quad,
         "mean_deriv": mean_deriv,
         "curvature": curv,
         "j_second": j_second,
         "j_coupling": j_coupling,
-        "residual": residual,
-    }
+    })
+
+
+def _with_residual(terms: dict) -> dict:
+    """``terms`` plus their residual lhs - sum(rhs)."""
+    terms["residual"] = terms["lhs"] - (
+        terms["quad"] + terms["mean_deriv"] + terms["curvature"]
+        + terms["j_second"] + terms["j_coupling"]
+    )
+    return terms
+
+
+def _calibrated_terms(G: SurfaceGeometry):
+    """Laplacian terms of ``G`` at the brute-force curvature sign.
+
+    Returns (sign, terms, residual_with_sign, residual_with_flip).  The
+    other sign's terms come from negating the curvature term, which is
+    exact, so they equal a fresh evaluation at that sign bit for bit.
+    """
+    plus = laplacian_identity_terms(G, +1)
+    minus = _with_residual({**plus, "curvature": -plus["curvature"]})
+    res_plus = float(np.max(np.abs(plus["residual"])))
+    res_minus = float(np.max(np.abs(minus["residual"])))
+    if res_minus < res_plus:
+        return -1, minus, res_minus, res_plus
+    return 1, plus, res_plus, res_minus
 
 
 def calibrate_curvature_sign(G: SurfaceGeometry) -> tuple[int, float, float]:
@@ -263,11 +286,8 @@ def calibrate_curvature_sign(G: SurfaceGeometry) -> tuple[int, float, float]:
     Returns (sign, residual_with_sign, residual_with_flip).  On a flat
     ambient both residuals coincide and the default +1 is kept.
     """
-    plus = float(np.max(np.abs(laplacian_identity_terms(G, +1)["residual"])))
-    minus = float(np.max(np.abs(laplacian_identity_terms(G, -1)["residual"])))
-    if minus < plus:
-        return -1, minus, plus
-    return 1, plus, minus
+    sign, _, keep, flip = _calibrated_terms(G)
+    return sign, keep, flip
 
 
 def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
@@ -280,17 +300,21 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
     geoms = [SurfaceGeometry(S, ambient) for S in _refinement_levels(surfaces)]
     notes = []
     flip_res = None
+    finest = None  # the finest level's terms, when calibration made them
     if k_sign is None:
         if ambient.flat_metric:
             k_sign = 1
             notes.append("flat ambient: curvature term vanishes, sign +1 by default")
         else:
-            k_sign, _, flip_res = calibrate_curvature_sign(geoms[-1])
+            k_sign, finest, _, flip_res = _calibrated_terms(geoms[-1])
             notes.append("curvature-term sign calibrated by brute force")
     terms = {}
 
     def residual(G):
-        terms.update(laplacian_identity_terms(G, k_sign))
+        if G is geoms[-1] and finest is not None:
+            terms.update(finest)
+        else:
+            terms.update(laplacian_identity_terms(G, k_sign))
         return terms["residual"]
 
     rep = _refinement_study(

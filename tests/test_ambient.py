@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,30 @@ def test_broken_j_raises_structure_violation():
     M = AmbientManifold(metric_field=M.metric_field, j_field=bad_j)
     with pytest.raises(StructureViolation):
         M.j_at(np.zeros(4))
+
+
+def test_non_finite_metric_raises_without_warnings():
+    M = conformal("400*p1")  # exp(800) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AmbientDegenerate, match="not finite"):
+            M.metric_at([[1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(AmbientDegenerate, match="not finite"):
+            M.metric_at([[1.0, 0.0, 0.0, 0.0]], check=False)
+
+
+def test_non_finite_j_raises_structure_violation():
+    def nan_j(points):
+        points = np.asarray(points, dtype=float)
+        out = np.broadcast_to(STANDARD_J, points.shape[:-1] + (4, 4)).copy()
+        out[..., 0, 1] = np.nan
+        return out
+
+    M = AmbientManifold(metric_field=euclidean_c2().metric_field, j_field=nan_j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructureViolation, match="not finite"):
+            M.j_at(np.zeros(4))
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
@@ -202,6 +228,20 @@ def test_curvature_symmetries_random_points(expr):
     assert data.first_bianchi < 1e-6
 
 
+@pytest.mark.parametrize("expr", THREE_AMBIENTS)
+def test_conformal_curvature_matches_fd_path(expr):
+    ref = conformal(expr)
+    # same fields, but the base class differences the Christoffel field
+    M = AmbientManifold(
+        metric_field=ref.metric_field,
+        j_field=ref.j_field,
+        metric_derivative_field=ref.metric_derivative_field,
+        constant_j=True,
+    )
+    pts = random_points(40, scale=2.0)
+    assert np.max(np.abs(ref.curvature_at(pts) - M.curvature_at(pts))) < 1e-8
+
+
 # -- covariant derivative of J ----------------------------------------
 
 
@@ -257,7 +297,7 @@ def test_d_kahler_form_matches_conformal_wedge_oracle():
 
 
 def test_parse_scalar_field_supports_caret_power():
-    val, grad = parse_scalar_field("p1^2 + 0.5*p2")
+    val, grad, _ = parse_scalar_field("p1^2 + 0.5*p2")
     pts = np.array([[2.0, 4.0, 0.0, 0.0]])
     assert val(pts)[0] == pytest.approx(6.0)
     assert grad(pts)[0] == pytest.approx([4.0, 0.5, 0.0, 0.0])
@@ -269,7 +309,7 @@ def test_parse_scalar_field_rejects_unknown_names():
 
 
 def test_parse_scalar_field_constant_broadcasts():
-    val, grad = parse_scalar_field("0.25")
+    val, grad, _ = parse_scalar_field("0.25")
     pts = random_points(9)
     assert val(pts).shape == (9,)
     assert np.all(val(pts) == 0.25)

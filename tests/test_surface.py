@@ -1,12 +1,14 @@
 """Tests for immersed tori, adapted frames, and surface geometry."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcrit.ambient import conformal, euclidean_c2
-from symcrit.errors import NotImmersed
+from symcrit.ambient import AmbientManifold, conformal, euclidean_c2
+from symcrit.errors import AmbientDegenerate, NotImmersed
 from symcrit.surface import (
     ImmersedSurface,
     SurfaceGeometry,
@@ -289,3 +291,58 @@ def test_displaced_moves_periodic_part_only():
     moved = S.displaced(delta)
     assert np.array_equal(moved.linear_part, S.linear_part)
     assert np.max(np.abs(moved.periodic_part - S.periodic_part - 1.0)) < 1e-15
+
+
+# -- frame components of ambient tensors -------------------------------
+
+
+FRAME_SURFACES = [
+    perturbed_graph(0.5, 0.05, n_theta=24, n_phi=24),
+    revolution_torus(n_theta=24, n_phi=24),
+]
+
+
+@pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
+def test_nabla_j_frame_matches_one_shot_contraction(surface):
+    G = geometry(surface, CONF)
+    fr = G.frame_matrix
+    dj = np.einsum("...kc,...cab->...kab", fr[..., :2, :], G.nabla_j_tensor)
+    want = np.einsum("...kab,...mb,...ad,...nd->...kmn", dj, fr, G.amb_g, fr)
+    assert np.max(np.abs(G.nabla_j_frame - want)) < 1e-12
+
+
+@pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
+def test_curvature_frame_components_match_one_shot_contraction(surface):
+    G = geometry(surface, CONF)
+    K = CONF.curvature_at(G.pos)
+    fr = G.adapted_frame
+    want = (
+        np.einsum("...abcd,...a,...b,...c,...d->...", K, fr.e1, fr.e2, fr.e1, fr.e3),
+        np.einsum("...abcd,...a,...b,...c,...d->...", K, fr.e1, fr.e2, fr.e2, fr.e4),
+    )
+    for got, ref in zip(G.curvature_frame_components, want):
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_nabla_j_frame_is_exactly_zero_on_flat_kahler():
+    G = geometry(FRAME_SURFACES[0])
+    assert G.nabla_j_frame.shape == (24, 24, 2, 4, 4)
+    assert not np.any(G.nabla_j_frame)
+
+
+def test_conformal_curvature_frame_components_difference_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite-difference derivative taken")
+
+    monkeypatch.setattr(AmbientManifold, "_fd_derivative", refuse)
+    G = geometry(FRAME_SURFACES[0], conformal("0.1*sin(p1) + 0.05*cos(p2)"))
+    k1213, k1224 = G.curvature_frame_components
+    assert np.all(np.isfinite(k1213)) and np.all(np.isfinite(k1224))
+
+
+def test_non_finite_ambient_metric_raises_typed_error():
+    G = geometry(FRAME_SURFACES[0], conformal("400*p1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AmbientDegenerate):
+            G.amb_g

@@ -72,6 +72,27 @@ def test_curvature_sign_calibration_is_decisive():
     assert flip > 100.0 * keep
 
 
+def test_calibrated_study_evaluates_each_level_once(monkeypatch):
+    calls = []
+    terms = V.laplacian_identity_terms
+
+    def counted(G, k_sign=1):
+        calls.append((G.surface.n_theta, k_sign))
+        return terms(G, k_sign)
+
+    monkeypatch.setattr(V, "laplacian_identity_terms", counted)
+    rep = V.verify_laplacian_identity(ladder(), CONF)
+    assert rep.passed
+    assert sorted(n for n, _ in calls) == [24, 48]
+
+
+def test_calibrated_study_matches_a_study_at_the_fixed_sign():
+    calibrated = V.verify_laplacian_identity(ladder(), CONF)
+    fixed = V.verify_laplacian_identity(ladder(), CONF, k_sign=calibrated.k_term_sign)
+    assert [r[:3] for r in calibrated.refinement] == [r[:3] for r in fixed.refinement]
+    assert np.array_equal(calibrated.residual_field, fixed.residual_field)
+
+
 def test_wrong_curvature_sign_fails_the_study():
     rep = V.verify_laplacian_identity(ladder(), CONF, k_sign=-1)
     assert not rep.passed
