@@ -74,27 +74,21 @@ def l_beta(
     return float(np.sum(ca ** (-beta) * G.area_weights))
 
 
-def jj_grad_perp(geometry: SurfaceGeometry, cross_check: bool = False):
+def jj_grad_perp(geometry: SurfaceGeometry):
     """Normal part of J applied to the tangential part of J grad cos(alpha).
 
     Uses the pointwise identity
         (J grad cos a)^T = cos a (e2 d1(cos a) - e1 d2(cos a)),
-    which avoids the cancellation of projecting J grad directly.  With
-    ``cross_check`` the raw double-projection value is returned too.
+    which avoids the cancellation of projecting J grad directly: the
+    raw double projection of the chart gradient gives the same field,
+    only less accurately.
     """
     G = geometry
     dc = G.grad_cos_frame
     ca = G.cos_alpha
     tang = ca[..., None] * (dc[..., 0, None] * G.e2 - dc[..., 1, None] * G.e1)
     jtang = np.einsum("...ab,...b->...a", G.amb_j, tang)
-    out = G.project_normal(jtang)
-    if not cross_check:
-        return out
-    raw_grad = G.grad_cos_chart
-    jg = np.einsum("...ab,...b->...a", G.amb_j, raw_grad)
-    jg_tan = jg - G.project_normal(jg)
-    raw = G.project_normal(np.einsum("...ab,...b->...a", G.amb_j, jg_tan))
-    return out, raw
+    return G.project_normal(jtang)
 
 
 @dataclass

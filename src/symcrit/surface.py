@@ -214,10 +214,6 @@ class SurfaceGeometry:
     def gamma(self):
         return self.ambient.christoffel_at(self.pos)
 
-    @cached_property
-    def nabla_j_tensor(self):
-        return self.ambient.nabla_j_tensor_at(self.pos)
-
     # ---- induced metric and area
 
     def dot(self, u, v):
@@ -411,12 +407,6 @@ class SurfaceGeometry:
         """Frame components (e1, e2) of the surface gradient of cos(alpha)."""
         return np.einsum("...ia,...i->...a", self.frame_coeff, self.dcos_param)
 
-    @cached_property
-    def grad_cos_chart(self):
-        """Surface gradient of cos(alpha) as an ambient chart vector."""
-        up = np.einsum("...ij,...j->...i", self.induced_metric_inv, self.dcos_param)
-        return np.einsum("...i,...ia->...a", up, self.fderiv)
-
     def frame_directional(self, field, a):
         """Directional derivative of a scalar grid field along e_{a+1}."""
         S = self.surface
@@ -457,16 +447,16 @@ class SurfaceGeometry:
 
     @cached_property
     def nabla_j_frame(self):
-        """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>, shape (..., k, a, b).
+        """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g, shape (..., k, a, b).
 
-        k runs over the two tangent directions; a, b over the full frame.
+        k runs over the full frame, like a and b.
         """
         if self.ambient.constant_j and self.ambient.flat_metric:
-            return np.zeros(self.pos.shape[:-1] + (2, 4, 4))
+            return np.zeros(self.pos.shape[:-1] + (4, 4, 4))
         fr = self.frame_matrix  # (..., 4 frame, 4 chart)
-        tang = fr[..., :2, :]
-        S = self.nabla_j_tensor
-        dj = np.einsum("...kc,...cab->...kab", tang, S)
+        S = self.ambient.nabla_j_tensor_at(self.pos)  # (..., c, a, b)
+        # [k, a, b] = (nabla_{e_k} J)^a_b as one batched (4 x 4) @ (4 x 16) product
+        dj = (fr @ S.reshape(S.shape[:-3] + (4, 16))).reshape(S.shape)
         # [k, n, m] = <e_n, (nabla_{e_k} J) e_m>_g as two batched 4x4 products
         djm = dj @ np.swapaxes(fr, -1, -2)[..., None, :, :]  # [k, a, m]
         return np.swapaxes((fr @ self.amb_g)[..., None, :, :] @ djm, -1, -2)
@@ -521,7 +511,7 @@ class SurfaceGeometry:
         if self.ambient.constant_j and self.ambient.flat_metric:
             return np.zeros(self.cos_alpha.shape)
         jf = self.nabla_j_frame  # (..., k, a, b)
-        phi = jf[..., :, 0, 1]  # J_{12,k}, (..., k)
+        phi = jf[..., :2, 0, 1]  # J_{12,k} for tangent k, (..., k)
         # e_k(phi_k)
         total = (
             self.frame_directional(phi[..., 0], 0)

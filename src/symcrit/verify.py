@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambient import AmbientManifold
-from .functional import el_operator, jj_grad_perp, l_beta, validate_beta
+from .functional import COS_FLOOR, el_operator, jj_grad_perp, l_beta, validate_beta
 from .surface import ImmersedSurface, SurfaceGeometry
 
 __all__ = [
@@ -323,7 +323,8 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
     # terms now holds the finest level's contributions
     j_term = max(
         float(np.max(np.abs(f)))
-        for f in (terms["j_second"], terms["j_coupling"], geoms[-1].nabla_j_frame)
+        for f in (terms["j_second"], terms["j_coupling"],
+                  geoms[-1].nabla_j_frame[..., :2, :, :])
     )
     rep.k_term_sign = k_sign
     rep.tolerances["kahler_j_terms"] = FLAT_KAHLER_TOL
@@ -339,14 +340,17 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
 # -- conditional identity at critical points --------------------------
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def critical_identity_terms(G: SurfaceGeometry, beta: float,
                             k_sign: int = 1) -> dict:
     """Fields of the angle-Laplacian identity specialized to critical points.
 
     Valid where the surface satisfies the critical equations and the
     ambient satisfies the two covariant-J conditions; the caller grades
-    applicability.  All reciprocal sin(alpha) factors are left to the
-    caller's node mask.
+    applicability.  The reciprocal factors 1/sin(alpha), 1/cos(alpha)
+    and 1/D, D = cos^2(alpha) + beta sin^2(alpha), are left to the
+    caller's node mask: where one vanishes the fields are non-finite,
+    and no floating-point warning is raised.
     """
     ca, sa = G.cos_alpha, G.sin_alpha
     sa2 = np.where(sa > 0, sa**2, 1.0)
@@ -379,21 +383,14 @@ def critical_identity_terms(G: SurfaceGeometry, beta: float,
 def condition_cyclic_residuals(G: SurfaceGeometry):
     """Cyclic covariant-J sums over (tangent, tangent, normal) triples.
 
-    Equals the exterior derivative of the ambient 2-form evaluated on
-    (normal, e1, e2); both normals are returned.
+    c_xi = J_{12,xi} + J_{2xi,1} + J_{xi1,2}, read from ``nabla_j_frame``
+    for xi = e3 and e4.  Equals the exterior derivative of the ambient
+    2-form evaluated on (xi, e1, e2).
     """
-    S = G.nabla_j_tensor
-    g = G.amb_g
-    fr = G.adapted_frame
-
-    def term(W, U, V):
-        return np.einsum("...cab,...c,...b,...ad,...d->...", S, W, U, g, V)
-
-    out = []
-    for xi in (fr.e3, fr.e4):
-        out.append(term(xi, fr.e1, fr.e2) + term(fr.e1, fr.e2, xi)
-                   + term(fr.e2, xi, fr.e1))
-    return out[0], out[1]
+    jf = G.nabla_j_frame
+    c3 = jf[..., 2, 0, 1] + jf[..., 0, 1, 2] + jf[..., 1, 2, 0]
+    c4 = jf[..., 3, 0, 1] + jf[..., 0, 1, 3] + jf[..., 1, 3, 0]
+    return c3, c4
 
 
 def check_condition_cyclic(surface: ImmersedSurface,
@@ -497,7 +494,8 @@ def verify_critical_identity(
     critical for the given beta, and the ambient satisfies both
     covariant-J conditions.  Violated hypotheses downgrade the verdict
     to an annotation instead of a failure.  Nodes with sin(alpha) at or
-    below ``sin_alpha_min`` are excluded (reciprocal factors).
+    below ``sin_alpha_min``, or |cos(alpha)| at or below ``COS_FLOOR``,
+    are excluded (reciprocal factors).
     """
     beta = validate_beta(beta)
     G = SurfaceGeometry(surface, ambient)
@@ -512,7 +510,11 @@ def verify_critical_identity(
     conditions_hold = cond_res < CONDITION_TOL
 
     terms = critical_identity_terms(G, beta)
-    mask = (G.sin_alpha > sin_alpha_min) & G.adapted_frame.adapted
+    mask = (
+        (G.sin_alpha > sin_alpha_min)
+        & (np.abs(G.cos_alpha) > COS_FLOOR)
+        & G.adapted_frame.adapted
+    )
     excluded = int(np.sum(~mask))
     total = int(mask.size)
     if excluded == total:

@@ -20,6 +20,7 @@ from symcrit.surface import (
     write_surface,
     zbar_graph,
 )
+from symcrit.verify import condition_cyclic_residuals
 
 EUC = euclidean_c2()
 CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
@@ -306,9 +307,24 @@ FRAME_SURFACES = [
 def test_nabla_j_frame_matches_one_shot_contraction(surface):
     G = geometry(surface, CONF)
     fr = G.frame_matrix
-    dj = np.einsum("...kc,...cab->...kab", fr[..., :2, :], G.nabla_j_tensor)
+    dj = np.einsum("...kc,...cab->...kab", fr, CONF.nabla_j_tensor_at(G.pos))
     want = np.einsum("...kab,...mb,...ad,...nd->...kmn", dj, fr, G.amb_g, fr)
     assert np.max(np.abs(G.nabla_j_frame - want)) < 1e-12
+
+
+@pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
+def test_condition_cyclic_residuals_match_one_shot_contraction(surface):
+    G = geometry(surface, CONF)
+    S = CONF.nabla_j_tensor_at(G.pos)
+    fr = G.adapted_frame
+
+    def term(W, U, V):
+        return np.einsum("...cab,...c,...b,...ad,...d->...", S, W, U, G.amb_g, V)
+
+    c3, c4 = condition_cyclic_residuals(G)
+    for got, xi in ((c3, fr.e3), (c4, fr.e4)):
+        want = term(xi, fr.e1, fr.e2) + term(fr.e1, fr.e2, xi) + term(fr.e2, xi, fr.e1)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
@@ -326,8 +342,13 @@ def test_curvature_frame_components_match_one_shot_contraction(surface):
 
 def test_nabla_j_frame_is_exactly_zero_on_flat_kahler():
     G = geometry(FRAME_SURFACES[0])
-    assert G.nabla_j_frame.shape == (24, 24, 2, 4, 4)
+    assert G.nabla_j_frame.shape == (24, 24, 4, 4, 4)
     assert not np.any(G.nabla_j_frame)
+
+
+def test_condition_cyclic_residuals_are_exactly_zero_on_flat_kahler():
+    c3, c4 = condition_cyclic_residuals(geometry(FRAME_SURFACES[0]))
+    assert not np.any(c3) and not np.any(c4)
 
 
 def test_conformal_curvature_frame_components_difference_nothing(monkeypatch):

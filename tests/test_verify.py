@@ -1,5 +1,7 @@
 """Tests for the identity checks, refinement studies, and reports."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from symcrit.surface import (
     SurfaceGeometry,
     holomorphic_graph,
     perturbed_graph,
+    revolution_torus,
     zbar_graph,
 )
 from symcrit import verify as V
@@ -208,6 +211,18 @@ def test_critical_identity_excludes_small_angle_nodes():
     # sin(alpha) = 0 everywhere: every node excluded, verdict inconclusive
     assert rep.status == "inconclusive"
     assert rep.excluded_nodes == rep.total_nodes
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_critical_identity_masks_lagrangian_nodes_without_warnings(beta):
+    # cos(alpha) vanishes on two circles of the torus of revolution
+    S = revolution_torus(n_theta=32, n_phi=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = V.verify_critical_identity(S, EUC, beta)
+    assert np.isfinite(rep.values["res_linf"]) and np.isfinite(rep.values["res_l2"])
+    assert np.all(np.isfinite(rep.residual_field))
+    assert 0 < rep.excluded_nodes < rep.total_nodes
 
 
 def test_critical_identity_with_residual_tolerance():
