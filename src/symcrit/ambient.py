@@ -27,12 +27,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import sympy as sp
-from sympy.parsing.sympy_parser import (
-    convert_xor,
-    parse_expr,
-    standard_transformations,
-)
 
 from .errors import AmbientDegenerate, StructureViolation
 
@@ -61,8 +55,6 @@ STANDARD_J = np.array(
     ]
 )
 
-_COORDS = sp.symbols("p1 p2 p3 p4")
-
 # 4th-order central difference: (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / (12 h)
 _FD4_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _FD4_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
@@ -76,8 +68,19 @@ def parse_scalar_field(expression: str):
     hess)`` where ``value(points)`` maps an (..., 4) array to (...)
     values, ``grad(points)`` to (..., 4) first partials and
     ``hess(points)`` to (..., 4, 4) second partials.
+
+    sympy is imported here, not at module level, so that runs which
+    parse no field (every flat ambient) never load it.
     """
-    local = {f"p{i}": _COORDS[i - 1] for i in range(1, 5)}
+    import sympy as sp
+    from sympy.parsing.sympy_parser import (
+        convert_xor,
+        parse_expr,
+        standard_transformations,
+    )
+
+    coords = sp.symbols("p1 p2 p3 p4")
+    local = {f"p{i}": coords[i - 1] for i in range(1, 5)}
     local.update({"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "pi": sp.pi})
     try:
         expr = parse_expr(
@@ -88,7 +91,7 @@ def parse_scalar_field(expression: str):
         )
     except (SyntaxError, TypeError, ValueError) as exc:
         raise ValueError(f"cannot parse scalar field {expression!r}: {exc}") from exc
-    extra = expr.free_symbols - set(_COORDS)
+    extra = expr.free_symbols - set(coords)
     if extra:
         names = ", ".join(sorted(str(s) for s in extra))
         raise ValueError(f"unknown symbols in scalar field: {names}")
@@ -103,16 +106,19 @@ def parse_scalar_field(expression: str):
             f"unknown functions in scalar field: {', '.join(sorted(unknown_fns))}"
         )
 
-    value = _vectorized([expr], ())
-    grad = _vectorized([sp.diff(expr, c) for c in _COORDS], (4,))
-    second = [sp.diff(expr, a, b) for a in _COORDS for b in _COORDS]
-    hess = _vectorized(second, (4, 4))
+    value = _vectorized(coords, [expr], ())
+    grad = _vectorized(coords, [sp.diff(expr, c) for c in coords], (4,))
+    second = [sp.diff(expr, a, b) for a in coords for b in coords]
+    hess = _vectorized(coords, second, (4, 4))
     return value, grad, hess
 
 
-def _vectorized(exprs, shape):
-    """Callable mapping (..., 4) points to the ``exprs`` as a (...) + shape array."""
-    fns = [sp.lambdify(_COORDS, e, modules="numpy") for e in exprs]
+def _vectorized(coords, exprs, shape):
+    """Callable mapping (..., 4) points to the ``exprs`` in ``coords`` as a
+    (...) + shape array."""
+    from sympy import lambdify
+
+    fns = [lambdify(coords, e, modules="numpy") for e in exprs]
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)

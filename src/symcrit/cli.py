@@ -198,6 +198,7 @@ def load_config(path: str, args) -> RunConfig:
 
     try:
         validate_beta(cfg.beta, for_flow=(args.command == "flow"))
+        flow_mod.validate_budget(cfg.max_iterations, cfg.res_tol)
     except ValueError as err:
         raise ConfigError(str(err)) from None
     if cfg.levels[0] < 8 or np.any(np.diff(cfg.levels) <= 0):

@@ -10,6 +10,7 @@ floor.  The step size warm-starts from the previously accepted one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,14 @@ from .errors import FlowStalled, NotImmersed, NotSymplectic
 from .functional import el_operator, l_beta, validate_beta
 from .surface import ImmersedSurface, SurfaceGeometry
 
-__all__ = ["FlowResult", "FlowState", "flow_step", "run_flow", "write_trace"]
+__all__ = [
+    "FlowResult",
+    "FlowState",
+    "flow_step",
+    "run_flow",
+    "validate_budget",
+    "write_trace",
+]
 
 TAU_MIN = 1e-12
 STATIONARY_LINF = 1e-14
@@ -57,6 +65,14 @@ class FlowResult:
     @property
     def iterations(self) -> int:
         return max(len(self.trace) - 1, 0)
+
+
+def validate_budget(max_iterations: int, res_tol: float) -> None:
+    """Reject an iteration budget or residual target the flow cannot honour."""
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
+    if not (math.isfinite(res_tol) and res_tol >= 0.0):
+        raise ValueError(f"res_tol must be finite and >= 0, got {res_tol}")
 
 
 def stable_step(G: SurfaceGeometry, beta: float) -> float:
@@ -122,9 +138,12 @@ def flow_step(
     Returns (new_surface, state) where state carries the residual norms
     of the pre-step surface and the accepted step size.  A stationary
     surface is returned unchanged with tau = 0.  Raises FlowStalled when
-    backtracking exhausts the step size.
+    backtracking exhausts the step size, and ValueError for a ``tau_init``
+    that is not finite and positive.
     """
     beta = validate_beta(beta, for_flow=True)
+    if tau_init is not None and not (math.isfinite(tau_init) and tau_init > 0.0):
+        raise ValueError(f"tau_init must be finite and positive, got {tau_init}")
     G = geometry or SurfaceGeometry(surface, ambient)
     el = el_operator(surface, ambient, beta, geometry=G)
     current = l_beta(surface, ambient, beta, geometry=G)
@@ -156,6 +175,7 @@ def run_flow(
     accepted candidate.
     """
     beta = validate_beta(beta, for_flow=True)
+    validate_budget(max_iterations, res_tol)
     result = FlowResult(surface)
     G = SurfaceGeometry(surface, ambient)
     value = l_beta(surface, ambient, beta, geometry=G)

@@ -61,9 +61,12 @@ def l_beta(
     """Integral of cos(alpha)^-beta over the surface.
 
     Raises NotSymplectic when any node has cos(alpha) <= cos_floor;
-    the functional is only meaningful on symplectic surfaces.
+    the functional is only meaningful on symplectic surfaces.  The floor
+    must be finite.
     """
     beta = validate_beta(beta)
+    if not math.isfinite(cos_floor):
+        raise ValueError(f"cos_floor must be finite, got {cos_floor}")
     G = _geometry(surface, ambient, geometry)
     ca = G.cos_alpha
     bad = int(np.sum(ca <= cos_floor))
@@ -87,8 +90,7 @@ def jj_grad_perp(geometry: SurfaceGeometry):
     dc = G.grad_cos_frame
     ca = G.cos_alpha
     tang = ca[..., None] * (dc[..., 0, None] * G.e2 - dc[..., 1, None] * G.e1)
-    jtang = np.einsum("...ab,...b->...a", G.amb_j, tang)
-    return G.project_normal(jtang)
+    return G.project_normal(G.apply_j(tang))
 
 
 @dataclass

@@ -138,6 +138,27 @@ def periodic_d2(field: np.ndarray, axis: int, spacing: float) -> np.ndarray:
 # -- node-level geometry ----------------------------------------------
 
 
+def _sum4(p):
+    """Sum over a last axis of length 4 as (p0 + p2) + (p1 + p3).
+
+    That is the order numpy's vectorised einsum loop uses for such an
+    axis, so flat-ambient values equal those of the einsum expressions
+    the tests keep as reference, bit for bit.
+    """
+    return (p[..., 0] + p[..., 2]) + (p[..., 1] + p[..., 3])
+
+
+def _inner(g, u, v):
+    """sum_ab g_ab u^a v^b over the last axis; ``g = None`` is the identity.
+
+    A general g is contracted as two batched matrix products.
+    """
+    u, v = np.asarray(u), np.asarray(v)
+    if g is None:
+        return np.sum(u * v, axis=-1)
+    return (u[..., None, :] @ (g @ v[..., None]))[..., 0, 0]
+
+
 @dataclass
 class AdaptedFrame:
     """Orthonormal 4-frames with the normal pair in the adapted gauge."""
@@ -218,9 +239,7 @@ class SurfaceGeometry:
 
     def dot(self, u, v):
         """Ambient inner product of chart vector fields on the grid."""
-        if self._euclid_dot:
-            return np.sum(np.asarray(u) * np.asarray(v), axis=-1)
-        return np.einsum("...ab,...a,...b->...", self.amb_g, u, v)
+        return _inner(None if self._euclid_dot else self.amb_g, u, v)
 
     @cached_property
     def _euclid_dot(self):
@@ -231,10 +250,15 @@ class SurfaceGeometry:
 
     @cached_property
     def induced_metric(self):
-        F = self.fderiv
-        if self._euclid_dot:
-            return np.einsum("...ia,...ja->...ij", F, F)
-        return np.einsum("...ab,...ia,...jb->...ij", self.amb_g, F, F)
+        if not self._euclid_dot:
+            F = self.fderiv
+            return (F @ self.amb_g) @ np.swapaxes(F, -1, -2)
+        fth, fph = self.fth, self.fph
+        out = np.empty(fth.shape[:-1] + (2, 2))
+        out[..., 0, 0] = _sum4(fth * fth)
+        out[..., 0, 1] = out[..., 1, 0] = _sum4(fth * fph)
+        out[..., 1, 1] = _sum4(fph * fph)
+        return out
 
     @cached_property
     def det_induced(self):
@@ -275,8 +299,7 @@ class SurfaceGeometry:
     @cached_property
     def cos_alpha(self):
         """cos(alpha) = omega(F_theta, F_phi) / sqrt(det g_ij)."""
-        jfth = np.einsum("...ab,...b->...a", self.amb_j, self.fth)
-        omega = self.dot(jfth, self.fph)
+        omega = self.dot(self.apply_j(self.fth), self.fph)
         return omega / self.sqrt_det
 
     @cached_property
@@ -317,22 +340,35 @@ class SurfaceGeometry:
     def normal_projector(self):
         """P^A_B projecting chart vectors g-orthogonally onto the normal plane."""
         e1, e2 = self.e1, self.e2
-        g = self.amb_g
         P = np.broadcast_to(np.eye(4), e1.shape[:2] + (4, 4)).copy()
         for e in (e1, e2):
-            ge = e if self._euclid_dot else np.einsum("...ab,...b->...a", g, e)
+            ge = e if self._euclid_dot else (self.amb_g @ e[..., None])[..., 0]
             P -= e[..., :, None] * ge[..., None, :]
         return P
 
     def project_normal(self, v):
-        return np.einsum("...ab,...b->...a", self.normal_projector, v)
+        return _sum4(self.normal_projector * np.asarray(v)[..., None, :])
+
+    def apply_j(self, v):
+        """J v for a chart vector field on the grid.
+
+        A constant J is applied as one (N, 4) @ (4, 4) product with its
+        sample, so neither the node positions nor a per-node J are built.
+        For ``STANDARD_J``, whose rows have one nonzero entry each, the
+        product is exact.
+        """
+        v = np.asarray(v)
+        if self.ambient.constant_j:
+            J = self.ambient.j_at(np.zeros(4))
+            return (v.reshape(-1, 4) @ J.T).reshape(v.shape)
+        return (self.amb_j @ v[..., None])[..., 0]
 
     # ---- adapted normal frame
 
     @cached_property
     def adapted_frame(self) -> AdaptedFrame:
         e1, e2 = self.e1, self.e2
-        je1 = np.einsum("...ab,...b->...a", self.amb_j, e1)
+        je1 = self.apply_j(e1)
         x = self.dot(je1, e2)
         e3 = self.project_normal(je1)
         r = np.sqrt(self.dot(e3, e3))
@@ -340,13 +376,14 @@ class SurfaceGeometry:
         e3 /= np.where(ok, r, 1.0)[..., None]
         if not ok.all():
             axes = np.swapaxes(self.normal_projector[~ok], -1, -2)  # (m, 4, 4)
-            norms = np.einsum("...ab,...ca,...cb->...c", self.amb_g[~ok], axes, axes)
+            g = None if self._euclid_dot else self.amb_g[~ok][:, None]
+            norms = _inner(g, axes, axes)
             best = np.argmax(norms, axis=-1)
             m = np.arange(best.size)
             e3[~ok] = axes[m, best] / np.sqrt(norms[m, best])[:, None]
         y = self.dot(je1, e3)
         w = x[..., None] * e3 - y[..., None] * e2
-        e4 = self.project_normal(np.einsum("...ab,...b->...a", self.amb_j, w))
+        e4 = self.project_normal(self.apply_j(w))
         e4 -= self.dot(e4, e3)[..., None] * e3
         e4 /= np.sqrt(self.dot(e4, e4))[..., None]
         z = self.dot(je1, e4)
@@ -457,8 +494,10 @@ class SurfaceGeometry:
         S = self.ambient.nabla_j_tensor_at(self.pos)  # (..., c, a, b)
         # [k, a, b] = (nabla_{e_k} J)^a_b as one batched (4 x 4) @ (4 x 16) product
         dj = (fr @ S.reshape(S.shape[:-3] + (4, 16))).reshape(S.shape)
-        # [k, n, m] = <e_n, (nabla_{e_k} J) e_m>_g as two batched 4x4 products
-        djm = dj @ np.swapaxes(fr, -1, -2)[..., None, :, :]  # [k, a, m]
+        # [k, a, m] = (nabla_{e_k} J)^a_b e_m^b as one (16 x 4) @ (4 x 4) product
+        frt = np.swapaxes(fr, -1, -2)
+        djm = (dj.reshape(S.shape[:-3] + (16, 4)) @ frt).reshape(S.shape)
+        # [k, n, m] = <e_n, (nabla_{e_k} J) e_m>_g
         return np.swapaxes((fr @ self.amb_g)[..., None, :, :] @ djm, -1, -2)
 
     @cached_property

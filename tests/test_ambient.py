@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import symcrit
 from symcrit.ambient import (
     AmbientManifold,
     STANDARD_J,
@@ -330,3 +335,28 @@ def test_conformal_metric_always_spd(a, b, px, py):
     np.linalg.cholesky(g)
     J = M.j_at(pt)
     assert np.max(np.abs(J @ J + np.eye(4))) < 1e-12
+
+
+# -- optional heavy imports ---------------------------------------------
+
+FLAT_RUN_THEN_CONFORMAL = """
+import sys
+import symcrit, symcrit.cli, symcrit.flow, symcrit.verify
+from symcrit.surface import perturbed_graph
+S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
+assert symcrit.l_beta(S, symcrit.euclidean_c2(), 1.0) > 0
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "sympy")
+assert not loaded, loaded[:5]
+M = symcrit.conformal("0.1*sin(p1)")
+assert symcrit.l_beta(S, M, 1.0) > 0
+assert "sympy" in sys.modules
+"""
+
+
+def test_flat_run_never_imports_sympy():
+    src = str(Path(symcrit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FLAT_RUN_THEN_CONFORMAL],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

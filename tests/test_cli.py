@@ -185,10 +185,13 @@ check = gradient
         ("", "beta = one", "beta"),
         ("", "tol = 1e-3x", "tol"),
         ("", "max_iterations = 2e3", "max_iterations"),
+        ("", "max_iterations = -1", "max_iterations"),
+        ("", "res_tol = -1e-3", "res_tol"),
         ("", "levels = 16,x", "levels"),
     ],
     ids=["fd_step-zero", "fd_step-negative", "fd_step-nan", "fd_step-text",
-         "beta", "tol", "max_iterations", "levels"],
+         "beta", "tol", "max_iterations", "max_iterations-negative",
+         "res_tol-negative", "levels"],
 )
 def test_bad_number_is_config_error(tmp_path, capsys, ambient_line, task_line, key):
     cfg = write_config(tmp_path, BAD_NUMBER.format(ambient=ambient_line, task=task_line))

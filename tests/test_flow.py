@@ -82,6 +82,23 @@ def test_stalled_line_search_raises():
         flow_step(S, EUC, 1.0, tau_init=1e-13)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_iterations": -1}, {"res_tol": float("nan")},
+     {"res_tol": float("inf")}, {"res_tol": -1e-3}],
+    ids=["max_iterations-negative", "res_tol-nan", "res_tol-inf", "res_tol-negative"],
+)
+def test_run_flow_rejects_bad_budget(kwargs):
+    with pytest.raises(ValueError, match="max_iterations|res_tol"):
+        run_flow(small_case(n=16), EUC, 1.0, **{"max_iterations": 20, **kwargs})
+
+
+@pytest.mark.parametrize("tau_init", [float("nan"), float("inf"), 0.0, -1.0])
+def test_flow_step_rejects_bad_tau_init(tau_init):
+    with pytest.raises(ValueError, match="tau_init"):
+        flow_step(small_case(n=16), EUC, 1.0, tau_init=tau_init)
+
+
 def test_flow_rejects_negative_beta():
     with pytest.raises(ValueError):
         run_flow(small_case(n=16), EUC, -0.5, max_iterations=1)

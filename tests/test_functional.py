@@ -88,6 +88,13 @@ def test_angle_floor_configurable():
         l_beta(S, EUC, 1.0, cos_floor=0.7)
 
 
+@pytest.mark.parametrize("cos_floor", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_cos_floor_rejected(cos_floor):
+    S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
+    with pytest.raises(ValueError, match="cos_floor"):
+        l_beta(S, EUC, 1.0, cos_floor=cos_floor)
+
+
 # -- critical operator ------------------------------------------------
 
 
@@ -143,6 +150,14 @@ def test_el_frame_components_are_lazy():
     assert "adapted_frame" in G.__dict__
     assert np.array_equal(comp3, G.dot(el.vector, G.adapted_frame.e3))
     assert np.array_equal(comp4, G.dot(el.vector, G.adapted_frame.e4))
+
+
+def test_flat_l_beta_builds_no_node_fields():
+    """The flat functional needs no positions, per-node J or derivative stack."""
+    S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
+    G = SurfaceGeometry(S, EUC)
+    l_beta(S, EUC, 1.0, geometry=G)
+    assert not {"pos", "amb_g", "amb_j", "fderiv"} & set(G.__dict__)
 
 
 def test_jj_grad_perp_identity_matches_raw_projection():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from symcrit.ambient import AmbientManifold, conformal, euclidean_c2
 from symcrit.errors import AmbientDegenerate, NotImmersed
+from symcrit.functional import jj_grad_perp
 from symcrit.surface import (
     ImmersedSurface,
     SurfaceGeometry,
@@ -338,6 +339,50 @@ def test_curvature_frame_components_match_one_shot_contraction(surface):
     )
     for got, ref in zip(G.curvature_frame_components, want):
         assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+# the conformal fields without the constant-J flag: the per-node J path
+CONF_GENERIC_J = AmbientManifold(metric_field=CONF.metric_field, j_field=CONF.j_field)
+
+
+@pytest.mark.parametrize(
+    "ambient", [EUC, CONF, CONF_GENERIC_J], ids=["flat", "conformal", "generic-j"]
+)
+@pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
+def test_kernels_match_einsum_reference(surface, ambient):
+    """Each matmul or closed-form kernel against the einsum it replaced."""
+    G = geometry(surface, ambient)
+    g, J, F = G.amb_g, G.amb_j, G.fderiv
+    fr = G.adapted_frame
+    jfth = np.einsum("...ab,...b->...a", J, G.fth)
+    metric = np.einsum("...ab,...ia,...jb->...ij", g, F, F)
+    det = metric[..., 0, 0] * metric[..., 1, 1] - metric[..., 0, 1] ** 2
+    omega = np.einsum("...ab,...a,...b->...", g, jfth, G.fph)
+    w = fr.x[..., None] * fr.e3 - fr.y[..., None] * fr.e2
+    dc, ca = G.grad_cos_frame, G.cos_alpha
+    tang = ca[..., None] * (dc[..., 0, None] * G.e2 - dc[..., 1, None] * G.e1)
+    jtang = np.einsum("...ab,...b->...a", J, tang)
+    pairs = {
+        "induced_metric": (G.induced_metric, metric),
+        "cos_alpha": (G.cos_alpha, omega / np.sqrt(det)),
+        "dot": (G.dot(jfth, G.fph), omega),
+        "project_normal": (
+            G.project_normal(jfth),
+            np.einsum("...ab,...b->...a", G.normal_projector, jfth),
+        ),
+        "J e1": (G.apply_j(fr.e1), np.einsum("...ab,...b->...a", J, fr.e1)),
+        "J (x e3 - y e2)": (G.apply_j(w), np.einsum("...ab,...b->...a", J, w)),
+        "jj_grad_perp": (
+            jj_grad_perp(G),
+            np.einsum("...ab,...b->...a", G.normal_projector, jtang),
+        ),
+    }
+    for name, (got, want) in pairs.items():
+        assert rel_err(got, want) < 1e-14, name
 
 
 def test_nabla_j_frame_is_exactly_zero_on_flat_kahler():
