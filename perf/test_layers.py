@@ -1,8 +1,11 @@
 """Layer timings with pytest-benchmark, outside the Tier-1 suite.
 
-Every layer runs at 64x64 on ``perturbed_graph(0.5, 0.05)`` in the flat
-ambient, the surface size of the first-variation check.  Run from the
-root of a checkout, with BLAS on one thread as in ``bench/``:
+The first group runs at 64x64 on ``perturbed_graph(0.5, 0.05)`` in the
+flat ambient, the surface size of the first-variation check.  The
+``_n128`` group runs the frame, second-fundamental-form, critical
+operator and Laplacian-identity layers at 128x128, the finest level of
+the refinement studies, in the flat and the conformal ambient.  Run from
+the root of a checkout, with BLAS on one thread as in ``bench/``:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest perf --benchmark-json=layers.json
 
@@ -16,10 +19,10 @@ their callers do.
 
 import pytest
 
-from symcrit.ambient import euclidean_c2
+from symcrit.ambient import conformal, euclidean_c2
 from symcrit.functional import el_operator, l_beta
 from symcrit.surface import SurfaceGeometry, perturbed_graph
-from symcrit.verify import verify_first_variation
+from symcrit.verify import laplacian_identity_terms, verify_first_variation
 
 N = 64
 BETA = 1.0
@@ -27,12 +30,17 @@ ROUNDS = 200
 EUC = euclidean_c2()
 SURFACE = perturbed_graph(0.5, 0.05, n_theta=N, n_phi=N)
 
+N_FINE = 128
+ROUNDS_FINE = 20
+SURFACE_FINE = perturbed_graph(0.5, 0.05, n_theta=N_FINE, n_phi=N_FINE)
+AMBIENTS = {"flat": EUC, "conformal": conformal("0.1*sin(p1) + 0.05*cos(p2)")}
 
-def prebuilt(*names):
+
+def prebuilt(*names, surface=SURFACE, ambient=EUC):
     """``benchmark.pedantic`` set-up: a fresh geometry with ``names`` read."""
 
     def setup():
-        G = SurfaceGeometry(SURFACE, EUC)
+        G = SurfaceGeometry(surface, ambient)
         for name in names:
             getattr(G, name)
         return (G,), {}
@@ -65,3 +73,39 @@ def test_el_operator_fresh_geometry(benchmark):
 
 def test_verify_first_variation(benchmark):
     assert benchmark(verify_first_variation, SURFACE, EUC, BETA).passed
+
+
+FINE_LAYERS = {
+    # cached property: the inputs read before the round
+    "adapted_frame": (),
+    "second_fundamental": ("adapted_frame", "accel", "amb_g", "frame_coeff"),
+}
+
+
+@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+@pytest.mark.parametrize("layer", sorted(FINE_LAYERS))
+def test_geometry_property_n128(benchmark, layer, ambient):
+    setup = prebuilt(*FINE_LAYERS[layer], surface=SURFACE_FINE,
+                     ambient=AMBIENTS[ambient])
+    value = benchmark.pedantic(
+        lambda G: getattr(G, layer), setup=setup, rounds=ROUNDS_FINE
+    )
+    assert value is not None
+
+
+@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+def test_el_operator_fresh_geometry_n128(benchmark, ambient):
+    el = benchmark.pedantic(
+        el_operator, (SURFACE_FINE, AMBIENTS[ambient], BETA), rounds=ROUNDS_FINE
+    )
+    assert el.norm_linf > 0
+
+
+@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+def test_laplacian_identity_terms_fresh_geometry_n128(benchmark, ambient):
+    def run():
+        G = SurfaceGeometry(SURFACE_FINE, AMBIENTS[ambient])
+        return laplacian_identity_terms(G)["residual"]
+
+    residual = benchmark.pedantic(run, rounds=ROUNDS_FINE)
+    assert residual.shape == (N_FINE, N_FINE)

@@ -17,7 +17,9 @@ or configuration.
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
+import inspect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -80,32 +82,33 @@ class RunConfig:
     res_tol: float = 1e-3
     out_dir: Path = Path(".")
 
-    def surface_at(self, n: int) -> ImmersedSurface:
-        if self.generator is None:
-            raise ConfigError("refinement levels require a surface generator")
-        fn = GENERATORS[self.generator]
-        return fn(**self.generator_args, n_theta=n, n_phi=n)
+    def _surfaces(self, levels) -> list:
+        """The surface file's surface, or the generator's at each level."""
+        try:
+            if self.surface_file is not None:
+                return [read_surface(self.surface_file)]
+            fn = GENERATORS[self.generator]
+            return [fn(**self.generator_args, n_theta=n, n_phi=n) for n in levels]
+        except (OSError, ValueError) as err:
+            raise ConfigError(f"[surface] {err}") from None
 
     def single_surface(self) -> ImmersedSurface:
-        if self.surface_file is not None:
-            return read_surface(self.surface_file)
-        return self.surface_at(max(self.levels))
+        return self._surfaces([max(self.levels)])[0]
 
     def level_surfaces(self):
-        if self.surface_file is not None:
-            return [read_surface(self.surface_file)]
-        return [self.surface_at(n) for n in self.levels]
+        return self._surfaces(self.levels)
 
 
-def _parse_value(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def _parse_value(text: str, kinds=(int, float)):
+    """A finite number of the first of ``kinds`` that parses the text."""
+    for kind in kinds:
+        try:
+            value = kind(text)
+        except ValueError:
+            continue
+        if cmath.isfinite(value):
+            return value
+    raise ValueError(f"{text!r} is not a finite number")
 
 
 def _number(text: str, key: str, kind=float):
@@ -119,16 +122,28 @@ def _number(text: str, key: str, kind=float):
     raise ConfigError(f"{key} = {text!r} is not a finite {kind.__name__}")
 
 
-def _parse_generator_args(text: str) -> dict:
+def _parse_generator_args(generator: str, text: str) -> dict:
+    params = inspect.signature(GENERATORS[generator]).parameters
+    known = set(params) - {"n_theta", "n_phi"}  # n is set by the levels
     out = {}
     for token in text.split():
         if "=" not in token:
             raise ConfigError(f"generator parameter {token!r} is not key=value")
         key, val = token.split("=", 1)
-        if key == "modes":
-            out[key] = tuple(int(v) for v in val.split(","))
-        else:
-            out[key] = _parse_value(val)
+        if key not in known:
+            raise ConfigError(f"generator {generator!r} has no parameter {key!r} "
+                              f"(have: {', '.join(sorted(known))})")
+        try:
+            if key == "modes":
+                out[key] = tuple(int(v) for v in val.split(","))
+                if len(out[key]) != 2:
+                    raise ValueError("needs two integers")
+            elif params[key].annotation == "complex":
+                out[key] = _parse_value(val, (int, float, complex))
+            else:
+                out[key] = _parse_value(val)
+        except ValueError as err:
+            raise ConfigError(f"[surface] params {token!r}: {err}") from None
     return out
 
 
@@ -165,7 +180,7 @@ def load_config(path: str, args) -> RunConfig:
             known = ", ".join(sorted(GENERATORS))
             raise ConfigError(f"unknown generator {gen!r} (have: {known})")
         cfg.generator = gen
-        cfg.generator_args = _parse_generator_args(surf.get("params", ""))
+        cfg.generator_args = _parse_generator_args(gen, surf.get("params", ""))
     if cfg.surface_file is None and cfg.generator is None:
         raise ConfigError("config needs [surface] generator or file")
 

@@ -159,6 +159,12 @@ def _inner(g, u, v):
     return (u[..., None, :] @ (g @ v[..., None]))[..., 0, 0]
 
 
+def _reject(v, pair, co):
+    """v - sum_a <co_a, v> pair_a for a (..., 2, 4) pair with covectors g pair."""
+    c = _sum4(co * v[..., None, :])
+    return v - c[..., 0, None] * pair[..., 0, :] - c[..., 1, None] * pair[..., 1, :]
+
+
 @dataclass
 class AdaptedFrame:
     """Orthonormal 4-frames with the normal pair in the adapted gauge."""
@@ -192,14 +198,19 @@ class SurfaceGeometry:
         return self.surface.positions()
 
     @cached_property
-    def fth(self):
+    def _periodic_partials(self):
+        """First partials (d_theta P, d_phi P) of the periodic part."""
         S = self.surface
-        return S.linear_part[:, 0] + periodic_d1(S.periodic_part, 0, S.h_theta)
+        P = S.periodic_part
+        return periodic_d1(P, 0, S.h_theta), periodic_d1(P, 1, S.h_phi)
+
+    @cached_property
+    def fth(self):
+        return self.surface.linear_part[:, 0] + self._periodic_partials[0]
 
     @cached_property
     def fph(self):
-        S = self.surface
-        return S.linear_part[:, 1] + periodic_d1(S.periodic_part, 1, S.h_phi)
+        return self.surface.linear_part[:, 1] + self._periodic_partials[1]
 
     @cached_property
     def fderiv(self):
@@ -213,7 +224,7 @@ class SurfaceGeometry:
         P = S.periodic_part
         dtt = periodic_d2(P, 0, S.h_theta)
         dpp = periodic_d2(P, 1, S.h_phi)
-        dtp = periodic_d1(periodic_d1(P, 0, S.h_theta), 1, S.h_phi)
+        dtp = periodic_d1(self._periodic_partials[0], 1, S.h_phi)
         out = np.empty(P.shape[:2] + (2, 2, 4))
         out[..., 0, 0, :] = dtt
         out[..., 0, 1, :] = dtp
@@ -284,11 +295,6 @@ class SurfaceGeometry:
         inv[..., 1, 0] = -gi[..., 1, 0]
         return inv / det[..., None, None]
 
-    def integrate(self, field):
-        """Quadrature of a node field against the induced area element."""
-        S = self.surface
-        return float(np.sum(field * self.sqrt_det) * S.h_theta * S.h_phi)
-
     @property
     def area_weights(self):
         S = self.surface
@@ -321,33 +327,30 @@ class SurfaceGeometry:
         coeff[..., 0, 0] = 1.0 / n1
         coeff[..., 0, 1] = -proj / (n1 * n2)
         coeff[..., 1, 1] = 1.0 / n2
-        return e1, e2, coeff
+        return np.stack([e1, e2], axis=-2), coeff
 
     @property
     def e1(self):
-        return self._tangent_frame[0]
+        return self._tangent_frame[0][..., 0, :]
 
     @property
     def e2(self):
-        return self._tangent_frame[1]
+        return self._tangent_frame[0][..., 1, :]
 
     @cached_property
     def frame_coeff(self):
         """coeff[..., i, a]: e_a = sum_i coeff[i, a] d_i F (tangent only)."""
-        return self._tangent_frame[2]
+        return self._tangent_frame[1]
 
     @cached_property
-    def normal_projector(self):
-        """P^A_B projecting chart vectors g-orthogonally onto the normal plane."""
-        e1, e2 = self.e1, self.e2
-        P = np.broadcast_to(np.eye(4), e1.shape[:2] + (4, 4)).copy()
-        for e in (e1, e2):
-            ge = e if self._euclid_dot else (self.amb_g @ e[..., None])[..., 0]
-            P -= e[..., :, None] * ge[..., None, :]
-        return P
+    def _tangent_covectors(self):
+        """(g e1, g e2) stacked like (e1, e2); (e1, e2) for the Euclidean dot."""
+        pair = self._tangent_frame[0]
+        return pair if self._euclid_dot else pair @ self.amb_g
 
     def project_normal(self, v):
-        return _sum4(self.normal_projector * np.asarray(v)[..., None, :])
+        """Normal part of chart vectors: the g-orthogonal rejection from (e1, e2)."""
+        return _reject(np.asarray(v), self._tangent_frame[0], self._tangent_covectors)
 
     def apply_j(self, v):
         """J v for a chart vector field on the grid.
@@ -375,7 +378,9 @@ class SurfaceGeometry:
         ok = r > FRAME_TOL
         e3 /= np.where(ok, r, 1.0)[..., None]
         if not ok.all():
-            axes = np.swapaxes(self.normal_projector[~ok], -1, -2)  # (m, 4, 4)
+            # row B: normal part of chart axis B at each unadapted node, (m, 4, 4)
+            pair, co = self._tangent_frame[0][~ok], self._tangent_covectors[~ok]
+            axes = _reject(np.eye(4), pair[:, None], co[:, None])
             g = None if self._euclid_dot else self.amb_g[~ok][:, None]
             norms = _inner(g, axes, axes)
             best = np.argmax(norms, axis=-1)
@@ -409,8 +414,7 @@ class SurfaceGeometry:
     @cached_property
     def second_fundamental(self):
         """h[..., n, a, b] = <bar nabla_{e_a} e_b, e_{n+3}> in the frame."""
-        fr = self.adapted_frame
-        normals = np.stack([fr.e3, fr.e4], axis=-2)
+        normals = self.frame_matrix[..., 2:, :]
         wn = np.einsum("...cd,...ijc,...nd->...nij", self.amb_g, self.accel, normals)
         C = self.frame_coeff
         h = np.einsum("...ia,...jb,...nij->...nab", C, C, wn)
@@ -430,42 +434,32 @@ class SurfaceGeometry:
 
     # ---- derivatives of the angle
 
-    @cached_property
-    def dcos_param(self):
-        """Parametric partials of the cos(alpha) grid field, index i first."""
+    def frame_derivative(self, field):
+        """Derivatives of a grid field along (e1, e2), the direction as axis 2.
+
+        A scalar field gives (..., 2), a chart vector field (..., 2, 4):
+        sum_i coeff[i, a] d_i field, each parametric partial taken once.
+        """
         S = self.surface
-        ca = self.cos_alpha
-        return np.stack(
-            [periodic_d1(ca, 0, S.h_theta), periodic_d1(ca, 1, S.h_phi)], axis=-1
-        )
+        d_theta = periodic_d1(field, 0, S.h_theta)[:, :, None]
+        d_phi = periodic_d1(field, 1, S.h_phi)[:, :, None]
+        C = self.frame_coeff.reshape(self.frame_coeff.shape + (1,) * (field.ndim - 2))
+        return C[:, :, 0] * d_theta + C[:, :, 1] * d_phi
 
     @cached_property
     def grad_cos_frame(self):
         """Frame components (e1, e2) of the surface gradient of cos(alpha)."""
-        return np.einsum("...ia,...i->...a", self.frame_coeff, self.dcos_param)
+        return self.frame_derivative(self.cos_alpha)
 
-    def frame_directional(self, field, a):
-        """Directional derivative of a scalar grid field along e_{a+1}."""
-        S = self.surface
-        d = np.stack(
-            [periodic_d1(field, 0, S.h_theta), periodic_d1(field, 1, S.h_phi)],
-            axis=-1,
-        )
-        return np.einsum("...i,...i->...", self.frame_coeff[..., :, a], d)
+    def covariant_frame_derivative(self, vfield):
+        """Ambient covariant derivatives of a chart vector field along (e1, e2).
 
-    def covariant_frame_derivative(self, vfield, a):
-        """Ambient covariant derivative of a chart vector field along e_{a+1}."""
-        S = self.surface
-        d = (
-            self.frame_coeff[..., 0, a, None] * periodic_d1(vfield, 0, S.h_theta)
-            + self.frame_coeff[..., 1, a, None] * periodic_d1(vfield, 1, S.h_phi)
-        )
+        Shape (..., 2, 4), the direction as axis 2, like ``frame_derivative``.
+        """
+        d = self.frame_derivative(vfield)
         if not self.ambient.flat_metric:
-            ea = (
-                self.frame_coeff[..., 0, a, None] * self.fth
-                + self.frame_coeff[..., 1, a, None] * self.fph
-            )
-            d = d + np.einsum("...abc,...b,...c->...a", self.gamma, ea, vfield)
+            pair = self._tangent_frame[0]
+            d = d + np.einsum("...abc,...kb,...c->...ka", self.gamma, pair, vfield)
         return d
 
     def laplace_beltrami(self, field):
@@ -520,23 +514,16 @@ class SurfaceGeometry:
     @cached_property
     def mean_curvature_normal_derivative(self):
         """H^n_{,a} = <bar nabla_{e_a} H, e_{n+3}>, shape (..., a, n)."""
-        H = self.mean_curvature
-        fr = self.adapted_frame
-        normals = np.stack([fr.e3, fr.e4], axis=-2)
-        cols = []
-        for a in range(2):
-            dH = self.covariant_frame_derivative(H, a)
-            cols.append(np.einsum("...cd,...c,...nd->...n", self.amb_g, dH, normals))
-        return np.stack(cols, axis=-2)
+        dH = self.covariant_frame_derivative(self.mean_curvature)
+        normals = self.frame_matrix[..., 2:, :]
+        return np.einsum("...cd,...ac,...nd->...an", self.amb_g, dH, normals)
 
     @cached_property
     def tangent_connection(self):
         """theta_a = <bar nabla_{e_a} e1, e2> for a in {1, 2}."""
-        out = []
-        for a in range(2):
-            de1 = self.covariant_frame_derivative(self.e1, a)
-            out.append(self.dot(de1, self.e2))
-        return np.stack(out, axis=-1)
+        # direction axis first, so the per-node metric broadcasts over it
+        de1 = np.moveaxis(self.covariant_frame_derivative(self.e1), 2, 0)
+        return np.moveaxis(self.dot(de1, self.e2), 0, -1)
 
     @cached_property
     def j12_kk(self):
@@ -552,10 +539,8 @@ class SurfaceGeometry:
         jf = self.nabla_j_frame  # (..., k, a, b)
         phi = jf[..., :2, 0, 1]  # J_{12,k} for tangent k, (..., k)
         # e_k(phi_k)
-        total = (
-            self.frame_directional(phi[..., 0], 0)
-            + self.frame_directional(phi[..., 1], 1)
-        )
+        dphi = self.frame_derivative(phi)  # (..., a, k)
+        total = dphi[..., 0, 0] + dphi[..., 1, 1]
         # tangential part of nabla_{e_k} e_k: <nabla_{e_k} e_k, e_l> phi_l
         theta = self.tangent_connection
         # <nabla_{e1} e1, e2> = theta_1, <nabla_{e2} e2, e1> = -<nabla_{e2} e1, e2>
@@ -569,12 +554,6 @@ class SurfaceGeometry:
                 total -= h[..., n, k, 0] * jf[..., k, n + 2, 1]
                 total -= h[..., n, k, 1] * jf[..., k, 0, n + 2]
         return total
-
-    # ---- convenience
-
-    @cached_property
-    def min_cos_alpha(self):
-        return float(np.min(self.cos_alpha))
 
 
 # -- generators --------------------------------------------------------
@@ -706,6 +685,8 @@ def read_surface(path) -> ImmersedSurface:
     if len(head) != 5:
         raise ValueError(f"{path}: malformed surf header")
     n_theta, n_phi = int(head[1]), int(head[2])
+    if n_theta < 1 or n_phi < 1:
+        raise ValueError(f"{path}: grid sizes must be positive")
     t_theta, t_phi = float(head[3]), float(head[4])
     if len(lines) < 2 or not lines[1].startswith("linear "):
         raise ValueError(f"{path}: missing linear row")

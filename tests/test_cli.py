@@ -222,6 +222,47 @@ def test_levels_not_increasing_is_config_error(tmp_path, capsys, task_line, flag
     assert "strictly increase" in err
 
 
+BAD_SURFACE = """
+[ambient]
+kind = euclidean
+
+[surface]
+{surface}
+
+[task]
+check = critical
+levels = 16
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize(
+    "surface_lines, key",
+    [
+        ("file = {tmp}/missing.txt", "missing.txt"),
+        ("file = {tmp}/malformed.txt", "node rows"),
+        ("generator = zbar\nparams = foo=1", "foo"),
+        ("generator = zbar\nparams = c=abc", "c=abc"),
+        ("generator = zbar\nparams = c=1j", "c=1j"),
+        ("generator = perturbed\nparams = c=0.5 eps=0.05 modes=1,x", "modes"),
+    ],
+    ids=["file-missing", "file-malformed", "param-unknown", "param-text",
+         "param-complex", "modes-text"],
+)
+def test_bad_surface_input_is_config_error(tmp_path, capsys, surface_lines, key):
+    (tmp_path / "malformed.txt").write_text(
+        "surf 16 16 6.28 6.28\nlinear 1 0 0 1 0 0 0 0\n0 0 0 0\n"
+    )
+    body = BAD_SURFACE.format(surface=surface_lines.format(tmp=tmp_path),
+                              out=tmp_path / "rep")
+    code = main(["verify", "--config", write_config(tmp_path, body)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and key in err
+
+
 def test_flow_on_lagrangian_input_fails_with_diagnostic(tmp_path, capsys):
     spath = tmp_path / "lag.txt"
     write_surface(lagrangian_torus(1.0, 1.0, n_theta=16, n_phi=16), spath)

@@ -17,6 +17,7 @@ from symcrit.surface import (
     holomorphic_graph,
     lagrangian_torus,
     perturbed_graph,
+    periodic_d1,
     revolution_torus,
     zbar_graph,
 )
@@ -167,7 +168,11 @@ def test_jj_grad_perp_identity_matches_raw_projection():
         identity = jj_grad_perp(G)
         # reference: project J grad cos(alpha) on the tangent plane, apply J
         # again and project on the normal plane
-        up = np.einsum("...ij,...j->...i", G.induced_metric_inv, G.dcos_param)
+        ca = G.cos_alpha
+        dcos = np.stack(
+            [periodic_d1(ca, 0, S.h_theta), periodic_d1(ca, 1, S.h_phi)], axis=-1
+        )
+        up = np.einsum("...ij,...j->...i", G.induced_metric_inv, dcos)
         grad = np.einsum("...i,...ia->...a", up, G.fderiv)
         jg = np.einsum("...ab,...b->...a", G.amb_j, grad)
         jg_tan = jg - G.project_normal(jg)

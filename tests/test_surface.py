@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from symcrit.ambient import AmbientManifold, conformal, euclidean_c2
 from symcrit.errors import AmbientDegenerate, NotImmersed
-from symcrit.functional import jj_grad_perp
+from symcrit.functional import el_operator, jj_grad_perp, l_beta
 from symcrit.surface import (
     ImmersedSurface,
     SurfaceGeometry,
     holomorphic_graph,
     lagrangian_torus,
     perturbed_graph,
+    perturbed_holomorphic_graph,
     read_surface,
     revolution_torus,
     write_surface,
@@ -201,7 +202,7 @@ def test_torus_area_converges_to_closed_form():
     errs = []
     for n in (32, 64):
         G = geometry(revolution_torus(R, r, n_theta=n, n_phi=n))
-        area = G.integrate(np.ones_like(G.cos_alpha))
+        area = np.sum(G.area_weights)
         errs.append(abs(area - exact))
     assert errs[1] < 1e-3
     assert np.log2(errs[0] / errs[1]) > 3.5
@@ -211,7 +212,7 @@ def test_graph_area_closed_form():
     c = 0.5
     G = geometry(zbar_graph(c, n_theta=16, n_phi=16))
     # conformal factor of the graph map is constant: dmu = (1 + c^2) dtheta dphi
-    area = G.integrate(np.ones_like(G.cos_alpha))
+    area = np.sum(G.area_weights)
     assert abs(area - 4.0 * np.pi**2 * (1.0 + c * c)) < 1e-10
 
 
@@ -269,6 +270,13 @@ def test_surface_read_rejects_garbage(tmp_path):
         read_surface(path)
 
 
+def test_surface_read_rejects_empty_grid(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("surf 0 0 6.28 6.28\nlinear 1 0 0 1 0 0 0 0\n")
+    with pytest.raises(ValueError, match="grid sizes"):
+        read_surface(path)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -293,6 +301,36 @@ def test_displaced_moves_periodic_part_only():
     moved = S.displaced(delta)
     assert np.array_equal(moved.linear_part, S.linear_part)
     assert np.max(np.abs(moved.periodic_part - S.periodic_part - 1.0)) < 1e-15
+
+
+ROLL_SURFACES = {
+    "graph": perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16),
+    "holomorphic": perturbed_holomorphic_graph(0.3, -0.2, 0.05, n_theta=16, n_phi=16),
+}
+ROLLED_FIELDS = ("cos_alpha", "grad_cos_frame", "second_fundamental",
+                 "tangent_connection", "mean_curvature_normal_derivative", "j12_kk")
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ROLL_SURFACES)),
+    shift_theta=st.integers(min_value=0, max_value=15),
+    shift_phi=st.integers(min_value=0, max_value=15),
+)
+def test_grid_roll_commutes_with_the_geometry(name, shift_theta, shift_phi):
+    """Rolling the periodic part rolls every node field, bit for bit."""
+    S = ROLL_SURFACES[name]
+    shift = (shift_theta, shift_phi)
+    R = ImmersedSurface(S.linear_part, np.roll(S.periodic_part, shift, axis=(0, 1)))
+    G, GR = geometry(S), geometry(R)
+    for field in ROLLED_FIELDS:
+        want = np.roll(getattr(G, field), shift, axis=(0, 1))
+        assert np.array_equal(getattr(GR, field), want), field
+    E = el_operator(S, EUC, 1.0, geometry=G).vector
+    ER = el_operator(R, EUC, 1.0, geometry=GR).vector
+    assert np.array_equal(ER, np.roll(E, shift, axis=(0, 1)))
+    lb = l_beta(S, EUC, 1.0, geometry=G)
+    assert abs(l_beta(R, EUC, 1.0, geometry=GR) - lb) <= 1e-13 * lb
 
 
 # -- frame components of ambient tensors -------------------------------
@@ -366,19 +404,23 @@ def test_kernels_match_einsum_reference(surface, ambient):
     dc, ca = G.grad_cos_frame, G.cos_alpha
     tang = ca[..., None] * (dc[..., 0, None] * G.e2 - dc[..., 1, None] * G.e1)
     jtang = np.einsum("...ab,...b->...a", J, tang)
+    # I - sum_a e_a (g e_a)^T, the g-orthogonal projector onto the normal plane
+    tangent = np.stack([G.e1, G.e2], axis=-2)
+    co = np.einsum("...ab,...kb->...ka", g, tangent)
+    proj = np.eye(4) - np.einsum("...ka,...kb->...ab", tangent, co)
     pairs = {
         "induced_metric": (G.induced_metric, metric),
         "cos_alpha": (G.cos_alpha, omega / np.sqrt(det)),
         "dot": (G.dot(jfth, G.fph), omega),
         "project_normal": (
             G.project_normal(jfth),
-            np.einsum("...ab,...b->...a", G.normal_projector, jfth),
+            np.einsum("...ab,...b->...a", proj, jfth),
         ),
         "J e1": (G.apply_j(fr.e1), np.einsum("...ab,...b->...a", J, fr.e1)),
         "J (x e3 - y e2)": (G.apply_j(w), np.einsum("...ab,...b->...a", J, w)),
         "jj_grad_perp": (
             jj_grad_perp(G),
-            np.einsum("...ab,...b->...a", G.normal_projector, jtang),
+            np.einsum("...ab,...b->...a", proj, jtang),
         ),
     }
     for name, (got, want) in pairs.items():
