@@ -117,21 +117,28 @@ class ImmersedSurface:
 # -- periodic finite differences --------------------------------------
 
 
+def _neighbours(field: np.ndarray, axis: int):
+    """Periodic neighbours (f[i-2], f[i-1], f[i+1], f[i+2]) along ``axis``.
+
+    All four are slices of one copy of the field padded with two
+    periodic images on each side; index wrapping makes that copy right
+    for every axis length, including 1 and 2.
+    """
+    n = field.shape[axis]
+    padded = np.take(field, np.arange(-2, n + 2), axis=axis, mode="wrap")
+    lead = (slice(None),) * (axis % field.ndim)
+    return tuple(padded[lead + (slice(k, k + n),)] for k in (0, 1, 3, 4))
+
+
 def periodic_d1(field: np.ndarray, axis: int, spacing: float) -> np.ndarray:
     """4th-order periodic central first derivative along a grid axis."""
-    fp1 = np.roll(field, -1, axis)
-    fm1 = np.roll(field, 1, axis)
-    fp2 = np.roll(field, -2, axis)
-    fm2 = np.roll(field, 2, axis)
+    fm2, fm1, fp1, fp2 = _neighbours(field, axis)
     return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * spacing)
 
 
 def periodic_d2(field: np.ndarray, axis: int, spacing: float) -> np.ndarray:
     """4th-order periodic central second derivative along a grid axis."""
-    fp1 = np.roll(field, -1, axis)
-    fm1 = np.roll(field, 1, axis)
-    fp2 = np.roll(field, -2, axis)
-    fm2 = np.roll(field, 2, axis)
+    fm2, fm1, fp1, fp2 = _neighbours(field, axis)
     return (-30.0 * field + 16.0 * (fp1 + fm1) - (fp2 + fm2)) / (12.0 * spacing**2)
 
 
@@ -155,7 +162,15 @@ def _inner(g, u, v):
     """
     u, v = np.asarray(u), np.asarray(v)
     if g is None:
-        return np.sum(u * v, axis=-1)
+        # ((p0 + p1) + p2) + p3 is np.sum's order for a length-4 axis; np.sum
+        # also starts from +0.0, which the final += 0.0 matches (it turns the
+        # -0.0 of four -0.0 products into +0.0 and changes nothing else)
+        p = u * v
+        out = p[..., 0] + p[..., 1]
+        out += p[..., 2]
+        out += p[..., 3]
+        out += 0.0
+        return out
     return (u[..., None, :] @ (g @ v[..., None]))[..., 0, 0]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcrit.ambient import AmbientManifold, conformal, euclidean_c2
+from symcrit.ambient import STANDARD_J, AmbientManifold, conformal, euclidean_c2
 from symcrit.errors import AmbientDegenerate, NotImmersed
 from symcrit.functional import el_operator, jj_grad_perp, l_beta
 from symcrit.surface import (
@@ -15,6 +15,8 @@ from symcrit.surface import (
     SurfaceGeometry,
     holomorphic_graph,
     lagrangian_torus,
+    periodic_d1,
+    periodic_d2,
     perturbed_graph,
     perturbed_holomorphic_graph,
     read_surface,
@@ -331,6 +333,136 @@ def test_grid_roll_commutes_with_the_geometry(name, shift_theta, shift_phi):
     assert np.array_equal(ER, np.roll(E, shift, axis=(0, 1)))
     lb = l_beta(S, EUC, 1.0, geometry=G)
     assert abs(l_beta(R, EUC, 1.0, geometry=GR) - lb) <= 1e-13 * lb
+
+
+def swapped_theta_phi(S):
+    """The same torus with theta and phi exchanged (orientation reversed)."""
+    return ImmersedSurface(S.linear_part[:, ::-1], S.periodic_part.transpose(1, 0, 2),
+                           S.t_phi, S.t_theta)
+
+
+@pytest.mark.parametrize("ambient", [EUC, CONF], ids=["flat", "conformal"])
+@pytest.mark.parametrize(
+    "surface",
+    [perturbed_graph(0.5, 0.05, n_theta=16, n_phi=12),
+     perturbed_holomorphic_graph(0.3, -0.2, 0.05, n_theta=16, n_phi=12)],
+    ids=["graph", "holomorphic"],
+)
+def test_swapping_theta_and_phi_flips_the_angle(surface, ambient):
+    S = ImmersedSurface(surface.linear_part, surface.periodic_part, 2.0, 3.0)
+    ca = geometry(S, ambient).cos_alpha
+    swapped = geometry(swapped_theta_phi(S), ambient).cos_alpha
+    assert swapped.shape == ca.T.shape
+    assert np.max(np.abs(swapped + ca.T)) < 1e-14
+
+
+def u2_rotation(seed):
+    """Real 4x4 form of a random unitary 2x2 matrix on C^2 = (x1 + i x2, x3 + i x4)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    U = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    R = np.empty((4, 4))
+    for i in range(2):
+        for k in range(2):
+            p, s = U[i, k].real, U[i, k].imag
+            R[2 * i:2 * i + 2, 2 * k:2 * k + 2] = [[p, -s], [s, p]]
+    return R
+
+
+@settings(max_examples=10, deadline=None)
+@given(name=st.sampled_from(sorted(ROLL_SURFACES)), seed=st.integers(0, 2**32 - 1))
+def test_u2_rotation_leaves_angle_functional_and_el_norm_unchanged(name, seed):
+    """A U(2) rotation of C^2 commutes with J and is a flat isometry."""
+    R = u2_rotation(seed)
+    assert np.allclose(R @ R.T, np.eye(4), atol=1e-14)
+    assert np.allclose(R @ STANDARD_J, STANDARD_J @ R, atol=1e-14)
+    S = ROLL_SURFACES[name]
+    RS = ImmersedSurface(R @ S.linear_part, S.periodic_part @ R.T, S.t_theta, S.t_phi)
+    G, GR = geometry(S), geometry(RS)
+    assert np.max(np.abs(GR.cos_alpha - G.cos_alpha)) < 1e-13
+    lb = l_beta(S, EUC, 1.0, geometry=G)
+    assert abs(l_beta(RS, EUC, 1.0, geometry=GR) - lb) < 1e-12 * lb
+    E = el_operator(S, EUC, 1.0, geometry=G).vector
+    ER = el_operator(RS, EUC, 1.0, geometry=GR).vector
+    mag, mag_r = np.sqrt(G.dot(E, E)), np.sqrt(GR.dot(ER, ER))
+    assert np.max(np.abs(mag_r - mag)) < 1e-11 * np.max(mag)
+
+
+# -- periodic stencils and the Euclidean dot -------------------------
+
+
+def roll_d1(field, axis, spacing):
+    """Reference first-derivative stencil, built from four np.roll copies."""
+    fp1 = np.roll(field, -1, axis)
+    fm1 = np.roll(field, 1, axis)
+    fp2 = np.roll(field, -2, axis)
+    fm2 = np.roll(field, 2, axis)
+    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * spacing)
+
+
+def roll_d2(field, axis, spacing):
+    """Reference second-derivative stencil, built from four np.roll copies."""
+    fp1 = np.roll(field, -1, axis)
+    fm1 = np.roll(field, 1, axis)
+    fp2 = np.roll(field, -2, axis)
+    fm2 = np.roll(field, 2, axis)
+    return (-30.0 * field + 16.0 * (fp1 + fm1) - (fp2 + fm2)) / (12.0 * spacing**2)
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and (
+        np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+    )
+
+
+def stencil_field(kind, n, m, rng):
+    """A grid field of the given layout, with entries over many magnitudes."""
+    def draw(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+
+    if kind == "scalar":
+        return draw((n, m))
+    if kind == "vector":
+        return draw((n, m, 4))
+    if kind == "pair":
+        return draw((n, m, 2, 4))
+    return np.moveaxis(draw((4, n, m)), 0, -1)  # "moved": non-contiguous (n, m, 4)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector", "pair", "moved"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 33])
+@pytest.mark.parametrize("square", [True, False], ids=["square", "oblong"])
+def test_periodic_stencils_match_roll_reference(kind, n, square):
+    rng = np.random.default_rng(1000 * n + len(kind))
+    m = n if square else n + 3
+    field = stencil_field(kind, n, m, rng)
+    for axis, spacing in ((0, 0.3), (1, 2 * np.pi / m)):
+        assert same_bits(periodic_d1(field, axis, spacing), roll_d1(field, axis, spacing))
+        assert same_bits(periodic_d2(field, axis, spacing), roll_d2(field, axis, spacing))
+
+
+def test_euclidean_dot_matches_np_sum_bit_for_bit():
+    rng = np.random.default_rng(7)
+    n = 12
+    G = geometry(holomorphic_graph(0.3, -0.2, n_theta=n, n_phi=n))
+    assert G._euclid_dot
+    cases = {
+        "grid": (rng.standard_normal((n, n, 4)), rng.standard_normal((n, n, 4))),
+        "stacked": (rng.standard_normal((2, n, n, 4)), rng.standard_normal((n, n, 4))),
+        "moved": (np.moveaxis(rng.standard_normal((4, n, n)), 0, -1),
+                  rng.standard_normal((n, n, 4))),
+        # np.sum starts from +0.0, so four -0.0 products sum to +0.0
+        "signed-zero": (np.zeros((n, n, 4)), -np.ones((n, n, 4))),
+    }
+    # normal parts of the four chart axes at unadapted nodes, (m, 4, 4) as
+    # in the raw-gauge branch of the adapted frame (all nodes here)
+    assert not G.adapted_frame.adapted.any()
+    axes = np.stack(
+        [G.project_normal(np.broadcast_to(row, (n, n, 4))) for row in np.eye(4)], axis=-2
+    ).reshape(-1, 4, 4)
+    cases["chart-axes"] = (axes, axes)
+    for name, (u, v) in cases.items():
+        assert same_bits(G.dot(u, v), np.sum(u * v, axis=-1)), name
 
 
 # -- frame components of ambient tensors -------------------------------
