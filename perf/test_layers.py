@@ -5,10 +5,11 @@ flat ambient, the surface size of the first-variation check; the check
 also runs in the conformal ambient.  The ``_n32`` group runs the
 periodic stencils and one descent step at 32x32, the grid of the
 benchmark's descent workload, on the criterion-8 surface.  The
-``_n128`` group runs the functional, frame, second-fundamental-form,
-covariant-J, curvature, critical operator, cyclic-condition and
-Laplacian-identity layers at 128x128, the finest level of the
-refinement studies, in the flat and the conformal ambient.  Run from
+``_n128`` group runs the functional, frame, acceleration,
+second-fundamental-form, mean-curvature-derivative, covariant-J,
+curvature, critical operator, cyclic-condition and Laplacian-identity
+layers at 128x128, the finest level of the refinement studies, in the
+flat and the conformal ambient.  Run from
 the root of a checkout, with BLAS on one thread as in ``bench/``:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest perf --benchmark-json=layers.json
@@ -121,9 +122,14 @@ def test_flow_step_n32(benchmark):
 FINE_LAYERS = {
     # cached property: the inputs read before the round
     "adapted_frame": (),
-    "second_fundamental": ("adapted_frame", "accel", "amb_g", "frame_coeff"),
-    "nabla_j_frame": ("frame_matrix", "amb_g", "pos"),
-    "curvature_frame_components": ("adapted_frame", "pos"),
+    "accel": ("fderiv", "pos"),
+    "second_fundamental": ("frame_matrix", "accel", "amb_g", "frame_coeff"),
+    "mean_curvature_normal_derivative": (
+        "mean_curvature", "frame_matrix", "frame_coeff", "_tangent_frame",
+        "amb_g", "pos",
+    ),
+    "nabla_j_frame": ("frame_matrix", "pos"),
+    "curvature_frame_components": ("frame_matrix", "pos"),
 }
 
 

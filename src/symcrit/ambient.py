@@ -17,10 +17,18 @@ constant fields; its curvature differences the Christoffel field.  The
 conformal ambient (:class:`ConformalManifold`) needs no differences: its
 connection and curvature are closed forms in the first and second
 partials of the conformal exponent.
+
+A surface reads the ambient through three entry points that take the
+node positions and chart vectors: ``christoffel_pairs`` (Gamma(X, Y)),
+``nabla_j_frame`` (the covariant derivative of J in a frame) and
+``curvature_frame`` (K_1213 and K_1224).  The base class contracts the
+tensors above; the conformal ambient evaluates closed forms, so it
+builds no rank-3 or rank-4 tensor per node.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -378,6 +386,47 @@ class AmbientManifold:
             + np.einsum("...cab->...abc", domega)
         )
 
+    # -- quantities in a surface's frame ------------------------------
+
+    def christoffel_pairs(self, points, X, Y) -> np.ndarray:
+        """Gamma(X_p, Y_q)^A = Gamma^A_{BC} X_p^B Y_q^C for every pair (p, q).
+
+        ``X`` is (..., p, 4) and ``Y`` is (..., q, 4) at the (..., 4)
+        ``points``; the result is (..., p, q, 4).
+        """
+        gamma = self.christoffel_at(points)
+        return np.einsum("...abc,...pb,...qc->...pqa", gamma, X, Y)
+
+    def nabla_j_frame(self, points, frame) -> np.ndarray:
+        """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g, shape (..., k, a, b).
+
+        ``frame`` is (..., 4, 4) with ``frame[..., a, :]`` = e_{a+1}; k, a
+        and b all run over the four frame vectors.
+        """
+        S = self.nabla_j_tensor_at(points)  # (..., c, a, b)
+        # [k, a, b] = (nabla_{e_k} J)^a_b as one batched (4 x 4) @ (4 x 16) product
+        dj = (frame @ S.reshape(S.shape[:-3] + (4, 16))).reshape(S.shape)
+        # [k, a, m] = (nabla_{e_k} J)^a_b e_m^b as one (16 x 4) @ (4 x 4) product
+        frt = np.swapaxes(frame, -1, -2)
+        djm = (dj.reshape(S.shape[:-3] + (16, 4)) @ frt).reshape(S.shape)
+        # [k, n, m] = <e_n, (nabla_{e_k} J) e_m>_g
+        g = self.metric_at(points, check=False)
+        return np.swapaxes((frame @ g)[..., None, :, :] @ djm, -1, -2)
+
+    def curvature_frame(self, points, frame):
+        """(K_1213, K_1224) = (K(e1, e2, e1, e3), K(e1, e2, e2, e4)).
+
+        ``frame`` is (..., 4, 4) with ``frame[..., a, :]`` = e_{a+1}.
+        """
+        K = self.curvature_at(points)
+        e1, e2, e3, e4 = (frame[..., a, :] for a in range(4))
+        # K(e1, e2, ., .) once, as a 4x4 block per node
+        k12 = np.einsum("...abcd,...a->...bcd", K, e1)
+        k12 = np.einsum("...bcd,...b->...cd", k12, e2)
+        k1213 = np.einsum("...c,...cd,...d->...", e1, k12, e3)
+        k1224 = np.einsum("...c,...cd,...d->...", e2, k12, e4)
+        return k1213, k1224
+
 
 # -- builtin manifolds ------------------------------------------------
 
@@ -405,16 +454,31 @@ def euclidean_c2(fd_step: float = 1e-3) -> AmbientManifold:
 
 @dataclass(kw_only=True)
 class ConformalManifold(AmbientManifold):
-    """Conformally flat g = exp(2 lam) delta with the constant standard J.
+    """Conformally flat g = exp(2 lam) delta with a constant J.
 
     The exponent lam comes with its first and second partials, each a
-    callable from (..., 4) points, so the connection and the curvature
-    are closed forms and no field is differenced.
+    callable from (..., 4) points, so the connection, the covariant
+    derivative of J and the curvature are closed forms and no field is
+    differenced.  In the docstrings below X.Y is the Euclidean dot.
     """
 
     conformal_exponent: Callable[[np.ndarray], np.ndarray]  # lam, (...)
     conformal_gradient: Callable[[np.ndarray], np.ndarray]  # d lam, (..., 4)
     conformal_hessian: Callable[[np.ndarray], np.ndarray]  # d d lam, (..., 4, 4)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.constant_j:
+            raise ValueError("a conformal ambient needs a constant J")
+
+    def _factor(self, points) -> np.ndarray:
+        """exp(2 lam), the metric's diagonal; an overflow raises
+        AmbientDegenerate, as it does in ``metric_at``."""
+        with np.errstate(over="ignore"):
+            factor = np.exp(2.0 * self.conformal_exponent(points))
+        if not np.isfinite(factor).all():
+            raise AmbientDegenerate("metric not finite at some evaluation point")
+        return factor
 
     def christoffel_at(self, points) -> np.ndarray:
         """Gamma^a_bc = delta^a_b lam_c + delta^a_c lam_b - delta_bc lam_a."""
@@ -438,16 +502,79 @@ class ConformalManifold(AmbientManifold):
             - grad[..., :, None] * grad[..., None, :]
             + (0.5 * np.sum(grad**2, axis=-1))[..., None, None] * eye
         )
-        # exp(2 lam) read off the metric, so an overflow raises AmbientDegenerate
-        factor = self.metric_at(points, check=False)[..., 0, 0]
         K = np.zeros(T.shape[:-2] + (4, 4, 4, 4))
         for i in range(4):
             K[..., :, i, i, :] += T  # T_ad delta_bc
             K[..., i, :, :, i] += T  # T_bc delta_ad
             K[..., :, i, :, i] -= T  # T_ac delta_bd
             K[..., i, :, i, :] -= T  # T_bd delta_ac
-        K *= -factor[..., None, None, None, None]
+        K *= -self._factor(points)[..., None, None, None, None]
         return K
+
+    def christoffel_pairs(self, points, X, Y) -> np.ndarray:
+        """Gamma(X, Y) = X dlam(Y) + Y dlam(X) - (X.Y) grad lam, per pair."""
+        grad = self.conformal_gradient(points)
+        lx = X @ grad[..., None]  # dlam(X_p), (..., p, 1)
+        ly = Y @ grad[..., None]
+        out = X[..., :, None, :] * ly[..., None, :, :]
+        out += Y[..., None, :, :] * lx[..., :, None, :]
+        out -= (X @ np.swapaxes(Y, -1, -2))[..., None] * grad[..., None, None, :]
+        return out
+
+    def nabla_j_frame(self, points, frame) -> np.ndarray:
+        """J_{ab,k} from the closed form of nabla J for a constant J.
+
+        (nabla_X J) Y = X dlam(JY) - JX dlam(Y) - (X.JY) grad lam
+        + (X.Y) J grad lam.  With u_a = dlam(e_a), v_a = dlam(J e_a) and
+        the Euclidean Gram blocks M_kb = e_k.e_b, N_kb = (J e_k).e_b,
+        J_{ab,k} = exp(2 lam) (v_a M_kb - u_a N_kb - v_b M_ka + u_b N_ka),
+        which holds for any frame, orthonormal or not.
+        """
+        J = self._j_sample
+        grad = self.conformal_gradient(points)[..., None]
+        factor = self._factor(points)[..., None]
+        u = factor * (frame @ grad)[..., 0]
+        # dlam(J e_a) = e_a . (J^T grad lam)
+        v = factor * (frame @ (J.T @ grad))[..., 0]
+        frt = np.swapaxes(frame, -1, -2)
+        N = (frame.reshape(-1, 4) @ J.T).reshape(frame.shape) @ frt
+        M = frame @ frt
+        # one (a, b) pair at a time, so the table is the only rank-3 array
+        table = np.zeros(frame.shape[:-2] + (4, 4, 4))
+        for a, b in itertools.combinations(range(4), 2):
+            ab = (v[..., a, None] * M[..., b] - u[..., a, None] * N[..., b]) - (
+                v[..., b, None] * M[..., a] - u[..., b, None] * N[..., a]
+            )
+            table[..., a, b] = ab
+            np.negative(ab, out=table[..., b, a])
+        return table
+
+    def curvature_frame(self, points, frame):
+        """(K_1213, K_1224) from K(X, Y, Z, W) = -exp(2 lam) (T o delta)(X, Y, Z, W).
+
+        (T o delta)(X, Y, Z, W) = T(X, W) Y.Z + T(Y, Z) X.W - T(X, Z) Y.W
+        - T(Y, W) X.Z, so only T(e_a, e_b) and e_a.e_b for a in {1, 2}
+        are formed.
+        """
+        grad = self.conformal_gradient(points)
+        top = frame[..., :2, :]
+        frt = np.swapaxes(frame, -1, -2)
+        M = top @ frt  # e_a.e_b, (..., 2, 4)
+        u = (frame @ grad[..., None])[..., 0]  # dlam(e_b)
+        # T(e_a, e_b) = e_a.(dd lam e_b) - dlam(e_a) dlam(e_b) + |dlam|^2 e_a.e_b / 2
+        T = (top @ self.conformal_hessian(points)) @ frt
+        T -= u[..., :2, None] * u[..., None, :]
+        T += (0.5 * np.sum(grad**2, axis=-1))[..., None, None] * M
+        factor = -self._factor(points)
+        k1213 = factor * (
+            T[..., 0, 2] * M[..., 1, 0] + T[..., 1, 0] * M[..., 0, 2]
+            - T[..., 0, 0] * M[..., 1, 2] - T[..., 1, 2] * M[..., 0, 0]
+        )
+        k1224 = factor * (
+            T[..., 0, 3] * M[..., 1, 1] + T[..., 1, 1] * M[..., 0, 3]
+            - T[..., 0, 1] * M[..., 1, 3] - T[..., 1, 3] * M[..., 0, 1]
+        )
+        return k1213, k1224
 
 
 def conformal(expression: str, fd_step: float = 1e-3) -> ConformalManifold:

@@ -22,7 +22,8 @@ class NotSymplectic(Exception):
 
 
 class FlowStalled(Exception):
-    """Line search hit the minimum step size without an acceptable update."""
+    """Line search hit the minimum step size without an acceptable update,
+    or the descent direction it was given is not finite."""
 
 
 class ConfigError(Exception):

@@ -111,8 +111,13 @@ def _line_search(surface, ambient, beta, G, el, current, tau):
 
     ``G``, ``el`` and ``current`` are the geometry, critical operator and
     L_beta of ``surface``.  Returns (candidate, its L_beta, its geometry,
-    accepted tau); raises FlowStalled when tau falls below TAU_MIN.
+    accepted tau); raises FlowStalled when tau falls below TAU_MIN, or at
+    once when the critical operator is not finite.
     """
+    if not math.isfinite(el.norm_linf):
+        raise FlowStalled(
+            f"critical operator residual res_linf = {el.norm_linf} is not finite"
+        )
     weight = G.cos_alpha ** (-(beta + 3.0))
     velocity = weight[..., None] * el.vector
     while tau >= TAU_MIN:
@@ -138,8 +143,9 @@ def flow_step(
     Returns (new_surface, state) where state carries the residual norms
     of the pre-step surface and the accepted step size.  A stationary
     surface is returned unchanged with tau = 0.  Raises FlowStalled when
-    backtracking exhausts the step size, and ValueError for a ``tau_init``
-    that is not finite and positive.
+    backtracking exhausts the step size or the critical operator is not
+    finite, and ValueError for a ``tau_init`` that is not finite and
+    positive.
     """
     beta = validate_beta(beta, for_flow=True)
     if tau_init is not None and not (math.isfinite(tau_init) and tau_init > 0.0):

@@ -232,9 +232,12 @@ class SurfaceGeometry:
         """First derivatives stacked: index i in {theta, phi} first."""
         return np.stack([self.fth, self.fph], axis=-2)  # (nt, np, 2, 4)
 
-    @cached_property
+    @property
     def fsecond(self):
-        """Second parametric derivatives, symmetric 2x2 block of 4-vectors."""
+        """Second parametric derivatives, symmetric 2x2 block of 4-vectors.
+
+        Built on each read: ``accel``, which caches, is its one reader.
+        """
         S = self.surface
         P = S.periodic_part
         dtt = periodic_d2(P, 0, S.h_theta)
@@ -256,10 +259,6 @@ class SurfaceGeometry:
     @cached_property
     def amb_j(self):
         return self.ambient.j_at(self.pos)
-
-    @cached_property
-    def gamma(self):
-        return self.ambient.christoffel_at(self.pos)
 
     # ---- induced metric and area
 
@@ -420,21 +419,38 @@ class SurfaceGeometry:
     @cached_property
     def accel(self):
         """W_ij = second derivatives plus ambient Christoffel correction."""
-        W = self.fsecond.copy()
+        W = self.fsecond
         if not self.ambient.flat_metric:
             F = self.fderiv
-            W = W + np.einsum("...abc,...ib,...jc->...ija", self.gamma, F, F)
+            W += self.ambient.christoffel_pairs(self.pos, F, F)
         return W
 
     @cached_property
     def second_fundamental(self):
-        """h[..., n, a, b] = <bar nabla_{e_a} e_b, e_{n+3}> in the frame."""
+        """h[..., n, a, b] = <bar nabla_{e_a} e_b, e_{n+3}> in the frame.
+
+        Both sums start from +0.0, as an einsum sum does, and run in a
+        fixed order: c over 0..3, then (i, j) over (0,0), (1,0), (0,1),
+        (1,1) with the products formed as (C_ia C_jb) wn_nij.  For the
+        Euclidean dot that reproduces the einsum expressions the tests
+        keep as reference, bit for bit.
+        """
+        W = self.accel
         normals = self.frame_matrix[..., 2:, :]
-        wn = np.einsum("...cd,...ijc,...nd->...nij", self.amb_g, self.accel, normals)
+        co = normals if self._euclid_dot else normals @ self.amb_g  # (g e3, g e4)
+        # wn[n, i, j] = <W_ij, e_{n+3}>
+        wn = np.zeros(W.shape[:-3] + (2, 2, 2))
+        for c in range(4):
+            wn += W[..., None, :, :, c] * co[..., :, None, None, c]
         C = self.frame_coeff
-        h = np.einsum("...ia,...jb,...nij->...nab", C, C, wn)
+        h = np.zeros(wn.shape)
+        for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            cc = (C[..., i, :, None] * C[..., j, None, :])[..., None, :, :]
+            h += cc * wn[..., :, i, j, None, None]
         # contraction order breaks the symmetry at roundoff level; restore it
-        return 0.5 * (h + np.swapaxes(h, -1, -2))
+        h += np.swapaxes(h, -1, -2)
+        h *= 0.5
+        return h
 
     @cached_property
     def mean_curvature_frame(self):
@@ -474,7 +490,8 @@ class SurfaceGeometry:
         d = self.frame_derivative(vfield)
         if not self.ambient.flat_metric:
             pair = self._tangent_frame[0]
-            d = d + np.einsum("...abc,...kb,...c->...ka", self.gamma, pair, vfield)
+            gamma = self.ambient.christoffel_pairs(self.pos, pair, vfield[..., None, :])
+            d += gamma[..., 0, :]
         return d
 
     def laplace_beltrami(self, field):
@@ -499,30 +516,15 @@ class SurfaceGeometry:
         """
         if self.ambient.constant_j and self.ambient.flat_metric:
             return np.zeros(self.pos.shape[:-1] + (4, 4, 4))
-        fr = self.frame_matrix  # (..., 4 frame, 4 chart)
-        S = self.ambient.nabla_j_tensor_at(self.pos)  # (..., c, a, b)
-        # [k, a, b] = (nabla_{e_k} J)^a_b as one batched (4 x 4) @ (4 x 16) product
-        dj = (fr @ S.reshape(S.shape[:-3] + (4, 16))).reshape(S.shape)
-        # [k, a, m] = (nabla_{e_k} J)^a_b e_m^b as one (16 x 4) @ (4 x 4) product
-        frt = np.swapaxes(fr, -1, -2)
-        djm = (dj.reshape(S.shape[:-3] + (16, 4)) @ frt).reshape(S.shape)
-        # [k, n, m] = <e_n, (nabla_{e_k} J) e_m>_g
-        return np.swapaxes((fr @ self.amb_g)[..., None, :, :] @ djm, -1, -2)
+        return self.ambient.nabla_j_frame(self.pos, self.frame_matrix)
 
     @cached_property
     def curvature_frame_components(self):
-        """(K_1213, K_1224) contracted from the ambient curvature tensor."""
+        """(K_1213, K_1224) = (K(e1, e2, e1, e3), K(e1, e2, e2, e4))."""
         if self.ambient.flat_metric:
             zero = np.zeros(self.cos_alpha.shape)
             return zero, zero.copy()
-        K = self.ambient.curvature_at(self.pos)
-        fr = self.adapted_frame
-        # K(e1, e2, ., .) once, as a 4x4 block per node
-        k12 = np.einsum("...abcd,...a->...bcd", K, fr.e1)
-        k12 = np.einsum("...bcd,...b->...cd", k12, fr.e2)
-        k1213 = np.einsum("...c,...cd,...d->...", fr.e1, k12, fr.e3)
-        k1224 = np.einsum("...c,...cd,...d->...", fr.e2, k12, fr.e4)
-        return k1213, k1224
+        return self.ambient.curvature_frame(self.pos, self.frame_matrix)
 
     # ---- assembled second-order frame quantities
 

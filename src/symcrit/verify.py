@@ -135,23 +135,45 @@ def _refinement_levels(surfaces):
     return surfaces
 
 
-def _refinement_study(check, ambient, geometries, residual, single_tol, notes):
-    """Refinement study of the field ``residual(G)`` over ``geometries``.
+def _level(G: SurfaceGeometry, residual):
+    """What a refinement study keeps of one level: (n, residual, mask, weights).
 
-    Norms and the reported residual field cover adapted nodes only.
+    The geometry itself is not kept, so its caches are freed as soon as
+    the caller drops it.
+    """
+    return G.surface.n_theta, residual, G.adapted_frame.adapted, G.area_weights
+
+
+def _report_field(surfaces):
+    """Zeroed buffer for the residual field of a study over ``surfaces``.
+
+    Callers allocate it before they evaluate any level, so the long-lived
+    array sits below the levels' short-lived working arrays instead of in
+    the holes they leave behind: a caller that keeps many reports then
+    does not fragment the heap (glibc malloc), and its peak resident
+    memory does not grow faster than the reports themselves.
+    """
+    finest = surfaces[-1]
+    return np.zeros((finest.n_theta, finest.n_phi))
+
+
+def _refinement_study(check, ambient, levels, field, single_tol, notes):
+    """Refinement study over ``levels``, ``_level`` tuples of increasing n.
+
+    ``field`` is the ``_report_field`` buffer the finest residual is
+    written to.  Norms and the reported residual field cover adapted
+    nodes only.
     Several levels pass when every observed order reaches ``ORDER_TOL``;
     a single level passes when its Linf is below ``single_tol``.  More
     than 10% unadapted nodes on the finest level make the study
     inconclusive.  ``notes`` is extended in place.
     """
     rows = []  # (n, l2, linf, order observed from the previous level)
-    for G in geometries:
-        res = residual(G)
-        mask = G.adapted_frame.adapted
-        l2, linf = _norms(np.abs(res), G.area_weights, mask)
+    for n, res, mask, weights in levels:
+        l2, linf = _norms(np.abs(res), weights, mask)
         prev = rows[-1][2] if rows else 0.0
         order = math.log2(prev / linf) if linf > 0 and prev > 0 else float("nan")
-        rows.append((G.surface.n_theta, l2, linf, order))
+        rows.append((n, l2, linf, order))
     if len(rows) > 1:
         ok = all(r[3] >= ORDER_TOL for r in rows[1:])
     else:
@@ -162,6 +184,7 @@ def _refinement_study(check, ambient, geometries, residual, single_tol, notes):
     if excluded > 0.1 * mask.size:
         status, ok = "inconclusive", False
         notes.append("more than 10% of nodes excluded (frame unadapted)")
+    np.copyto(field, res, where=mask)  # unadapted nodes keep their 0.0
     return Report(
         check=check,
         ambient=ambient.name,
@@ -173,7 +196,7 @@ def _refinement_study(check, ambient, geometries, residual, single_tol, notes):
         refinement=rows,
         excluded_nodes=excluded,
         total_nodes=int(mask.size),
-        residual_field=np.where(mask, res, 0.0),
+        residual_field=field,
     )
 
 
@@ -198,17 +221,19 @@ def gradient_identity_residuals(G: SurfaceGeometry):
 def verify_gradient_identities(surfaces, ambient: AmbientManifold) -> Report:
     """Refinement study of the larger of the two gradient-identity residuals.
 
-    Each level's geometry is built only when the study reaches it, so
-    one level's caches are alive at a time.
+    Each level's geometry is built only when the study reaches it and
+    dropped when it is done, so one level's caches are alive at a time.
     """
 
-    def residual(G):
+    def evaluate(S):
+        G = SurfaceGeometry(S, ambient)
         r1, r2 = gradient_identity_residuals(G)
-        return np.maximum(np.abs(r1), np.abs(r2))
+        return _level(G, np.maximum(np.abs(r1), np.abs(r2)))
 
-    geometries = (SurfaceGeometry(S, ambient) for S in _refinement_levels(surfaces))
+    surfaces = _refinement_levels(surfaces)
+    field = _report_field(surfaces)
     return _refinement_study(
-        "gradient_identities", ambient, geometries, residual, 1e-4, []
+        "gradient_identities", ambient, map(evaluate, surfaces), field, 1e-4, []
     )
 
 
@@ -223,6 +248,13 @@ def laplacian_identity_terms(G: SurfaceGeometry, k_sign: int = 1) -> dict:
     mean curvature term, the ambient curvature term, the two covariant-J
     terms, and the residual lhs - sum(rhs).
     """
+    # The ambient's frame quantities and j12_kk need the most scratch
+    # space (the covariant-J table is also the largest cached field);
+    # reading them first builds them while few other caches exist, which
+    # lowers the peak memory of the geometry.
+    jf = G.nabla_j_frame
+    k1213, k1224 = G.curvature_frame_components
+    j_second = G.j12_kk
     ca, sa = G.cos_alpha, G.sin_alpha
     h = G.second_fundamental
     quad = -ca * (
@@ -233,10 +265,7 @@ def laplacian_identity_terms(G: SurfaceGeometry, k_sign: int = 1) -> dict:
     )
     Hd = G.mean_curvature_normal_derivative
     mean_deriv = sa * (Hd[..., 0, 1] + Hd[..., 1, 0])
-    k1213, k1224 = G.curvature_frame_components
     curv = k_sign * sa * (k1213 - k1224)
-    j_second = G.j12_kk
-    jf = G.nabla_j_frame
     j_coupling = np.zeros_like(ca)
     for k in range(2):
         for n in range(2):
@@ -280,6 +309,17 @@ def _calibrated_terms(G: SurfaceGeometry):
     return 1, plus, res_plus, res_minus
 
 
+def _laplacian_level(G: SurfaceGeometry, terms: dict):
+    """The study level of ``G`` with Laplacian ``terms``, and the largest
+    covariant-J term there."""
+    j_term = max(
+        float(np.max(np.abs(f)))
+        for f in (terms["j_second"], terms["j_coupling"],
+                  G.nabla_j_frame[..., :2, :, :])
+    )
+    return _level(G, terms["residual"]), j_term
+
+
 def calibrate_curvature_sign(G: SurfaceGeometry) -> tuple[int, float, float]:
     """Pick the curvature-term sign by brute force on one geometry.
 
@@ -290,41 +330,50 @@ def calibrate_curvature_sign(G: SurfaceGeometry) -> tuple[int, float, float]:
     return sign, keep, flip
 
 
+def _calibrated_level(surface: ImmersedSurface, ambient: AmbientManifold):
+    """Brute-force curvature sign on ``surface``: (sign, (level, j-term),
+    residual with the sign flipped); the geometry is dropped on return."""
+    G = SurfaceGeometry(surface, ambient)
+    sign, terms, _, flip = _calibrated_terms(G)
+    return sign, _laplacian_level(G, terms), flip
+
+
 def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
                               k_sign: int | None = None) -> Report:
     """Refinement study of the unconditional angle-Laplacian identity.
 
     On flat Kahler ambients the covariant-J terms of the finest level
-    must also vanish to ``FLAT_KAHLER_TOL``.
+    must also vanish to ``FLAT_KAHLER_TOL``.  A calibrated sign is
+    settled on the finest level first; that level's residual, mask and
+    weights are kept and its geometry dropped.  Every other level's
+    geometry is built only when the study reaches it and dropped when it
+    is done, so one level's caches are alive at a time.
     """
-    geoms = [SurfaceGeometry(S, ambient) for S in _refinement_levels(surfaces)]
+    levels = _refinement_levels(surfaces)
+    field = _report_field(levels)
     notes = []
     flip_res = None
-    finest = None  # the finest level's terms, when calibration made them
+    calibrated = None  # the finest level and its j-term, when calibration made them
     if k_sign is None:
         if ambient.flat_metric:
             k_sign = 1
             notes.append("flat ambient: curvature term vanishes, sign +1 by default")
         else:
-            k_sign, finest, _, flip_res = _calibrated_terms(geoms[-1])
+            k_sign, calibrated, flip_res = _calibrated_level(levels[-1], ambient)
             notes.append("curvature-term sign calibrated by brute force")
-    terms = {}
+    j_term = None  # the covariant-J term of the last level evaluated
 
-    def residual(G):
-        if G is geoms[-1] and finest is not None:
-            terms.update(finest)
+    def evaluate(S):
+        nonlocal j_term
+        if S is levels[-1] and calibrated is not None:
+            level, j_term = calibrated
         else:
-            terms.update(laplacian_identity_terms(G, k_sign))
-        return terms["residual"]
+            G = SurfaceGeometry(S, ambient)
+            level, j_term = _laplacian_level(G, laplacian_identity_terms(G, k_sign))
+        return level
 
     rep = _refinement_study(
-        "laplacian_identity", ambient, geoms, residual, 1e-3, notes
-    )
-    # terms now holds the finest level's contributions
-    j_term = max(
-        float(np.max(np.abs(f)))
-        for f in (terms["j_second"], terms["j_coupling"],
-                  geoms[-1].nabla_j_frame[..., :2, :, :])
+        "laplacian_identity", ambient, map(evaluate, levels), field, 1e-3, notes
     )
     rep.k_term_sign = k_sign
     rep.tolerances["kahler_j_terms"] = FLAT_KAHLER_TOL

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import symcrit
 from symcrit.ambient import (
     AmbientManifold,
+    ConformalManifold,
     STANDARD_J,
     conformal,
     euclidean_c2,
@@ -133,6 +134,16 @@ def test_conformal_christoffel_matches_closed_form_analytic_path():
     pts = random_points(25)
     gamma = M.christoffel_at(pts)
     assert np.max(np.abs(gamma - conformal_closed_form_gamma(M, pts))) < 1e-12
+
+
+def test_conformal_ambient_rejects_a_non_constant_j():
+    # its nabla J closed form has no dJ term
+    ref = conformal("0.1*sin(p1)")
+    fields = {name: getattr(ref, name) for name in (
+        "metric_field", "j_field", "conformal_exponent", "conformal_gradient",
+        "conformal_hessian")}
+    with pytest.raises(ValueError, match="constant J"):
+        ConformalManifold(**fields, constant_j=False)
 
 
 def test_conformal_christoffel_matches_closed_form_fd_path():

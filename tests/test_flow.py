@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from symcrit import flow
 from symcrit.ambient import euclidean_c2
 from symcrit.errors import FlowStalled, NotSymplectic
 from symcrit.flow import FlowState, flow_step, run_flow, stable_step, write_trace
-from symcrit.functional import el_operator, l_beta
+from symcrit.functional import ELField, el_operator, l_beta
 from symcrit.surface import (
     SurfaceGeometry,
     holomorphic_graph,
@@ -80,6 +81,25 @@ def test_stalled_line_search_raises():
     S = small_case(n=16)
     with pytest.raises(FlowStalled):
         flow_step(S, EUC, 1.0, tau_init=1e-13)
+
+
+@pytest.mark.parametrize("entry", ["flow_step", "run_flow"])
+def test_non_finite_critical_operator_stalls_the_flow(monkeypatch, entry):
+    def poisoned(surface, ambient, beta, geometry=None):
+        el = el_operator(surface, ambient, beta, geometry=geometry)
+        vector = el.vector.copy()
+        vector[3, 5, 2] = np.nan
+        mag = np.sqrt(el.geometry.dot(vector, vector))
+        return ELField(vector, float(np.sqrt(np.sum(mag**2))), float(np.max(mag)),
+                       el.geometry)
+
+    monkeypatch.setattr(flow, "el_operator", poisoned)
+    S = small_case(n=16)
+    with pytest.raises(FlowStalled, match="res_linf = nan is not finite"):
+        if entry == "flow_step":
+            flow_step(S, EUC, 1.0)
+        else:
+            run_flow(S, EUC, 1.0, max_iterations=5)
 
 
 @pytest.mark.parametrize(

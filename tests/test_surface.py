@@ -540,6 +540,12 @@ def test_kernels_match_einsum_reference(surface, ambient):
     tangent = np.stack([G.e1, G.e2], axis=-2)
     co = np.einsum("...ab,...kb->...ka", g, tangent)
     proj = np.eye(4) - np.einsum("...ka,...kb->...ab", tangent, co)
+    gamma = ambient.christoffel_at(G.pos)
+    accel = G.fsecond + np.einsum("...abc,...ib,...jc->...ija", gamma, F, F)
+    normals = G.frame_matrix[..., 2:, :]
+    wn = np.einsum("...cd,...ijc,...nd->...nij", g, accel, normals)
+    C = G.frame_coeff
+    h = np.einsum("...ia,...jb,...nij->...nab", C, C, wn)
     pairs = {
         "induced_metric": (G.induced_metric, metric),
         "cos_alpha": (G.cos_alpha, omega / np.sqrt(det)),
@@ -554,9 +560,81 @@ def test_kernels_match_einsum_reference(surface, ambient):
             jj_grad_perp(G),
             np.einsum("...ab,...b->...a", proj, jtang),
         ),
+        "accel": (G.accel, accel),
+        "second_fundamental": (
+            G.second_fundamental, 0.5 * (h + np.swapaxes(h, -1, -2))
+        ),
     }
     for name, (got, want) in pairs.items():
         assert rel_err(got, want) < 1e-14, name
+    if ambient is EUC:
+        # fixed-order sums: the einsum's bits, signs of zero included
+        for name in ("accel", "second_fundamental"):
+            got, want = pairs[name]
+            assert got.tobytes() == want.tobytes(), name
+
+
+def skewed(frame):
+    """Rows mixed by a fixed matrix: neither unit nor orthogonal vectors."""
+    mix = np.eye(4) + 0.3 * np.random.default_rng(7).standard_normal((4, 4))
+    return frame @ mix
+
+
+@pytest.mark.parametrize("frame", ["adapted", "skewed"])
+@pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
+def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
+    """Closed-form Gamma(X, Y), nabla J table and K_1213/K_1224 of the
+    conformal ambient against the base class's contraction of
+    ``christoffel_at``, ``nabla_j_tensor_at`` and ``curvature_at``.
+
+    The torus has unadapted nodes, and the skewed frame shows that the
+    closed forms do not assume an orthonormal frame.
+    """
+    G = geometry(surface, CONF)
+    if surface is FRAME_SURFACES[1]:
+        assert not G.adapted_frame.adapted.all()
+    pos, F = G.pos, G.fderiv
+    fr = G.frame_matrix if frame == "adapted" else skewed(G.frame_matrix)
+    H = G.mean_curvature[..., None, :]
+    base = AmbientManifold
+    pairs = {
+        "Gamma(F_i, F_j)": (
+            CONF.christoffel_pairs(pos, F, F), base.christoffel_pairs(CONF, pos, F, F)
+        ),
+        "Gamma(e_k, H)": (
+            CONF.christoffel_pairs(pos, fr, H), base.christoffel_pairs(CONF, pos, fr, H)
+        ),
+        "nabla J table": (
+            CONF.nabla_j_frame(pos, fr), base.nabla_j_frame(CONF, pos, fr)
+        ),
+    }
+    k_closed = CONF.curvature_frame(pos, fr)
+    k_base = base.curvature_frame(CONF, pos, fr)
+    pairs["K_1213"] = (k_closed[0], k_base[0])
+    pairs["K_1224"] = (k_closed[1], k_base[1])
+    for name, (got, want) in pairs.items():
+        assert got.shape == want.shape, name
+        assert rel_err(got, want) < 1e-13, name
+
+
+@pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
+def test_constant_conformal_factor_scales_area_and_keeps_the_angle(surface):
+    """lam = 0.3 scales lengths by e^0.3: area by e^0.6, cos(alpha) unchanged,
+    and the connection, nabla J and curvature all vanish on both paths."""
+    flat = geometry(surface)
+    scaled = geometry(surface, conformal("0.3"))
+    area = np.sum(scaled.area_weights) / np.sum(flat.area_weights)
+    assert abs(area / np.exp(0.6) - 1.0) < 1e-14
+    assert np.max(np.abs(scaled.cos_alpha - flat.cos_alpha)) < 1e-14
+    amb, base = scaled.ambient, AmbientManifold
+    pos, F, fr = scaled.pos, scaled.fderiv, scaled.frame_matrix
+    closed = [amb.christoffel_pairs(pos, F, F), amb.nabla_j_frame(pos, fr),
+              *amb.curvature_frame(pos, fr)]
+    contracted = [base.christoffel_pairs(amb, pos, F, F),
+                  base.nabla_j_frame(amb, pos, fr), *base.curvature_frame(amb, pos, fr)]
+    for got, want in zip(closed, contracted):
+        assert got.shape == want.shape
+        assert not np.any(got) and not np.any(want)
 
 
 def test_nabla_j_frame_is_exactly_zero_on_flat_kahler():
@@ -586,3 +664,15 @@ def test_non_finite_ambient_metric_raises_typed_error():
         warnings.simplefilter("error")
         with pytest.raises(AmbientDegenerate):
             G.amb_g
+
+
+@pytest.mark.parametrize("entry", ["nabla_j_frame", "curvature_frame"])
+def test_conformal_entry_points_raise_typed_error_on_overflow(entry):
+    """The closed forms read exp(2 lam) themselves; an overflow is typed too."""
+    amb = conformal("400*p1")
+    pos = FRAME_SURFACES[0].positions()
+    frame = np.broadcast_to(np.eye(4), pos.shape[:-1] + (4, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AmbientDegenerate):
+            getattr(amb, entry)(pos, frame)
