@@ -10,13 +10,18 @@ fixed index conventions:
 * Field derivatives ``d[C, ...]`` put the differentiation index first,
   so ``dg[C, A, B]`` is the partial of g_AB along coordinate C.
 
-A user-built :class:`AmbientManifold` gets its field derivatives as
-4th-order central differences with step ``fd_step``, except for an
-analytic ``metric_derivative_field`` and the zero derivatives of
-constant fields; its curvature differences the Christoffel field.  The
-conformal ambient (:class:`ConformalManifold`) needs no differences: its
-connection and curvature are closed forms in the first and second
-partials of the conformal exponent.
+:class:`AmbientManifold` is the general reference: it checks the fields
+it samples, takes their derivatives as 4th-order central differences
+with step ``fd_step`` (except for an analytic
+``metric_derivative_field``), contracts them into the connection, the
+covariant derivative of J and d(omega), and differences the Christoffel
+field for the curvature.  The two ambients that ship are closed-form
+subclasses that difference nothing: :class:`EuclideanManifold` (flat
+C^2) and :class:`ConformalManifold` (exp(2 lam) delta with the standard
+J), whose connection, curvature and d(omega) are closed forms in the
+first and second partials of lam.  They declare what surfaces may skip
+through the class attributes ``flat_metric`` and ``constant_j``; a
+user-built ambient declares neither and always takes the general path.
 
 A surface reads the ambient through three entry points that take the
 node positions and chart vectors: ``christoffel_pairs`` (Gamma(X, Y)),
@@ -31,8 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -41,8 +45,8 @@ from .errors import AmbientDegenerate, StructureViolation
 __all__ = [
     "AmbientManifold",
     "ConformalManifold",
-    "ConnectionData",
     "CurvatureData",
+    "EuclideanManifold",
     "euclidean_c2",
     "conformal",
     "parse_scalar_field",
@@ -141,14 +145,6 @@ def _vectorized(coords, exprs, shape):
 
 
 @dataclass
-class ConnectionData:
-    """Christoffel symbols at one or more points, plus symmetry residual."""
-
-    gamma: np.ndarray  # (..., 4, 4, 4), [A, B, C] = Gamma^A_{BC}
-    symmetry_residual: float  # max |Gamma^A_{BC} - Gamma^A_{CB}|
-
-
-@dataclass
 class CurvatureData:
     """Covariant curvature components with algebraic-identity residuals."""
 
@@ -188,8 +184,11 @@ class AmbientManifold:
     metric_derivative_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
     fd_step: float = 1e-3
     name: str = "custom"
-    flat_metric: bool = False  # metric is constant in the chart
-    constant_j: bool = False  # J is constant in the chart
+
+    # What a closed-form subclass declares so that surfaces skip work;
+    # the general class declares neither.
+    flat_metric: ClassVar[bool] = False  # g is the identity and J constant
+    constant_j: ClassVar[bool] = False  # J is constant in the chart
 
     def __post_init__(self):
         if not (math.isfinite(self.fd_step) and self.fd_step > 0):
@@ -197,23 +196,8 @@ class AmbientManifold:
 
     # -- basic fields -------------------------------------------------
 
-    @cached_property
-    def _metric_sample(self) -> np.ndarray:
-        """The checked metric at the origin; a flat metric is this everywhere."""
-        return self._checked_metric(np.zeros(4), True)
-
-    @cached_property
-    def _j_sample(self) -> np.ndarray:
-        """The checked J at the origin; a constant J is this everywhere."""
-        return self._checked_j(np.zeros(4), True)
-
     def metric_at(self, points, check: bool = True) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        if self.flat_metric:
-            return np.broadcast_to(self._metric_sample, points.shape[:-1] + (4, 4))
-        return self._checked_metric(points, check)
-
-    def _checked_metric(self, points, check: bool) -> np.ndarray:
         with np.errstate(all="ignore"):
             g = np.asarray(self.metric_field(points), dtype=float)
         if not np.isfinite(g).all():
@@ -234,11 +218,6 @@ class AmbientManifold:
 
     def j_at(self, points, check: bool = True) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        if self.constant_j:
-            return np.broadcast_to(self._j_sample, points.shape[:-1] + (4, 4))
-        return self._checked_j(points, check)
-
-    def _checked_j(self, points, check: bool) -> np.ndarray:
         with np.errstate(all="ignore"):
             J = np.asarray(self.j_field(points), dtype=float)
         if not np.isfinite(J).all():
@@ -277,26 +256,17 @@ class AmbientManifold:
         return np.stack(cols, axis=points.ndim - 1)
 
     def metric_derivative_at(self, points) -> np.ndarray:
-        if self.flat_metric:
-            points = np.asarray(points, dtype=float)
-            return np.zeros(points.shape[:-1] + (4, 4, 4))
         if self.metric_derivative_field is not None:
             return np.asarray(self.metric_derivative_field(points), dtype=float)
         return self._fd_derivative(lambda q: self.metric_at(q, check=False), points)
 
     def j_derivative_at(self, points) -> np.ndarray:
-        if self.constant_j:
-            points = np.asarray(points, dtype=float)
-            return np.zeros(points.shape[:-1] + (4, 4, 4))
         return self._fd_derivative(lambda q: self.j_at(q, check=False), points)
 
     # -- connection and curvature -------------------------------------
 
     def christoffel_at(self, points) -> np.ndarray:
         """Gamma^A_{BC} of the Levi-Civita connection, shape (..., 4, 4, 4)."""
-        points = np.asarray(points, dtype=float)
-        if self.flat_metric:
-            return np.zeros(points.shape[:-1] + (4, 4, 4))
         g = self.metric_at(points, check=False)
         ginv = np.linalg.inv(g)
         dg = self.metric_derivative_at(points)
@@ -308,11 +278,6 @@ class AmbientManifold:
         )
         return 0.5 * np.einsum("...ad,...dbc->...abc", ginv, brackets)
 
-    def connection_at(self, points) -> ConnectionData:
-        gamma = self.christoffel_at(points)
-        residual = float(np.max(np.abs(gamma - np.swapaxes(gamma, -2, -1))))
-        return ConnectionData(gamma, residual)
-
     def christoffel_derivative_at(self, points) -> np.ndarray:
         """Partial derivatives of the Christoffel field, [C, A, B, D] order.
 
@@ -320,16 +285,10 @@ class AmbientManifold:
         description offers; only this class's ``curvature_at`` uses
         them.  Output (..., 4, 4, 4, 4) with the derivative index first.
         """
-        points = np.asarray(points, dtype=float)
-        if self.flat_metric:
-            return np.zeros(points.shape[:-1] + (4, 4, 4, 4))
         return self._fd_derivative(self.christoffel_at, points)
 
     def curvature_at(self, points) -> np.ndarray:
         """Fully covariant curvature K_ABCD, shape (..., 4, 4, 4, 4)."""
-        points = np.asarray(points, dtype=float)
-        if self.flat_metric:
-            return np.zeros(points.shape[:-1] + (4, 4, 4, 4))
         gamma = self.christoffel_at(points)
         dgamma = self.christoffel_derivative_at(points)
         # K^E_{ABC} = dGamma^E_{BC}/dA - dGamma^E_{AC}/dB
@@ -350,9 +309,6 @@ class AmbientManifold:
 
     def nabla_j_tensor_at(self, points) -> np.ndarray:
         """Covariant derivative of J: S[C, A, B] = (nabla_C J)^A_B."""
-        points = np.asarray(points, dtype=float)
-        if self.constant_j and self.flat_metric:
-            return np.zeros(points.shape[:-1] + (4, 4, 4))
         J = self.j_at(points, check=False)
         dJ = self.j_derivative_at(points)
         gamma = self.christoffel_at(points)
@@ -362,12 +318,6 @@ class AmbientManifold:
             - np.einsum("...dcb,...ad->...cab", gamma, J)
         )
 
-    def nabla_j_at(self, points, X) -> np.ndarray:
-        """(nabla_X J) as an endomorphism, contracted over the direction."""
-        S = self.nabla_j_tensor_at(points)
-        X = np.asarray(X, dtype=float)
-        return np.einsum("...c,...cab->...ab", X, S)
-
     def kahler_form_at(self, points) -> np.ndarray:
         """Components omega_AB = <J e_A, e_B> = J^C_A g_CB."""
         g = self.metric_at(points, check=False)
@@ -376,9 +326,6 @@ class AmbientManifold:
 
     def d_kahler_form_at(self, points) -> np.ndarray:
         """Exterior derivative (d omega)_{ABC} by term-wise chart partials."""
-        points = np.asarray(points, dtype=float)
-        if self.flat_metric and self.constant_j:
-            return np.zeros(points.shape[:-1] + (4, 4, 4))
         domega = self._fd_derivative(self.kahler_form_at, points)
         return (
             domega
@@ -431,45 +378,118 @@ class AmbientManifold:
 # -- builtin manifolds ------------------------------------------------
 
 
-def euclidean_c2(fd_step: float = 1e-3) -> AmbientManifold:
-    """Flat C^2: identity metric and the constant standard J."""
-
-    def metric(points):
-        points = np.asarray(points, dtype=float)
-        return np.broadcast_to(np.eye(4), points.shape[:-1] + (4, 4)).copy()
-
-    def jfield(points):
-        points = np.asarray(points, dtype=float)
-        return np.broadcast_to(STANDARD_J, points.shape[:-1] + (4, 4)).copy()
-
-    return AmbientManifold(
-        metric_field=metric,
-        j_field=jfield,
-        fd_step=fd_step,
-        name="euclidean_c2",
-        flat_metric=True,
-        constant_j=True,
-    )
+def _zeros(points, rank: int) -> np.ndarray:
+    """A zero table with ``rank`` axes of length 4 at each (..., 4) point."""
+    return np.zeros(np.shape(points)[:-1] + (4,) * rank)
 
 
-@dataclass(kw_only=True)
-class ConformalManifold(AmbientManifold):
-    """Conformally flat g = exp(2 lam) delta with a constant J.
+def _standard_j(points) -> np.ndarray:
+    """``STANDARD_J`` at each (..., 4) point, as a read-only broadcast."""
+    return np.broadcast_to(STANDARD_J, np.shape(points)[:-1] + (4, 4))
 
-    The exponent lam comes with its first and second partials, each a
-    callable from (..., 4) points, so the connection, the covariant
-    derivative of J and the curvature are closed forms and no field is
-    differenced.  In the docstrings below X.Y is the Euclidean dot.
+
+def _identity(points) -> np.ndarray:
+    """The identity metric at each (..., 4) point, as a read-only broadcast."""
+    return np.broadcast_to(np.eye(4), np.shape(points)[:-1] + (4, 4))
+
+
+class EuclideanManifold(AmbientManifold):
+    """Flat C^2: the identity metric and the constant standard J.
+
+    Every derivative of its fields is zero, so the connection, the
+    covariant derivative of J and the curvature are the base class's
+    contractions of zero tables, and d(omega) is zero; nothing is
+    differenced.
     """
 
-    conformal_exponent: Callable[[np.ndarray], np.ndarray]  # lam, (...)
-    conformal_gradient: Callable[[np.ndarray], np.ndarray]  # d lam, (..., 4)
-    conformal_hessian: Callable[[np.ndarray], np.ndarray]  # d d lam, (..., 4, 4)
+    flat_metric: ClassVar[bool] = True
+    constant_j: ClassVar[bool] = True
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.constant_j:
-            raise ValueError("a conformal ambient needs a constant J")
+    def __init__(self):
+        super().__init__(metric_field=_identity, j_field=_standard_j,
+                         name="euclidean_c2")
+
+    def metric_at(self, points, check: bool = True) -> np.ndarray:
+        return _identity(points)
+
+    def j_at(self, points, check: bool = True) -> np.ndarray:
+        return _standard_j(points)
+
+    def metric_derivative_at(self, points) -> np.ndarray:
+        return _zeros(points, 3)
+
+    def j_derivative_at(self, points) -> np.ndarray:
+        return _zeros(points, 3)
+
+    def christoffel_derivative_at(self, points) -> np.ndarray:
+        return _zeros(points, 4)
+
+    def d_kahler_form_at(self, points) -> np.ndarray:
+        return _zeros(points, 3)
+
+
+def euclidean_c2() -> EuclideanManifold:
+    """Flat C^2: identity metric and the constant standard J."""
+    return EuclideanManifold()
+
+
+class ConformalManifold(AmbientManifold):
+    """Conformally flat g = exp(2 lam) delta with the constant standard J.
+
+    The exponent lam comes with its first and second partials, each a
+    callable from (..., 4) points, so the metric and its derivatives,
+    the connection, the covariant derivative of J, the curvature and
+    d(omega) are closed forms and no field is differenced.  Its
+    ``metric_field``, ``j_field`` and ``metric_derivative_field`` are
+    these closed forms, so the base class can be built on the same
+    fields for comparison.  In the docstrings below X.Y is the
+    Euclidean dot.
+    """
+
+    constant_j: ClassVar[bool] = True
+
+    def __init__(self, exponent: Callable[[np.ndarray], np.ndarray],
+                 gradient: Callable[[np.ndarray], np.ndarray],
+                 hessian: Callable[[np.ndarray], np.ndarray],
+                 name: str = "conformal"):
+        self.conformal_exponent = exponent  # lam, (...)
+        self.conformal_gradient = gradient  # d lam, (..., 4)
+        self.conformal_hessian = hessian  # d d lam, (..., 4, 4)
+        super().__init__(metric_field=self.metric_at, j_field=_standard_j,
+                         metric_derivative_field=self.metric_derivative_at,
+                         name=name)
+
+    def metric_at(self, points, check: bool = True) -> np.ndarray:
+        """exp(2 lam) delta, positive definite wherever exp(2 lam) > 0."""
+        factor = self._factor(points)
+        if check and not (factor > 0.0).all():
+            raise AmbientDegenerate(
+                "metric not positive definite at some evaluation point"
+            )
+        return factor[..., None, None] * np.eye(4)
+
+    def j_at(self, points, check: bool = True) -> np.ndarray:
+        return _standard_j(points)
+
+    def metric_derivative_at(self, points) -> np.ndarray:
+        """d_c g_ab = 2 exp(2 lam) lam_c delta_ab, derivative index first."""
+        factor = self._factor(points)
+        grad = self.conformal_gradient(points)
+        return (2.0 * factor[..., None] * grad)[..., :, None, None] * np.eye(4)
+
+    def j_derivative_at(self, points) -> np.ndarray:
+        return _zeros(points, 3)
+
+    def d_kahler_form_at(self, points) -> np.ndarray:
+        """d omega = 2 dlam ^ omega: with w = omega / exp(2 lam) = J^T,
+        (d omega)_abc = 2 exp(2 lam) (lam_a w_bc + lam_b w_ca + lam_c w_ab)."""
+        dl = 2.0 * self._factor(points)[..., None] * self.conformal_gradient(points)
+        w = STANDARD_J.T
+        return (
+            dl[..., :, None, None] * w
+            + dl[..., None, :, None] * w.T[:, None, :]
+            + dl[..., None, None, :] * w[:, :, None]
+        )
 
     def _factor(self, points) -> np.ndarray:
         """exp(2 lam), the metric's diagonal; an overflow raises
@@ -530,7 +550,7 @@ class ConformalManifold(AmbientManifold):
         J_{ab,k} = exp(2 lam) (v_a M_kb - u_a N_kb - v_b M_ka + u_b N_ka),
         which holds for any frame, orthonormal or not.
         """
-        J = self._j_sample
+        J = STANDARD_J
         grad = self.conformal_gradient(points)[..., None]
         factor = self._factor(points)[..., None]
         u = factor * (frame @ grad)[..., 0]
@@ -577,39 +597,14 @@ class ConformalManifold(AmbientManifold):
         return k1213, k1224
 
 
-def conformal(expression: str, fd_step: float = 1e-3) -> ConformalManifold:
+def conformal(expression: str) -> ConformalManifold:
     """Conformally flat Hermitian structure g = exp(2*lam) * delta.
 
     ``expression`` is the conformal exponent lam as a function of
     p1..p4.  J stays the constant standard structure, which keeps it
-    compatible with g.  The metric's first derivatives, the connection
-    and the curvature are closed forms in the sympy partials of lam.
+    compatible with g.  The metric and its first derivatives, the
+    connection, the curvature and d(omega) are closed forms in the sympy
+    partials of lam.
     """
     lam, dlam, ddlam = parse_scalar_field(expression)
-
-    def metric(points):
-        points = np.asarray(points, dtype=float)
-        factor = np.exp(2.0 * lam(points))
-        return factor[..., None, None] * np.eye(4)
-
-    def metric_derivative(points):
-        points = np.asarray(points, dtype=float)
-        factor = np.exp(2.0 * lam(points))
-        grad = dlam(points)
-        return (2.0 * factor[..., None] * grad)[..., :, None, None] * np.eye(4)
-
-    def jfield(points):
-        points = np.asarray(points, dtype=float)
-        return np.broadcast_to(STANDARD_J, points.shape[:-1] + (4, 4)).copy()
-
-    return ConformalManifold(
-        metric_field=metric,
-        j_field=jfield,
-        metric_derivative_field=metric_derivative,
-        fd_step=fd_step,
-        name=f"conformal({expression})",
-        constant_j=True,
-        conformal_exponent=lam,
-        conformal_gradient=dlam,
-        conformal_hessian=ddlam,
-    )
+    return ConformalManifold(lam, dlam, ddlam, name=f"conformal({expression})")

@@ -63,6 +63,7 @@ GENERATORS = {
 }
 
 CHECKS = ("first-variation", "gradient", "laplacian", "critical", "conditions")
+AMBIENT_KEYS = ("kind", "lambda")
 
 
 @dataclass
@@ -154,16 +155,19 @@ def load_config(path: str, args) -> RunConfig:
         raise ConfigError(f"config file {path!r} not found")
 
     amb = parser["ambient"] if parser.has_section("ambient") else {}
+    for key in amb:
+        if key not in AMBIENT_KEYS:
+            raise ConfigError(f"[ambient] has no key {key!r} "
+                              f"(have: {', '.join(AMBIENT_KEYS)})")
     kind = amb.get("kind", "euclidean").strip()
-    fd_step = _number(amb.get("fd_step", "1e-3"), "[ambient] fd_step")
     try:
         if kind == "euclidean":
-            ambient = euclidean_c2(fd_step=fd_step)
+            ambient = euclidean_c2()
         elif kind == "conformal":
             expr = amb.get("lambda", "").strip()
             if not expr:
                 raise ConfigError("conformal ambient needs a lambda expression")
-            ambient = conformal(expr, fd_step=fd_step)
+            ambient = conformal(expr)
         else:
             raise ConfigError(f"unknown ambient kind {kind!r}")
     except ValueError as err:

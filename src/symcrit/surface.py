@@ -264,18 +264,11 @@ class SurfaceGeometry:
 
     def dot(self, u, v):
         """Ambient inner product of chart vector fields on the grid."""
-        return _inner(None if self._euclid_dot else self.amb_g, u, v)
-
-    @cached_property
-    def _euclid_dot(self):
-        if not self.ambient.flat_metric:
-            return False
-        g0 = self.ambient.metric_at(np.zeros(4))
-        return bool(np.array_equal(g0, np.eye(4)))
+        return _inner(None if self.ambient.flat_metric else self.amb_g, u, v)
 
     @cached_property
     def induced_metric(self):
-        if not self._euclid_dot:
+        if not self.ambient.flat_metric:
             F = self.fderiv
             return (F @ self.amb_g) @ np.swapaxes(F, -1, -2)
         fth, fph = self.fth, self.fph
@@ -360,7 +353,7 @@ class SurfaceGeometry:
     def _tangent_covectors(self):
         """(g e1, g e2) stacked like (e1, e2); (e1, e2) for the Euclidean dot."""
         pair = self._tangent_frame[0]
-        return pair if self._euclid_dot else pair @ self.amb_g
+        return pair if self.ambient.flat_metric else pair @ self.amb_g
 
     def project_normal(self, v):
         """Normal part of chart vectors: the g-orthogonal rejection from (e1, e2)."""
@@ -395,7 +388,7 @@ class SurfaceGeometry:
             # row B: normal part of chart axis B at each unadapted node, (m, 4, 4)
             pair, co = self._tangent_frame[0][~ok], self._tangent_covectors[~ok]
             axes = _reject(np.eye(4), pair[:, None], co[:, None])
-            g = None if self._euclid_dot else self.amb_g[~ok][:, None]
+            g = None if self.ambient.flat_metric else self.amb_g[~ok][:, None]
             norms = _inner(g, axes, axes)
             best = np.argmax(norms, axis=-1)
             m = np.arange(best.size)
@@ -437,7 +430,7 @@ class SurfaceGeometry:
         """
         W = self.accel
         normals = self.frame_matrix[..., 2:, :]
-        co = normals if self._euclid_dot else normals @ self.amb_g  # (g e3, g e4)
+        co = normals if self.ambient.flat_metric else normals @ self.amb_g  # (g e3, g e4)
         # wn[n, i, j] = <W_ij, e_{n+3}>
         wn = np.zeros(W.shape[:-3] + (2, 2, 2))
         for c in range(4):
@@ -514,7 +507,7 @@ class SurfaceGeometry:
 
         k runs over the full frame, like a and b.
         """
-        if self.ambient.constant_j and self.ambient.flat_metric:
+        if self.ambient.flat_metric:
             return np.zeros(self.pos.shape[:-1] + (4, 4, 4))
         return self.ambient.nabla_j_frame(self.pos, self.frame_matrix)
 
@@ -551,7 +544,7 @@ class SurfaceGeometry:
         result matches the value taken in a frame that is covariantly
         constant at the node.  Identically zero for a parallel J.
         """
-        if self.ambient.constant_j and self.ambient.flat_metric:
+        if self.ambient.flat_metric:
             return np.zeros(self.cos_alpha.shape)
         jf = self.nabla_j_frame  # (..., k, a, b)
         phi = jf[..., :2, 0, 1]  # J_{12,k} for tangent k, (..., k)

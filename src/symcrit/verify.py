@@ -380,8 +380,7 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
     rep.values["max_j_term"] = j_term
     if flip_res is not None:
         rep.values["flipped_sign_res_linf"] = flip_res
-    flat_kahler = ambient.flat_metric and ambient.constant_j
-    if rep.passed and flat_kahler and not j_term < FLAT_KAHLER_TOL:
+    if rep.passed and ambient.flat_metric and not j_term < FLAT_KAHLER_TOL:
         rep.status, rep.passed = "fail", False
     return rep
 
@@ -515,7 +514,7 @@ def check_condition_symmetric(surface: ImmersedSurface,
         ok = values["consequence_res"] < 10.0 * cond + FLAT_KAHLER_TOL
     else:
         notes.append("condition violated: consequence identities not applicable")
-    if ambient.flat_metric and ambient.constant_j:
+    if ambient.flat_metric:
         ok = ok and cond < FLAT_KAHLER_TOL
     return Report(
         check="condition_symmetric",

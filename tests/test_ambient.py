@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import symcrit
 from symcrit.ambient import (
     AmbientManifold,
-    ConformalManifold,
     STANDARD_J,
     conformal,
     euclidean_c2,
@@ -110,10 +109,18 @@ def test_non_finite_j_raises_structure_violation():
 
 @pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
 def test_bad_fd_step_raises(step):
+    ref = conformal("0.1*sin(p1)")
     with pytest.raises(ValueError, match="fd_step"):
-        euclidean_c2(fd_step=step)
-    with pytest.raises(ValueError, match="fd_step"):
-        conformal("0.1*sin(p1)", fd_step=step)
+        AmbientManifold(metric_field=ref.metric_field, j_field=ref.j_field,
+                        fd_step=step)
+
+
+def test_vanishing_conformal_factor_raises():
+    M = conformal("-400*p1")  # exp(-800) underflows to zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AmbientDegenerate, match="positive definite"):
+            M.metric_at([[1.0, 0.0, 0.0, 0.0]])
 
 
 # -- conformal family --------------------------------------------------
@@ -136,16 +143,6 @@ def test_conformal_christoffel_matches_closed_form_analytic_path():
     assert np.max(np.abs(gamma - conformal_closed_form_gamma(M, pts))) < 1e-12
 
 
-def test_conformal_ambient_rejects_a_non_constant_j():
-    # its nabla J closed form has no dJ term
-    ref = conformal("0.1*sin(p1)")
-    fields = {name: getattr(ref, name) for name in (
-        "metric_field", "j_field", "conformal_exponent", "conformal_gradient",
-        "conformal_hessian")}
-    with pytest.raises(ValueError, match="constant J"):
-        ConformalManifold(**fields, constant_j=False)
-
-
 def test_conformal_christoffel_matches_closed_form_fd_path():
     ref = conformal("0.1*sin(p1) + 0.05*cos(p2)")
     # same metric but with the analytic derivative field withheld
@@ -153,17 +150,24 @@ def test_conformal_christoffel_matches_closed_form_fd_path():
         metric_field=ref.metric_field,
         j_field=ref.j_field,
         fd_step=1e-3,
-        constant_j=True,
     )
     pts = random_points(25)
     gamma = M.christoffel_at(pts)
     assert np.max(np.abs(gamma - conformal_closed_form_gamma(ref, pts))) < 1e-8
 
 
-def test_connection_symmetric_in_lower_indices():
-    M = conformal("0.08*sin(p1)*cos(p3) + 0.02*p2")
-    data = M.connection_at(random_points(10))
-    assert data.symmetry_residual < 1e-12
+def test_christoffel_symmetric_in_lower_indices():
+    ref = conformal("0.08*sin(p1)*cos(p3) + 0.02*p2")
+    # the closed form, and the base class's contraction of the analytic dg
+    general = AmbientManifold(
+        metric_field=ref.metric_field,
+        j_field=ref.j_field,
+        metric_derivative_field=ref.metric_derivative_field,
+    )
+    pts = random_points(10)
+    for M in (ref, general):
+        gamma = M.christoffel_at(pts)
+        assert np.max(np.abs(gamma - np.swapaxes(gamma, -2, -1))) < 1e-12
 
 
 def test_metric_covariantly_constant():
@@ -252,23 +256,12 @@ def test_conformal_curvature_matches_fd_path(expr):
         metric_field=ref.metric_field,
         j_field=ref.j_field,
         metric_derivative_field=ref.metric_derivative_field,
-        constant_j=True,
     )
     pts = random_points(40, scale=2.0)
     assert np.max(np.abs(ref.curvature_at(pts) - M.curvature_at(pts))) < 1e-8
 
 
 # -- covariant derivative of J ----------------------------------------
-
-
-def test_nabla_j_linear_in_direction():
-    M = conformal("0.1*sin(p1) + 0.05*cos(p2)")
-    pts = random_points(6)
-    X = RNG.normal(size=(6, 4))
-    Y = RNG.normal(size=(6, 4))
-    lhs = M.nabla_j_at(pts, 2.0 * X - 0.5 * Y)
-    rhs = 2.0 * M.nabla_j_at(pts, X) - 0.5 * M.nabla_j_at(pts, Y)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_nabla_j_antilinearity_with_j():
@@ -307,6 +300,15 @@ def test_d_kahler_form_matches_conformal_wedge_oracle():
         + np.einsum("...c,ab->...abc", grad, w0)
     )
     assert np.max(np.abs(dw - oracle)) < 1e-9
+
+
+@pytest.mark.parametrize("expr", THREE_AMBIENTS)
+def test_conformal_d_kahler_form_matches_fd_path(expr):
+    ref = conformal(expr)
+    # same fields, but the base class differences omega
+    M = AmbientManifold(metric_field=ref.metric_field, j_field=ref.j_field)
+    pts = random_points(40, scale=2.0)
+    assert np.max(np.abs(ref.d_kahler_form_at(pts) - M.d_kahler_form_at(pts))) < 1e-11
 
 
 # -- scalar expression parsing ----------------------------------------

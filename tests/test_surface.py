@@ -445,7 +445,7 @@ def test_euclidean_dot_matches_np_sum_bit_for_bit():
     rng = np.random.default_rng(7)
     n = 12
     G = geometry(holomorphic_graph(0.3, -0.2, n_theta=n, n_phi=n))
-    assert G._euclid_dot
+    assert G.ambient.flat_metric
     cases = {
         "grid": (rng.standard_normal((n, n, 4)), rng.standard_normal((n, n, 4))),
         "stacked": (rng.standard_normal((2, n, n, 4)), rng.standard_normal((n, n, 4))),
