@@ -7,19 +7,20 @@ periodic stencils and one descent step at 32x32, the grid of the
 benchmark's descent workload, on the criterion-8 surface.  The
 ``_n128`` group runs the functional, frame, acceleration,
 second-fundamental-form, mean-curvature-derivative, covariant-J,
-curvature, critical operator, cyclic-condition and Laplacian-identity
-layers at 128x128, the finest level of the refinement studies, in the
-flat and the conformal ambient.  Run from
-the root of a checkout, with BLAS on one thread as in ``bench/``:
+curvature, critical operator, cyclic-condition (residuals and the whole
+check with its d(omega) oracle) and Laplacian-identity layers at
+128x128, the finest level of the refinement studies, in the flat and
+the conformal ambient.  Run from the root of a checkout, with BLAS on
+one thread as in ``bench/``:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest perf --benchmark-json=layers.json
 
 ``testpaths`` in ``pyproject.toml`` keeps a bare ``pytest`` from
 collecting this directory.  Cached properties are timed on a fresh
 geometry whose inputs (named in each test) are already computed, so a
-round times that property alone; the functional, the critical operator
-and the first-variation check build their geometry inside the round, as
-their callers do.
+round times that property alone; the functional, the critical operator,
+the cyclic check and the first-variation check build their geometry
+inside the round, as their callers do.
 """
 
 import numpy as np
@@ -36,6 +37,7 @@ from symcrit.surface import (
     perturbed_holomorphic_graph,
 )
 from symcrit.verify import (
+    check_condition_cyclic,
     condition_cyclic_residuals,
     laplacian_identity_terms,
     verify_first_variation,
@@ -73,7 +75,7 @@ def prebuilt(*names, surface=SURFACE, ambient=EUC):
 @pytest.mark.parametrize(
     "layer, inputs",
     [
-        ("induced_metric", ("fth", "fph", "_euclid_dot")),
+        ("induced_metric", ("fth", "fph")),
         ("cos_alpha", ("fth", "fph", "sqrt_det")),
     ],
     ids=["induced_metric", "cos_alpha"],
@@ -159,6 +161,14 @@ def test_condition_cyclic_residuals_fresh_geometry_n128(benchmark, ambient):
 
     c3, _ = benchmark.pedantic(run, rounds=ROUNDS_FINE)
     assert c3.shape == (N_FINE, N_FINE)
+
+
+@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+def test_check_condition_cyclic_n128(benchmark, ambient):
+    report = benchmark.pedantic(
+        check_condition_cyclic, (SURFACE_FINE, AMBIENTS[ambient]), rounds=ROUNDS_FINE
+    )
+    assert report.passed
 
 
 @pytest.mark.parametrize("ambient", sorted(AMBIENTS))

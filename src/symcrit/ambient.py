@@ -16,12 +16,13 @@ with step ``fd_step`` (except for an analytic
 ``metric_derivative_field``), contracts them into the connection, the
 covariant derivative of J and d(omega), and differences the Christoffel
 field for the curvature.  The two ambients that ship are closed-form
-subclasses that difference nothing: :class:`EuclideanManifold` (flat
-C^2) and :class:`ConformalManifold` (exp(2 lam) delta with the standard
-J), whose connection, curvature and d(omega) are closed forms in the
-first and second partials of lam.  They declare what surfaces may skip
-through the class attributes ``flat_metric`` and ``constant_j``; a
-user-built ambient declares neither and always takes the general path.
+subclasses that difference nothing: :class:`ConformalManifold`
+(exp(2 lam) delta with the standard J), whose connection, curvature and
+d(omega) are closed forms in the first and second partials of lam, and
+:class:`EuclideanManifold`, flat C^2, which is its lam = 0 case.  They
+declare what surfaces may skip through the class attributes
+``flat_metric`` and ``constant_j``; a user-built ambient declares
+neither and always takes the general path.
 
 A surface reads the ambient through three entry points that take the
 node positions and chart vectors: ``christoffel_pairs`` (Gamma(X, Y)),
@@ -383,67 +384,16 @@ def _zeros(points, rank: int) -> np.ndarray:
     return np.zeros(np.shape(points)[:-1] + (4,) * rank)
 
 
-def _standard_j(points) -> np.ndarray:
-    """``STANDARD_J`` at each (..., 4) point, as a read-only broadcast."""
-    return np.broadcast_to(STANDARD_J, np.shape(points)[:-1] + (4, 4))
-
-
-def _identity(points) -> np.ndarray:
-    """The identity metric at each (..., 4) point, as a read-only broadcast."""
-    return np.broadcast_to(np.eye(4), np.shape(points)[:-1] + (4, 4))
-
-
-class EuclideanManifold(AmbientManifold):
-    """Flat C^2: the identity metric and the constant standard J.
-
-    Every derivative of its fields is zero, so the connection, the
-    covariant derivative of J and the curvature are the base class's
-    contractions of zero tables, and d(omega) is zero; nothing is
-    differenced.
-    """
-
-    flat_metric: ClassVar[bool] = True
-    constant_j: ClassVar[bool] = True
-
-    def __init__(self):
-        super().__init__(metric_field=_identity, j_field=_standard_j,
-                         name="euclidean_c2")
-
-    def metric_at(self, points, check: bool = True) -> np.ndarray:
-        return _identity(points)
-
-    def j_at(self, points, check: bool = True) -> np.ndarray:
-        return _standard_j(points)
-
-    def metric_derivative_at(self, points) -> np.ndarray:
-        return _zeros(points, 3)
-
-    def j_derivative_at(self, points) -> np.ndarray:
-        return _zeros(points, 3)
-
-    def christoffel_derivative_at(self, points) -> np.ndarray:
-        return _zeros(points, 4)
-
-    def d_kahler_form_at(self, points) -> np.ndarray:
-        return _zeros(points, 3)
-
-
-def euclidean_c2() -> EuclideanManifold:
-    """Flat C^2: identity metric and the constant standard J."""
-    return EuclideanManifold()
-
-
 class ConformalManifold(AmbientManifold):
     """Conformally flat g = exp(2 lam) delta with the constant standard J.
 
     The exponent lam comes with its first and second partials, each a
     callable from (..., 4) points, so the metric and its derivatives,
     the connection, the covariant derivative of J, the curvature and
-    d(omega) are closed forms and no field is differenced.  Its
-    ``metric_field``, ``j_field`` and ``metric_derivative_field`` are
-    these closed forms, so the base class can be built on the same
-    fields for comparison.  In the docstrings below X.Y is the
-    Euclidean dot.
+    d(omega) are closed forms and no field is differenced.  The fields
+    the base class reads are these closed forms, so it can be built on
+    them for comparison.  In the docstrings below X.Y is the Euclidean
+    dot.
     """
 
     constant_j: ClassVar[bool] = True
@@ -455,7 +405,7 @@ class ConformalManifold(AmbientManifold):
         self.conformal_exponent = exponent  # lam, (...)
         self.conformal_gradient = gradient  # d lam, (..., 4)
         self.conformal_hessian = hessian  # d d lam, (..., 4, 4)
-        super().__init__(metric_field=self.metric_at, j_field=_standard_j,
+        super().__init__(metric_field=self.metric_at, j_field=self.j_at,
                          metric_derivative_field=self.metric_derivative_at,
                          name=name)
 
@@ -469,7 +419,8 @@ class ConformalManifold(AmbientManifold):
         return factor[..., None, None] * np.eye(4)
 
     def j_at(self, points, check: bool = True) -> np.ndarray:
-        return _standard_j(points)
+        """``STANDARD_J`` at each point, as a read-only broadcast."""
+        return np.broadcast_to(STANDARD_J, np.shape(points)[:-1] + (4, 4))
 
     def metric_derivative_at(self, points) -> np.ndarray:
         """d_c g_ab = 2 exp(2 lam) lam_c delta_ab, derivative index first."""
@@ -595,6 +546,26 @@ class ConformalManifold(AmbientManifold):
             - T[..., 0, 1] * M[..., 1, 3] - T[..., 1, 3] * M[..., 0, 1]
         )
         return k1213, k1224
+
+
+class EuclideanManifold(ConformalManifold):
+    """Flat C^2: the conformal ambient with lam = 0, so g is the identity.
+
+    It declares ``flat_metric``, so surfaces use the Euclidean dot and
+    skip the connection, the covariant derivative of J and the
+    curvature, all of which vanish.
+    """
+
+    flat_metric: ClassVar[bool] = True
+
+    def __init__(self):
+        super().__init__(lambda p: _zeros(p, 0), lambda p: _zeros(p, 1),
+                         lambda p: _zeros(p, 2), name="euclidean_c2")
+
+
+def euclidean_c2() -> EuclideanManifold:
+    """Flat C^2: identity metric and the constant standard J."""
+    return EuclideanManifold()
 
 
 def conformal(expression: str) -> ConformalManifold:

@@ -419,6 +419,12 @@ class SurfaceGeometry:
         return W
 
     @cached_property
+    def _normal_covectors(self):
+        """(g e3, g e4) stacked like the normal pair; (e3, e4) for the Euclidean dot."""
+        normals = self.frame_matrix[..., 2:, :]
+        return normals if self.ambient.flat_metric else normals @ self.amb_g
+
+    @cached_property
     def second_fundamental(self):
         """h[..., n, a, b] = <bar nabla_{e_a} e_b, e_{n+3}> in the frame.
 
@@ -429,8 +435,7 @@ class SurfaceGeometry:
         keep as reference, bit for bit.
         """
         W = self.accel
-        normals = self.frame_matrix[..., 2:, :]
-        co = normals if self.ambient.flat_metric else normals @ self.amb_g  # (g e3, g e4)
+        co = self._normal_covectors
         # wn[n, i, j] = <W_ij, e_{n+3}>
         wn = np.zeros(W.shape[:-3] + (2, 2, 2))
         for c in range(4):
@@ -508,7 +513,9 @@ class SurfaceGeometry:
         k runs over the full frame, like a and b.
         """
         if self.ambient.flat_metric:
-            return np.zeros(self.pos.shape[:-1] + (4, 4, 4))
+            # read-only: every reader slices the table
+            S = self.surface
+            return np.broadcast_to(0.0, (S.n_theta, S.n_phi, 4, 4, 4))
         return self.ambient.nabla_j_frame(self.pos, self.frame_matrix)
 
     @cached_property
@@ -523,10 +530,16 @@ class SurfaceGeometry:
 
     @cached_property
     def mean_curvature_normal_derivative(self):
-        """H^n_{,a} = <bar nabla_{e_a} H, e_{n+3}>, shape (..., a, n)."""
+        """H^n_{,a} = <bar nabla_{e_a} H, e_{n+3}>, shape (..., a, n).
+
+        The sum over c starts from +0.0 and runs over 0..3 in order.
+        """
         dH = self.covariant_frame_derivative(self.mean_curvature)
-        normals = self.frame_matrix[..., 2:, :]
-        return np.einsum("...cd,...ac,...nd->...an", self.amb_g, dH, normals)
+        co = self._normal_covectors
+        out = np.zeros(dH.shape[:-1] + (2,))
+        for c in range(4):
+            out += dH[..., :, None, c] * co[..., None, :, c]
+        return out
 
     @cached_property
     def tangent_connection(self):

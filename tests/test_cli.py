@@ -201,6 +201,15 @@ def test_bad_number_is_config_error(tmp_path, capsys, ambient_line, task_line, k
     assert "config error" in err and key in err
 
 
+@pytest.mark.parametrize("line", ["fd_step = 1e-3", "lamda = 0.1*sin(p1)"])
+def test_unknown_ambient_key_is_config_error(tmp_path, capsys, line):
+    cfg = write_config(tmp_path, BAD_NUMBER.format(ambient=line, task=""))
+    code = main(["verify", "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and line.split()[0] in err
+
+
 def test_non_finite_beta_flag_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, BAD_NUMBER.format(ambient="", task=""))
     code = main(["verify", "--config", cfg, "--beta", "nan"])

@@ -24,7 +24,15 @@ from symcrit.surface import (
     write_surface,
     zbar_graph,
 )
-from symcrit.verify import condition_cyclic_residuals
+from symcrit.verify import (
+    check_condition_cyclic,
+    check_condition_symmetric,
+    condition_cyclic_residuals,
+    verify_critical_identity,
+    verify_first_variation,
+    verify_gradient_identities,
+    verify_laplacian_identity,
+)
 
 EUC = euclidean_c2()
 CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
@@ -388,6 +396,26 @@ def test_u2_rotation_leaves_angle_functional_and_el_norm_unchanged(name, seed):
     assert np.max(np.abs(mag_r - mag)) < 1e-11 * np.max(mag)
 
 
+@settings(max_examples=10, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ROLL_SURFACES)),
+    shift=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+)
+def test_translation_leaves_angle_functional_and_el_norm_unchanged(name, shift):
+    """Flat C^2 is homogeneous: a translation moves no geometric quantity."""
+    S = ROLL_SURFACES[name]
+    T = ImmersedSurface(S.linear_part, S.periodic_part + np.array(shift),
+                        S.t_theta, S.t_phi)
+    G, GT = geometry(S), geometry(T)
+    assert np.max(np.abs(GT.cos_alpha - G.cos_alpha)) < 1e-13
+    lb = l_beta(S, EUC, 1.0, geometry=G)
+    assert abs(l_beta(T, EUC, 1.0, geometry=GT) - lb) < 1e-12 * lb
+    E = el_operator(S, EUC, 1.0, geometry=G).vector
+    ET = el_operator(T, EUC, 1.0, geometry=GT).vector
+    mag, mag_t = np.sqrt(G.dot(E, E)), np.sqrt(GT.dot(ET, ET))
+    assert np.max(np.abs(mag_t - mag)) < 1e-11 * np.max(mag)
+
+
 # -- periodic stencils and the Euclidean dot -------------------------
 
 
@@ -649,13 +677,30 @@ def test_condition_cyclic_residuals_are_exactly_zero_on_flat_kahler():
 
 
 def test_conformal_curvature_frame_components_difference_nothing(monkeypatch):
+    """No finite difference runs in either shipped ambient: not in its
+    tensors, not in the frame components, not in any check."""
     def refuse(*args, **kwargs):
         raise AssertionError("finite-difference derivative taken")
 
     monkeypatch.setattr(AmbientManifold, "_fd_derivative", refuse)
-    G = geometry(FRAME_SURFACES[0], conformal("0.1*sin(p1) + 0.05*cos(p2)"))
-    k1213, k1224 = G.curvature_frame_components
-    assert np.all(np.isfinite(k1213)) and np.all(np.isfinite(k1224))
+    surfaces = [perturbed_graph(0.5, 0.05, n_theta=n, n_phi=n) for n in (16, 32)]
+    for ambient in (euclidean_c2(), conformal("0.1*sin(p1) + 0.05*cos(p2)")):
+        pos = surfaces[0].positions()
+        for name in ("metric_derivative_at", "j_derivative_at", "christoffel_at",
+                     "curvature_at", "nabla_j_tensor_at", "d_kahler_form_at"):
+            assert np.all(np.isfinite(getattr(ambient, name)(pos))), name
+        G = geometry(surfaces[0], ambient)
+        k1213, k1224 = G.curvature_frame_components
+        assert np.all(np.isfinite(k1213)) and np.all(np.isfinite(k1224))
+        reports = [
+            verify_gradient_identities(surfaces, ambient),
+            verify_laplacian_identity(surfaces, ambient),
+            verify_critical_identity(surfaces[1], ambient, 1.0),
+            check_condition_cyclic(surfaces[1], ambient),
+            check_condition_symmetric(surfaces[1], ambient),
+            verify_first_variation(surfaces[0], ambient, 1.0),
+        ]
+        assert all(rep.status for rep in reports)
 
 
 def test_non_finite_ambient_metric_raises_typed_error():

@@ -8,6 +8,7 @@ import pytest
 from symcrit.ambient import conformal, euclidean_c2
 from symcrit.functional import l_beta
 from symcrit.surface import (
+    ImmersedSurface,
     SurfaceGeometry,
     holomorphic_graph,
     perturbed_graph,
@@ -126,6 +127,34 @@ def test_cyclic_condition_matches_exterior_derivative_oracle():
     # a conformal scaling genuinely breaks the condition
     assert rep.values["condition_holds"] == 0.0
     assert rep.values["condition_res_linf"] > 1e-3
+
+
+@pytest.mark.parametrize("c3, c4", [(0.7, -1.3), (5.0, 3.0)])
+def test_period_shift_of_the_conformal_factor_changes_no_report(c3, c4):
+    """lam = 0.1 sin p1 + 0.05 cos p2 has period 2 pi in p1 and ignores p3
+    and p4, so moving the surface by (2 pi, 0, c3, c4) moves nothing but
+    roundoff: statuses agree, and values, refinement rows and residual
+    fields agree to 1e-11 absolute plus 1e-6 relative (the observed
+    orders amplify a residual's relative roundoff)."""
+    shift = np.array([2.0 * np.pi, 0.0, c3, c4])
+    surfaces = ladder()
+    moved = [ImmersedSurface(S.linear_part, S.periodic_part + shift) for S in surfaces]
+    checks = [
+        lambda L: V.verify_gradient_identities(L, CONF),
+        lambda L: V.verify_laplacian_identity(L, CONF),
+        lambda L: V.check_condition_cyclic(L[1], CONF),
+        lambda L: V.check_condition_symmetric(L[1], CONF),
+        lambda L: V.verify_critical_identity(L[1], CONF, 1.0),
+    ]
+    for check in checks:
+        rep, rep_moved = check(surfaces), check(moved)
+        assert rep.status == rep_moved.status, rep.check
+        assert rep.values.keys() == rep_moved.values.keys(), rep.check
+        pairs = [(list(rep.values.values()), list(rep_moved.values.values())),
+                 (rep.refinement, rep_moved.refinement),
+                 (rep.residual_field, rep_moved.residual_field)]
+        for want, got in pairs:
+            assert np.allclose(got, want, rtol=1e-6, atol=1e-11, equal_nan=True), rep.check
 
 
 def test_symmetric_condition_exact_on_flat_kahler():
