@@ -553,7 +553,8 @@ class EuclideanManifold(ConformalManifold):
 
     It declares ``flat_metric``, so surfaces use the Euclidean dot and
     skip the connection, the covariant derivative of J and the
-    curvature, all of which vanish.
+    curvature, all of which vanish; d(omega) is a zero table, not
+    2 dlam ^ omega evaluated at dlam = 0.
     """
 
     flat_metric: ClassVar[bool] = True
@@ -561,6 +562,9 @@ class EuclideanManifold(ConformalManifold):
     def __init__(self):
         super().__init__(lambda p: _zeros(p, 0), lambda p: _zeros(p, 1),
                          lambda p: _zeros(p, 2), name="euclidean_c2")
+
+    def d_kahler_form_at(self, points) -> np.ndarray:
+        return _zeros(points, 3)
 
 
 def euclidean_c2() -> EuclideanManifold:
