@@ -312,8 +312,9 @@ def _calibrated_terms(G: SurfaceGeometry):
 def _laplacian_level(G: SurfaceGeometry, terms: dict):
     """The study level of ``G`` with Laplacian ``terms``, and the largest
     covariant-J term there."""
+    # max |f| from the extremes: no |f| copy of the covariant-J table
     j_term = max(
-        float(np.max(np.abs(f)))
+        abs(float(max(np.max(f), -np.min(f))))
         for f in (terms["j_second"], terms["j_coupling"],
                   G.nabla_j_frame[..., :2, :, :])
     )
