@@ -10,7 +10,9 @@ second-fundamental-form, mean-curvature-derivative, covariant-J,
 curvature, critical operator, cyclic-condition (residuals and the whole
 check with its d(omega) oracle) and Laplacian-identity layers at
 128x128, the finest level of the refinement studies, in the flat and
-the conformal ambient.  Run from the root of a checkout, with BLAS on
+the conformal ambient; the whole Laplacian refinement study runs over
+levels 32, 64 and 128 in both ambients, and the conformal curvature
+tensor ``curvature_at`` at the 128x128 node positions.  Run from the root of a checkout, with BLAS on
 one thread as in ``bench/``:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest perf --benchmark-json=layers.json
@@ -41,6 +43,7 @@ from symcrit.verify import (
     condition_cyclic_residuals,
     laplacian_identity_terms,
     verify_first_variation,
+    verify_laplacian_identity,
 )
 
 N = 64
@@ -58,6 +61,7 @@ N_FINE = 128
 ROUNDS_FINE = 20
 SURFACE_FINE = perturbed_graph(0.5, 0.05, n_theta=N_FINE, n_phi=N_FINE)
 AMBIENTS = {"flat": EUC, "conformal": conformal("0.1*sin(p1) + 0.05*cos(p2)")}
+LADDER = [perturbed_graph(0.5, 0.05, n_theta=n, n_phi=n) for n in (32, 64)] + [SURFACE_FINE]
 
 
 def prebuilt(*names, surface=SURFACE, ambient=EUC):
@@ -187,3 +191,17 @@ def test_laplacian_identity_terms_fresh_geometry_n128(benchmark, ambient):
 
     residual = benchmark.pedantic(run, rounds=ROUNDS_FINE)
     assert residual.shape == (N_FINE, N_FINE)
+
+
+@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+def test_verify_laplacian_identity_n128(benchmark, ambient):
+    report = benchmark.pedantic(
+        verify_laplacian_identity, (LADDER, AMBIENTS[ambient]), rounds=ROUNDS_FINE
+    )
+    assert report.passed
+
+
+def test_conformal_curvature_at_n128(benchmark):
+    pos = SURFACE_FINE.positions()
+    K = benchmark.pedantic(AMBIENTS["conformal"].curvature_at, (pos,), rounds=ROUNDS_FINE)
+    assert K.shape == (N_FINE, N_FINE, 4, 4, 4, 4)

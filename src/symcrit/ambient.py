@@ -14,11 +14,13 @@ fixed index conventions:
 it samples, takes their derivatives as 4th-order central differences
 with step ``fd_step`` (except for an analytic
 ``metric_derivative_field``), contracts them into the connection, the
-covariant derivative of J and d(omega), and differences the Christoffel
-field for the curvature.  The two ambients that ship are closed-form
-subclasses that difference nothing: :class:`ConformalManifold`
-(exp(2 lam) delta with the standard J), whose connection, curvature and
-d(omega) are closed forms in the first and second partials of lam, and
+covariant derivative of J and d(omega), and contracts the connection
+and its partials, taken by differencing the Christoffel field, into the
+curvature.  The two ambients that ship are closed-form subclasses that
+difference nothing: :class:`ConformalManifold` (exp(2 lam) delta
+with the standard J), whose connection, its partials and d(omega) are
+closed forms in the first and second partials of lam, so its curvature
+is the base class's contraction of closed forms, and
 :class:`EuclideanManifold`, flat C^2, which is its lam = 0 case.  They
 declare what surfaces may skip through the class attributes
 ``flat_metric`` and ``constant_j``; a user-built ambient declares
@@ -283,8 +285,8 @@ class AmbientManifold:
         """Partial derivatives of the Christoffel field, [C, A, B, D] order.
 
         Finite differences of ``christoffel_at``, which is all a chart
-        description offers; only this class's ``curvature_at`` uses
-        them.  Output (..., 4, 4, 4, 4) with the derivative index first.
+        description offers; ``curvature_at`` contracts them.  Output
+        (..., 4, 4, 4, 4) with the derivative index first.
         """
         return self._fd_derivative(self.christoffel_at, points)
 
@@ -389,11 +391,11 @@ class ConformalManifold(AmbientManifold):
 
     The exponent lam comes with its first and second partials, each a
     callable from (..., 4) points, so the metric and its derivatives,
-    the connection, the covariant derivative of J, the curvature and
-    d(omega) are closed forms and no field is differenced.  The fields
-    the base class reads are these closed forms, so it can be built on
-    them for comparison.  In the docstrings below X.Y is the Euclidean
-    dot.
+    the connection and its partials, the covariant derivative of J and
+    d(omega) are closed forms and no field is differenced; the curvature
+    tensor is the base class's contraction of them.  The fields the
+    base class reads are these closed forms, so it can be built on them
+    for comparison.  In the docstrings below X.Y is the Euclidean dot.
     """
 
     constant_j: ClassVar[bool] = True
@@ -458,29 +460,13 @@ class ConformalManifold(AmbientManifold):
         first = eye[:, :, None] * grad[..., None, None, :]  # delta_ab lam_c
         return first + np.swapaxes(first, -1, -2) - grad[..., :, None, None] * eye
 
-    def curvature_at(self, points) -> np.ndarray:
-        """Fully covariant curvature K_ABCD by the conformal-change formula.
-
-        For exp(2 lam) delta (Besse, *Einstein Manifolds*, 1.J), in this
-        module's convention, K = -exp(2 lam) (T o delta) with
-        T = dd lam - dlam dlam + |dlam|^2 delta / 2 and (T o delta)_abcd
-        = T_ad delta_bc + T_bc delta_ad - T_ac delta_bd - T_bd delta_ac.
-        """
-        grad = self.conformal_gradient(points)
+    def christoffel_derivative_at(self, points) -> np.ndarray:
+        """d_d Gamma^a_bc = delta_ab lam_cd + delta_ac lam_bd - delta_bc lam_ad,
+        derivative index first; the base class contracts it into K."""
+        hess = self.conformal_hessian(points)
         eye = np.eye(4)
-        T = (
-            self.conformal_hessian(points)
-            - grad[..., :, None] * grad[..., None, :]
-            + (0.5 * np.sum(grad**2, axis=-1))[..., None, None] * eye
-        )
-        K = np.zeros(T.shape[:-2] + (4, 4, 4, 4))
-        for i in range(4):
-            K[..., :, i, i, :] += T  # T_ad delta_bc
-            K[..., i, :, :, i] += T  # T_bc delta_ad
-            K[..., :, i, :, i] -= T  # T_ac delta_bd
-            K[..., i, :, i, :] -= T  # T_bd delta_ac
-        K *= -self._factor(points)[..., None, None, None, None]
-        return K
+        first = eye[:, :, None] * hess[..., :, None, None, :]  # delta_ab lam_dc
+        return first + np.swapaxes(first, -1, -2) - hess[..., :, :, None, None] * eye
 
     def christoffel_pairs(self, points, X, Y) -> np.ndarray:
         """Gamma(X, Y) = X dlam(Y) + Y dlam(X) - (X.Y) grad lam, per pair."""
@@ -523,6 +509,10 @@ class ConformalManifold(AmbientManifold):
     def curvature_frame(self, points, frame):
         """(K_1213, K_1224) from K(X, Y, Z, W) = -exp(2 lam) (T o delta)(X, Y, Z, W).
 
+        That is the conformal-change formula for exp(2 lam) delta (Besse,
+        *Einstein Manifolds*, 1.J) in this module's convention, with
+        T = dd lam - dlam dlam + |dlam|^2 delta / 2; it is independent of
+        the contraction behind ``curvature_at``.  Expanded,
         (T o delta)(X, Y, Z, W) = T(X, W) Y.Z + T(Y, Z) X.W - T(X, Z) Y.W
         - T(Y, W) X.Z, so only T(e_a, e_b) and e_a.e_b for a in {1, 2}
         are formed.
@@ -578,8 +568,8 @@ def conformal(expression: str) -> ConformalManifold:
     ``expression`` is the conformal exponent lam as a function of
     p1..p4.  J stays the constant standard structure, which keeps it
     compatible with g.  The metric and its first derivatives, the
-    connection, the curvature and d(omega) are closed forms in the sympy
-    partials of lam.
+    connection and its partials and d(omega) are closed forms in the
+    sympy partials of lam; the curvature is contracted from them.
     """
     lam, dlam, ddlam = parse_scalar_field(expression)
     return ConformalManifold(lam, dlam, ddlam, name=f"conformal({expression})")

@@ -94,9 +94,7 @@ class ImmersedSurface:
         return self.t_phi / self.n_phi
 
     def grids(self):
-        th = np.arange(self.n_theta) * self.h_theta
-        ph = np.arange(self.n_phi) * self.h_phi
-        return np.meshgrid(th, ph, indexing="ij")
+        return _grids(self.n_theta, self.n_phi, self.t_theta, self.t_phi)
 
     def positions(self) -> np.ndarray:
         th, ph = self.grids()
@@ -112,6 +110,14 @@ class ImmersedSurface:
             self.t_theta,
             self.t_phi,
         )
+
+
+def _grids(n_theta, n_phi, t_theta=TWO_PI, t_phi=TWO_PI):
+    """(theta, phi) at the nodes, each (n_theta, n_phi): i * t_theta / n_theta
+    along axis 0 and j * t_phi / n_phi along axis 1."""
+    th = np.arange(n_theta) * (t_theta / n_theta)
+    ph = np.arange(n_phi) * (t_phi / n_phi)
+    return np.meshgrid(th, ph, indexing="ij")
 
 
 # -- periodic finite differences --------------------------------------
@@ -182,16 +188,21 @@ def _reject(v, pair, co):
 
 @dataclass
 class AdaptedFrame:
-    """Orthonormal 4-frames with the normal pair in the adapted gauge."""
+    """Orthonormal 4-frames with the normal pair in the adapted gauge.
 
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-    e4: np.ndarray
+    ``matrix[..., a, :]`` is e_{a+1}; ``e1`` .. ``e4`` are views of it.
+    """
+
+    matrix: np.ndarray  # (..., 4, 4)
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     adapted: np.ndarray  # bool mask, False where sin(alpha) <= FRAME_TOL
+
+    e1 = property(lambda self: self.matrix[..., 0, :])
+    e2 = property(lambda self: self.matrix[..., 1, :])
+    e3 = property(lambda self: self.matrix[..., 2, :])
+    e4 = property(lambda self: self.matrix[..., 3, :])
 
 
 class SurfaceGeometry:
@@ -399,13 +410,18 @@ class SurfaceGeometry:
         e4 -= self.dot(e4, e3)[..., None] * e3
         e4 /= np.sqrt(self.dot(e4, e4))[..., None]
         z = self.dot(je1, e4)
-        return AdaptedFrame(e1, e2, e3, e4, x, y, z, ok)
+        # e3 and e4 are built contiguous and copied in once: the arithmetic
+        # above runs slower on the strided rows of the frame array
+        frame = np.empty(e1.shape[:-1] + (4, 4))
+        frame[..., :2, :] = self._tangent_frame[0]
+        frame[..., 2, :] = e3
+        frame[..., 3, :] = e4
+        return AdaptedFrame(frame, x, y, z, ok)
 
-    @cached_property
+    @property
     def frame_matrix(self):
-        """All four frame fields stacked: frame[..., a, :] = e_{a+1}."""
-        fr = self.adapted_frame
-        return np.stack([fr.e1, fr.e2, fr.e3, fr.e4], axis=-2)
+        """All four frame fields as one array: frame[..., a, :] = e_{a+1}."""
+        return self.adapted_frame.matrix
 
     # ---- second fundamental form and mean curvature
 
@@ -582,10 +598,6 @@ class SurfaceGeometry:
 # -- generators --------------------------------------------------------
 
 
-def _empty_periodic(n_theta, n_phi):
-    return np.zeros((n_theta, n_phi, 4))
-
-
 def zbar_graph(c: float, n_theta: int = 64, n_phi: int = 64) -> ImmersedSurface:
     """Graph of z -> c * conj(z) over the square torus.
 
@@ -593,7 +605,7 @@ def zbar_graph(c: float, n_theta: int = 64, n_phi: int = 64) -> ImmersedSurface:
     c = 0 is the flat complex line.
     """
     L = np.array([[1.0, 0.0], [0.0, 1.0], [c, 0.0], [0.0, -c]])
-    return ImmersedSurface(L, _empty_periodic(n_theta, n_phi))
+    return ImmersedSurface(L, np.zeros((n_theta, n_phi, 4)))
 
 
 def holomorphic_graph(a: complex, b: complex = 0.0, n_theta: int = 64,
@@ -608,7 +620,7 @@ def holomorphic_graph(a: complex, b: complex = 0.0, n_theta: int = 64,
             [a.imag, a.real],
         ]
     )
-    P = _empty_periodic(n_theta, n_phi)
+    P = np.zeros((n_theta, n_phi, 4))
     b = complex(b)
     P[..., 2] += b.real
     P[..., 3] += b.imag
@@ -653,10 +665,8 @@ def perturbed_holomorphic_graph(
 def lagrangian_torus(r1: float = 1.0, r2: float = 1.0, n_theta: int = 64,
                      n_phi: int = 64) -> ImmersedSurface:
     """Product of two circles; cos(alpha) vanishes identically."""
-    P = _empty_periodic(n_theta, n_phi)
-    th = np.arange(n_theta) * (TWO_PI / n_theta)
-    ph = np.arange(n_phi) * (TWO_PI / n_phi)
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
+    P = np.zeros((n_theta, n_phi, 4))
+    TH, PH = _grids(n_theta, n_phi)
     P[..., 0] = r1 * np.cos(TH)
     P[..., 1] = r1 * np.sin(TH)
     P[..., 2] = r2 * np.cos(PH)
@@ -667,10 +677,8 @@ def lagrangian_torus(r1: float = 1.0, r2: float = 1.0, n_theta: int = 64,
 def revolution_torus(big: float = 2.0, small: float = 0.5, n_theta: int = 64,
                      n_phi: int = 64) -> ImmersedSurface:
     """Torus of revolution inside the x4 = 0 hyperplane."""
-    P = _empty_periodic(n_theta, n_phi)
-    th = np.arange(n_theta) * (TWO_PI / n_theta)
-    ph = np.arange(n_phi) * (TWO_PI / n_phi)
-    TH, PH = np.meshgrid(th, ph, indexing="ij")
+    P = np.zeros((n_theta, n_phi, 4))
+    TH, PH = _grids(n_theta, n_phi)
     ring = big + small * np.cos(PH)
     P[..., 0] = ring * np.cos(TH)
     P[..., 1] = ring * np.sin(TH)

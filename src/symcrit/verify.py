@@ -9,7 +9,11 @@ The curvature contraction entering the angle-Laplacian identity has a
 single sign degree of freedom relative to the commutator convention of
 the ambient module.  ``calibrate_curvature_sign`` settles it by brute
 force (the wrong sign visibly refuses to converge on any curved
-ambient) and every report records the sign it used.
+ambient) and every report records the sign it used.  A Laplacian
+refinement study settles it in the one pass that evaluates its levels,
+coarsest first: each level also keeps its residual with the curvature
+term negated, and the finest level picks the sign by the same
+comparison.
 """
 
 from __future__ import annotations
@@ -121,6 +125,11 @@ def _norms(field_abs, weights, mask):
     return l2, linf
 
 
+def _max_abs(a, b):
+    """max(|a|, |b|) node by node."""
+    return np.maximum(np.abs(a), np.abs(b))
+
+
 def _refinement_levels(surfaces):
     """One surface, or a non-empty list whose grid sizes strictly increase."""
     if isinstance(surfaces, ImmersedSurface):
@@ -228,7 +237,7 @@ def verify_gradient_identities(surfaces, ambient: AmbientManifold) -> Report:
     def evaluate(S):
         G = SurfaceGeometry(S, ambient)
         r1, r2 = gradient_identity_residuals(G)
-        return _level(G, np.maximum(np.abs(r1), np.abs(r2)))
+        return _level(G, _max_abs(r1, r2))
 
     surfaces = _refinement_levels(surfaces)
     field = _report_field(surfaces)
@@ -293,32 +302,23 @@ def _with_residual(terms: dict) -> dict:
     return terms
 
 
-def _calibrated_terms(G: SurfaceGeometry):
-    """Laplacian terms of ``G`` at the brute-force curvature sign.
+def _flipped_residual(terms: dict):
+    """The residual of ``terms`` with the curvature term negated.
 
-    Returns (sign, terms, residual_with_sign, residual_with_flip).  The
-    other sign's terms come from negating the curvature term, which is
-    exact, so they equal a fresh evaluation at that sign bit for bit.
+    Negation is exact, so this equals the residual of a fresh evaluation
+    at the other sign bit for bit.
     """
-    plus = laplacian_identity_terms(G, +1)
-    minus = _with_residual({**plus, "curvature": -plus["curvature"]})
-    res_plus = float(np.max(np.abs(plus["residual"])))
-    res_minus = float(np.max(np.abs(minus["residual"])))
+    return _with_residual({**terms, "curvature": -terms["curvature"]})["residual"]
+
+
+def _pick_sign(plus, minus) -> tuple[int, float, float]:
+    """(sign, residual_with_sign, residual_with_flip) from the residual
+    fields at +1 and -1: the smaller Linf wins, a tie keeps +1."""
+    res_plus = float(np.max(np.abs(plus)))
+    res_minus = float(np.max(np.abs(minus)))
     if res_minus < res_plus:
-        return -1, minus, res_minus, res_plus
-    return 1, plus, res_plus, res_minus
-
-
-def _laplacian_level(G: SurfaceGeometry, terms: dict):
-    """The study level of ``G`` with Laplacian ``terms``, and the largest
-    covariant-J term there."""
-    # max |f| from the extremes: no |f| copy of the covariant-J table
-    j_term = max(
-        abs(float(max(np.max(f), -np.min(f))))
-        for f in (terms["j_second"], terms["j_coupling"],
-                  G.nabla_j_frame[..., :2, :, :])
-    )
-    return _level(G, terms["residual"]), j_term
+        return -1, res_minus, res_plus
+    return 1, res_plus, res_minus
 
 
 def calibrate_curvature_sign(G: SurfaceGeometry) -> tuple[int, float, float]:
@@ -327,56 +327,52 @@ def calibrate_curvature_sign(G: SurfaceGeometry) -> tuple[int, float, float]:
     Returns (sign, residual_with_sign, residual_with_flip).  On a flat
     ambient both residuals coincide and the default +1 is kept.
     """
-    sign, _, keep, flip = _calibrated_terms(G)
-    return sign, keep, flip
-
-
-def _calibrated_level(surface: ImmersedSurface, ambient: AmbientManifold):
-    """Brute-force curvature sign on ``surface``: (sign, (level, j-term),
-    residual with the sign flipped); the geometry is dropped on return."""
-    G = SurfaceGeometry(surface, ambient)
-    sign, terms, _, flip = _calibrated_terms(G)
-    return sign, _laplacian_level(G, terms), flip
+    terms = laplacian_identity_terms(G, +1)
+    return _pick_sign(terms["residual"], _flipped_residual(terms))
 
 
 def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
                               k_sign: int | None = None) -> Report:
     """Refinement study of the unconditional angle-Laplacian identity.
 
-    On flat Kahler ambients the covariant-J terms of the finest level
-    must also vanish to ``FLAT_KAHLER_TOL``.  A calibrated sign is
-    settled on the finest level first; that level's residual, mask and
-    weights are kept and its geometry dropped.  Every other level's
-    geometry is built only when the study reaches it and dropped when it
-    is done, so one level's caches are alive at a time.
+    Every level is evaluated once, coarsest first, and its geometry is
+    dropped before the next one is built.  A calibrated study (``k_sign``
+    omitted on a curved ambient) evaluates at +1 and also keeps each
+    level's residual with the curvature term negated; the finest level
+    then picks the sign, as ``calibrate_curvature_sign`` would.  On flat
+    Kahler ambients the covariant-J terms of the finest level must also
+    vanish to ``FLAT_KAHLER_TOL``.
     """
     levels = _refinement_levels(surfaces)
     field = _report_field(levels)
     notes = []
+    calibrate = k_sign is None and not ambient.flat_metric
+    if k_sign is None and ambient.flat_metric:
+        notes.append("flat ambient: curvature term vanishes, sign +1 by default")
+    sign = 1 if k_sign is None else k_sign
+    rows, flipped = [], []
+    for S in levels:
+        G = SurfaceGeometry(S, ambient)
+        terms = laplacian_identity_terms(G, sign)
+        rows.append(_level(G, terms["residual"]))
+        if calibrate:
+            flipped.append(_flipped_residual(terms))
+        # the finest level's largest covariant-J term is reported; max |f|
+        # from the extremes, so no |f| copy of the covariant-J table
+        j_term = max(
+            abs(float(max(np.max(f), -np.min(f))))
+            for f in (terms["j_second"], terms["j_coupling"],
+                      G.nabla_j_frame[..., :2, :, :])
+        )
+        del G, terms  # this level's caches go before the next level's are built
     flip_res = None
-    calibrated = None  # the finest level and its j-term, when calibration made them
-    if k_sign is None:
-        if ambient.flat_metric:
-            k_sign = 1
-            notes.append("flat ambient: curvature term vanishes, sign +1 by default")
-        else:
-            k_sign, calibrated, flip_res = _calibrated_level(levels[-1], ambient)
-            notes.append("curvature-term sign calibrated by brute force")
-    j_term = None  # the covariant-J term of the last level evaluated
-
-    def evaluate(S):
-        nonlocal j_term
-        if S is levels[-1] and calibrated is not None:
-            level, j_term = calibrated
-        else:
-            G = SurfaceGeometry(S, ambient)
-            level, j_term = _laplacian_level(G, laplacian_identity_terms(G, k_sign))
-        return level
-
-    rep = _refinement_study(
-        "laplacian_identity", ambient, map(evaluate, levels), field, 1e-3, notes
-    )
-    rep.k_term_sign = k_sign
+    if calibrate:
+        sign, _, flip_res = _pick_sign(rows[-1][1], flipped[-1])
+        if sign == -1:
+            rows = [(n, res, mask, w) for (n, _, mask, w), res in zip(rows, flipped)]
+        notes.append("curvature-term sign calibrated by brute force")
+    rep = _refinement_study("laplacian_identity", ambient, rows, field, 1e-3, notes)
+    rep.k_term_sign = sign
     rep.tolerances["kahler_j_terms"] = FLAT_KAHLER_TOL
     rep.values["max_j_term"] = j_term
     if flip_res is not None:
@@ -390,8 +386,7 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def critical_identity_terms(G: SurfaceGeometry, beta: float,
-                            k_sign: int = 1) -> dict:
+def critical_identity_terms(G: SurfaceGeometry, beta: float) -> dict:
     """Fields of the angle-Laplacian identity specialized to critical points.
 
     Valid where the surface satisfies the critical equations and the
@@ -421,7 +416,7 @@ def critical_identity_terms(G: SurfaceGeometry, beta: float,
     rhs = (
         2.0 * beta * sa**2 / (ca * D) * grad_alpha2
         - 2.0 * ca * grad_alpha2
-        + k_sign * sa * ca**2 / D * (k1213 - k1224)
+        + sa * ca**2 / D * (k1213 - k1224)
         + theta
         - beta * sa / D * (grad[..., 0] * j142 + 3.0 * grad[..., 1] * j132)
     )
@@ -458,7 +453,8 @@ def check_condition_cyclic(surface: ImmersedSurface,
         oracle = np.einsum("...abc,...a,...b,...c->...", dw, xi, fr.e1, fr.e2)
         mismatches.append(np.abs(val - oracle))
     mismatch = float(np.max(np.maximum(*mismatches)))
-    cond = float(np.max(np.maximum(np.abs(c3), np.abs(c4))))
+    cond_field = _max_abs(c3, c4)
+    cond = float(np.max(cond_field))
     ok = mismatch < ORACLE_TOL
     holds = cond < CONDITION_TOL
     return Report(
@@ -473,7 +469,7 @@ def check_condition_cyclic(surface: ImmersedSurface,
             "condition_holds": float(holds),
         },
         total_nodes=int(c3.size),
-        residual_field=np.maximum(np.abs(c3), np.abs(c4)),
+        residual_field=cond_field,
     )
 
 
@@ -551,10 +547,7 @@ def verify_critical_identity(
     el = el_operator(surface, ambient, beta, geometry=G)
     c3, c4 = condition_cyclic_residuals(G)
     sym = condition_symmetric_residuals(G)
-    cond_res = max(
-        float(np.max(np.maximum(np.abs(c3), np.abs(c4)))),
-        float(np.max(np.abs(sym))),
-    )
+    cond_res = max(float(np.max(_max_abs(c3, c4))), float(np.max(np.abs(sym))))
     near_critical = el.norm_linf < NEAR_CRITICAL_LINF
     conditions_hold = cond_res < CONDITION_TOL
 
@@ -666,8 +659,7 @@ def verify_first_variation(
     """
     beta = validate_beta(beta)
     G = SurfaceGeometry(surface, ambient)
-    cyc3, cyc4 = condition_cyclic_residuals(G)
-    cyc = float(np.max(np.maximum(np.abs(cyc3), np.abs(cyc4))))
+    cyc = float(np.max(_max_abs(*condition_cyclic_residuals(G))))
 
     def fd2(at, d):
         return (at(d) - at(-d)) / (2.0 * d)

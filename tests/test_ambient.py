@@ -259,6 +259,33 @@ def test_conformal_curvature_matches_fd_path(expr):
     )
     pts = random_points(40, scale=2.0)
     assert np.max(np.abs(ref.curvature_at(pts) - M.curvature_at(pts))) < 1e-8
+    dgamma = ref.christoffel_derivative_at(pts)
+    assert np.max(np.abs(dgamma - M.christoffel_derivative_at(pts))) < 1e-8
+
+
+def conformal_change_curvature(M, pts):
+    """-exp(2 lam) (T o delta), T = dd lam - dlam dlam + |dlam|^2 delta / 2,
+    entry by entry."""
+    grad = M.conformal_gradient(pts)
+    T = (M.conformal_hessian(pts) - grad[:, :, None] * grad[:, None, :]
+         + 0.5 * np.sum(grad**2, axis=-1)[:, None, None] * np.eye(4))
+    d = np.eye(4)
+    K = np.empty(pts.shape[:1] + (4, 4, 4, 4))
+    for a, b, c, e in np.ndindex(4, 4, 4, 4):
+        K[:, a, b, c, e] = (T[:, a, e] * d[b, c] + T[:, b, c] * d[a, e]
+                            - T[:, a, c] * d[b, e] - T[:, b, e] * d[a, c])
+    return -np.exp(2.0 * M.conformal_exponent(pts))[:, None, None, None, None] * K
+
+
+@pytest.mark.parametrize("expr", THREE_AMBIENTS)
+def test_conformal_curvature_contraction_matches_conformal_change_formula(expr):
+    """The contraction of the closed-form connection and its partials
+    agrees with the conformal-change formula to roundoff."""
+    M = conformal(expr)
+    pts = random_points(200, scale=3.0)
+    K = M.curvature_at(pts)
+    assert np.max(np.abs(K - conformal_change_curvature(M, pts))) < 1e-14 * max(
+        1.0, float(np.max(np.abs(K))))
 
 
 # -- covariant derivative of J ----------------------------------------

@@ -102,6 +102,20 @@ def test_frame_orthonormal(surface, ambient):
 
 
 @pytest.mark.parametrize("ambient", [EUC, CONF], ids=["euclid", "conformal"])
+def test_frame_is_held_in_one_array(ambient):
+    """frame_matrix is the adapted frame's own array and e1..e4 are views
+    of its rows, also with unadapted nodes (the torus of revolution)."""
+    G = geometry(revolution_torus(n_theta=24, n_phi=24), ambient)
+    fr = G.adapted_frame
+    assert not fr.adapted.all()
+    assert G.frame_matrix is fr.matrix
+    for a, e in enumerate((fr.e1, fr.e2, fr.e3, fr.e4)):
+        assert e.base is fr.matrix
+        assert np.array_equal(e, fr.matrix[..., a, :])
+    assert np.array_equal(fr.e1, G.e1) and np.array_equal(fr.e2, G.e2)
+
+
+@pytest.mark.parametrize("ambient", [EUC, CONF], ids=["euclid", "conformal"])
 def test_frame_j_matrix_structure(ambient):
     """<J e_a, e_b> takes the two-parameter antisymmetric shape.
 
@@ -687,8 +701,10 @@ def test_conformal_curvature_frame_components_difference_nothing(monkeypatch):
     for ambient in (euclidean_c2(), conformal("0.1*sin(p1) + 0.05*cos(p2)")):
         pos = surfaces[0].positions()
         for name in ("metric_derivative_at", "j_derivative_at", "christoffel_at",
-                     "curvature_at", "nabla_j_tensor_at", "d_kahler_form_at"):
+                     "christoffel_derivative_at", "curvature_at",
+                     "nabla_j_tensor_at", "d_kahler_form_at"):
             assert np.all(np.isfinite(getattr(ambient, name)(pos))), name
+        assert np.all(np.isfinite(ambient.curvature_data_at(pos).components))
         G = geometry(surfaces[0], ambient)
         k1213, k1224 = G.curvature_frame_components
         assert np.all(np.isfinite(k1213)) and np.all(np.isfinite(k1224))

@@ -97,6 +97,25 @@ def test_calibrated_study_matches_a_study_at_the_fixed_sign():
     assert np.array_equal(calibrated.residual_field, fixed.residual_field)
 
 
+def test_calibration_that_picks_minus_one_matches_the_fixed_sign_study(monkeypatch):
+    """With the curvature term negated, the calibrated study must pick -1
+    and keep the negated-term residuals of every level."""
+    terms = V.laplacian_identity_terms
+
+    def negated(G, k_sign=1):
+        t = terms(G, k_sign)
+        return V._with_residual({**t, "curvature": -t["curvature"]})
+
+    monkeypatch.setattr(V, "laplacian_identity_terms", negated)
+    calibrated = V.verify_laplacian_identity(ladder(), CONF)
+    fixed = V.verify_laplacian_identity(ladder(), CONF, k_sign=-1)
+    assert calibrated.k_term_sign == -1 and calibrated.passed
+    # the coarsest order is nan on both sides, which == would reject
+    np.testing.assert_array_equal(calibrated.refinement, fixed.refinement)
+    assert np.array_equal(calibrated.residual_field, fixed.residual_field)
+    assert calibrated.values["flipped_sign_res_linf"] > calibrated.values["finest_res_linf"]
+
+
 def test_wrong_curvature_sign_fails_the_study():
     rep = V.verify_laplacian_identity(ladder(), CONF, k_sign=-1)
     assert not rep.passed
