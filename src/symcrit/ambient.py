@@ -12,7 +12,7 @@ fixed index conventions:
 
 :class:`AmbientManifold` is the general reference: it checks the fields
 it samples, takes their derivatives as 4th-order central differences
-with step ``fd_step`` (except for an analytic
+with the fixed step ``FD_STEP`` (except for an analytic
 ``metric_derivative_field``), contracts them into the connection, the
 covariant derivative of J and d(omega), and contracts the connection
 and its partials, taken by differencing the Christoffel field, into the
@@ -37,7 +37,6 @@ builds no rank-3 or rank-4 tensor per node.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
@@ -53,6 +52,7 @@ __all__ = [
     "euclidean_c2",
     "conformal",
     "parse_scalar_field",
+    "FD_STEP",
     "STANDARD_J",
 ]
 
@@ -71,6 +71,8 @@ STANDARD_J = np.array(
 )
 
 # 4th-order central difference: (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / (12 h)
+# Step of the 4th-order central differences of the general class
+FD_STEP = 1e-3
 _FD4_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _FD4_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 
@@ -179,23 +181,19 @@ class AmbientManifold:
     ``metric_field(points)`` and ``j_field(points)`` must accept an
     (..., 4) array and return (..., 4, 4).  The optional analytic
     ``metric_derivative_field`` returns (..., 4, 4, 4) with the derivative
-    index first.  ``fd_step`` must be finite and positive.
+    index first.  Other field derivatives are central differences with
+    step ``FD_STEP``.
     """
 
     metric_field: Callable[[np.ndarray], np.ndarray]
     j_field: Callable[[np.ndarray], np.ndarray]
     metric_derivative_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    fd_step: float = 1e-3
     name: str = "custom"
 
     # What a closed-form subclass declares so that surfaces skip work;
     # the general class declares neither.
     flat_metric: ClassVar[bool] = False  # g is the identity and J constant
     constant_j: ClassVar[bool] = False  # J is constant in the chart
-
-    def __post_init__(self):
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
-            raise ValueError(f"fd_step must be finite and positive, got {self.fd_step}")
 
     # -- basic fields -------------------------------------------------
 
@@ -247,7 +245,7 @@ class AmbientManifold:
         Output shape (..., 4, s): derivative index before the field axes.
         """
         points = np.asarray(points, dtype=float)
-        h = self.fd_step
+        h = FD_STEP
         cols = []
         for c in range(4):
             acc = 0.0

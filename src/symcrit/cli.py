@@ -7,9 +7,10 @@ Subcommands:
     angle-report  tabulate the angle cosine over a surface
     info          print version and available generators
 
-Configuration uses INI files with sections [ambient], [surface],
-[task], [output]; the common flags --beta, --levels, --tol, --out
-override the corresponding config entries.  Exit codes: 0 all good,
+Configuration uses INI files whose sections, keys and defaults are
+those of ``RUN_FILE``; any other section or key is a configuration
+error.  The flags --beta, --levels, --tol, --out replace the entries
+``FLAGS`` names.  Exit codes: 0 all good,
 1 a check failed or the run hit a geometric obstruction, 2 bad usage
 or configuration.
 """
@@ -20,9 +21,8 @@ import argparse
 import cmath
 import configparser
 import inspect
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +62,40 @@ GENERATORS = {
     "revolution": revolution_torus,
 }
 
-CHECKS = ("first-variation", "gradient", "laplacian", "critical", "conditions")
-AMBIENT_KEYS = ("kind", "lambda")
+# Every check ``verify`` runs, as the reports it makes from a RunConfig
+CHECKS = {
+    "first-variation": lambda cfg: [verify_mod.verify_first_variation(
+        cfg.single_surface(), cfg.ambient, cfg.beta,
+        rel_tol=cfg.tol if cfg.tol is not None else 1e-3)],
+    "gradient": lambda cfg: [
+        verify_mod.verify_gradient_identities(cfg.level_surfaces(), cfg.ambient)],
+    "laplacian": lambda cfg: [
+        verify_mod.verify_laplacian_identity(cfg.level_surfaces(), cfg.ambient)],
+    "critical": lambda cfg: [verify_mod.verify_critical_identity(
+        cfg.single_surface(), cfg.ambient, cfg.beta,
+        sin_alpha_min=cfg.sin_alpha_min, resid_tol=cfg.tol)],
+    "conditions": lambda cfg: _conditions(cfg.single_surface(), cfg.ambient),
+}
+
+# The run file: its sections, their keys and each key's default text, where
+# "" leaves the key unset.  Any other section or key is a ConfigError.
+RUN_FILE = {
+    "ambient": {"kind": "euclidean", "lambda": ""},
+    "surface": {"file": "", "generator": "", "params": ""},
+    "task": {"check": "gradient,laplacian", "beta": "1.0", "levels": "32,64",
+             "tol": "", "sin_alpha_min": "0.1", "max_iterations": "2000",
+             "res_tol": "1e-3"},
+    "output": {"dir": "."},
+}
+
+# Flags whose text replaces a run-file entry: flag -> (section, key)
+FLAGS = {"beta": ("task", "beta"), "levels": ("task", "levels"),
+         "tol": ("task", "tol"), "out": ("output", "dir")}
+
+
+def _conditions(surface, ambient) -> list:
+    return [verify_mod.check_condition_cyclic(surface, ambient),
+            verify_mod.check_condition_symmetric(surface, ambient)]
 
 
 @dataclass
@@ -71,22 +103,22 @@ class RunConfig:
     """Validated run description assembled from INI plus flag overrides."""
 
     ambient: AmbientManifold
-    generator: str | None = None
-    generator_args: dict = field(default_factory=dict)
-    surface_file: str | None = None
-    checks: list = field(default_factory=list)
-    beta: float = 1.0
-    levels: list = field(default_factory=lambda: [32, 64])
-    tol: float | None = None
-    sin_alpha_min: float = 0.1
-    max_iterations: int = 2000
-    res_tol: float = 1e-3
-    out_dir: Path = Path(".")
+    generator: str  # "" when the surface comes from a file
+    generator_args: dict
+    surface_file: str  # "" when a generator makes the surface
+    checks: list
+    beta: float
+    levels: list
+    tol: float | None
+    sin_alpha_min: float
+    max_iterations: int
+    res_tol: float
+    out_dir: Path
 
     def _surfaces(self, levels) -> list:
         """The surface file's surface, or the generator's at each level."""
         try:
-            if self.surface_file is not None:
+            if self.surface_file:
                 return [read_surface(self.surface_file)]
             fn = GENERATORS[self.generator]
             return [fn(**self.generator_args, n_theta=n, n_phi=n) for n in levels]
@@ -100,8 +132,9 @@ class RunConfig:
         return self._surfaces(self.levels)
 
 
-def _parse_value(text: str, kinds=(int, float)):
-    """A finite number of the first of ``kinds`` that parses the text."""
+def _number(text: str, key: str, kinds=(float,)):
+    """A finite number of the first of ``kinds`` that parses the text, or a
+    ConfigError naming the key."""
     for kind in kinds:
         try:
             value = kind(text)
@@ -109,18 +142,8 @@ def _parse_value(text: str, kinds=(int, float)):
             continue
         if cmath.isfinite(value):
             return value
-    raise ValueError(f"{text!r} is not a finite number")
-
-
-def _number(text: str, key: str, kind=float):
-    """A finite int or float from config text, or a ConfigError naming the key."""
-    try:
-        value = kind(text)
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise ConfigError(f"{key} = {text!r} is not a finite {kind.__name__}")
+    names = " or ".join(kind.__name__ for kind in kinds)
+    raise ConfigError(f"{key}: {text!r} is not a finite {names}")
 
 
 def _parse_generator_args(generator: str, text: str) -> dict:
@@ -134,86 +157,88 @@ def _parse_generator_args(generator: str, text: str) -> dict:
         if key not in known:
             raise ConfigError(f"generator {generator!r} has no parameter {key!r} "
                               f"(have: {', '.join(sorted(known))})")
-        try:
-            if key == "modes":
-                out[key] = tuple(int(v) for v in val.split(","))
-                if len(out[key]) != 2:
-                    raise ValueError("needs two integers")
-            elif params[key].annotation == "complex":
-                out[key] = _parse_value(val, (int, float, complex))
-            else:
-                out[key] = _parse_value(val)
-        except ValueError as err:
-            raise ConfigError(f"[surface] params {token!r}: {err}") from None
+        where = f"[surface] params {token}"
+        if key == "modes":
+            out[key] = tuple(_number(v, where, (int,)) for v in val.split(","))
+            if len(out[key]) != 2:
+                raise ConfigError(f"{where}: needs two integers")
+        elif params[key].annotation == "complex":
+            out[key] = _number(val, where, (int, float, complex))
+        else:
+            out[key] = _number(val, where, (int, float))
     return out
 
 
-def load_config(path: str, args) -> RunConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file {path!r} not found")
+def _read_run_file(path: str) -> configparser.ConfigParser:
+    """The run file over the RUN_FILE defaults, with every name checked.
 
-    amb = parser["ambient"] if parser.has_section("ambient") else {}
-    for key in amb:
-        if key not in AMBIENT_KEYS:
-            raise ConfigError(f"[ambient] has no key {key!r} "
-                              f"(have: {', '.join(AMBIENT_KEYS)})")
-    kind = amb.get("kind", "euclidean").strip()
+    Values are literal text.  There is no default section, so a
+    [DEFAULT] header is an unknown section too.
+    """
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
+    parser.read_dict(RUN_FILE)
     try:
-        if kind == "euclidean":
+        found = parser.read(path)
+    except configparser.Error as err:
+        raise ConfigError(str(err)) from None
+    if not found:
+        raise ConfigError(f"config file {path!r} not found")
+    for section in parser.sections():
+        if section not in RUN_FILE:
+            raise ConfigError(f"unknown section [{section}] "
+                              f"(have: {', '.join(RUN_FILE)})")
+        for key in parser[section]:
+            if key not in RUN_FILE[section]:
+                raise ConfigError(f"[{section}] has no key {key!r} "
+                                  f"(have: {', '.join(RUN_FILE[section])})")
+    return parser
+
+
+def load_config(path: str, args) -> RunConfig:
+    run = _read_run_file(path)
+    for flag, (section, key) in FLAGS.items():
+        if getattr(args, flag, None) is not None:
+            run[section][key] = getattr(args, flag)
+    amb, surf, task = run["ambient"], run["surface"], run["task"]
+
+    try:
+        if amb["kind"] == "euclidean":
             ambient = euclidean_c2()
-        elif kind == "conformal":
-            expr = amb.get("lambda", "").strip()
-            if not expr:
+        elif amb["kind"] == "conformal":
+            if not amb["lambda"]:
                 raise ConfigError("conformal ambient needs a lambda expression")
-            ambient = conformal(expr)
+            ambient = conformal(amb["lambda"])
         else:
-            raise ConfigError(f"unknown ambient kind {kind!r}")
+            raise ConfigError(f"unknown ambient kind {amb['kind']!r}")
     except ValueError as err:
         raise ConfigError(f"[ambient] {err}") from None
 
-    cfg = RunConfig(ambient=ambient)
+    gen = surf["generator"]
+    if bool(surf["file"]) == bool(gen):
+        raise ConfigError("[surface] needs exactly one of file and generator")
+    if gen and gen not in GENERATORS:
+        known = ", ".join(sorted(GENERATORS))
+        raise ConfigError(f"unknown generator {gen!r} (have: {known})")
 
-    surf = parser["surface"] if parser.has_section("surface") else {}
-    cfg.surface_file = surf.get("file")
-    gen = surf.get("generator")
-    if gen is not None:
-        gen = gen.strip()
-        if gen not in GENERATORS:
-            known = ", ".join(sorted(GENERATORS))
-            raise ConfigError(f"unknown generator {gen!r} (have: {known})")
-        cfg.generator = gen
-        cfg.generator_args = _parse_generator_args(gen, surf.get("params", ""))
-    if cfg.surface_file is None and cfg.generator is None:
-        raise ConfigError("config needs [surface] generator or file")
-
-    task = parser["task"] if parser.has_section("task") else {}
-    raw_checks = task.get("check", "gradient,laplacian")
-    cfg.checks = [c.strip() for c in raw_checks.split(",") if c.strip()]
-    for c in cfg.checks:
+    checks = [c.strip() for c in task["check"].split(",") if c.strip()]
+    for c in checks:
         if c not in CHECKS:
             raise ConfigError(f"unknown check {c!r} (have: {', '.join(CHECKS)})")
-    cfg.beta = _number(task.get("beta", "1.0"), "[task] beta")
-    levels = getattr(args, "levels", None) or task.get("levels", "32,64")
-    cfg.levels = [_number(n, "levels", int) for n in levels.split(",")]
-    if task.get("tol"):
-        cfg.tol = _number(task["tol"], "[task] tol")
-    cfg.sin_alpha_min = _number(task.get("sin_alpha_min", "0.1"),
-                                "[task] sin_alpha_min")
-    cfg.max_iterations = _number(task.get("max_iterations", "2000"),
-                                 "[task] max_iterations", int)
-    cfg.res_tol = _number(task.get("res_tol", "1e-3"), "[task] res_tol")
-
-    out = parser["output"] if parser.has_section("output") else {}
-    cfg.out_dir = Path(out.get("dir", "."))
-
-    if getattr(args, "beta", None) is not None:
-        cfg.beta = args.beta
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "out", None):
-        cfg.out_dir = Path(args.out)
+    cfg = RunConfig(
+        ambient=ambient,
+        generator=gen,
+        generator_args=_parse_generator_args(gen, surf["params"]) if gen else {},
+        surface_file=surf["file"],
+        checks=checks,
+        beta=_number(task["beta"], "[task] beta"),
+        levels=[_number(n, "[task] levels", (int,)) for n in task["levels"].split(",")],
+        tol=_number(task["tol"], "[task] tol") if task["tol"] else None,
+        sin_alpha_min=_number(task["sin_alpha_min"], "[task] sin_alpha_min"),
+        max_iterations=_number(task["max_iterations"], "[task] max_iterations",
+                               (int,)),
+        res_tol=_number(task["res_tol"], "[task] res_tol"),
+        out_dir=Path(run["output"]["dir"]),
+    )
 
     try:
         validate_beta(cfg.beta, for_flow=(args.command == "flow"))
@@ -225,49 +250,14 @@ def load_config(path: str, args) -> RunConfig:
     return cfg
 
 
-def _write_report(cfg: RunConfig, rep) -> Path:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.out_dir / f"{rep.check}.report.txt"
-    rep.save(path)
-    return path
-
-
-def _print_verdict(rep, path) -> None:
-    print(f"{'PASS' if rep.passed else 'FAIL'} {rep.check} "
-          f"[{rep.status}] -> {path}")
-
-
 def cmd_verify(cfg: RunConfig) -> int:
-    reports = []
-    for check in cfg.checks:
-        if check == "first-variation":
-            rep = verify_mod.verify_first_variation(
-                cfg.single_surface(), cfg.ambient, cfg.beta,
-                rel_tol=cfg.tol if cfg.tol is not None else 1e-3,
-            )
-            reports.append(rep)
-        elif check == "gradient":
-            rep = verify_mod.verify_gradient_identities(
-                cfg.level_surfaces(), cfg.ambient,
-            )
-            reports.append(rep)
-        elif check == "laplacian":
-            rep = verify_mod.verify_laplacian_identity(
-                cfg.level_surfaces(), cfg.ambient,
-            )
-            reports.append(rep)
-        elif check == "critical":
-            rep = verify_mod.verify_critical_identity(
-                cfg.single_surface(), cfg.ambient, cfg.beta,
-                sin_alpha_min=cfg.sin_alpha_min, resid_tol=cfg.tol,
-            )
-            reports.append(rep)
-        elif check == "conditions":
-            S = cfg.single_surface()
-            reports.append(verify_mod.check_condition_cyclic(S, cfg.ambient))
-            reports.append(verify_mod.check_condition_symmetric(S, cfg.ambient))
+    reports = [rep for check in cfg.checks for rep in CHECKS[check](cfg)]
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     for rep in reports:
-        _print_verdict(rep, _write_report(cfg, rep))
+        path = cfg.out_dir / f"{rep.check}.report.txt"
+        rep.save(path)
+        print(f"{'PASS' if rep.passed else 'FAIL'} {rep.check} "
+              f"[{rep.status}] -> {path}")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -339,13 +329,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", required=True, help="INI run description")
-        p.add_argument("--beta", type=float, help="override [task] beta")
+        p.add_argument("--beta", help="override [task] beta")
         p.add_argument("--out", help="override [output] dir")
 
     pv = sub.add_parser("verify", help="run identity checks")
     common(pv)
     pv.add_argument("--levels", help="comma list overriding [task] levels")
-    pv.add_argument("--tol", type=float, help="override [task] tol")
+    pv.add_argument("--tol", help="override [task] tol")
 
     pf = sub.add_parser("flow", help="run the descent flow")
     common(pf)

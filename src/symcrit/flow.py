@@ -11,7 +11,7 @@ floor.  The step size warm-starts from the previously accepted one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +55,8 @@ class FlowResult:
     """
 
     surface: ImmersedSurface
-    trace: np.ndarray = field(default_factory=lambda: np.empty((0, 5)))
-    converged: bool = False
+    trace: np.ndarray
+    converged: bool
 
     @property
     def states(self) -> list:
@@ -94,18 +94,6 @@ def stable_step(G: SurfaceGeometry, beta: float) -> float:
     return 1.7 / lam
 
 
-def _accepts(surface, ambient, beta, current_l):
-    """(L_beta, geometry) of the candidate if it passes all gates, else None."""
-    G = SurfaceGeometry(surface, ambient)
-    try:
-        value = l_beta(surface, ambient, beta, geometry=G)
-    except (NotImmersed, NotSymplectic):
-        return None
-    if not np.isfinite(value) or value >= current_l:
-        return None
-    return value, G
-
-
 def _line_search(surface, ambient, beta, G, el, current, tau):
     """Backtrack from step size ``tau`` along the weighted descent velocity.
 
@@ -122,9 +110,13 @@ def _line_search(surface, ambient, beta, G, el, current, tau):
     velocity = weight[..., None] * el.vector
     while tau >= TAU_MIN:
         candidate = surface.displaced(tau * velocity)
-        accepted = _accepts(candidate, ambient, beta, current)
-        if accepted is not None:
-            return candidate, *accepted, tau
+        G_new = SurfaceGeometry(candidate, ambient)
+        try:
+            value = l_beta(candidate, ambient, beta, geometry=G_new)
+        except (NotImmersed, NotSymplectic):  # immersion and angle-floor gates
+            value = math.nan
+        if math.isfinite(value) and value < current:
+            return candidate, value, G_new, tau
         tau *= 0.5
     raise FlowStalled(
         f"line search fell below tau = {TAU_MIN:g} without descent"
@@ -182,7 +174,6 @@ def run_flow(
     """
     beta = validate_beta(beta, for_flow=True)
     validate_budget(max_iterations, res_tol)
-    result = FlowResult(surface)
     G = SurfaceGeometry(surface, ambient)
     value = l_beta(surface, ambient, beta, geometry=G)
     rows = []
@@ -191,13 +182,11 @@ def run_flow(
         el = el_operator(surface, ambient, beta, geometry=G)
         row = [value, el.norm_l2, el.norm_linf, float(np.min(G.cos_alpha)), 0.0]
         rows.append(row)
-        if el.norm_linf <= res_tol:
-            result.converged = True
-            break
-        if iteration == max_iterations:
+        converged = el.norm_linf <= res_tol
+        if converged or iteration == max_iterations:
             break
         if el.norm_linf < STATIONARY_LINF:
-            result.converged = True
+            converged = True
             break
         base = stable_step(G, beta)
         tau_init = base if tau_prev is None else min(2.0 * tau_prev, base)
@@ -205,9 +194,7 @@ def run_flow(
             surface, ambient, beta, G, el, value, tau_init
         )
         row[4] = tau_prev
-    result.surface = surface
-    result.trace = np.array(rows, dtype=np.float64)
-    return result
+    return FlowResult(surface, np.array(rows, dtype=np.float64), converged)
 
 
 def write_trace(result: FlowResult, path) -> None:

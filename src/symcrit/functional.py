@@ -13,8 +13,7 @@ equations used by the component residuals below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +44,6 @@ def validate_beta(beta: float, for_flow: bool = False) -> float:
     return beta
 
 
-def _geometry(surface, ambient, geometry):
-    if geometry is not None:
-        return geometry
-    return SurfaceGeometry(surface, ambient)
-
-
 def l_beta(
     surface: ImmersedSurface,
     ambient: AmbientManifold,
@@ -67,7 +60,7 @@ def l_beta(
     beta = validate_beta(beta)
     if not math.isfinite(cos_floor):
         raise ValueError(f"cos_floor must be finite, got {cos_floor}")
-    G = _geometry(surface, ambient, geometry)
+    G = geometry or SurfaceGeometry(surface, ambient)
     ca = G.cos_alpha
     bad = int(np.sum(ca <= cos_floor))
     if bad:
@@ -97,26 +90,14 @@ def jj_grad_perp(geometry: SurfaceGeometry):
 class ELField:
     """Euler-Lagrange residual field of the angle-weighted functional.
 
-    The adapted-gauge components are computed on first access: they need
-    the adapted normal frame, which the norms and the flow never read.
+    ``vector`` holds the chart components of the normal field E; its
+    adapted-gauge components are ``G.dot(vector, G.adapted_frame.e3)``
+    and likewise for e4.
     """
 
     vector: np.ndarray  # (n_theta, n_phi, 4) chart components, normal
     norm_l2: float
     norm_linf: float
-    geometry: SurfaceGeometry = field(repr=False, compare=False)
-
-    @cached_property
-    def comp3(self) -> np.ndarray:
-        """<E, e3> in the adapted gauge."""
-        G = self.geometry
-        return G.dot(self.vector, G.adapted_frame.e3)
-
-    @cached_property
-    def comp4(self) -> np.ndarray:
-        """<E, e4> in the adapted gauge."""
-        G = self.geometry
-        return G.dot(self.vector, G.adapted_frame.e4)
 
 
 def el_operator(
@@ -127,7 +108,7 @@ def el_operator(
 ) -> ELField:
     """E = cos^3(alpha) H - beta (J (J grad cos alpha)^T)^perp at each node."""
     beta = validate_beta(beta)
-    G = _geometry(surface, ambient, geometry)
+    G = geometry or SurfaceGeometry(surface, ambient)
     ca = G.cos_alpha
     E = ca[..., None] ** 3 * G.mean_curvature
     if beta != 0.0:
@@ -135,7 +116,7 @@ def el_operator(
     mag = np.sqrt(G.dot(E, E))
     norm_l2 = float(np.sqrt(np.sum(mag**2 * G.area_weights)))
     norm_linf = float(np.max(mag))
-    return ELField(E, norm_l2, norm_linf, G)
+    return ELField(E, norm_l2, norm_linf)
 
 
 def el_components(
@@ -153,7 +134,7 @@ def el_components(
     Returns (r3, r4) grid fields.
     """
     beta = validate_beta(beta)
-    G = _geometry(surface, ambient, geometry)
+    G = geometry or SurfaceGeometry(surface, ambient)
     fr = G.adapted_frame
     H = G.mean_curvature_frame
     dc = G.grad_cos_frame

@@ -43,6 +43,7 @@ __all__ = [
     "zbar_graph",
     "holomorphic_graph",
     "perturbed_graph",
+    "perturbed_holomorphic_graph",
     "lagrangian_torus",
     "revolution_torus",
 ]

@@ -341,15 +341,17 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
     level's residual with the curvature term negated; the finest level
     then picks the sign, as ``calibrate_curvature_sign`` would.  On flat
     Kahler ambients the covariant-J terms of the finest level must also
-    vanish to ``FLAT_KAHLER_TOL``.
+    vanish to ``FLAT_KAHLER_TOL``.  ``k_sign`` must be None, +1 or -1.
     """
+    if k_sign not in (None, 1, -1):
+        raise ValueError(f"k_sign must be None, +1 or -1, got {k_sign!r}")
     levels = _refinement_levels(surfaces)
     field = _report_field(levels)
     notes = []
     calibrate = k_sign is None and not ambient.flat_metric
     if k_sign is None and ambient.flat_metric:
         notes.append("flat ambient: curvature term vanishes, sign +1 by default")
-    sign = 1 if k_sign is None else k_sign
+    sign = 1 if k_sign is None else int(k_sign)
     rows, flipped = [], []
     for S in levels:
         G = SurfaceGeometry(S, ambient)

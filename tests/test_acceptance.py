@@ -139,8 +139,10 @@ def test_criterion_5_critical_operator_consistency():
     el = el_operator(S, EUC, beta, geometry=G)
     r3, r4 = el_components(S, EUC, beta, geometry=G)
     ca3 = G.cos_alpha**3
-    ok &= float(np.max(np.abs(el.comp3 - ca3 * r3))) < 1e-10
-    ok &= float(np.max(np.abs(el.comp4 - ca3 * r4))) < 1e-10
+    comp3 = G.dot(el.vector, G.adapted_frame.e3)
+    comp4 = G.dot(el.vector, G.adapted_frame.e4)
+    ok &= float(np.max(np.abs(comp3 - ca3 * r3))) < 1e-10
+    ok &= float(np.max(np.abs(comp4 - ca3 * r4))) < 1e-10
     # the affine holomorphic family is exactly critical
     worst = 0.0
     for a, b in ((0.3, -0.2), (0.0, 0.1), (0.5, 0.2)):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import symcrit
 from symcrit.ambient import (
+    FD_STEP,
     AmbientManifold,
     STANDARD_J,
     conformal,
@@ -107,14 +108,6 @@ def test_non_finite_j_raises_structure_violation():
             M.j_at(np.zeros(4))
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-3, float("nan"), float("inf")])
-def test_bad_fd_step_raises(step):
-    ref = conformal("0.1*sin(p1)")
-    with pytest.raises(ValueError, match="fd_step"):
-        AmbientManifold(metric_field=ref.metric_field, j_field=ref.j_field,
-                        fd_step=step)
-
-
 def test_vanishing_conformal_factor_raises():
     M = conformal("-400*p1")  # exp(-800) underflows to zero
     with warnings.catch_warnings():
@@ -146,11 +139,7 @@ def test_conformal_christoffel_matches_closed_form_analytic_path():
 def test_conformal_christoffel_matches_closed_form_fd_path():
     ref = conformal("0.1*sin(p1) + 0.05*cos(p2)")
     # same metric but with the analytic derivative field withheld
-    M = AmbientManifold(
-        metric_field=ref.metric_field,
-        j_field=ref.j_field,
-        fd_step=1e-3,
-    )
+    M = AmbientManifold(metric_field=ref.metric_field, j_field=ref.j_field)
     pts = random_points(25)
     gamma = M.christoffel_at(pts)
     assert np.max(np.abs(gamma - conformal_closed_form_gamma(ref, pts))) < 1e-8
@@ -186,9 +175,7 @@ def test_metric_covariantly_constant():
 
 def test_metric_covariantly_constant_fd_path():
     ref = conformal("0.1*sin(p1) + 0.04*p2*p3")
-    M = AmbientManifold(
-        metric_field=ref.metric_field, j_field=ref.j_field, fd_step=1e-3
-    )
+    M = AmbientManifold(metric_field=ref.metric_field, j_field=ref.j_field)
     pts = random_points(10)
     dg = M.metric_derivative_at(pts)
     gamma = M.christoffel_at(pts)
@@ -198,7 +185,7 @@ def test_metric_covariantly_constant_fd_path():
         - np.einsum("...dca,...db->...cab", gamma, g)
         - np.einsum("...dcb,...ad->...cab", gamma, g)
     )
-    assert np.max(np.abs(nabla_g)) < 1e-6 * M.fd_step**2 + 1e-10
+    assert np.max(np.abs(nabla_g)) < 1e-6 * FD_STEP**2 + 1e-10
 
 
 # Frozen values from an exact symbolic computation with the same index

@@ -210,6 +210,57 @@ def test_unknown_ambient_key_is_config_error(tmp_path, capsys, line):
     assert "config error" in err and line.split()[0] in err
 
 
+VALID_RUN = """
+[ambient]
+kind = euclidean
+
+[surface]
+generator = zbar
+params = c=0.5
+
+[task]
+check = conditions
+levels = 16
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize(
+    "section, line, name",
+    [
+        ("surface", "generater = zbar", "generater"),
+        ("task", "max_iteration = 3", "max_iteration"),
+        ("output", "directory = out", "directory"),
+        ("surface", "file = {tmp}/surf.txt", "exactly one of file and generator"),
+    ],
+    ids=["surface", "task", "output", "file-and-generator"],
+)
+def test_unknown_key_or_second_surface_is_config_error(tmp_path, capsys, section,
+                                                       line, name):
+    """[ambient] keys are checked by test_unknown_ambient_key_is_config_error."""
+    write_surface(zbar_graph(0.5, n_theta=16, n_phi=16), tmp_path / "surf.txt")
+    body = VALID_RUN.format(out=tmp_path / "rep").replace(
+        f"[{section}]\n", f"[{section}]\n{line.format(tmp=tmp_path)}\n")
+    code = main(["verify", "--config", write_config(tmp_path, body)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and name in err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("header", ["[Task]", "[DEFAULT]", ""])
+def test_unknown_or_missing_section_is_config_error(tmp_path, capsys, header):
+    body = VALID_RUN.format(out=tmp_path / "rep").replace("[task]", header)
+    if not header:  # keys before the first section header
+        body = body.lstrip().replace("[ambient]\n", "", 1)
+    code = main(["verify", "--config", write_config(tmp_path, body)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and (header or "section") in err
+
+
 def test_non_finite_beta_flag_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, BAD_NUMBER.format(ambient="", task=""))
     code = main(["verify", "--config", cfg, "--beta", "nan"])

@@ -7,7 +7,7 @@ from symcrit import flow
 from symcrit.ambient import euclidean_c2
 from symcrit.errors import FlowStalled, NotSymplectic
 from symcrit.flow import FlowState, flow_step, run_flow, stable_step, write_trace
-from symcrit.functional import ELField, el_operator, l_beta
+from symcrit.functional import COS_FLOOR, ELField, el_operator, l_beta
 from symcrit.surface import (
     SurfaceGeometry,
     holomorphic_graph,
@@ -83,15 +83,63 @@ def test_stalled_line_search_raises():
         flow_step(S, EUC, 1.0, tau_init=1e-13)
 
 
+def record_l_beta(monkeypatch):
+    """Every L_beta the flow evaluates, or "angle floor" where it raised."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        try:
+            value = l_beta(*args, **kwargs)
+        except NotSymplectic:
+            seen.append("angle floor")
+            raise
+        seen.append(value)
+        return value
+
+    monkeypatch.setattr(flow, "l_beta", spy)
+    return seen
+
+
+def test_line_search_backtracks_past_angle_floor_and_increase(monkeypatch):
+    S = perturbed_graph(0.9, 0.05, n_theta=16, n_phi=16)
+    G = SurfaceGeometry(S, EUC)
+    tau_init = 100.0 * stable_step(G, 1.0)
+    seen = record_l_beta(monkeypatch)
+    S2, state = flow_step(S, EUC, 1.0, tau_init=tau_init, geometry=G)
+    current, *candidates = seen
+    assert len(candidates) == 10
+    assert candidates[:4] == ["angle floor"] * 4
+    assert all(value >= current for value in candidates[4:9])
+    assert state.tau == tau_init / 2**9
+    assert state.l_beta == current
+    assert candidates[9] == l_beta(S2, EUC, 1.0) < current
+    assert np.min(SurfaceGeometry(S2, EUC).cos_alpha) > COS_FLOOR
+
+
+def test_line_search_halves_a_step_that_increases_the_functional():
+    S = small_case(n=16)
+    G = SurfaceGeometry(S, EUC)
+    tau_init = 64.0 * stable_step(G, 1.0)
+    _, state = flow_step(S, EUC, 1.0, tau_init=tau_init, geometry=G)
+    assert state.tau == tau_init / 2
+
+
+def test_stationary_surface_converges_below_a_zero_residual_target():
+    S = holomorphic_graph(0.3, -0.2, n_theta=16, n_phi=16)
+    res = run_flow(S, EUC, 1.0, res_tol=0.0)
+    assert res.converged
+    assert res.iterations == 0
+    assert 0.0 < res.states[0].res_linf < flow.STATIONARY_LINF
+
+
 @pytest.mark.parametrize("entry", ["flow_step", "run_flow"])
 def test_non_finite_critical_operator_stalls_the_flow(monkeypatch, entry):
     def poisoned(surface, ambient, beta, geometry=None):
         el = el_operator(surface, ambient, beta, geometry=geometry)
         vector = el.vector.copy()
         vector[3, 5, 2] = np.nan
-        mag = np.sqrt(el.geometry.dot(vector, vector))
-        return ELField(vector, float(np.sqrt(np.sum(mag**2))), float(np.max(mag)),
-                       el.geometry)
+        mag = np.sqrt(geometry.dot(vector, vector))
+        return ELField(vector, float(np.sqrt(np.sum(mag**2))), float(np.max(mag)))
 
     monkeypatch.setattr(flow, "el_operator", poisoned)
     S = small_case(n=16)

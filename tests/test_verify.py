@@ -320,3 +320,18 @@ def test_report_records_tolerances_and_counts():
     text = rep.to_text()
     assert "beta 2" in text
     assert "tol.near_critical_linf" in text
+
+
+@pytest.mark.parametrize("k_sign", [0, 2.5])
+def test_bad_k_sign_raises(k_sign):
+    with pytest.raises(ValueError, match="k_sign"):
+        V.verify_laplacian_identity(ladder(), CONF, k_sign=k_sign)
+
+
+def test_unadapted_frame_makes_the_study_inconclusive():
+    """On a holomorphic graph J maps the tangent plane to itself, so the
+    normal frame adapts nowhere."""
+    S = holomorphic_graph(0.3, n_theta=16, n_phi=16)
+    rep = V.verify_gradient_identities(S, EUC)
+    assert rep.status == "inconclusive" and not rep.passed
+    assert rep.excluded_nodes == rep.total_nodes == 256
