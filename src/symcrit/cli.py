@@ -203,6 +203,8 @@ def load_config(path: str, args) -> RunConfig:
 
     try:
         if amb["kind"] == "euclidean":
+            if amb["lambda"]:
+                raise ConfigError("[ambient] lambda is read only with kind = conformal")
             ambient = euclidean_c2()
         elif amb["kind"] == "conformal":
             if not amb["lambda"]:
@@ -216,11 +218,15 @@ def load_config(path: str, args) -> RunConfig:
     gen = surf["generator"]
     if bool(surf["file"]) == bool(gen):
         raise ConfigError("[surface] needs exactly one of file and generator")
+    if surf["file"] and surf["params"]:
+        raise ConfigError("[surface] params is read only with generator, not file")
     if gen and gen not in GENERATORS:
         known = ", ".join(sorted(GENERATORS))
         raise ConfigError(f"unknown generator {gen!r} (have: {known})")
 
     checks = [c.strip() for c in task["check"].split(",") if c.strip()]
+    if not checks and args.command == "verify":
+        raise ConfigError("[task] check names no check to verify")
     for c in checks:
         if c not in CHECKS:
             raise ConfigError(f"unknown check {c!r} (have: {', '.join(CHECKS)})")

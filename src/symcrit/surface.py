@@ -162,23 +162,17 @@ def _sum4(p):
     return (p[..., 0] + p[..., 2]) + (p[..., 1] + p[..., 3])
 
 
-def _inner(g, u, v):
-    """sum_ab g_ab u^a v^b over the last axis; ``g = None`` is the identity.
-
-    A general g is contracted as two batched matrix products.
-    """
-    u, v = np.asarray(u), np.asarray(v)
-    if g is None:
-        # ((p0 + p1) + p2) + p3 is np.sum's order for a length-4 axis; np.sum
-        # also starts from +0.0, which the final += 0.0 matches (it turns the
-        # -0.0 of four -0.0 products into +0.0 and changes nothing else)
-        p = u * v
-        out = p[..., 0] + p[..., 1]
-        out += p[..., 2]
-        out += p[..., 3]
-        out += 0.0
-        return out
-    return (u[..., None, :] @ (g @ v[..., None]))[..., 0, 0]
+def _dot(u, v):
+    """Euclidean sum_a u^a v^a over the last axis, in a fixed order."""
+    # ((p0 + p1) + p2) + p3 is np.sum's order for a length-4 axis; np.sum
+    # also starts from +0.0, which the final += 0.0 matches (it turns the
+    # -0.0 of four -0.0 products into +0.0 and changes nothing else)
+    p = np.asarray(u) * np.asarray(v)
+    out = p[..., 0] + p[..., 1]
+    out += p[..., 2]
+    out += p[..., 3]
+    out += 0.0
+    return out
 
 
 def _reject(v, pair, co):
@@ -268,6 +262,20 @@ class SurfaceGeometry:
     def amb_g(self):
         return self.ambient.metric_at(self.pos)
 
+    def _lower(self, v, nodes=None):
+        """g v for every row v[..., k, :], as the row product v @ g.
+
+        g is symmetric, so row k of the product is g applied to row k.  The
+        metric's node axes broadcast against the axes of ``v`` before the
+        row axis; ``nodes`` picks the nodes when ``v`` holds only some.  On
+        a flat metric the rows are their own lowering and the metric is
+        never sampled.  Every use of the metric goes through here.
+        """
+        if self.ambient.flat_metric:
+            return v
+        g = self.amb_g if nodes is None else self.amb_g[nodes]
+        return v @ g
+
     @cached_property
     def amb_j(self):
         return self.ambient.j_at(self.pos)
@@ -276,18 +284,18 @@ class SurfaceGeometry:
 
     def dot(self, u, v):
         """Ambient inner product of chart vector fields on the grid."""
-        return _inner(None if self.ambient.flat_metric else self.amb_g, u, v)
+        # v is lowered as a one-row stack, so axes of v before the node axes
+        # broadcast like those of u
+        return _dot(u, self._lower(np.asarray(v)[..., None, :])[..., 0, :])
 
     @cached_property
     def induced_metric(self):
-        if not self.ambient.flat_metric:
-            F = self.fderiv
-            return (F @ self.amb_g) @ np.swapaxes(F, -1, -2)
         fth, fph = self.fth, self.fph
+        gth, gph = (self._lower(f[..., None, :])[..., 0, :] for f in (fth, fph))
         out = np.empty(fth.shape[:-1] + (2, 2))
-        out[..., 0, 0] = _sum4(fth * fth)
-        out[..., 0, 1] = out[..., 1, 0] = _sum4(fth * fph)
-        out[..., 1, 1] = _sum4(fph * fph)
+        out[..., 0, 0] = _sum4(fth * gth)
+        out[..., 0, 1] = out[..., 1, 0] = _sum4(fth * gph)
+        out[..., 1, 1] = _sum4(fph * gph)
         return out
 
     @cached_property
@@ -363,9 +371,8 @@ class SurfaceGeometry:
 
     @cached_property
     def _tangent_covectors(self):
-        """(g e1, g e2) stacked like (e1, e2); (e1, e2) for the Euclidean dot."""
-        pair = self._tangent_frame[0]
-        return pair if self.ambient.flat_metric else pair @ self.amb_g
+        """(g e1, g e2) stacked like (e1, e2)."""
+        return self._lower(self._tangent_frame[0])
 
     def project_normal(self, v):
         """Normal part of chart vectors: the g-orthogonal rejection from (e1, e2)."""
@@ -400,8 +407,7 @@ class SurfaceGeometry:
             # row B: normal part of chart axis B at each unadapted node, (m, 4, 4)
             pair, co = self._tangent_frame[0][~ok], self._tangent_covectors[~ok]
             axes = _reject(np.eye(4), pair[:, None], co[:, None])
-            g = None if self.ambient.flat_metric else self.amb_g[~ok][:, None]
-            norms = _inner(g, axes, axes)
+            norms = _dot(axes, self._lower(axes, ~ok))
             best = np.argmax(norms, axis=-1)
             m = np.arange(best.size)
             e3[~ok] = axes[m, best] / np.sqrt(norms[m, best])[:, None]
@@ -437,9 +443,8 @@ class SurfaceGeometry:
 
     @cached_property
     def _normal_covectors(self):
-        """(g e3, g e4) stacked like the normal pair; (e3, e4) for the Euclidean dot."""
-        normals = self.frame_matrix[..., 2:, :]
-        return normals if self.ambient.flat_metric else normals @ self.amb_g
+        """(g e3, g e4) stacked like the normal pair."""
+        return self._lower(self.frame_matrix[..., 2:, :])
 
     @cached_property
     def second_fundamental(self):

@@ -66,7 +66,6 @@ class Report:
     check: str
     ambient: str
     status: str  # pass | fail | conditional | hypotheses-violated | inconclusive
-    passed: bool
     beta: float | None = None
     k_term_sign: int | None = None
     tolerances: dict = field(default_factory=dict)
@@ -76,6 +75,11 @@ class Report:
     excluded_nodes: int = 0
     total_nodes: int = 0
     residual_field: np.ndarray | None = None
+
+    @property
+    def passed(self) -> bool:
+        """Whether the status counts as a pass; annotated verdicts do."""
+        return self.status in ("pass", "conditional", "hypotheses-violated")
 
     def to_text(self) -> str:
         lines = [
@@ -191,14 +195,13 @@ def _refinement_study(check, ambient, levels, field, single_tol, notes):
     status = "pass" if ok else "fail"
     excluded = int(np.sum(~mask))
     if excluded > 0.1 * mask.size:
-        status, ok = "inconclusive", False
+        status = "inconclusive"
         notes.append("more than 10% of nodes excluded (frame unadapted)")
     np.copyto(field, res, where=mask)  # unadapted nodes keep their 0.0
     return Report(
         check=check,
         ambient=ambient.name,
         status=status,
-        passed=ok,
         tolerances={"order": ORDER_TOL},
         values={"finest_res_linf": rows[-1][2], "finest_res_l2": rows[-1][1]},
         notes=notes,
@@ -380,7 +383,7 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
     if flip_res is not None:
         rep.values["flipped_sign_res_linf"] = flip_res
     if rep.passed and ambient.flat_metric and not j_term < FLAT_KAHLER_TOL:
-        rep.status, rep.passed = "fail", False
+        rep.status = "fail"
     return rep
 
 
@@ -463,7 +466,6 @@ def check_condition_cyclic(surface: ImmersedSurface,
         check="condition_cyclic",
         ambient=ambient.name,
         status="pass" if ok else "fail",
-        passed=ok,
         tolerances={"oracle_mismatch": ORACLE_TOL},
         values={
             "condition_res_linf": cond,
@@ -519,7 +521,6 @@ def check_condition_symmetric(surface: ImmersedSurface,
         check="condition_symmetric",
         ambient=ambient.name,
         status="pass" if ok else "fail",
-        passed=ok,
         tolerances={"flat_kahler_res": FLAT_KAHLER_TOL},
         values=values,
         notes=notes,
@@ -577,15 +578,14 @@ def verify_critical_identity(
     if not conditions_hold:
         notes.append("ambient covariant-J conditions violated on the surface")
     if excluded == total:
-        status, passed = "inconclusive", False
+        status = "inconclusive"
         notes.append("all nodes excluded by the sin(alpha) floor")
     elif not hypotheses_ok:
-        status, passed = "hypotheses-violated", True
+        status = "hypotheses-violated"
     elif resid_tol is not None:
-        passed = linf <= resid_tol
-        status = "pass" if passed else "fail"
+        status = "pass" if linf <= resid_tol else "fail"
     else:
-        status, passed = "conditional", True
+        status = "conditional"
     tols = {"near_critical_linf": NEAR_CRITICAL_LINF, "condition": CONDITION_TOL}
     if resid_tol is not None:
         tols["residual_linf"] = resid_tol
@@ -593,7 +593,6 @@ def verify_critical_identity(
         check="critical_identity",
         ambient=ambient.name,
         status=status,
-        passed=passed,
         beta=beta,
         k_term_sign=1,
         tolerances=tols,
@@ -717,7 +716,6 @@ def verify_first_variation(
         check="first_variation",
         ambient=ambient.name,
         status="pass" if ok else "fail",
-        passed=ok,
         beta=beta,
         tolerances={"rel_err": rel_tol, "delta_order": ORDER_TOL},
         values=values,

@@ -250,6 +250,40 @@ def test_unknown_key_or_second_surface_is_config_error(tmp_path, capsys, section
     assert not (tmp_path / "rep").exists()
 
 
+@pytest.mark.parametrize(
+    "line, replacement, name",
+    [
+        ("kind = euclidean", "kind = euclidean\nlambda = not an expression((",
+         "lambda"),
+        ("generator = zbar", "file = {tmp}/surf.txt", "params"),
+    ],
+    ids=["lambda-with-euclidean", "params-with-file"],
+)
+def test_key_the_chosen_branch_drops_is_config_error(tmp_path, capsys, line,
+                                                     replacement, name):
+    write_surface(zbar_graph(0.5, n_theta=16, n_phi=16), tmp_path / "surf.txt")
+    body = VALID_RUN.format(out=tmp_path / "rep").replace(
+        line, replacement.format(tmp=tmp_path))
+    code = main(["verify", "--config", write_config(tmp_path, body)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and name in err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("check", ["", " , "], ids=["empty", "commas"])
+def test_empty_check_list_is_config_error_for_verify_only(tmp_path, capsys, check):
+    body = VALID_RUN.format(out=tmp_path / "rep").replace(
+        "check = conditions", f"check ={check}")
+    cfg = write_config(tmp_path, body)
+    code = main(["verify", "--config", cfg])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and "check" in err
+    assert not (tmp_path / "rep").exists()
+    assert main(["angle-report", "--config", cfg]) == 0
+
+
 @pytest.mark.parametrize("header", ["[Task]", "[DEFAULT]", ""])
 def test_unknown_or_missing_section_is_config_error(tmp_path, capsys, header):
     body = VALID_RUN.format(out=tmp_path / "rep").replace("[task]", header)

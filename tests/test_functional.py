@@ -21,6 +21,7 @@ from symcrit.surface import (
     revolution_torus,
     zbar_graph,
 )
+from symcrit.verify import laplacian_identity_terms
 
 EUC = euclidean_c2()
 
@@ -157,6 +158,21 @@ def test_flat_l_beta_builds_no_node_fields():
     G = SurfaceGeometry(S, EUC)
     l_beta(S, EUC, 1.0, geometry=G)
     assert not {"pos", "amb_g", "amb_j", "fderiv"} & set(G.__dict__)
+
+
+def test_flat_geometry_never_samples_metric_or_j():
+    """Flat frames, second fundamental forms, E and the Laplacian terms use
+    the Euclidean dot and the constant J: no per-node metric or J is built."""
+    torus = SurfaceGeometry(revolution_torus(n_theta=16, n_phi=16), EUC)
+    assert not torus.adapted_frame.adapted.all()  # raw gauge at some nodes
+    torus.second_fundamental
+    S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
+    G = SurfaceGeometry(S, EUC)
+    G.adapted_frame, G.second_fundamental
+    el_operator(S, EUC, 1.0, geometry=G)
+    laplacian_identity_terms(G)
+    for geometry in (torus, G):
+        assert not {"amb_g", "amb_j"} & set(geometry.__dict__)
 
 
 def test_jj_grad_perp_identity_matches_raw_projection():

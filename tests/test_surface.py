@@ -586,6 +586,13 @@ def test_kernels_match_einsum_reference(surface, ambient):
     accel = G.fsecond + np.einsum("...abc,...ib,...jc->...ija", gamma, F, F)
     normals = G.frame_matrix[..., 2:, :]
     wn = np.einsum("...cd,...ijc,...nd->...nij", g, accel, normals)
+    # raw gauge: e3 is the normal part of the chart axis whose normal part
+    # is longest; row B of ``axes`` is the normal part of chart axis B
+    bad = ~fr.adapted
+    axes = np.swapaxes(proj, -1, -2)[bad]
+    norms = np.einsum("...Ba,...ab,...Bb->...B", axes, g[bad], axes)
+    m, best = np.arange(len(axes)), np.argmax(norms, axis=-1)
+    raw_e3 = axes[m, best] / np.sqrt(norms[m, best])[:, None]
     C = G.frame_coeff
     h = np.einsum("...ia,...jb,...nij->...nab", C, C, wn)
     pairs = {
@@ -602,11 +609,16 @@ def test_kernels_match_einsum_reference(surface, ambient):
             jj_grad_perp(G),
             np.einsum("...ab,...b->...a", proj, jtang),
         ),
+        "_normal_covectors": (
+            G._normal_covectors, np.einsum("...ab,...nb->...na", g, normals)
+        ),
         "accel": (G.accel, accel),
         "second_fundamental": (
             G.second_fundamental, 0.5 * (h + np.swapaxes(h, -1, -2))
         ),
     }
+    if bad.any():
+        pairs["raw-gauge e3"] = (fr.e3[bad], raw_e3)
     for name, (got, want) in pairs.items():
         assert rel_err(got, want) < 1e-14, name
     if ambient is EUC:
