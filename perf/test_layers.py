@@ -3,8 +3,13 @@
 The first group runs at 64x64 on ``perturbed_graph(0.5, 0.05)`` in the
 flat ambient, the surface size of the first-variation check; the check
 also runs in the conformal ambient.  The ``_n32`` group runs the
-periodic stencils and one descent step at 32x32, the grid of the
-benchmark's descent workload, on the criterion-8 surface.  The
+periodic stencils, one descent step, the critical operator (fresh
+geometry), and the normal projection ``project_normal`` and
+``jj_grad_perp`` at 32x32, the grid of the benchmark's descent
+workload, on the criterion-8 surface; the last two run on a fresh
+geometry that ``l_beta`` has already read (cos(alpha) and the area
+element), as a descent step has it, and ``project_normal`` projects a
+fixed random chart vector field.  The
 ``_n128`` group runs the functional, frame, acceleration,
 second-fundamental-form, mean-curvature-derivative, covariant-J,
 curvature, critical operator, cyclic-condition (residuals and the whole
@@ -30,7 +35,7 @@ import pytest
 
 from symcrit.ambient import conformal, euclidean_c2
 from symcrit.flow import flow_step
-from symcrit.functional import el_operator, l_beta
+from symcrit.functional import el_operator, jj_grad_perp, l_beta
 from symcrit.surface import (
     SurfaceGeometry,
     periodic_d1,
@@ -56,6 +61,7 @@ N_COARSE = 32
 ROUNDS_COARSE = 500
 SURFACE_COARSE = perturbed_holomorphic_graph(0.3, -0.2, 0.05, n_theta=N_COARSE,
                                              n_phi=N_COARSE)
+FIELD_COARSE = np.random.default_rng(5).standard_normal((N_COARSE, N_COARSE, 4))
 
 N_FINE = 128
 ROUNDS_FINE = 20
@@ -123,6 +129,23 @@ def test_flow_step_n32(benchmark):
                                     rounds=ROUNDS_COARSE)
     assert state.tau > 0 and not np.array_equal(new.periodic_part,
                                                 SURFACE_COARSE.periodic_part)
+
+
+def test_el_operator_fresh_geometry_n32(benchmark):
+    el = benchmark.pedantic(el_operator, (SURFACE_COARSE, EUC, BETA),
+                            rounds=ROUNDS_COARSE)
+    assert el.norm_linf > 0
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [lambda G: G.project_normal(FIELD_COARSE), jj_grad_perp],
+    ids=["project_normal", "jj_grad_perp"],
+)
+def test_normal_projection_n32(benchmark, layer):
+    setup = prebuilt("cos_alpha", "sqrt_det", surface=SURFACE_COARSE)
+    value = benchmark.pedantic(layer, setup=setup, rounds=ROUNDS_COARSE)
+    assert value.shape == (N_COARSE, N_COARSE, 4)
 
 
 FINE_LAYERS = {

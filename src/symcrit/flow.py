@@ -51,12 +51,19 @@ class FlowResult:
 
     ``trace`` holds one row per visited surface, in ``FlowState`` field
     order without the iteration (the row index): L_beta, res_l2,
-    res_linf, min_cos_alpha, tau.
+    res_linf, min_cos_alpha, tau.  ``stop_reason`` names the exit the
+    run took: "converged" (res_linf <= res_tol), "budget" (the iteration
+    budget ran out first) or "stationary" (res_linf below
+    ``STATIONARY_LINF``, where no step can descend).
     """
 
     surface: ImmersedSurface
     trace: np.ndarray
-    converged: bool
+    stop_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "budget"
 
     @property
     def states(self) -> list:
@@ -182,11 +189,14 @@ def run_flow(
         el = el_operator(surface, ambient, beta, geometry=G)
         row = [value, el.norm_l2, el.norm_linf, float(np.min(G.cos_alpha)), 0.0]
         rows.append(row)
-        converged = el.norm_linf <= res_tol
-        if converged or iteration == max_iterations:
+        if el.norm_linf <= res_tol:
+            stop_reason = "converged"
+            break
+        if iteration == max_iterations:
+            stop_reason = "budget"
             break
         if el.norm_linf < STATIONARY_LINF:
-            converged = True
+            stop_reason = "stationary"
             break
         base = stable_step(G, beta)
         tau_init = base if tau_prev is None else min(2.0 * tau_prev, base)
@@ -194,7 +204,7 @@ def run_flow(
             surface, ambient, beta, G, el, value, tau_init
         )
         row[4] = tau_prev
-    return FlowResult(surface, np.array(rows, dtype=np.float64), converged)
+    return FlowResult(surface, np.array(rows, dtype=np.float64), stop_reason)
 
 
 def write_trace(result: FlowResult, path) -> None:

@@ -8,6 +8,18 @@ Critical points satisfy the vanishing of the normal field
 
 whose (e3, e4) components divided by cos(alpha)^3 reproduce the scalar
 equations used by the component residuals below.
+
+E needs no frame.  In the parametric tangents F_theta, F_phi the
+tangential part of J grad cos(alpha) is
+
+    (J grad cos a)^T = cos a (d_theta(cos a) F_phi - d_phi(cos a) F_theta)
+                       / sqrt(det g),
+
+built from the two partials of cos(alpha) and not by projecting
+J grad cos(alpha), whose normal part dwarfs the tangential one where
+cos(alpha) is small.  E is then the normal part, v - g^ij <v, F_j> F_i,
+of the single chart vector cos(alpha)^3 g^ij W_ij - beta J (J grad cos a)^T,
+with W_ij the covariant second derivatives of the immersion.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ import numpy as np
 
 from .ambient import AmbientManifold
 from .errors import NotSymplectic
-from .surface import ImmersedSurface, SurfaceGeometry
+from .surface import ImmersedSurface, SurfaceGeometry, periodic_d1
 
 __all__ = [
     "ELField",
@@ -70,20 +82,33 @@ def l_beta(
     return float(np.sum(ca ** (-beta) * G.area_weights))
 
 
+def _j_tangent_grad(G: SurfaceGeometry):
+    """J (J grad cos(alpha))^T in chart components, not yet projected."""
+    S = G.surface
+    ca = G.cos_alpha
+    s = ca / G.sqrt_det
+    d_theta = s * periodic_d1(ca, 0, S.h_theta)
+    d_phi = s * periodic_d1(ca, 1, S.h_phi)
+    return G.apply_j(d_theta[..., None] * G.fph - d_phi[..., None] * G.fth)
+
+
 def jj_grad_perp(geometry: SurfaceGeometry):
     """Normal part of J applied to the tangential part of J grad cos(alpha).
 
-    Uses the pointwise identity
-        (J grad cos a)^T = cos a (e2 d1(cos a) - e1 d2(cos a)),
-    which avoids the cancellation of projecting J grad directly: the
-    raw double projection of the chart gradient gives the same field,
-    only less accurately.
+    Uses the pointwise identity in the parametric tangents
+        (J grad cos a)^T = cos a (d_theta(cos a) F_phi - d_phi(cos a) F_theta)
+                           / sqrt(det g):
+    on the tangent plane J has tangential part cos a times the quarter
+    turn, and the quarter turn of grad f is
+    (d_theta f F_phi - d_phi f F_theta) / sqrt(det g).  Building the
+    tangential part from the two partials avoids the cancellation of
+    projecting J grad cos a itself, whose normal part, of length
+    sin a |grad cos a|, dwarfs the tangential one, cos a |grad cos a|,
+    where cos a is small: the raw double projection of the chart
+    gradient gives the same field, only less accurately.  No frame is
+    built; the one projection goes through g^ij.
     """
-    G = geometry
-    dc = G.grad_cos_frame
-    ca = G.cos_alpha
-    tang = ca[..., None] * (dc[..., 0, None] * G.e2 - dc[..., 1, None] * G.e1)
-    return G.project_normal(G.apply_j(tang))
+    return geometry.project_normal(_j_tangent_grad(geometry))
 
 
 @dataclass
@@ -106,13 +131,18 @@ def el_operator(
     beta: float,
     geometry: SurfaceGeometry | None = None,
 ) -> ELField:
-    """E = cos^3(alpha) H - beta (J (J grad cos alpha)^T)^perp at each node."""
+    """E = cos^3(alpha) H - beta (J (J grad cos alpha)^T)^perp at each node.
+
+    Both terms are projected together: E is the normal part of
+    cos^3(alpha) g^ij W_ij - beta J (J grad cos alpha)^T.
+    """
     beta = validate_beta(beta)
     G = geometry or SurfaceGeometry(surface, ambient)
     ca = G.cos_alpha
-    E = ca[..., None] ** 3 * G.mean_curvature
+    raw = ca[..., None] ** 3 * G._raw_mean_curvature
     if beta != 0.0:
-        E = E - beta * jj_grad_perp(G)
+        raw -= beta * _j_tangent_grad(G)
+    E = G.project_normal(raw)
     mag = np.sqrt(G.dot(E, E))
     norm_l2 = float(np.sqrt(np.sum(mag**2 * G.area_weights)))
     norm_linf = float(np.max(mag))

@@ -7,8 +7,11 @@ on a regular grid (no seam duplication: theta_i = i T_theta / n).
 
 Parametric derivatives use 4th-order periodic central differences on P
 plus the exact contribution of the linear part.  All node-level tensors
-are cached lazily on :class:`SurfaceGeometry`, so cheap consumers (the
-functional, the flow) never pay for curvature or frame assembly.
+are cached lazily on :class:`SurfaceGeometry`.  Normal parts are taken
+in coordinates, v - g^ij <v, F_j> F_i with F_i the parametric tangents
+and g^ij the inverse induced metric, so the functional, the critical
+operator and the flow build no frame at all; the orthonormal frame below
+is assembled only for the frame components the checks read.
 
 Frame conventions at a node:
 
@@ -175,12 +178,6 @@ def _dot(u, v):
     return out
 
 
-def _reject(v, pair, co):
-    """v - sum_a <co_a, v> pair_a for a (..., 2, 4) pair with covectors g pair."""
-    c = _sum4(co * v[..., None, :])
-    return v - c[..., 0, None] * pair[..., 0, :] - c[..., 1, None] * pair[..., 1, :]
-
-
 @dataclass
 class AdaptedFrame:
     """Orthonormal 4-frames with the normal pair in the adapted gauge.
@@ -289,9 +286,15 @@ class SurfaceGeometry:
         return _dot(u, self._lower(np.asarray(v)[..., None, :])[..., 0, :])
 
     @cached_property
+    def _coordinate_covectors(self):
+        """(g F_theta, g F_phi): the parametric tangents lowered."""
+        fth, fph = self.fth, self.fph
+        return tuple(self._lower(f[..., None, :])[..., 0, :] for f in (fth, fph))
+
+    @cached_property
     def induced_metric(self):
         fth, fph = self.fth, self.fph
-        gth, gph = (self._lower(f[..., None, :])[..., 0, :] for f in (fth, fph))
+        gth, gph = self._coordinate_covectors
         out = np.empty(fth.shape[:-1] + (2, 2))
         out[..., 0, 0] = _sum4(fth * gth)
         out[..., 0, 1] = out[..., 1, 0] = _sum4(fth * gph)
@@ -369,14 +372,19 @@ class SurfaceGeometry:
         """coeff[..., i, a]: e_a = sum_i coeff[i, a] d_i F (tangent only)."""
         return self._tangent_frame[1]
 
-    @cached_property
-    def _tangent_covectors(self):
-        """(g e1, g e2) stacked like (e1, e2)."""
-        return self._lower(self._tangent_frame[0])
-
     def project_normal(self, v):
-        """Normal part of chart vectors: the g-orthogonal rejection from (e1, e2)."""
-        return _reject(np.asarray(v), self._tangent_frame[0], self._tangent_covectors)
+        """Normal part of chart vectors: v - g^ij <v, F_j> F_i.
+
+        The node axes of the tangents broadcast against the axes of ``v``
+        before its last, so a stack of fields is projected in one call.
+        Raises NotImmersed where the induced metric is singular.
+        """
+        v = np.asarray(v)
+        gi = self.induced_metric_inv
+        cth, cph = (_dot(v, co) for co in self._coordinate_covectors)
+        ath = gi[..., 0, 0] * cth + gi[..., 0, 1] * cph
+        aph = gi[..., 1, 0] * cth + gi[..., 1, 1] * cph
+        return v - ath[..., None] * self.fth - aph[..., None] * self.fph
 
     def apply_j(self, v):
         """J v for a chart vector field on the grid.
@@ -405,8 +413,8 @@ class SurfaceGeometry:
         e3 /= np.where(ok, r, 1.0)[..., None]
         if not ok.all():
             # row B: normal part of chart axis B at each unadapted node, (m, 4, 4)
-            pair, co = self._tangent_frame[0][~ok], self._tangent_covectors[~ok]
-            axes = _reject(np.eye(4), pair[:, None], co[:, None])
+            axes = self.project_normal(np.eye(4)[:, None, None, :])
+            axes = np.moveaxis(axes, 0, -2)[~ok]
             norms = _dot(axes, self._lower(axes, ~ok))
             best = np.argmax(norms, axis=-1)
             m = np.arange(best.size)
@@ -478,10 +486,14 @@ class SurfaceGeometry:
         return h[..., 0, 0] + h[..., 1, 1]  # (nt, np, 2)
 
     @cached_property
+    def _raw_mean_curvature(self):
+        """g^ij W_ij in chart components, before the normal projection."""
+        return np.einsum("...ij,...ija->...a", self.induced_metric_inv, self.accel)
+
+    @cached_property
     def mean_curvature(self):
         """Mean curvature vector in chart components (gauge independent)."""
-        raw = np.einsum("...ij,...ija->...a", self.induced_metric_inv, self.accel)
-        return self.project_normal(raw)
+        return self.project_normal(self._raw_mean_curvature)
 
     # ---- derivatives of the angle
 

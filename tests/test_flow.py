@@ -128,8 +128,29 @@ def test_stationary_surface_converges_below_a_zero_residual_target():
     S = holomorphic_graph(0.3, -0.2, n_theta=16, n_phi=16)
     res = run_flow(S, EUC, 1.0, res_tol=0.0)
     assert res.converged
+    assert res.stop_reason == "stationary"
     assert res.iterations == 0
     assert 0.0 < res.states[0].res_linf < flow.STATIONARY_LINF
+
+
+def test_stop_reason_converged_even_on_the_last_budgeted_iteration():
+    S = small_case(n=16)
+    res = run_flow(S, EUC, 1.0, max_iterations=400, res_tol=2e-3)
+    assert res.stop_reason == "converged" and res.converged
+    assert res.states[-1].res_linf <= 2e-3
+    # a budget that ends on the converging iteration still reports convergence
+    tight = run_flow(S, EUC, 1.0, max_iterations=res.iterations, res_tol=2e-3)
+    assert tight.stop_reason == "converged"
+    assert np.array_equal(tight.trace, res.trace)
+
+
+@pytest.mark.parametrize("max_iterations", [0, 6])
+def test_stop_reason_budget(max_iterations):
+    res = run_flow(small_case(n=16), EUC, 1.0, max_iterations=max_iterations,
+                   res_tol=2e-3)
+    assert res.stop_reason == "budget" and not res.converged
+    assert res.iterations == max_iterations
+    assert res.states[-1].res_linf > 2e-3
 
 
 @pytest.mark.parametrize("entry", ["flow_step", "run_flow"])
@@ -170,6 +191,15 @@ def test_flow_step_rejects_bad_tau_init(tau_init):
 def test_flow_rejects_negative_beta():
     with pytest.raises(ValueError):
         run_flow(small_case(n=16), EUC, -0.5, max_iterations=1)
+
+
+def test_flow_never_builds_the_tangent_frame(monkeypatch):
+    def refuse(self):
+        raise AssertionError("tangent frame built")
+
+    monkeypatch.setattr(SurfaceGeometry, "_tangent_frame", property(refuse))
+    res = run_flow(small_case(n=16), EUC, 1.0, max_iterations=20, res_tol=2e-3)
+    assert res.iterations == 20
 
 
 def test_flow_rejects_lagrangian_input():

@@ -5,6 +5,7 @@ import pytest
 
 from symcrit.ambient import conformal, euclidean_c2
 from symcrit.errors import NotSymplectic
+from symcrit.flow import stable_step
 from symcrit.functional import (
     el_components,
     el_operator,
@@ -17,6 +18,7 @@ from symcrit.surface import (
     holomorphic_graph,
     lagrangian_torus,
     perturbed_graph,
+    perturbed_holomorphic_graph,
     periodic_d1,
     revolution_torus,
     zbar_graph,
@@ -150,6 +152,21 @@ def test_el_frame_components_are_lazy():
     G = SurfaceGeometry(S, EUC)
     el = el_operator(S, EUC, 1.0, geometry=G)
     assert "adapted_frame" not in G.__dict__
+
+
+@pytest.mark.parametrize(
+    "ambient", [EUC, conformal("0.1*sin(p1) + 0.05*cos(p2)")], ids=["flat", "conformal"]
+)
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_descent_step_builds_no_tangent_frame(ambient, beta):
+    """What one descent step reads (l_beta, E, the step cap) needs no frame."""
+    S = perturbed_holomorphic_graph(0.3, -0.2, 0.05, n_theta=16, n_phi=16)
+    G = SurfaceGeometry(S, ambient)
+    l_beta(S, ambient, beta, geometry=G)
+    el_operator(S, ambient, beta, geometry=G)
+    stable_step(G, beta)
+    assert "_tangent_frame" not in vars(G)
+    assert "adapted_frame" not in vars(G)
 
 
 def test_flat_l_beta_builds_no_node_fields():

@@ -260,6 +260,16 @@ def test_degenerate_surface_raises():
         geometry(flat).det_induced
 
 
+@pytest.mark.parametrize("ambient", [EUC, CONF], ids=["flat", "conformal"])
+def test_project_normal_on_degenerate_surface_raises(ambient):
+    """The projection reads g^ij, so a point map is a typed error, not NaN."""
+    flat = ImmersedSurface(np.zeros((4, 2)), np.zeros((8, 8, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotImmersed):
+            geometry(flat, ambient).project_normal(np.ones((8, 8, 4)))
+
+
 def test_validation_rejects_bad_shapes():
     with pytest.raises(ValueError):
         ImmersedSurface(np.zeros((4, 2)), np.zeros((4, 8, 4)))
@@ -626,6 +636,41 @@ def test_kernels_match_einsum_reference(surface, ambient):
         for name in ("accel", "second_fundamental"):
             got, want = pairs[name]
             assert got.tobytes() == want.tobytes(), name
+
+
+# the frame formulas the coordinate projection replaced, kept as references
+
+
+def frame_reject(G, v):
+    """g-orthogonal rejection of v from the Gram-Schmidt pair (e1, e2)."""
+    return v - G.dot(v, G.e1)[..., None] * G.e1 - G.dot(v, G.e2)[..., None] * G.e2
+
+
+def frame_j_tangent_grad(G):
+    """J (J grad cos a)^T = J cos a (e2 d1(cos a) - e1 d2(cos a))."""
+    dc, ca = G.grad_cos_frame, G.cos_alpha
+    return G.apply_j(ca[..., None] * (dc[..., 0, None] * G.e2 - dc[..., 1, None] * G.e1))
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("ambient", [EUC, CONF], ids=["flat", "conformal"])
+@pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
+def test_frame_free_operators_match_frame_formulas(surface, ambient, beta):
+    """project_normal, jj_grad_perp and E, built from F_theta, F_phi and
+    g^ij, against the same fields built on the tangent frame (e1, e2)."""
+    G = geometry(surface, ambient)
+    fields = np.random.default_rng(11).standard_normal((3,) + G.fth.shape)
+    fields[0] = G.apply_j(G.fth)
+    H = frame_reject(G, np.einsum("...ij,...ija->...a", G.induced_metric_inv, G.accel))
+    E = G.cos_alpha[..., None] ** 3 * H - beta * frame_reject(G, frame_j_tangent_grad(G))
+    pairs = {
+        "project_normal": (G.project_normal(fields), frame_reject(G, fields)),
+        "jj_grad_perp": (jj_grad_perp(G), frame_reject(G, frame_j_tangent_grad(G))),
+        "mean_curvature": (G.mean_curvature, H),
+        "el_operator": (el_operator(surface, ambient, beta, geometry=G).vector, E),
+    }
+    for name, (got, want) in pairs.items():
+        assert rel_err(got, want) < 1e-13, name
 
 
 def skewed(frame):
