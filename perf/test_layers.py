@@ -3,8 +3,9 @@
 The first group runs at 64x64 on ``perturbed_graph(0.5, 0.05)`` in the
 flat ambient, the surface size of the first-variation check; the check
 also runs in the conformal ambient.  The ``_n32`` group runs the
-periodic stencils, one descent step, the critical operator (fresh
-geometry), and the normal projection ``project_normal`` and
+periodic stencils, one descent step (``run_flow`` with a budget of one
+iteration), the critical operator (fresh geometry), and the normal
+projection ``project_normal`` and
 ``jj_grad_perp`` at 32x32, the grid of the benchmark's descent
 workload, on the criterion-8 surface; the last two run on a fresh
 geometry that ``l_beta`` has already read (cos(alpha) and the area
@@ -34,7 +35,7 @@ import numpy as np
 import pytest
 
 from symcrit.ambient import conformal, euclidean_c2
-from symcrit.flow import flow_step
+from symcrit.flow import run_flow
 from symcrit.functional import el_operator, jj_grad_perp, l_beta
 from symcrit.surface import (
     SurfaceGeometry,
@@ -124,11 +125,11 @@ def test_periodic_stencil_n32(benchmark, stencil, axis):
     assert out.shape == field.shape
 
 
-def test_flow_step_n32(benchmark):
-    new, state = benchmark.pedantic(flow_step, (SURFACE_COARSE, EUC, BETA),
-                                    rounds=ROUNDS_COARSE)
-    assert state.tau > 0 and not np.array_equal(new.periodic_part,
-                                                SURFACE_COARSE.periodic_part)
+def test_run_flow_one_step_n32(benchmark):
+    res = benchmark.pedantic(run_flow, (SURFACE_COARSE, EUC, BETA),
+                             {"max_iterations": 1, "res_tol": 0.0},
+                             rounds=ROUNDS_COARSE)
+    assert res.iterations == 1 and res.states[0].tau > 0
 
 
 def test_el_operator_fresh_geometry_n32(benchmark):

@@ -36,7 +36,9 @@ builds no rank-3 or rank-4 tensor per node.
 
 from __future__ import annotations
 
+import ast
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
@@ -76,51 +78,63 @@ FD_STEP = 1e-3
 _FD4_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _FD4_WEIGHTS = (1.0, -8.0, 8.0, -1.0)
 
+# The operators of the scalar-field language, by syntax-tree node type
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+
 
 def parse_scalar_field(expression: str):
     """Parse a closed-form scalar field of p1..p4 into a vectorized callable.
 
-    The expression language is deliberately small: arithmetic, powers
-    (both ``**`` and ``^``), sin, cos, exp.  Returns ``(value, grad,
-    hess)`` where ``value(points)`` maps an (..., 4) array to (...)
-    values, ``grad(points)`` to (..., 4) first partials and
-    ``hess(points)`` to (..., 4, 4) second partials.
+    The expression language is deliberately small: numbers, p1..p4,
+    ``pi``, ``+ - * /``, powers (both ``**`` and ``^``), unary signs and
+    sin, cos and exp of one argument.  The text is read as a syntax
+    tree and never executed; anything outside the language, and any
+    constant that is not a finite real number (``1/0``, ``(-1)^0.5``),
+    raises ValueError.  Returns ``(value, grad, hess)`` where
+    ``value(points)`` maps an (..., 4) array to (...) values,
+    ``grad(points)`` to (..., 4) first partials and ``hess(points)`` to
+    (..., 4, 4) second partials.
 
     sympy is imported here, not at module level, so that runs which
     parse no field (every flat ambient) never load it.
     """
     import sympy as sp
-    from sympy.parsing.sympy_parser import (
-        convert_xor,
-        parse_expr,
-        standard_transformations,
-    )
 
     coords = sp.symbols("p1 p2 p3 p4")
-    local = {f"p{i}": coords[i - 1] for i in range(1, 5)}
-    local.update({"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "pi": sp.pi})
-    try:
-        expr = parse_expr(
-            expression,
-            local_dict=local,
-            transformations=standard_transformations + (convert_xor,),
-            evaluate=True,
-        )
-    except (SyntaxError, TypeError, ValueError) as exc:
-        raise ValueError(f"cannot parse scalar field {expression!r}: {exc}") from exc
-    extra = expr.free_symbols - set(coords)
-    if extra:
-        names = ", ".join(sorted(str(s) for s in extra))
-        raise ValueError(f"unknown symbols in scalar field: {names}")
-    allowed_fns = (sp.sin, sp.cos, sp.exp)
-    unknown_fns = {
-        type(f).__name__
-        for f in expr.atoms(sp.Function)
-        if not isinstance(f, allowed_fns)
-    }
-    if unknown_fns:
+    names = {f"p{i}": c for i, c in enumerate(coords, start=1)}
+    names["pi"] = sp.pi
+    functions = {"sin": sp.sin, "cos": sp.cos, "exp": sp.exp}
+    # Python's ^ binds looser than +, so it becomes ** before parsing
+    text = expression.replace("^", "**")
+
+    def build(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return _BINARY[type(node.op)](build(node.left), build(node.right))
+        if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+            return _UNARY[type(node.op)](build(node.operand))
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return sp.Integer(node.value)
+        if isinstance(node, ast.Constant) and type(node.value) is float:
+            return sp.Float(ast.get_source_segment(text, node))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions and len(node.args) == 1
+                and not node.keywords):
+            return functions[node.func.id](build(node.args[0]))
         raise ValueError(
-            f"unknown functions in scalar field: {', '.join(sorted(unknown_fns))}"
+            f"unsupported {ast.unparse(node)!r} in scalar field {expression!r}"
+        )
+
+    try:
+        expr = build(ast.parse(text, mode="eval").body)
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse scalar field {expression!r}: {exc}") from exc
+    if any(sub.is_number and not sub.is_real for sub in sp.preorder_traversal(expr)):
+        raise ValueError(
+            f"scalar field {expression!r} has a constant that is not finite and real"
         )
 
     value = _vectorized(coords, [expr], ())
@@ -135,14 +149,14 @@ def _vectorized(coords, exprs, shape):
     (...) + shape array."""
     from sympy import lambdify
 
-    fns = [lambdify(coords, e, modules="numpy") for e in exprs]
+    fn = lambdify(coords, exprs, modules="numpy")
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)
         comps = [points[..., i] for i in range(4)]
         cols = [
-            np.broadcast_to(np.asarray(fn(*comps), dtype=float), points.shape[:-1])
-            for fn in fns
+            np.broadcast_to(np.asarray(col, dtype=float), points.shape[:-1])
+            for col in fn(*comps)
         ]
         return np.stack(cols, axis=-1).reshape(points.shape[:-1] + shape)
 

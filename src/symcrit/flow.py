@@ -5,7 +5,7 @@ angle weight, which makes the first variation strictly negative away
 from critical points.  Steps use backtracking line search against three
 acceptance requirements: the functional must decrease, the surface must
 stay immersed, and the angle cosine must stay above the symplectic
-floor.  The step size warm-starts from the previously accepted one.
+floor.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .surface import ImmersedSurface, SurfaceGeometry
 __all__ = [
     "FlowResult",
     "FlowState",
-    "flow_step",
     "run_flow",
     "validate_budget",
     "write_trace",
@@ -130,38 +129,6 @@ def _line_search(surface, ambient, beta, G, el, current, tau):
     )
 
 
-def flow_step(
-    surface: ImmersedSurface,
-    ambient: AmbientManifold,
-    beta: float,
-    tau_init: float | None = None,
-    geometry: SurfaceGeometry | None = None,
-):
-    """One backtracking descent step.
-
-    Returns (new_surface, state) where state carries the residual norms
-    of the pre-step surface and the accepted step size.  A stationary
-    surface is returned unchanged with tau = 0.  Raises FlowStalled when
-    backtracking exhausts the step size or the critical operator is not
-    finite, and ValueError for a ``tau_init`` that is not finite and
-    positive.
-    """
-    beta = validate_beta(beta, for_flow=True)
-    if tau_init is not None and not (math.isfinite(tau_init) and tau_init > 0.0):
-        raise ValueError(f"tau_init must be finite and positive, got {tau_init}")
-    G = geometry or SurfaceGeometry(surface, ambient)
-    el = el_operator(surface, ambient, beta, geometry=G)
-    current = l_beta(surface, ambient, beta, geometry=G)
-    min_ca = float(np.min(G.cos_alpha))
-    if el.norm_linf < STATIONARY_LINF:
-        state = FlowState(0, current, el.norm_l2, el.norm_linf, min_ca, 0.0)
-        return surface, state
-    tau = tau_init if tau_init is not None else stable_step(G, beta)
-    candidate, _, _, tau = _line_search(surface, ambient, beta, G, el, current, tau)
-    state = FlowState(0, current, el.norm_l2, el.norm_linf, min_ca, tau)
-    return candidate, state
-
-
 def run_flow(
     surface: ImmersedSurface,
     ambient: AmbientManifold,
@@ -177,14 +144,14 @@ def run_flow(
     surface including the final one (with tau = 0 on the last row).
     Each visited surface gets one geometry, one critical operator and
     one L_beta evaluation: the line search hands over those of the
-    accepted candidate.
+    accepted candidate.  Every step backtracks from the cap
+    ``stable_step``; ``max_iterations=1, res_tol=0.0`` takes one step.
     """
     beta = validate_beta(beta, for_flow=True)
     validate_budget(max_iterations, res_tol)
     G = SurfaceGeometry(surface, ambient)
     value = l_beta(surface, ambient, beta, geometry=G)
     rows = []
-    tau_prev = None
     for iteration in range(max_iterations + 1):
         el = el_operator(surface, ambient, beta, geometry=G)
         row = [value, el.norm_l2, el.norm_linf, float(np.min(G.cos_alpha)), 0.0]
@@ -198,12 +165,9 @@ def run_flow(
         if el.norm_linf < STATIONARY_LINF:
             stop_reason = "stationary"
             break
-        base = stable_step(G, beta)
-        tau_init = base if tau_prev is None else min(2.0 * tau_prev, base)
-        surface, value, G, tau_prev = _line_search(
-            surface, ambient, beta, G, el, value, tau_init
+        surface, value, G, row[4] = _line_search(
+            surface, ambient, beta, G, el, value, stable_step(G, beta)
         )
-        row[4] = tau_prev
     return FlowResult(surface, np.array(rows, dtype=np.float64), stop_reason)
 
 

@@ -76,8 +76,10 @@ class ImmersedSurface:
             raise ValueError("need at least 8 nodes per direction")
         if not (np.isfinite(L).all() and np.isfinite(P).all()):
             raise ValueError("surface data contains non-finite entries")
-        if not (self.t_theta > 0 and self.t_phi > 0):
-            raise ValueError("periods must be positive")
+        if not (0 < self.t_theta < np.inf and 0 < self.t_phi < np.inf):
+            raise ValueError(
+                f"periods must be finite and positive, got {self.t_theta}, {self.t_phi}"
+            )
         object.__setattr__(self, "linear_part", L)
         object.__setattr__(self, "periodic_part", P)
 

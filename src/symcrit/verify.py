@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambient import AmbientManifold
-from .functional import COS_FLOOR, el_operator, jj_grad_perp, l_beta, validate_beta
+from .functional import COS_FLOOR, el_operator, l_beta, validate_beta
 from .surface import ImmersedSurface, SurfaceGeometry
 
 __all__ = [
@@ -631,16 +631,12 @@ def _variation_fields(G: SurfaceGeometry):
     return fields
 
 
-def analytic_first_variation(G: SurfaceGeometry, beta: float, xi) -> float:
-    """Right side of the first-variation formula for a normal field xi."""
-    ca = G.cos_alpha
-    w = G.area_weights
-    H = G.mean_curvature
-    out = -(beta + 1.0) * np.sum(G.dot(xi, H) * ca ** (-beta) * w)
-    if beta != 0.0:
-        V = jj_grad_perp(G)
-        out += beta * (beta + 1.0) * np.sum(G.dot(xi, V) * ca ** (-(beta + 3.0)) * w)
-    return float(out)
+def analytic_first_variation(G: SurfaceGeometry, beta: float, E, xi) -> float:
+    """Right side of the first-variation formula for a normal field xi,
+    -(1 + beta) times the integral of cos^-(beta+3)(alpha) <xi, E>, with
+    E the chart components of the critical operator on ``G``."""
+    weight = G.cos_alpha ** (-(beta + 3.0)) * G.area_weights
+    return float(-(beta + 1.0) * np.sum(G.dot(xi, E) * weight))
 
 
 def verify_first_variation(
@@ -656,10 +652,14 @@ def verify_first_variation(
     2-point stencil.  The stencil's delta-order is measured on a ladder
     against a high-order reference at the smallest ladder step, which
     isolates the stencil error from the fixed spatial-discretization
-    offset shared by every stencil.
+    offset shared by every stencil.  ``delta`` must be finite and
+    positive.
     """
     beta = validate_beta(beta)
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"delta must be finite and positive, got {delta}")
     G = SurfaceGeometry(surface, ambient)
+    E = el_operator(surface, ambient, beta, geometry=G).vector
     cyc = float(np.max(_max_abs(*condition_cyclic_residuals(G))))
 
     def fd2(at, d):
@@ -679,7 +679,7 @@ def verify_first_variation(
     for idx, xi in enumerate(_variation_fields(G), start=1):
         # L_beta of the surface displaced by t * xi, evaluated once per step t
         at = functools.cache(lambda t: l_beta(surface.displaced(t * xi), ambient, beta))
-        analytic = analytic_first_variation(G, beta, xi)
+        analytic = analytic_first_variation(G, beta, E, xi)
         measured = fd2(at, delta)
         values[f"field{idx}.analytic"] = analytic
         if abs(analytic) < stationary_floor:

@@ -340,6 +340,37 @@ def test_parse_scalar_field_rejects_unknown_names():
         parse_scalar_field("q1 + sin(p2)")
 
 
+@pytest.mark.parametrize(
+    "expression",
+    ["1/0", "zoo", "I*p1", "(-1)^(1/3)", "Max(p1, p2)", "E*p1", "sin(p1, p2)",
+     "sin(x=p1)", "p1 if p2 else p3", "1j", "True", "'p1'", "2 p1", ""],
+)
+def test_parse_scalar_field_rejects_input_outside_the_language(expression):
+    with pytest.raises(ValueError, match="scalar field"):
+        parse_scalar_field(expression)
+
+
+def test_parse_scalar_field_executes_nothing(tmp_path):
+    marker = tmp_path / "executed"
+    with pytest.raises(ValueError, match="unsupported"):
+        parse_scalar_field(f"__import__('pathlib').Path('{marker}').touch()")
+    assert not marker.exists()
+
+
+def test_parse_scalar_field_reads_the_whole_language():
+    val, grad, hess = parse_scalar_field(
+        "-(p1 - 2*p2)^3/7 + exp(+0.5*p3)*sin(p4) - cos(pi*p1)"
+    )
+    pts = random_points(5)
+    p1, p2, p3, p4 = pts.T
+    u = p1 - 2 * p2
+    want = -u**3 / 7 + np.exp(0.5 * p3) * np.sin(p4) - np.cos(np.pi * p1)
+    assert np.allclose(val(pts), want, rtol=1e-13, atol=1e-13)
+    assert np.allclose(grad(pts)[:, 1], 6 * u**2 / 7, rtol=1e-13, atol=1e-13)
+    assert np.allclose(hess(pts)[:, 2, 3], 0.5 * np.exp(0.5 * p3) * np.cos(p4),
+                       rtol=1e-13, atol=1e-13)
+
+
 def test_parse_scalar_field_constant_broadcasts():
     val, grad, _ = parse_scalar_field("0.25")
     pts = random_points(9)

@@ -159,6 +159,27 @@ params = c=0.5
     assert main(["verify", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "expression",
+    ["1/0", "zoo", "I*p1", "Max(p1, p2)", "__import__('pathlib').Path('{marker}').touch()"],
+    ids=["division-by-zero", "complex-infinity", "imaginary", "max", "python-call"],
+)
+def test_lambda_outside_the_language_is_config_error(tmp_path, capsys, expression):
+    marker = tmp_path / "executed"
+    cfg = write_config(tmp_path, f"""
+[ambient]
+kind = conformal
+lambda = {expression.format(marker=marker)}
+
+[surface]
+generator = zbar
+params = c=0.5
+""")
+    assert main(["angle-report", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error: [ambient] ")
+    assert not marker.exists()
+
+
 BAD_NUMBER = """
 [ambient]
 kind = conformal
@@ -337,17 +358,21 @@ dir = {out}
     [
         ("file = {tmp}/missing.txt", "missing.txt"),
         ("file = {tmp}/malformed.txt", "node rows"),
+        ("file = {tmp}/inf_period.txt", "periods must be finite"),
         ("generator = zbar\nparams = foo=1", "foo"),
         ("generator = zbar\nparams = c=abc", "c=abc"),
         ("generator = zbar\nparams = c=1j", "c=1j"),
         ("generator = perturbed\nparams = c=0.5 eps=0.05 modes=1,x", "modes"),
     ],
-    ids=["file-missing", "file-malformed", "param-unknown", "param-text",
-         "param-complex", "modes-text"],
+    ids=["file-missing", "file-malformed", "file-infinite-period", "param-unknown",
+         "param-text", "param-complex", "modes-text"],
 )
 def test_bad_surface_input_is_config_error(tmp_path, capsys, surface_lines, key):
     (tmp_path / "malformed.txt").write_text(
         "surf 16 16 6.28 6.28\nlinear 1 0 0 1 0 0 0 0\n0 0 0 0\n"
+    )
+    (tmp_path / "inf_period.txt").write_text(
+        "surf 8 8 inf 6.28\nlinear 1 0 0 1 0 0 0 0\n" + "0 0 0 0\n" * 64
     )
     body = BAD_SURFACE.format(surface=surface_lines.format(tmp=tmp_path),
                               out=tmp_path / "rep")

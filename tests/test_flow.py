@@ -6,7 +6,7 @@ import pytest
 from symcrit import flow
 from symcrit.ambient import euclidean_c2
 from symcrit.errors import FlowStalled, NotSymplectic
-from symcrit.flow import FlowState, flow_step, run_flow, stable_step, write_trace
+from symcrit.flow import FlowState, run_flow, stable_step, write_trace
 from symcrit.functional import COS_FLOOR, ELField, el_operator, l_beta
 from symcrit.surface import (
     SurfaceGeometry,
@@ -24,12 +24,18 @@ def small_case(n=24, eps=0.05):
     return perturbed_holomorphic_graph(0.3, -0.2, eps=eps, n_theta=n, n_phi=n)
 
 
+def one_step(S, beta):
+    """One descent step: a budget of one iteration and no residual target."""
+    return run_flow(S, EUC, beta, max_iterations=1, res_tol=0.0)
+
+
 def test_stationary_surface_short_circuits():
     S = holomorphic_graph(0.3, -0.2, n_theta=16, n_phi=16)
-    S2, state = flow_step(S, EUC, 1.0)
-    assert S2 is S
-    assert state.tau == 0.0
-    assert state.res_linf < 1e-14
+    res = one_step(S, 1.0)
+    assert res.surface is S
+    assert res.stop_reason == "stationary"
+    assert res.states[0].tau == 0.0
+    assert res.states[0].res_linf < 1e-14
 
 
 def test_critical_input_converges_without_stepping():
@@ -43,17 +49,18 @@ def test_critical_input_converges_without_stepping():
 def test_step_decreases_functional():
     S = small_case()
     before = l_beta(S, EUC, 1.0)
-    S2, state = flow_step(S, EUC, 1.0)
-    after = l_beta(S2, EUC, 1.0)
+    res = one_step(S, 1.0)
+    after = l_beta(res.surface, EUC, 1.0)
+    assert res.iterations == 1
     assert after < before
-    assert state.tau > 0
+    assert res.states[0].tau > 0
 
 
 def test_beta_zero_velocity_is_mean_curvature():
     S = perturbed_graph(0.5, 0.05, n_theta=24, n_phi=24)
     G = SurfaceGeometry(S, EUC)
-    S2, state = flow_step(S, EUC, 0.0, geometry=G)
-    moved = (S2.periodic_part - S.periodic_part) / state.tau
+    res = one_step(S, 0.0)
+    moved = (res.surface.periodic_part - S.periodic_part) / res.states[0].tau
     assert np.max(np.abs(moved - G.mean_curvature)) < 1e-12
 
 
@@ -77,10 +84,16 @@ def test_step_size_stays_within_stability_cap():
     assert max(taus) <= cap * 1.05
 
 
-def test_stalled_line_search_raises():
+def start_line_search_at(monkeypatch, tau):
+    """Make every step backtrack from ``tau`` instead of the stability cap."""
+    monkeypatch.setattr(flow, "stable_step", lambda G, beta: tau)
+
+
+def test_stalled_line_search_raises(monkeypatch):
     S = small_case(n=16)
+    start_line_search_at(monkeypatch, 1e-13)
     with pytest.raises(FlowStalled):
-        flow_step(S, EUC, 1.0, tau_init=1e-13)
+        one_step(S, 1.0)
 
 
 def record_l_beta(monkeypatch):
@@ -104,8 +117,10 @@ def test_line_search_backtracks_past_angle_floor_and_increase(monkeypatch):
     S = perturbed_graph(0.9, 0.05, n_theta=16, n_phi=16)
     G = SurfaceGeometry(S, EUC)
     tau_init = 100.0 * stable_step(G, 1.0)
+    start_line_search_at(monkeypatch, tau_init)
     seen = record_l_beta(monkeypatch)
-    S2, state = flow_step(S, EUC, 1.0, tau_init=tau_init, geometry=G)
+    res = one_step(S, 1.0)
+    S2, state = res.surface, res.states[0]
     current, *candidates = seen
     assert len(candidates) == 10
     assert candidates[:4] == ["angle floor"] * 4
@@ -116,12 +131,12 @@ def test_line_search_backtracks_past_angle_floor_and_increase(monkeypatch):
     assert np.min(SurfaceGeometry(S2, EUC).cos_alpha) > COS_FLOOR
 
 
-def test_line_search_halves_a_step_that_increases_the_functional():
+def test_line_search_halves_a_step_that_increases_the_functional(monkeypatch):
     S = small_case(n=16)
     G = SurfaceGeometry(S, EUC)
     tau_init = 64.0 * stable_step(G, 1.0)
-    _, state = flow_step(S, EUC, 1.0, tau_init=tau_init, geometry=G)
-    assert state.tau == tau_init / 2
+    start_line_search_at(monkeypatch, tau_init)
+    assert one_step(S, 1.0).states[0].tau == tau_init / 2
 
 
 def test_stationary_surface_converges_below_a_zero_residual_target():
@@ -153,8 +168,7 @@ def test_stop_reason_budget(max_iterations):
     assert res.states[-1].res_linf > 2e-3
 
 
-@pytest.mark.parametrize("entry", ["flow_step", "run_flow"])
-def test_non_finite_critical_operator_stalls_the_flow(monkeypatch, entry):
+def test_non_finite_critical_operator_stalls_the_flow(monkeypatch):
     def poisoned(surface, ambient, beta, geometry=None):
         el = el_operator(surface, ambient, beta, geometry=geometry)
         vector = el.vector.copy()
@@ -165,10 +179,7 @@ def test_non_finite_critical_operator_stalls_the_flow(monkeypatch, entry):
     monkeypatch.setattr(flow, "el_operator", poisoned)
     S = small_case(n=16)
     with pytest.raises(FlowStalled, match="res_linf = nan is not finite"):
-        if entry == "flow_step":
-            flow_step(S, EUC, 1.0)
-        else:
-            run_flow(S, EUC, 1.0, max_iterations=5)
+        run_flow(S, EUC, 1.0, max_iterations=5)
 
 
 @pytest.mark.parametrize(
@@ -180,12 +191,6 @@ def test_non_finite_critical_operator_stalls_the_flow(monkeypatch, entry):
 def test_run_flow_rejects_bad_budget(kwargs):
     with pytest.raises(ValueError, match="max_iterations|res_tol"):
         run_flow(small_case(n=16), EUC, 1.0, **{"max_iterations": 20, **kwargs})
-
-
-@pytest.mark.parametrize("tau_init", [float("nan"), float("inf"), 0.0, -1.0])
-def test_flow_step_rejects_bad_tau_init(tau_init):
-    with pytest.raises(ValueError, match="tau_init"):
-        flow_step(small_case(n=16), EUC, 1.0, tau_init=tau_init)
 
 
 def test_flow_rejects_negative_beta():
@@ -231,44 +236,34 @@ def test_state_fields_consistent():
         assert 0 < s.min_cos_alpha <= 1.0
 
 
-def reference_flow(S, beta, max_iterations, res_tol):
-    """run_flow spelled out as a loop of public flow_step calls."""
-    states, tau_prev = [], None
+def one_step_loop(S, beta, max_iterations, res_tol):
+    """run_flow spelled out as a loop of one-step run_flow calls: a step
+    carries nothing to the next but the surface."""
+    rows = []
     for iteration in range(max_iterations + 1):
-        G = SurfaceGeometry(S, EUC)
-        el = el_operator(S, EUC, beta, geometry=G)
-        if el.norm_linf <= res_tol or iteration == max_iterations:
-            value = l_beta(S, EUC, beta, geometry=G)
-            min_ca = float(np.min(G.cos_alpha))
-            states.append(
-                FlowState(iteration, value, el.norm_l2, el.norm_linf, min_ca, 0.0)
-            )
-            return S, states
-        base = stable_step(G, beta)
-        tau_init = base if tau_prev is None else min(2.0 * tau_prev, base)
-        S, state = flow_step(S, EUC, beta, tau_init=tau_init, geometry=G)
-        state.iteration = iteration
-        states.append(state)
-        tau_prev = state.tau
+        budget = 1 if iteration < max_iterations else 0
+        step = run_flow(S, EUC, beta, max_iterations=budget, res_tol=res_tol)
+        rows.append(step.trace[0])
+        if step.iterations == 0:
+            return S, rows
+        S = step.surface
 
 
 @pytest.mark.parametrize("max_iterations", [6, 400])
-def test_run_flow_matches_flow_step_loop(tmp_path, max_iterations):
+def test_run_flow_matches_one_step_loop(tmp_path, max_iterations):
     S = small_case(n=16)
     res = run_flow(S, EUC, 1.0, max_iterations=max_iterations, res_tol=2e-3)
-    ref_surface, ref_states = reference_flow(S, 1.0, max_iterations, 2e-3)
+    ref_surface, ref_rows = one_step_loop(S, 1.0, max_iterations, 2e-3)
     assert res.converged == (max_iterations == 400)
-    assert res.trace.shape == (len(ref_states), 5)
+    assert res.trace.shape == (len(ref_rows), 5)
     assert res.trace.dtype == np.float64
-    assert res.states == ref_states
+    assert res.trace.tobytes() == np.array(ref_rows).tobytes()
     assert all(type(s.iteration) is int for s in res.states)
-    assert res.iterations == len(ref_states) - 1
+    assert res.iterations == len(ref_rows) - 1
     assert res.surface.periodic_part.tobytes() == ref_surface.periodic_part.tobytes()
     path = tmp_path / "trace.csv"
     write_trace(res, path)
     want = ["iteration,L_beta,res_l2,res_linf,min_cos_alpha,tau"] + [
-        f"{s.iteration},{s.l_beta:.17g},{s.res_l2:.17g},"
-        f"{s.res_linf:.17g},{s.min_cos_alpha:.17g},{s.tau:.17g}"
-        for s in ref_states
+        f"{k}," + ",".join(f"{v:.17g}" for v in row) for k, row in enumerate(ref_rows)
     ]
     assert path.read_text() == "\n".join(want) + "\n"

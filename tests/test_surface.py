@@ -281,6 +281,13 @@ def test_validation_rejects_bad_shapes():
         ImmersedSurface(np.zeros((4, 2)), bad)
 
 
+@pytest.mark.parametrize("periods", [(np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0),
+                                     (1.0, 0.0), (-1.0, 1.0)])
+def test_surface_rejects_periods_not_finite_and_positive(periods):
+    with pytest.raises(ValueError, match="periods must be finite and positive"):
+        ImmersedSurface(np.zeros((4, 2)), np.zeros((8, 8, 4)), *periods)
+
+
 # -- serialization ----------------------------------------------------
 
 
@@ -301,6 +308,15 @@ def test_surface_read_rejects_garbage(tmp_path):
         read_surface(path)
     path.write_text("surf 16 16 6.28 6.28\n")  # missing blocks
     with pytest.raises(ValueError):
+        read_surface(path)
+
+
+def test_surface_read_rejects_infinite_period(tmp_path):
+    path = tmp_path / "inf.txt"
+    write_surface(zbar_graph(0.5, n_theta=8, n_phi=8), path)
+    head, rest = path.read_text().split("\n", 1)
+    path.write_text(" ".join(head.split()[:3] + ["inf", head.split()[4]]) + "\n" + rest)
+    with pytest.raises(ValueError, match="periods must be finite and positive"):
         read_surface(path)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from symcrit.ambient import conformal, euclidean_c2
-from symcrit.functional import l_beta
+from symcrit.functional import ELField, el_operator, l_beta
 from symcrit.surface import (
     ImmersedSurface,
     SurfaceGeometry,
@@ -226,6 +226,29 @@ def test_first_variation_builds_each_displaced_surface_once(monkeypatch):
 def test_first_variation_rejects_beta_minus_one():
     with pytest.raises(ValueError):
         V.verify_first_variation(zbar_graph(0.5, n_theta=8, n_phi=8), EUC, -1.0)
+
+
+@pytest.mark.parametrize("delta", [0.0, -1e-4, float("nan"), float("inf")])
+def test_first_variation_rejects_bad_delta(delta):
+    with pytest.raises(ValueError, match="delta must be finite and positive"):
+        V.verify_first_variation(ladder((16,))[0], EUC, 1.0, delta=delta)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_first_variation_reads_the_critical_operator_once(monkeypatch, scale):
+    calls = []
+
+    def scaled(*args, **kwargs):
+        el = el_operator(*args, **kwargs)
+        calls.append(1)
+        return ELField(scale * el.vector, scale * el.norm_l2, scale * el.norm_linf)
+
+    monkeypatch.setattr(V, "el_operator", scaled)
+    rep = V.verify_first_variation(ladder((48,))[0], EUC, 1.0)
+    assert len(calls) == 1
+    assert rep.passed == (scale == 1.0)
+    if scale != 1.0:
+        assert rep.values["worst_rel_err"] == pytest.approx(1.0 - 1.0 / scale, rel=1e-3)
 
 
 # -- conditional identity ---------------------------------------------
