@@ -251,6 +251,9 @@ def load_config(path: str, args) -> RunConfig:
         flow_mod.validate_budget(cfg.max_iterations, cfg.res_tol)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    if cfg.tol is not None and not cfg.tol > 0.0:
+        # verify passes tol as the first variation's rel_tol, which must be > 0
+        raise ConfigError(f"[task] tol must be positive, got {cfg.tol:g}")
     if cfg.levels[0] < 8 or np.any(np.diff(cfg.levels) <= 0):
         raise ConfigError(f"levels must be >= 8 and strictly increase, got {cfg.levels}")
     return cfg

@@ -5,15 +5,10 @@ and Linf norms, optionally repeats the assembly over a ladder of grid
 resolutions to measure a convergence order, and wraps everything in a
 :class:`Report` that serializes to deterministic plain text.
 
-The curvature contraction entering the angle-Laplacian identity has a
-single sign degree of freedom relative to the commutator convention of
-the ambient module.  ``calibrate_curvature_sign`` settles it by brute
-force (the wrong sign visibly refuses to converge on any curved
-ambient) and every report records the sign it used.  A Laplacian
-refinement study settles it in the one pass that evaluates its levels,
-coarsest first: each level also keeps its residual with the curvature
-term negated, and the finest level picks the sign by the same
-comparison.
+The curvature term enters the angle-Laplacian identity as
++sin(alpha) (K_1213 - K_1224) in the commutator convention of the
+ambient module, so an ambient whose curvature has the wrong sign fails
+the identity.
 """
 
 from __future__ import annotations
@@ -30,7 +25,6 @@ from .surface import ImmersedSurface, SurfaceGeometry
 
 __all__ = [
     "Report",
-    "calibrate_curvature_sign",
     "check_condition_cyclic",
     "check_condition_symmetric",
     "laplacian_identity_terms",
@@ -67,7 +61,6 @@ class Report:
     ambient: str
     status: str  # pass | fail | conditional | hypotheses-violated | inconclusive
     beta: float | None = None
-    k_term_sign: int | None = None
     tolerances: dict = field(default_factory=dict)
     values: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
@@ -90,8 +83,6 @@ class Report:
         ]
         if self.beta is not None:
             lines.append(f"beta {_fmt(self.beta)}")
-        if self.k_term_sign is not None:
-            lines.append(f"k_term_sign {self.k_term_sign:+d}")
         lines.append(f"excluded_nodes {self.excluded_nodes}")
         lines.append(f"total_nodes {self.total_nodes}")
         for key, val in self.tolerances.items():
@@ -252,7 +243,7 @@ def verify_gradient_identities(surfaces, ambient: AmbientManifold) -> Report:
 # -- angle Laplacian identity -----------------------------------------
 
 
-def laplacian_identity_terms(G: SurfaceGeometry, k_sign: int = 1) -> dict:
+def laplacian_identity_terms(G: SurfaceGeometry) -> dict:
     """Named contributions to the unconditional angle-Laplacian identity.
 
     Returns grid fields: lhs (Laplace-Beltrami of cos alpha), the
@@ -277,7 +268,7 @@ def laplacian_identity_terms(G: SurfaceGeometry, k_sign: int = 1) -> dict:
     )
     Hd = G.mean_curvature_normal_derivative
     mean_deriv = sa * (Hd[..., 0, 1] + Hd[..., 1, 0])
-    curv = k_sign * sa * (k1213 - k1224)
+    curv = sa * (k1213 - k1224)
     j_coupling = np.zeros_like(ca)
     for k in range(2):
         for n in range(2):
@@ -286,82 +277,32 @@ def laplacian_identity_terms(G: SurfaceGeometry, k_sign: int = 1) -> dict:
                 + jf[..., k, 0, n + 2] * h[..., n, 1, k]
             )
     lhs = G.laplace_beltrami(ca)
-    return _with_residual({
+    return {
         "lhs": lhs,
         "quad": quad,
         "mean_deriv": mean_deriv,
         "curvature": curv,
         "j_second": j_second,
         "j_coupling": j_coupling,
-    })
+        "residual": lhs - (quad + mean_deriv + curv + j_second + j_coupling),
+    }
 
 
-def _with_residual(terms: dict) -> dict:
-    """``terms`` plus their residual lhs - sum(rhs)."""
-    terms["residual"] = terms["lhs"] - (
-        terms["quad"] + terms["mean_deriv"] + terms["curvature"]
-        + terms["j_second"] + terms["j_coupling"]
-    )
-    return terms
-
-
-def _flipped_residual(terms: dict):
-    """The residual of ``terms`` with the curvature term negated.
-
-    Negation is exact, so this equals the residual of a fresh evaluation
-    at the other sign bit for bit.
-    """
-    return _with_residual({**terms, "curvature": -terms["curvature"]})["residual"]
-
-
-def _pick_sign(plus, minus) -> tuple[int, float, float]:
-    """(sign, residual_with_sign, residual_with_flip) from the residual
-    fields at +1 and -1: the smaller Linf wins, a tie keeps +1."""
-    res_plus = float(np.max(np.abs(plus)))
-    res_minus = float(np.max(np.abs(minus)))
-    if res_minus < res_plus:
-        return -1, res_minus, res_plus
-    return 1, res_plus, res_minus
-
-
-def calibrate_curvature_sign(G: SurfaceGeometry) -> tuple[int, float, float]:
-    """Pick the curvature-term sign by brute force on one geometry.
-
-    Returns (sign, residual_with_sign, residual_with_flip).  On a flat
-    ambient both residuals coincide and the default +1 is kept.
-    """
-    terms = laplacian_identity_terms(G, +1)
-    return _pick_sign(terms["residual"], _flipped_residual(terms))
-
-
-def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
-                              k_sign: int | None = None) -> Report:
+def verify_laplacian_identity(surfaces, ambient: AmbientManifold) -> Report:
     """Refinement study of the unconditional angle-Laplacian identity.
 
     Every level is evaluated once, coarsest first, and its geometry is
-    dropped before the next one is built.  A calibrated study (``k_sign``
-    omitted on a curved ambient) evaluates at +1 and also keeps each
-    level's residual with the curvature term negated; the finest level
-    then picks the sign, as ``calibrate_curvature_sign`` would.  On flat
-    Kahler ambients the covariant-J terms of the finest level must also
-    vanish to ``FLAT_KAHLER_TOL``.  ``k_sign`` must be None, +1 or -1.
+    dropped before the next one is built.  On flat Kahler ambients the
+    covariant-J terms of the finest level must also vanish to
+    ``FLAT_KAHLER_TOL``.
     """
-    if k_sign not in (None, 1, -1):
-        raise ValueError(f"k_sign must be None, +1 or -1, got {k_sign!r}")
     levels = _refinement_levels(surfaces)
     field = _report_field(levels)
-    notes = []
-    calibrate = k_sign is None and not ambient.flat_metric
-    if k_sign is None and ambient.flat_metric:
-        notes.append("flat ambient: curvature term vanishes, sign +1 by default")
-    sign = 1 if k_sign is None else int(k_sign)
-    rows, flipped = [], []
+    rows = []
     for S in levels:
         G = SurfaceGeometry(S, ambient)
-        terms = laplacian_identity_terms(G, sign)
+        terms = laplacian_identity_terms(G)
         rows.append(_level(G, terms["residual"]))
-        if calibrate:
-            flipped.append(_flipped_residual(terms))
         # the finest level's largest covariant-J term is reported; max |f|
         # from the extremes, so no |f| copy of the covariant-J table
         j_term = max(
@@ -370,18 +311,9 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold,
                       G.nabla_j_frame[..., :2, :, :])
         )
         del G, terms  # this level's caches go before the next level's are built
-    flip_res = None
-    if calibrate:
-        sign, _, flip_res = _pick_sign(rows[-1][1], flipped[-1])
-        if sign == -1:
-            rows = [(n, res, mask, w) for (n, _, mask, w), res in zip(rows, flipped)]
-        notes.append("curvature-term sign calibrated by brute force")
-    rep = _refinement_study("laplacian_identity", ambient, rows, field, 1e-3, notes)
-    rep.k_term_sign = sign
+    rep = _refinement_study("laplacian_identity", ambient, rows, field, 1e-3, [])
     rep.tolerances["kahler_j_terms"] = FLAT_KAHLER_TOL
     rep.values["max_j_term"] = j_term
-    if flip_res is not None:
-        rep.values["flipped_sign_res_linf"] = flip_res
     if rep.passed and ambient.flat_metric and not j_term < FLAT_KAHLER_TOL:
         rep.status = "fail"
     return rep
@@ -543,9 +475,16 @@ def verify_critical_identity(
     covariant-J conditions.  Violated hypotheses downgrade the verdict
     to an annotation instead of a failure.  Nodes with sin(alpha) at or
     below ``sin_alpha_min``, or |cos(alpha)| at or below ``COS_FLOOR``,
-    are excluded (reciprocal factors).
+    are excluded (reciprocal factors).  ``sin_alpha_min`` must be finite,
+    and ``resid_tol`` None or finite and non-negative.
     """
     beta = validate_beta(beta)
+    if not math.isfinite(sin_alpha_min):
+        raise ValueError(f"sin_alpha_min must be finite, got {sin_alpha_min}")
+    if resid_tol is not None and not (math.isfinite(resid_tol) and resid_tol >= 0.0):
+        raise ValueError(
+            f"resid_tol must be None or finite and non-negative, got {resid_tol}"
+        )
     G = SurfaceGeometry(surface, ambient)
     el = el_operator(surface, ambient, beta, geometry=G)
     c3, c4 = condition_cyclic_residuals(G)
@@ -594,7 +533,6 @@ def verify_critical_identity(
         ambient=ambient.name,
         status=status,
         beta=beta,
-        k_term_sign=1,
         tolerances=tols,
         values={
             "res_linf": linf,
@@ -652,12 +590,13 @@ def verify_first_variation(
     2-point stencil.  The stencil's delta-order is measured on a ladder
     against a high-order reference at the smallest ladder step, which
     isolates the stencil error from the fixed spatial-discretization
-    offset shared by every stencil.  ``delta`` must be finite and
-    positive.
+    offset shared by every stencil.  ``delta`` and ``rel_tol`` must be
+    finite and positive.
     """
     beta = validate_beta(beta)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"delta must be finite and positive, got {delta}")
+    for name, value in (("delta", delta), ("rel_tol", rel_tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     G = SurfaceGeometry(surface, ambient)
     E = el_operator(surface, ambient, beta, geometry=G).vector
     cyc = float(np.max(_max_abs(*condition_cyclic_residuals(G))))

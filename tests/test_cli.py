@@ -337,6 +337,22 @@ def test_levels_not_increasing_is_config_error(tmp_path, capsys, task_line, flag
     assert "strictly increase" in err
 
 
+@pytest.mark.parametrize(
+    "task_line, flags",
+    [("", ["--tol", "-1"]), ("", ["--tol", "0"]), ("tol = 0", []),
+     ("tol = -1e-3", [])],
+    ids=["flag-negative", "flag-zero", "config-zero", "config-negative"],
+)
+def test_tol_not_positive_is_config_error(tmp_path, capsys, task_line, flags):
+    """verify passes tol as the first variation's rel_tol, which must be > 0."""
+    cfg = write_config(tmp_path, BAD_NUMBER.format(ambient="", task=task_line))
+    code = main(["verify", "--config", cfg] + flags)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("config error: ") and "[task] tol" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 BAD_SURFACE = """
 [ambient]
 kind = euclidean

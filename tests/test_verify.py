@@ -50,7 +50,6 @@ def test_laplacian_identity_refines_at_order_four(ambient):
     rep = V.verify_laplacian_identity(ladder(), ambient)
     assert rep.passed
     assert rep.refinement[-1][3] > 3.5
-    assert rep.k_term_sign == 1
 
 
 @pytest.mark.parametrize(
@@ -69,56 +68,52 @@ def test_laplacian_identity_j_terms_vanish_on_flat_kahler():
     assert rep.values["max_j_term"] < 1e-12
 
 
-def test_curvature_sign_calibration_is_decisive():
-    G = SurfaceGeometry(ladder((48,))[0], CONF)
-    sign, keep, flip = V.calibrate_curvature_sign(G)
-    assert sign == 1
-    assert flip > 100.0 * keep
-
-
 def test_calibrated_study_evaluates_each_level_once(monkeypatch):
     calls = []
     terms = V.laplacian_identity_terms
 
-    def counted(G, k_sign=1):
-        calls.append((G.surface.n_theta, k_sign))
-        return terms(G, k_sign)
+    def counted(G):
+        calls.append(G.surface.n_theta)
+        return terms(G)
 
     monkeypatch.setattr(V, "laplacian_identity_terms", counted)
     rep = V.verify_laplacian_identity(ladder(), CONF)
     assert rep.passed
-    assert sorted(n for n, _ in calls) == [24, 48]
-
-
-def test_calibrated_study_matches_a_study_at_the_fixed_sign():
-    calibrated = V.verify_laplacian_identity(ladder(), CONF)
-    fixed = V.verify_laplacian_identity(ladder(), CONF, k_sign=calibrated.k_term_sign)
-    assert [r[:3] for r in calibrated.refinement] == [r[:3] for r in fixed.refinement]
-    assert np.array_equal(calibrated.residual_field, fixed.residual_field)
-
-
-def test_calibration_that_picks_minus_one_matches_the_fixed_sign_study(monkeypatch):
-    """With the curvature term negated, the calibrated study must pick -1
-    and keep the negated-term residuals of every level."""
-    terms = V.laplacian_identity_terms
-
-    def negated(G, k_sign=1):
-        t = terms(G, k_sign)
-        return V._with_residual({**t, "curvature": -t["curvature"]})
-
-    monkeypatch.setattr(V, "laplacian_identity_terms", negated)
-    calibrated = V.verify_laplacian_identity(ladder(), CONF)
-    fixed = V.verify_laplacian_identity(ladder(), CONF, k_sign=-1)
-    assert calibrated.k_term_sign == -1 and calibrated.passed
-    # the coarsest order is nan on both sides, which == would reject
-    np.testing.assert_array_equal(calibrated.refinement, fixed.refinement)
-    assert np.array_equal(calibrated.residual_field, fixed.residual_field)
-    assert calibrated.values["flipped_sign_res_linf"] > calibrated.values["finest_res_linf"]
+    assert sorted(calls) == [24, 48]
 
 
 def test_wrong_curvature_sign_fails_the_study():
-    rep = V.verify_laplacian_identity(ladder(), CONF, k_sign=-1)
-    assert not rep.passed
+    """The curvature term enters with the fixed sign of the ambient
+    module's convention, so an ambient whose curvature returns
+    (-K_1213, -K_1224) must fail criterion 3 rather than be corrected."""
+    ambient = conformal("0.1*sin(p1) + 0.05*cos(p2)")
+    curvature = ambient.curvature_frame
+
+    def negated(points, frame):
+        k1213, k1224 = curvature(points, frame)
+        return -k1213, -k1224
+
+    ambient.curvature_frame = negated
+    rep = V.verify_laplacian_identity(ladder(), ambient)
+    assert rep.status == "fail" and not rep.passed
+    assert rep.refinement[-1][3] < 1.0
+
+
+@pytest.mark.parametrize(
+    "expression", ["0.1*sin(4*p3) + 0.05*cos(p2)", "0.05*cos(4*p4) + 0.1*sin(p1)"],
+    ids=["p3", "p4"],
+)
+def test_laplacian_identity_in_ambients_varying_along_the_normal(expression):
+    """lambda varies along p3 or p4, which the graph moves by its linear
+    part.  One period of perturbed_graph(0.5, ...) translates the chart
+    by (2 pi, 0, pi, 0) in theta and (0, 2 pi, 0, -pi) in phi, and
+    lambda must be invariant under both (4*p3 and 4*p4 are): otherwise
+    the metric the surface samples jumps across the seam of the grid,
+    the periodic stencils differentiate a discontinuous field, and the
+    identity cannot converge at either sign of the curvature term."""
+    rep = V.verify_laplacian_identity(ladder(), conformal(expression))
+    assert rep.passed
+    assert rep.refinement[-1][3] > 3.0
 
 
 def test_laplacian_terms_sum_to_lhs():
@@ -234,6 +229,31 @@ def test_first_variation_rejects_bad_delta(delta):
         V.verify_first_variation(ladder((16,))[0], EUC, 1.0, delta=delta)
 
 
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-3, float("nan"), float("inf")])
+def test_first_variation_rejects_bad_rel_tol(rel_tol):
+    """nan would fail and inf pass every surface, so neither is a tolerance."""
+    with pytest.raises(ValueError, match="rel_tol must be finite and positive"):
+        V.verify_first_variation(ladder((16,))[0], EUC, 1.0, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"resid_tol": float("nan")}, "resid_tol"),
+        ({"resid_tol": -1.0}, "resid_tol"),
+        ({"resid_tol": float("inf")}, "resid_tol"),
+        ({"sin_alpha_min": float("nan")}, "sin_alpha_min"),
+        ({"sin_alpha_min": float("inf")}, "sin_alpha_min"),
+    ],
+    ids=["resid_tol-nan", "resid_tol-negative", "resid_tol-inf",
+         "sin_alpha_min-nan", "sin_alpha_min-inf"],
+)
+def test_critical_identity_rejects_bad_tolerances(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        V.verify_critical_identity(zbar_graph(0.5, n_theta=16, n_phi=16), EUC,
+                                   1.0, **kwargs)
+
+
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_first_variation_reads_the_critical_operator_once(monkeypatch, scale):
     calls = []
@@ -321,7 +341,6 @@ def test_report_text_structure():
     text = rep.to_text()
     lines = text.splitlines()
     assert lines[0] == "check laplacian_identity"
-    assert any(line.startswith("k_term_sign +1") for line in lines)
     assert "refine_begin" in lines and "refine_end" in lines
     assert "residuals_begin" in lines and "residuals_end" in lines
     head = lines.index("residuals_begin")
@@ -331,6 +350,21 @@ def test_report_text_structure():
     first = body[0].split(",")
     assert first[0] == "0" and first[1] == "0"
     float(first[2])  # parses
+
+
+def test_no_report_writes_a_curvature_sign_line():
+    """The sign is a convention of the ambient module, not a measurement."""
+    surface = zbar_graph(0.5, n_theta=16, n_phi=16)
+    reports = [
+        V.verify_laplacian_identity(ladder((24,)), EUC),
+        V.verify_laplacian_identity(ladder((24,)), CONF),
+        V.verify_critical_identity(surface, EUC, 1.0),
+        V.verify_critical_identity(surface, CONF, 1.0),
+    ]
+    for rep in reports:
+        text = rep.to_text()
+        assert "k_term_sign" not in text and "flipped_sign" not in text
+        assert "calibrated" not in text and "sign +1 by default" not in text
 
 
 def test_report_records_tolerances_and_counts():
@@ -343,12 +377,6 @@ def test_report_records_tolerances_and_counts():
     text = rep.to_text()
     assert "beta 2" in text
     assert "tol.near_critical_linf" in text
-
-
-@pytest.mark.parametrize("k_sign", [0, 2.5])
-def test_bad_k_sign_raises(k_sign):
-    with pytest.raises(ValueError, match="k_sign"):
-        V.verify_laplacian_identity(ladder(), CONF, k_sign=k_sign)
 
 
 def test_unadapted_frame_makes_the_study_inconclusive():
