@@ -18,16 +18,20 @@ and writes a fixed matrix of outputs under ``DIR``:
 - ``flow/``: the criterion-8 descent (beta 1, 64x64 perturbed
   holomorphic graph, res_tol 1e-3): ``trace.csv``, ``final_surface.txt``
   and ``summary.txt`` (iterations, stop reason).
+- ``fields/<ambient>.npz``: the cached ``SurfaceGeometry`` fields the
+  identity checks read (``FIELDS``) on ``perturbed_graph(0.5, 0.05)`` at
+  32x32, one array per field; the pair (K_1213, K_1224) is stacked.
 
 ``diff`` prints one line per entry: ``byte-equal``, or the largest
 absolute and relative change between aligned numbers (per column for
-CSV files), followed by the lines found on one side only.  Lines are
+CSV files, per field for ``.npz`` files), followed by the lines found
+on one side only.  Lines are
 aligned on their text with every non-integer number masked, so a
 residual moving at roundoff is drift while a changed count, status or
 note is a line on each side.  It exits 1 when an entry exists on one
 side only, or when a status, verdict, excluded-node count, iteration
-count or stop reason differs; drift and other one-sided lines alone
-exit 0.
+count or stop reason differs, or a field is missing or changes shape;
+drift and other one-sided lines alone exit 0.
 
 To compare a change with its parent, dump each checkout, either with
 its own copy of this file or with this one and ``--src``/``--bench``
@@ -56,6 +60,10 @@ SEEDS = (0, 1)
 VERDICT_KEYS = ("status", "passed", "excluded_nodes", "iterations",
                 "stop_reason", "converged", "error")
 MAX_ONE_SIDED = 12  # one-sided lines printed per entry
+N_FIELDS = 32
+FIELDS = ("accel", "second_fundamental", "frame_matrix", "nabla_j_frame",
+          "curvature_frame_components", "mean_curvature_normal_derivative",
+          "j12_kk")
 
 
 # -- dump -------------------------------------------------------------
@@ -156,6 +164,20 @@ def _dump_flow(sc, out: Path) -> int:
     return 3
 
 
+def _dump_fields(sc, out: Path) -> int:
+    import numpy as np
+
+    surface = sc.surface.perturbed_graph(0.5, 0.05, n_theta=N_FIELDS, n_phi=N_FIELDS)
+    where = out / "fields"
+    where.mkdir(parents=True, exist_ok=True)
+    for name, ambient in (("flat", sc.ambient.euclidean_c2()),
+                          ("conformal", sc.ambient.conformal(CONFORMAL))):
+        G = sc.surface.SurfaceGeometry(surface, ambient)
+        np.savez(where / f"{name}.npz",
+                 **{field: np.asarray(getattr(G, field)) for field in FIELDS})
+    return 2
+
+
 def dump(out: Path, src: Path, bench: Path) -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
@@ -172,7 +194,7 @@ def dump(out: Path, src: Path, bench: Path) -> int:
                          surface=symcrit.surface, flow=symcrit.flow,
                          verify=symcrit.verify)
     out.mkdir(parents=True, exist_ok=True)
-    count = _dump_reports(sc, out) + _dump_flow(sc, out)
+    count = _dump_reports(sc, out) + _dump_flow(sc, out) + _dump_fields(sc, out)
     count += _dump_bench(bench, out)  # re-imports symcrit, so it runs last
     print(f"{count} entries -> {out}")
     return 0
@@ -278,6 +300,34 @@ def _compare(a_text: str, b_text: str, csv: bool):
     return summary or "numbers equal", one_sided, verdict
 
 
+def _compare_fields(pa: Path, pb: Path):
+    """(summary, verdict changed) for two ``.npz`` entries: per field the
+    largest absolute and relative change and the index where it is."""
+    import numpy as np
+
+    with np.load(pa) as fa, np.load(pb) as fb:
+        a, b = dict(fa), dict(fb)
+    parts = []
+    verdict = a.keys() != b.keys()
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b or a[name].shape != b[name].shape:
+            parts.append(f"{name}: missing or reshaped")
+            verdict = True
+            continue
+        x, y = a[name], b[name]
+        if x.tobytes() == y.tobytes():
+            continue
+        same = (x == y) | (np.isnan(x) & np.isnan(y))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d = np.nan_to_num(np.where(same, 0.0, np.abs(x - y)), nan=np.inf)
+            r = np.where(d > 0, d / np.maximum(np.abs(x), np.abs(y)), 0.0)
+        r = np.nan_to_num(r, nan=np.inf)
+        at = [np.unravel_index(np.argmax(v), v.shape) for v in (d, r)]
+        parts.append(f"{name}: abs {d[at[0]]:.3g} (at {tuple(map(int, at[0]))}), "
+                     f"rel {r[at[1]]:.3g} (at {tuple(map(int, at[1]))})")
+    return "; ".join(parts), verdict
+
+
 def diff(a: Path, b: Path) -> int:
     names = sorted({p.relative_to(a) for p in a.rglob("*") if p.is_file()}
                    | {p.relative_to(b) for p in b.rglob("*") if p.is_file()})
@@ -288,6 +338,18 @@ def diff(a: Path, b: Path) -> int:
         if not (pa.is_file() and pb.is_file()):
             print(f"{name}: only in {'A' if pa.is_file() else 'B'}")
             bad.append(str(name))
+            continue
+        if name.suffix == ".npz":
+            summary, verdict = _compare_fields(pa, pb)
+            if not summary:
+                print(f"{name}: byte-equal")  # every array, bit for bit
+                equal += 1
+                continue
+            flag = "  VERDICT CHANGED" if verdict else ""
+            print(f"{name}: {summary}{flag}")
+            drifted += 1
+            if verdict:
+                bad.append(str(name))
             continue
         ta, tb = pa.read_text(), pb.read_text()
         if ta == tb:

@@ -18,15 +18,21 @@ check with its d(omega) oracle) and Laplacian-identity layers at
 128x128, the finest level of the refinement studies, in the flat and
 the conformal ambient; the whole Laplacian refinement study runs over
 levels 32, 64 and 128 in both ambients, and the conformal curvature
-tensor ``curvature_at`` at the 128x128 node positions.  Run from the root of a checkout, with BLAS on
-one thread as in ``bench/``:
+tensor ``curvature_at``, the conformal connection ``christoffel_pairs``
+on the parametric tangents (F, F) and the lowered tangents
+``_coordinate_covectors`` (fresh geometry: the metric is sampled in the
+round) at 128x128.  Run from the root of a checkout, with BLAS on one
+thread as in ``bench/``:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest perf --benchmark-json=layers.json
 
 ``testpaths`` in ``pyproject.toml`` keeps a bare ``pytest`` from
 collecting this directory.  Cached properties are timed on a fresh
 geometry whose inputs (named in each test) are already computed, so a
-round times that property alone; the functional, the critical operator,
+round times that property alone; an input a geometry does not have is
+skipped, so the file also times checkouts from before it was added (the
+metric input is ``amb_g`` there, the conformal ``_metric_factor`` here).
+The functional, the critical operator,
 the cyclic check and the first-variation check build their geometry
 inside the round, as their callers do.
 """
@@ -77,7 +83,8 @@ def prebuilt(*names, surface=SURFACE, ambient=EUC):
     def setup():
         G = SurfaceGeometry(surface, ambient)
         for name in names:
-            getattr(G, name)
+            if hasattr(SurfaceGeometry, name):
+                getattr(G, name)
         return (G,), {}
 
     return setup
@@ -153,10 +160,11 @@ FINE_LAYERS = {
     # cached property: the inputs read before the round
     "adapted_frame": (),
     "accel": ("fderiv", "pos"),
-    "second_fundamental": ("frame_matrix", "accel", "amb_g", "frame_coeff"),
+    "second_fundamental": ("frame_matrix", "accel", "amb_g", "_metric_factor",
+                           "frame_coeff"),
     "mean_curvature_normal_derivative": (
         "mean_curvature", "frame_matrix", "frame_coeff", "_tangent_frame",
-        "amb_g", "pos",
+        "amb_g", "_metric_factor", "pos",
     ),
     "nabla_j_frame": ("frame_matrix", "pos"),
     "curvature_frame_components": ("frame_matrix", "pos"),
@@ -229,3 +237,19 @@ def test_conformal_curvature_at_n128(benchmark):
     pos = SURFACE_FINE.positions()
     K = benchmark.pedantic(AMBIENTS["conformal"].curvature_at, (pos,), rounds=ROUNDS_FINE)
     assert K.shape == (N_FINE, N_FINE, 4, 4, 4, 4)
+
+
+def test_conformal_christoffel_pairs_n128(benchmark):
+    G = SurfaceGeometry(SURFACE_FINE, AMBIENTS["conformal"])
+    pos, F = G.pos, G.fderiv
+    gamma = benchmark.pedantic(AMBIENTS["conformal"].christoffel_pairs, (pos, F, F),
+                               rounds=ROUNDS_FINE)
+    assert gamma.shape == (N_FINE, N_FINE, 2, 2, 4)
+
+
+def test_conformal_coordinate_covectors_fresh_geometry_n128(benchmark):
+    setup = prebuilt("fth", "fph", "pos", surface=SURFACE_FINE,
+                     ambient=AMBIENTS["conformal"])
+    gth, _ = benchmark.pedantic(lambda G: G._coordinate_covectors, setup=setup,
+                                rounds=ROUNDS_FINE)
+    assert gth.shape == (N_FINE, N_FINE, 4)

@@ -31,7 +31,9 @@ node positions and chart vectors: ``christoffel_pairs`` (Gamma(X, Y)),
 ``nabla_j_frame`` (the covariant derivative of J in a frame) and
 ``curvature_frame`` (K_1213 and K_1224).  The base class contracts the
 tensors above; the conformal ambient evaluates closed forms, so it
-builds no rank-3 or rank-4 tensor per node.
+builds no rank-3 or rank-4 tensor per node.  Surfaces lower indices
+with ``metric_at``, except on a conformal ambient, whose scalar
+``metric_factor_at`` they multiply by.
 """
 
 from __future__ import annotations
@@ -393,6 +395,19 @@ class AmbientManifold:
 # -- builtin manifolds ------------------------------------------------
 
 
+def _dot(u, v):
+    """Euclidean sum_a u^a v^a over the last axis, in a fixed order."""
+    # ((p0 + p1) + p2) + p3 is np.sum's order for a length-4 axis; np.sum
+    # also starts from +0.0, which the final += 0.0 matches (it turns the
+    # -0.0 of four -0.0 products into +0.0 and changes nothing else)
+    p = np.asarray(u) * np.asarray(v)
+    out = p[..., 0] + p[..., 1]
+    out += p[..., 2]
+    out += p[..., 3]
+    out += 0.0
+    return out
+
+
 def _zeros(points, rank: int) -> np.ndarray:
     """A zero table with ``rank`` axes of length 4 at each (..., 4) point."""
     return np.zeros(np.shape(points)[:-1] + (4,) * rank)
@@ -425,12 +440,18 @@ class ConformalManifold(AmbientManifold):
 
     def metric_at(self, points, check: bool = True) -> np.ndarray:
         """exp(2 lam) delta, positive definite wherever exp(2 lam) > 0."""
+        return self.metric_factor_at(points, check)[..., None, None] * np.eye(4)
+
+    def metric_factor_at(self, points, check: bool = True) -> np.ndarray:
+        """exp(2 lam), the factor of delta in the metric, checked as
+        ``metric_at`` checks it; surfaces lower indices by this scalar and
+        never sample the 4x4 metric."""
         factor = self._factor(points)
         if check and not (factor > 0.0).all():
             raise AmbientDegenerate(
                 "metric not positive definite at some evaluation point"
             )
-        return factor[..., None, None] * np.eye(4)
+        return factor
 
     def j_at(self, points, check: bool = True) -> np.ndarray:
         """``STANDARD_J`` at each point, as a read-only broadcast."""
@@ -481,13 +502,17 @@ class ConformalManifold(AmbientManifold):
         return first + np.swapaxes(first, -1, -2) - hess[..., :, :, None, None] * eye
 
     def christoffel_pairs(self, points, X, Y) -> np.ndarray:
-        """Gamma(X, Y) = X dlam(Y) + Y dlam(X) - (X.Y) grad lam, per pair."""
-        grad = self.conformal_gradient(points)
-        lx = X @ grad[..., None]  # dlam(X_p), (..., p, 1)
-        ly = Y @ grad[..., None]
-        out = X[..., :, None, :] * ly[..., None, :, :]
-        out += Y[..., None, :, :] * lx[..., :, None, :]
-        out -= (X @ np.swapaxes(Y, -1, -2))[..., None] * grad[..., None, None, :]
+        """Gamma(X, Y) = X dlam(Y) + Y dlam(X) - (X.Y) grad lam, per pair.
+
+        dlam(.) and X.Y are elementwise four-term sums: a batched matmul
+        of such small blocks costs more than the arithmetic.
+        """
+        grad = self.conformal_gradient(points)[..., None, :]
+        lx = _dot(X, grad)[..., :, None, None]  # dlam(X_p)
+        ly = _dot(Y, grad)[..., None, :, None]
+        out = X[..., :, None, :] * ly
+        out += Y[..., None, :, :] * lx
+        out -= _dot(X[..., :, None, :], Y[..., None, :, :])[..., None] * grad[..., None, :]
         return out
 
     def nabla_j_frame(self, points, frame) -> np.ndarray:

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambient import AmbientManifold
+from .ambient import AmbientManifold, ConformalManifold, _dot
 from .errors import NotImmersed
 
 __all__ = [
@@ -167,19 +167,6 @@ def _sum4(p):
     return (p[..., 0] + p[..., 2]) + (p[..., 1] + p[..., 3])
 
 
-def _dot(u, v):
-    """Euclidean sum_a u^a v^a over the last axis, in a fixed order."""
-    # ((p0 + p1) + p2) + p3 is np.sum's order for a length-4 axis; np.sum
-    # also starts from +0.0, which the final += 0.0 matches (it turns the
-    # -0.0 of four -0.0 products into +0.0 and changes nothing else)
-    p = np.asarray(u) * np.asarray(v)
-    out = p[..., 0] + p[..., 1]
-    out += p[..., 2]
-    out += p[..., 3]
-    out += 0.0
-    return out
-
-
 @dataclass
 class AdaptedFrame:
     """Orthonormal 4-frames with the normal pair in the adapted gauge.
@@ -261,17 +248,27 @@ class SurfaceGeometry:
     def amb_g(self):
         return self.ambient.metric_at(self.pos)
 
+    @cached_property
+    def _metric_factor(self):
+        """exp(2 lam) of a conformal ambient at the nodes, (..., 1, 1)."""
+        return self.ambient.metric_factor_at(self.pos)[..., None, None]
+
     def _lower(self, v, nodes=None):
         """g v for every row v[..., k, :], as the row product v @ g.
 
         g is symmetric, so row k of the product is g applied to row k.  The
         metric's node axes broadcast against the axes of ``v`` before the
         row axis; ``nodes`` picks the nodes when ``v`` holds only some.  On
-        a flat metric the rows are their own lowering and the metric is
-        never sampled.  Every use of the metric goes through here.
+        a flat metric the rows are their own lowering, and a conformal
+        metric exp(2 lam) delta scales them, which equals the row product
+        bit for bit (one nonzero term per entry); neither samples the 4x4
+        metric.  Every use of the metric goes through here.
         """
         if self.ambient.flat_metric:
             return v
+        if isinstance(self.ambient, ConformalManifold):
+            f = self._metric_factor if nodes is None else self._metric_factor[nodes]
+            return f * v
         g = self.amb_g if nodes is None else self.amb_g[nodes]
         return v @ g
 

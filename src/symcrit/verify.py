@@ -38,6 +38,9 @@ __all__ = [
 NEAR_CRITICAL_LINF = 1e-3
 CONDITION_TOL = 1e-8
 ORDER_TOL = 1.9  # least observed convergence order a study accepts
+# ulps of an identity's largest term, times (1/h)^order, within which a
+# refinement level's Linf counts as exact to roundoff (see _level)
+EXACT_ULPS = 16
 ORACLE_TOL = 1e-6  # cyclic condition against the d(omega) oracle
 FLAT_KAHLER_TOL = 1e-12  # covariant-J terms on a flat Kahler ambient
 
@@ -139,13 +142,22 @@ def _refinement_levels(surfaces):
     return surfaces
 
 
-def _level(G: SurfaceGeometry, residual):
-    """What a refinement study keeps of one level: (n, residual, mask, weights).
+def _level(G: SurfaceGeometry, residual, terms, order: int):
+    """What a refinement study keeps of one level:
+    (n, residual, mask, weights, floor).
 
-    The geometry itself is not kept, so its caches are freed as soon as
-    the caller drops it.
+    ``floor`` is the roundoff level of the residual: ``EXACT_ULPS`` ulps
+    of the largest of the identity's ``terms``, times (1/h)^order.
+    ``order`` is the number of difference quotients of the immersion
+    that the identity's deepest term composes; each multiplies the
+    roundoff of its input by about 1/h.  The geometry itself is not
+    kept, so its caches are freed as soon as the caller drops it.
     """
-    return G.surface.n_theta, residual, G.adapted_frame.adapted, G.area_weights
+    S = G.surface
+    scale = max(float(np.max(np.abs(t))) for t in terms)
+    gain = 1.0 / min(S.h_theta, S.h_phi)
+    floor = EXACT_ULPS * np.finfo(float).eps * scale * gain**order
+    return S.n_theta, residual, G.adapted_frame.adapted, G.area_weights, floor
 
 
 def _report_field(surfaces):
@@ -167,19 +179,30 @@ def _refinement_study(check, ambient, levels, field, single_tol, notes):
     ``field`` is the ``_report_field`` buffer the finest residual is
     written to.  Norms and the reported residual field cover adapted
     nodes only.
-    Several levels pass when every observed order reaches ``ORDER_TOL``;
-    a single level passes when its Linf is below ``single_tol``.  More
-    than 10% unadapted nodes on the finest level make the study
-    inconclusive.  ``notes`` is extended in place.
+    Several levels pass when every step to a finer level reaches
+    ``ORDER_TOL`` or lands on an exact level, one whose Linf is within
+    its roundoff floor (see ``_level``): an identity that holds to
+    roundoff has no order to observe.  A single level passes when its
+    Linf is below ``single_tol``.  More than 10% unadapted nodes on the
+    finest level make the study inconclusive.  ``notes`` is extended in
+    place.
     """
     rows = []  # (n, l2, linf, order observed from the previous level)
-    for n, res, mask, weights in levels:
+    exact = []  # the levels a step lands on within their floor, below order
+    for n, res, mask, weights, floor in levels:
         l2, linf = _norms(np.abs(res), weights, mask)
         prev = rows[-1][2] if rows else 0.0
         order = math.log2(prev / linf) if linf > 0 and prev > 0 else float("nan")
+        # a level with no adapted node measures nothing, so it is not exact
+        if rows and not order >= ORDER_TOL and linf <= floor and mask.any():
+            exact.append(n)
         rows.append((n, l2, linf, order))
     if len(rows) > 1:
-        ok = all(r[3] >= ORDER_TOL for r in rows[1:])
+        ok = all(r[3] >= ORDER_TOL or r[0] in exact for r in rows[1:])
+        if exact:
+            notes.append(f"exact to roundoff at n = {', '.join(map(str, exact))}: "
+                         f"res_linf within {EXACT_ULPS} ulps of the largest term, "
+                         f"times (1/h)^order")
     else:
         ok = rows[0][2] < single_tol
         notes.append("single level: order not measured, absolute tolerance applied")
@@ -231,7 +254,11 @@ def verify_gradient_identities(surfaces, ambient: AmbientManifold) -> Report:
     def evaluate(S):
         G = SurfaceGeometry(S, ambient)
         r1, r2 = gradient_identity_residuals(G)
-        return _level(G, _max_abs(r1, r2))
+        # the second fundamental form counts at its largest component: each
+        # component read in the frame carries the roundoff of the whole form
+        terms = (G.grad_cos_frame, G.nabla_j_frame[..., :2, 0, 1],
+                 G.sin_alpha[..., None, None, None] * G.second_fundamental)
+        return _level(G, _max_abs(r1, r2), terms, order=2)
 
     surfaces = _refinement_levels(surfaces)
     field = _report_field(surfaces)
@@ -302,7 +329,9 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold) -> Report:
     for S in levels:
         G = SurfaceGeometry(S, ambient)
         terms = laplacian_identity_terms(G)
-        rows.append(_level(G, terms["residual"]))
+        rows.append(_level(G, terms["residual"],
+                           [f for name, f in terms.items() if name != "residual"],
+                           order=3))
         # the finest level's largest covariant-J term is reported; max |f|
         # from the extremes, so no |f| copy of the covariant-J table
         j_term = max(

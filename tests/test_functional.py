@@ -23,7 +23,7 @@ from symcrit.surface import (
     revolution_torus,
     zbar_graph,
 )
-from symcrit.verify import laplacian_identity_terms
+from symcrit.verify import gradient_identity_residuals, laplacian_identity_terms
 
 EUC = euclidean_c2()
 
@@ -190,6 +190,25 @@ def test_flat_geometry_never_samples_metric_or_j():
     laplacian_identity_terms(G)
     for geometry in (torus, G):
         assert not {"amb_g", "amb_j"} & set(geometry.__dict__)
+
+
+def test_conformal_geometry_never_samples_the_4x4_metric():
+    """A conformal metric is exp(2 lam) delta, so surfaces lower by the
+    scalar: the refinement studies' fields, E and the functional build no
+    per-node 4x4 metric, on a torus with unadapted nodes too."""
+    amb = conformal("0.1*sin(p1) + 0.05*cos(p2)")
+    torus = SurfaceGeometry(revolution_torus(n_theta=16, n_phi=16), amb)
+    assert not torus.adapted_frame.adapted.all()
+    S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
+    G = SurfaceGeometry(S, amb)
+    l_beta(S, amb, 1.0, geometry=G)
+    el_operator(S, amb, 1.0, geometry=G)
+    for geometry in (torus, G):
+        laplacian_identity_terms(geometry)
+        gradient_identity_residuals(geometry)
+        geometry.area_weights
+        assert "_metric_factor" in geometry.__dict__
+        assert "amb_g" not in geometry.__dict__
 
 
 def test_jj_grad_perp_identity_matches_raw_projection():

@@ -800,6 +800,40 @@ def test_non_finite_ambient_metric_raises_typed_error():
             G.amb_g
 
 
+@pytest.mark.parametrize(
+    "expression, message",
+    [("400*p1", "not finite"), ("-400*p1", "positive definite")],
+    ids=["overflow", "underflow"],
+)
+def test_conformal_factor_out_of_range_raises_typed_error_in_a_geometry(
+        expression, message):
+    """exp(2 lam) that overflows or underflows to zero is refused where a
+    geometry lowers by it, with the messages of ``metric_at``, though the
+    geometry never samples the 4x4 metric."""
+    amb = conformal(expression)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AmbientDegenerate, match=message):
+            geometry(FRAME_SURFACES[0], amb).induced_metric
+        with pytest.raises(AmbientDegenerate, match=message):
+            verify_laplacian_identity(FRAME_SURFACES[:1], amb)
+
+
+def test_conformal_lowering_is_the_metric_product_bit_for_bit():
+    """The scalar lowering exp(2 lam) v equals v @ g for g = exp(2 lam) I:
+    each entry of the product has one nonzero term.  Checked on every node
+    and on the unadapted nodes of the torus alone (the ``nodes`` path)."""
+    G = geometry(FRAME_SURFACES[1], CONF)
+    unadapted = ~G.adapted_frame.adapted
+    assert unadapted.any()
+    rng = np.random.default_rng(11)
+    rows = rng.standard_normal((3,) + unadapted.shape + (2, 4))
+    assert G._lower(rows).tobytes() == (rows @ G.amb_g).tobytes()
+    axes = rng.standard_normal((int(unadapted.sum()), 4, 4))
+    got = G._lower(axes, unadapted)
+    assert got.tobytes() == (axes @ G.amb_g[unadapted]).tobytes()
+
+
 @pytest.mark.parametrize("entry", ["nabla_j_frame", "curvature_frame"])
 def test_conformal_entry_points_raise_typed_error_on_overflow(entry):
     """The closed forms read exp(2 lam) themselves; an overflow is typed too."""

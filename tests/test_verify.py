@@ -11,6 +11,7 @@ from symcrit.surface import (
     ImmersedSurface,
     SurfaceGeometry,
     holomorphic_graph,
+    lagrangian_torus,
     perturbed_graph,
     revolution_torus,
     zbar_graph,
@@ -97,6 +98,72 @@ def test_wrong_curvature_sign_fails_the_study():
     rep = V.verify_laplacian_identity(ladder(), ambient)
     assert rep.status == "fail" and not rep.passed
     assert rep.refinement[-1][3] < 1.0
+    assert not any("roundoff" in n for n in rep.notes)
+
+
+EXACT_SURFACES = {
+    "zbar": lambda n: zbar_graph(0.5, n_theta=n, n_phi=n),
+    "lagrangian": lambda n: lagrangian_torus(n_theta=n, n_phi=n),
+}
+
+
+@pytest.mark.parametrize(
+    "study, ambient, surface",
+    [
+        ("gradient", EUC, "zbar"),
+        ("laplacian", EUC, "zbar"),
+        ("laplacian", EUC, "lagrangian"),
+        ("gradient", EUC, "lagrangian"),
+        ("gradient", CONF, "lagrangian"),
+        ("gradient", CONF, "zbar"),
+    ],
+    ids=["flat-zbar-gradient", "flat-zbar-laplacian", "flat-lagrangian-laplacian",
+         "flat-lagrangian-gradient", "conformal-lagrangian-gradient",
+         "conformal-zbar-gradient"],
+)
+def test_identity_exact_to_roundoff_passes_the_study(study, ambient, surface):
+    """Where the identity holds to roundoff the residual is 0 or grows
+    with n at a few ulps, so the order is nan or negative; such levels
+    count as exact and the study passes with one note."""
+    check = {"gradient": V.verify_gradient_identities,
+             "laplacian": V.verify_laplacian_identity}[study]
+    rep = check([EXACT_SURFACES[surface](n) for n in (16, 32)], ambient)
+    assert rep.status == "pass"
+    assert not rep.refinement[-1][3] >= V.ORDER_TOL
+    assert [n for n in rep.notes if "exact to roundoff" in n] == [
+        f"exact to roundoff at n = 32: res_linf within {V.EXACT_ULPS} ulps "
+        f"of the largest term, times (1/h)^order"
+    ]
+
+
+@pytest.mark.parametrize("study", ["gradient", "laplacian"])
+def test_residual_stalled_above_the_roundoff_floor_fails(monkeypatch, study):
+    """A residual held at 1e-10 of the largest term on every level does
+    not converge and is far above roundoff: the study fails."""
+    if study == "gradient":
+        def stalled(G):
+            scale = np.max(np.abs(G.sin_alpha[..., None, None, None]
+                                  * G.second_fundamental))
+            res = np.full(G.cos_alpha.shape, 1e-10 * scale)
+            return res, res
+
+        monkeypatch.setattr(V, "gradient_identity_residuals", stalled)
+        check = V.verify_gradient_identities
+    else:
+        terms = V.laplacian_identity_terms
+
+        def stalled(G):
+            out = terms(G)
+            scale = max(np.max(np.abs(f)) for k, f in out.items() if k != "residual")
+            out["residual"] = np.full(G.cos_alpha.shape, 1e-10 * scale)
+            return out
+
+        monkeypatch.setattr(V, "laplacian_identity_terms", stalled)
+        check = V.verify_laplacian_identity
+    rep = check(ladder(), CONF)
+    assert rep.status == "fail"
+    assert abs(rep.refinement[-1][3]) < 0.1  # the scale moves a little with n
+    assert not any("roundoff" in n for n in rep.notes)
 
 
 @pytest.mark.parametrize(
