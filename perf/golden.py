@@ -9,8 +9,9 @@ and writes a fixed matrix of outputs under ``DIR``:
 - ``reports/<ambient>/<surface>/<check>[-beta<b>].txt``: the report
   text of every check (first variation, gradient and Laplacian studies,
   critical identity, both covariant-J conditions) on the surfaces of
-  the ``symcrit`` generators, in the flat and the conformal ambient, at
-  beta 0, 1 and 2 for the checks that take beta.  A check that raises
+  the ``symcrit`` generators, in the flat, the conformal and the
+  generic-J ambient (``AMBIENTS``), at beta 0, 1 and 2 for the checks
+  that take beta.  A check that raises
   writes ``error <type>: <message>`` instead.
 - ``bench/<workload>-seed<s>.txt``: the digest of every operation of
   each ``bench/workloads.py`` workload for seeds 0 and 1, one line per
@@ -20,7 +21,8 @@ and writes a fixed matrix of outputs under ``DIR``:
   and ``summary.txt`` (iterations, stop reason).
 - ``fields/<ambient>.npz``: the cached ``SurfaceGeometry`` fields the
   identity checks read (``FIELDS``) on ``perturbed_graph(0.5, 0.05)`` at
-  32x32, one array per field; the pair (K_1213, K_1224) is stacked.
+  32x32 in each ambient, one array per field; the pair (K_1213, K_1224)
+  is stacked.
 
 ``diff`` prints one line per entry: ``byte-equal``, or the largest
 absolute and relative change between aligned numbers (per column for
@@ -61,6 +63,21 @@ VERDICT_KEYS = ("status", "passed", "excluded_nodes", "iterations",
                 "stop_reason", "converged", "error")
 MAX_ONE_SIDED = 12  # one-sided lines printed per entry
 N_FIELDS = 32
+
+
+def _generic_j(A):
+    """The conformal metric and J as a plain ``AmbientManifold``: the
+    base-class path the conformal closed forms are tested against."""
+    conf = A.conformal(CONFORMAL)
+    return A.AmbientManifold(metric_field=conf.metric_field, j_field=conf.j_field)
+
+
+# ambient name -> builder from the ``symcrit.ambient`` module
+AMBIENTS = {
+    "flat": lambda A: A.euclidean_c2(),
+    "conformal": lambda A: A.conformal(CONFORMAL),
+    "generic-j": _generic_j,
+}
 FIELDS = ("accel", "second_fundamental", "frame_matrix", "nabla_j_frame",
           "curvature_frame_components", "mean_curvature_normal_derivative",
           "j12_kk")
@@ -111,8 +128,7 @@ def _dump_reports(sc, out: Path) -> int:
     errors = (ValueError,) + tuple(
         cls for cls in vars(sc.errors).values()
         if isinstance(cls, type) and issubclass(cls, Exception))
-    ambients = {"flat": sc.ambient.euclidean_c2(),
-                "conformal": sc.ambient.conformal(CONFORMAL)}
+    ambients = {name: build(sc.ambient) for name, build in AMBIENTS.items()}
     singles = _surfaces(sc, N_SINGLE)
     ladders = [_surfaces(sc, n) for n in LEVELS]
     count = 0
@@ -170,12 +186,11 @@ def _dump_fields(sc, out: Path) -> int:
     surface = sc.surface.perturbed_graph(0.5, 0.05, n_theta=N_FIELDS, n_phi=N_FIELDS)
     where = out / "fields"
     where.mkdir(parents=True, exist_ok=True)
-    for name, ambient in (("flat", sc.ambient.euclidean_c2()),
-                          ("conformal", sc.ambient.conformal(CONFORMAL))):
-        G = sc.surface.SurfaceGeometry(surface, ambient)
+    for name, build in AMBIENTS.items():
+        G = sc.surface.SurfaceGeometry(surface, build(sc.ambient))
         np.savez(where / f"{name}.npz",
                  **{field: np.asarray(getattr(G, field)) for field in FIELDS})
-    return 2
+    return len(AMBIENTS)
 
 
 def dump(out: Path, src: Path, bench: Path) -> int:

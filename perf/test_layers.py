@@ -2,10 +2,11 @@
 
 The first group runs at 64x64 on ``perturbed_graph(0.5, 0.05)`` in the
 flat ambient, the surface size of the first-variation check; the check
-also runs in the conformal ambient.  The ``_n32`` group runs the
-periodic stencils, one descent step (``run_flow`` with a budget of one
-iteration), the critical operator (fresh geometry), and the normal
-projection ``project_normal`` and
+also runs in the conformal ambient, and so does the covariant-J table
+``nabla_j_frame`` (64x64 is also the middle refinement level).  The
+``_n32`` group runs the periodic stencils, one descent step
+(``run_flow`` with a budget of one iteration), the critical operator
+(fresh geometry), and the normal projection ``project_normal`` and
 ``jj_grad_perp`` at 32x32, the grid of the benchmark's descent
 workload, on the criterion-8 surface; the last two run on a fresh
 geometry that ``l_beta`` has already read (cos(alpha) and the area
@@ -16,12 +17,12 @@ second-fundamental-form, mean-curvature-derivative, covariant-J,
 curvature, critical operator, cyclic-condition (residuals and the whole
 check with its d(omega) oracle) and Laplacian-identity layers at
 128x128, the finest level of the refinement studies, in the flat and
-the conformal ambient; the whole Laplacian refinement study runs over
-levels 32, 64 and 128 in both ambients, and the conformal curvature
-tensor ``curvature_at``, the conformal connection ``christoffel_pairs``
-on the parametric tangents (F, F) and the lowered tangents
-``_coordinate_covectors`` (fresh geometry: the metric is sampled in the
-round) at 128x128.  Run from the root of a checkout, with BLAS on one
+the conformal ambient; the whole gradient and Laplacian refinement
+studies run over levels 32, 64 and 128 in both ambients, and the
+conformal curvature tensor ``curvature_at``, the conformal connection
+``christoffel_pairs`` on the parametric tangents (F, F) and the lowered
+tangents ``_coordinate_covectors`` (fresh geometry: the metric is
+sampled in the round) at 128x128.  Run from the root of a checkout, with BLAS on one
 thread as in ``bench/``:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest perf --benchmark-json=layers.json
@@ -55,6 +56,7 @@ from symcrit.verify import (
     condition_cyclic_residuals,
     laplacian_identity_terms,
     verify_first_variation,
+    verify_gradient_identities,
     verify_laplacian_identity,
 )
 
@@ -121,6 +123,12 @@ def test_verify_first_variation_conformal(benchmark):
     # fails by design at beta > 0 off Kahler ambients; timed all the same
     report = benchmark(verify_first_variation, SURFACE, AMBIENTS["conformal"], BETA)
     assert report.values
+
+
+def test_conformal_nabla_j_frame(benchmark):
+    setup = prebuilt("frame_matrix", "pos", ambient=AMBIENTS["conformal"])
+    value = benchmark.pedantic(lambda G: G.nabla_j_frame, setup=setup, rounds=ROUNDS)
+    assert value.shape == (N, N, 4, 4, 4)
 
 
 @pytest.mark.parametrize("stencil", [periodic_d1, periodic_d2], ids=["d1", "d2"])
@@ -229,6 +237,14 @@ def test_laplacian_identity_terms_fresh_geometry_n128(benchmark, ambient):
 def test_verify_laplacian_identity_n128(benchmark, ambient):
     report = benchmark.pedantic(
         verify_laplacian_identity, (LADDER, AMBIENTS[ambient]), rounds=ROUNDS_FINE
+    )
+    assert report.passed
+
+
+@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+def test_verify_gradient_identities_n128(benchmark, ambient):
+    report = benchmark.pedantic(
+        verify_gradient_identities, (LADDER, AMBIENTS[ambient]), rounds=ROUNDS_FINE
     )
     assert report.passed
 

@@ -39,7 +39,6 @@ with ``metric_at``, except on a conformal ambient, whose scalar
 from __future__ import annotations
 
 import ast
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
@@ -408,6 +407,16 @@ def _dot(u, v):
     return out
 
 
+def _dot_major(u, v):
+    """sum_c u[c] v[c] over the first axis, in ``_dot``'s order."""
+    out = u[0] * v[0]
+    out += u[1] * v[1]
+    out += u[2] * v[2]
+    out += u[3] * v[3]
+    out += 0.0
+    return out
+
+
 def _zeros(points, rank: int) -> np.ndarray:
     """A zero table with ``rank`` axes of length 4 at each (..., 4) point."""
     return np.zeros(np.shape(points)[:-1] + (4,) * rank)
@@ -523,25 +532,45 @@ class ConformalManifold(AmbientManifold):
         the Euclidean Gram blocks M_kb = e_k.e_b, N_kb = (J e_k).e_b,
         J_{ab,k} = exp(2 lam) (v_a M_kb - u_a N_kb - v_b M_ka + u_b N_ka),
         which holds for any frame, orthonormal or not.
+
+        Everything is built component-major, one contiguous node field
+        per component, from four-term sums in ``_dot``'s order: no
+        per-node 4x4 product is formed.  M is symmetric and N
+        antisymmetric term by term, so only M_kb for k <= b and N_kb for
+        k < b are summed; the table is antisymmetric in (a, b), so only
+        a < b is summed, (b, a) is its negation and the diagonal is 0,
+        all exactly.  The (k, a, b) axes lead in memory, so each reader's
+        J_{ab,k} slice is a contiguous node field.
         """
-        J = STANDARD_J
-        grad = self.conformal_gradient(points)[..., None]
-        factor = self._factor(points)[..., None]
-        u = factor * (frame @ grad)[..., 0]
-        # dlam(J e_a) = e_a . (J^T grad lam)
-        v = factor * (frame @ (J.T @ grad))[..., 0]
-        frt = np.swapaxes(frame, -1, -2)
-        N = (frame.reshape(-1, 4) @ J.T).reshape(frame.shape) @ frt
-        M = frame @ frt
-        # one (a, b) pair at a time, so the table is the only rank-3 array
-        table = np.zeros(frame.shape[:-2] + (4, 4, 4))
-        for a, b in itertools.combinations(range(4), 2):
-            ab = (v[..., a, None] * M[..., b] - u[..., a, None] * N[..., b]) - (
-                v[..., b, None] * M[..., a] - u[..., b, None] * N[..., a]
-            )
-            table[..., a, b] = ab
-            np.negative(ab, out=table[..., b, a])
-        return table
+        factor = self._factor(points)
+        grad = np.moveaxis(self.conformal_gradient(points), -1, 0)
+        # e[c, a] is the node field of e_a^c, component first
+        e = np.ascontiguousarray(np.moveaxis(frame, (-1, -2), (0, 1)), dtype=float)
+        # J^T grad lam and J e_a for STANDARD_J, component by component
+        jgrad = (grad[1], -grad[0], grad[3], -grad[2])
+        je = (-e[1], e[0], -e[3], e[2])
+        u = factor * _dot_major(e, grad)  # exp(2 lam) dlam(e_a)
+        v = factor * _dot_major(e, jgrad)  # exp(2 lam) dlam(J e_a)
+        nodes = e.shape[2:]
+        M = np.empty((4, 4) + nodes)  # [k, b] = e_k.e_b
+        N = np.empty((4, 4) + nodes)  # [k, b] = (J e_k).e_b
+        for k in range(4):
+            M[k, k:] = _dot_major(e[:, k], e[:, k:])
+            M[k + 1:, k] = M[k, k + 1:]
+            N[k, k] = 0.0
+            N[k, k + 1:] = _dot_major([c[k] for c in je], e[:, k + 1:])
+            np.negative(N[k, k + 1:], out=N[k + 1:, k])
+        table = np.empty((4, 4, 4) + nodes)  # [k, a, b]
+        for a in range(4):
+            table[:, a, a] = 0.0
+            for b in range(a + 1, 4):
+                ab = v[a] * M[:, b]
+                ab -= u[a] * N[:, b]
+                ba = v[b] * M[:, a]
+                ba -= u[b] * N[:, a]
+                np.subtract(ab, ba, out=table[:, a, b])
+                np.negative(table[:, a, b], out=table[:, b, a])
+        return np.moveaxis(table, (0, 1, 2), (-3, -2, -1))
 
     def curvature_frame(self, points, frame):
         """(K_1213, K_1224) from K(X, Y, Z, W) = -exp(2 lam) (T o delta)(X, Y, Z, W).

@@ -703,15 +703,20 @@ def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
     ``christoffel_at``, ``nabla_j_tensor_at`` and ``curvature_at``.
 
     The torus has unadapted nodes, and the skewed frame shows that the
-    closed forms do not assume an orthonormal frame.
+    closed forms do not assume an orthonormal frame.  The nabla J table
+    is also taken at the torus's unadapted nodes alone, as (m, 4) points,
+    and on a stack of two grids; it is antisymmetric in (a, b) bit for bit,
+    with an exactly zero diagonal.
     """
     G = geometry(surface, CONF)
-    if surface is FRAME_SURFACES[1]:
-        assert not G.adapted_frame.adapted.all()
     pos, F = G.pos, G.fderiv
     fr = G.frame_matrix if frame == "adapted" else skewed(G.frame_matrix)
     H = G.mean_curvature[..., None, :]
     base = AmbientManifold
+    table = CONF.nabla_j_frame(pos, fr)
+    # other points and frames on a second grid, paired arbitrarily
+    stacked = (np.stack([pos, np.roll(pos, 3, axis=0)]),
+               np.stack([fr, np.roll(fr, 5, axis=1)]))
     pairs = {
         "Gamma(F_i, F_j)": (
             CONF.christoffel_pairs(pos, F, F), base.christoffel_pairs(CONF, pos, F, F)
@@ -719,10 +724,22 @@ def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
         "Gamma(e_k, H)": (
             CONF.christoffel_pairs(pos, fr, H), base.christoffel_pairs(CONF, pos, fr, H)
         ),
-        "nabla J table": (
-            CONF.nabla_j_frame(pos, fr), base.nabla_j_frame(CONF, pos, fr)
+        "nabla J table": (table, base.nabla_j_frame(CONF, pos, fr)),
+        "nabla J table, stacked grids": (
+            CONF.nabla_j_frame(*stacked), base.nabla_j_frame(CONF, *stacked)
         ),
     }
+    if surface is FRAME_SURFACES[1]:
+        unadapted = ~G.adapted_frame.adapted
+        assert unadapted.any()
+        nodes = (pos[unadapted], fr[unadapted])
+        pairs["nabla J table, unadapted nodes"] = (
+            CONF.nabla_j_frame(*nodes), base.nabla_j_frame(CONF, *nodes)
+        )
+    off = ~np.eye(4, dtype=bool)
+    flipped = np.negative(np.swapaxes(table, -1, -2))
+    assert table[..., off].tobytes() == flipped[..., off].tobytes()
+    assert not np.any(np.diagonal(table, axis1=-2, axis2=-1))
     k_closed = CONF.curvature_frame(pos, fr)
     k_base = base.curvature_frame(CONF, pos, fr)
     pairs["K_1213"] = (k_closed[0], k_base[0])
