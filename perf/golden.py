@@ -78,9 +78,17 @@ AMBIENTS = {
     "conformal": lambda A: A.conformal(CONFORMAL),
     "generic-j": _generic_j,
 }
-FIELDS = ("accel", "second_fundamental", "frame_matrix", "nabla_j_frame",
-          "curvature_frame_components", "mean_curvature_normal_derivative",
-          "j12_kk")
+# npz key -> reader; the frame keeps the key it had as a geometry alias, so
+# dumps of older checkouts still line up
+FIELDS = {
+    "accel": lambda G: G.accel,
+    "second_fundamental": lambda G: G.second_fundamental,
+    "frame_matrix": lambda G: G.adapted_frame.matrix,
+    "nabla_j_frame": lambda G: G.nabla_j_frame,
+    "curvature_frame_components": lambda G: G.curvature_frame_components,
+    "mean_curvature_normal_derivative": lambda G: G.mean_curvature_normal_derivative,
+    "j12_kk": lambda G: G.j12_kk,
+}
 
 
 # -- dump -------------------------------------------------------------
@@ -189,7 +197,7 @@ def _dump_fields(sc, out: Path) -> int:
     for name, build in AMBIENTS.items():
         G = sc.surface.SurfaceGeometry(surface, build(sc.ambient))
         np.savez(where / f"{name}.npz",
-                 **{field: np.asarray(getattr(G, field)) for field in FIELDS})
+                 **{key: np.asarray(read(G)) for key, read in FIELDS.items()})
     return len(AMBIENTS)
 
 

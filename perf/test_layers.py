@@ -126,7 +126,7 @@ def test_verify_first_variation_conformal(benchmark):
 
 
 def test_conformal_nabla_j_frame(benchmark):
-    setup = prebuilt("frame_matrix", "pos", ambient=AMBIENTS["conformal"])
+    setup = prebuilt("adapted_frame", "pos", ambient=AMBIENTS["conformal"])
     value = benchmark.pedantic(lambda G: G.nabla_j_frame, setup=setup, rounds=ROUNDS)
     assert value.shape == (N, N, 4, 4, 4)
 
@@ -167,15 +167,13 @@ def test_normal_projection_n32(benchmark, layer):
 FINE_LAYERS = {
     # cached property: the inputs read before the round
     "adapted_frame": (),
-    "accel": ("fderiv", "pos"),
-    "second_fundamental": ("frame_matrix", "accel", "amb_g", "_metric_factor",
-                           "frame_coeff"),
+    "accel": ("fth", "fph", "pos"),
+    "second_fundamental": ("adapted_frame", "accel", "amb_g", "_metric_factor"),
     "mean_curvature_normal_derivative": (
-        "mean_curvature", "frame_matrix", "frame_coeff", "_tangent_frame",
-        "amb_g", "_metric_factor", "pos",
+        "mean_curvature", "adapted_frame", "amb_g", "_metric_factor", "pos",
     ),
-    "nabla_j_frame": ("frame_matrix", "pos"),
-    "curvature_frame_components": ("frame_matrix", "pos"),
+    "nabla_j_frame": ("adapted_frame", "pos"),
+    "curvature_frame_components": ("adapted_frame", "pos"),
 }
 
 

@@ -100,29 +100,21 @@ def stable_step(G: SurfaceGeometry, beta: float) -> float:
     return 1.7 / lam
 
 
-def _line_search(surface, ambient, beta, G, el, current, tau):
-    """Backtrack from step size ``tau`` along the weighted descent velocity.
+def _line_search(G, beta, velocity, current, tau):
+    """Backtrack from step size ``tau`` along ``velocity`` from ``G.surface``.
 
-    ``G``, ``el`` and ``current`` are the geometry, critical operator and
-    L_beta of ``surface``.  Returns (candidate, its L_beta, its geometry,
-    accepted tau); raises FlowStalled when tau falls below TAU_MIN, or at
-    once when the critical operator is not finite.
+    ``current`` is the L_beta of ``G.surface``.  Returns (the geometry of
+    the accepted candidate, its L_beta, accepted tau); raises FlowStalled
+    when tau falls below TAU_MIN.
     """
-    if not math.isfinite(el.norm_linf):
-        raise FlowStalled(
-            f"critical operator residual res_linf = {el.norm_linf} is not finite"
-        )
-    weight = G.cos_alpha ** (-(beta + 3.0))
-    velocity = weight[..., None] * el.vector
     while tau >= TAU_MIN:
-        candidate = surface.displaced(tau * velocity)
-        G_new = SurfaceGeometry(candidate, ambient)
+        G_new = SurfaceGeometry(G.surface.displaced(tau * velocity), G.ambient)
         try:
-            value = l_beta(candidate, ambient, beta, geometry=G_new)
+            value = l_beta(G_new.surface, G.ambient, beta, geometry=G_new)
         except (NotImmersed, NotSymplectic):  # immersion and angle-floor gates
             value = math.nan
         if math.isfinite(value) and value < current:
-            return candidate, value, G_new, tau
+            return G_new, value, tau
         tau *= 0.5
     raise FlowStalled(
         f"line search fell below tau = {TAU_MIN:g} without descent"
@@ -144,8 +136,10 @@ def run_flow(
     surface including the final one (with tau = 0 on the last row).
     Each visited surface gets one geometry, one critical operator and
     one L_beta evaluation: the line search hands over those of the
-    accepted candidate.  Every step backtracks from the cap
-    ``stable_step``; ``max_iterations=1, res_tol=0.0`` takes one step.
+    accepted candidate.  Every step moves along the weighted velocity
+    cos^-(beta+3)(alpha) E and backtracks from the cap ``stable_step``;
+    ``max_iterations=1, res_tol=0.0`` takes one step.  A critical
+    operator that is not finite raises FlowStalled.
     """
     beta = validate_beta(beta, for_flow=True)
     validate_budget(max_iterations, res_tol)
@@ -153,7 +147,7 @@ def run_flow(
     value = l_beta(surface, ambient, beta, geometry=G)
     rows = []
     for iteration in range(max_iterations + 1):
-        el = el_operator(surface, ambient, beta, geometry=G)
+        el = el_operator(G.surface, ambient, beta, geometry=G)
         row = [value, el.norm_l2, el.norm_linf, float(np.min(G.cos_alpha)), 0.0]
         rows.append(row)
         if el.norm_linf <= res_tol:
@@ -165,10 +159,13 @@ def run_flow(
         if el.norm_linf < STATIONARY_LINF:
             stop_reason = "stationary"
             break
-        surface, value, G, row[4] = _line_search(
-            surface, ambient, beta, G, el, value, stable_step(G, beta)
-        )
-    return FlowResult(surface, np.array(rows, dtype=np.float64), stop_reason)
+        if not math.isfinite(el.norm_linf):
+            raise FlowStalled(
+                f"critical operator residual res_linf = {el.norm_linf} is not finite"
+            )
+        velocity = G.cos_alpha[..., None] ** (-(beta + 3.0)) * el.vector
+        G, value, row[4] = _line_search(G, beta, velocity, value, stable_step(G, beta))
+    return FlowResult(G.surface, np.array(rows, dtype=np.float64), stop_reason)
 
 
 def write_trace(result: FlowResult, path) -> None:

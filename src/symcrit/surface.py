@@ -172,9 +172,12 @@ class AdaptedFrame:
     """Orthonormal 4-frames with the normal pair in the adapted gauge.
 
     ``matrix[..., a, :]`` is e_{a+1}; ``e1`` .. ``e4`` are views of it.
+    ``coeff[..., i, a]`` writes the tangent pair in the parametric
+    tangents: e_a = sum_i coeff[i, a] d_i F for a, i in {0, 1}.
     """
 
     matrix: np.ndarray  # (..., 4, 4)
+    coeff: np.ndarray  # (..., 2, 2), upper triangular
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
@@ -191,7 +194,9 @@ class SurfaceGeometry:
 
     Every array is indexed (n_theta, n_phi, ...).  Tangent frame indices
     run over {1, 2} and are stored 0-based; normal indices {3, 4} live
-    in axes of length 2 ordered (e3, e4).
+    in axes of length 2 ordered (e3, e4).  The frame is held once, in
+    ``adapted_frame``: every frame quantity reads its ``matrix`` and its
+    tangent coefficients ``coeff``.
     """
 
     def __init__(self, surface: ImmersedSurface, ambient: AmbientManifold):
@@ -219,9 +224,12 @@ class SurfaceGeometry:
     def fph(self):
         return self.surface.linear_part[:, 1] + self._periodic_partials[1]
 
-    @cached_property
+    @property
     def fderiv(self):
-        """First derivatives stacked: index i in {theta, phi} first."""
+        """First derivatives stacked: index i in {theta, phi} first.
+
+        Built on each read, like ``fsecond``: ``accel`` is its one reader.
+        """
         return np.stack([self.fth, self.fph], axis=-2)  # (nt, np, 2, 4)
 
     @property
@@ -341,35 +349,7 @@ class SurfaceGeometry:
     def sin_alpha(self):
         return np.sqrt(np.clip(1.0 - self.cos_alpha**2, 0.0, None))
 
-    # ---- tangent frame
-
-    @cached_property
-    def _tangent_frame(self):
-        fth, fph = self.fth, self.fph
-        n1 = np.sqrt(self.dot(fth, fth))
-        e1 = fth / n1[..., None]
-        proj = self.dot(fph, e1)
-        u = fph - proj[..., None] * e1
-        n2 = np.sqrt(self.dot(u, u))
-        e2 = u / n2[..., None]
-        coeff = np.zeros(fth.shape[:2] + (2, 2))
-        coeff[..., 0, 0] = 1.0 / n1
-        coeff[..., 0, 1] = -proj / (n1 * n2)
-        coeff[..., 1, 1] = 1.0 / n2
-        return np.stack([e1, e2], axis=-2), coeff
-
-    @property
-    def e1(self):
-        return self._tangent_frame[0][..., 0, :]
-
-    @property
-    def e2(self):
-        return self._tangent_frame[0][..., 1, :]
-
-    @cached_property
-    def frame_coeff(self):
-        """coeff[..., i, a]: e_a = sum_i coeff[i, a] d_i F (tangent only)."""
-        return self._tangent_frame[1]
+    # ---- normal projection and J
 
     def project_normal(self, v):
         """Normal part of chart vectors: v - g^ij <v, F_j> F_i.
@@ -399,11 +379,25 @@ class SurfaceGeometry:
             return (v.reshape(-1, 4) @ J.T).reshape(v.shape)
         return (self.amb_j @ v[..., None])[..., 0]
 
-    # ---- adapted normal frame
+    # ---- adapted frame
 
     @cached_property
     def adapted_frame(self) -> AdaptedFrame:
-        e1, e2 = self.e1, self.e2
+        """The one frame of the geometry: e1, e2 by Gram-Schmidt on
+        (F_theta, F_phi), then the normal pair (see the module docstring).
+        """
+        self.det_induced  # raises NotImmersed before F_theta is normalised
+        fth, fph = self.fth, self.fph
+        n1 = np.sqrt(self.dot(fth, fth))
+        e1 = fth / n1[..., None]
+        proj = self.dot(fph, e1)
+        u = fph - proj[..., None] * e1
+        n2 = np.sqrt(self.dot(u, u))
+        e2 = u / n2[..., None]
+        coeff = np.zeros(fth.shape[:2] + (2, 2))
+        coeff[..., 0, 0] = 1.0 / n1
+        coeff[..., 0, 1] = -proj / (n1 * n2)
+        coeff[..., 1, 1] = 1.0 / n2
         je1 = self.apply_j(e1)
         x = self.dot(je1, e2)
         e3 = self.project_normal(je1)
@@ -424,18 +418,12 @@ class SurfaceGeometry:
         e4 -= self.dot(e4, e3)[..., None] * e3
         e4 /= np.sqrt(self.dot(e4, e4))[..., None]
         z = self.dot(je1, e4)
-        # e3 and e4 are built contiguous and copied in once: the arithmetic
+        # the legs are built contiguous and copied in once: the arithmetic
         # above runs slower on the strided rows of the frame array
         frame = np.empty(e1.shape[:-1] + (4, 4))
-        frame[..., :2, :] = self._tangent_frame[0]
-        frame[..., 2, :] = e3
-        frame[..., 3, :] = e4
-        return AdaptedFrame(frame, x, y, z, ok)
-
-    @property
-    def frame_matrix(self):
-        """All four frame fields as one array: frame[..., a, :] = e_{a+1}."""
-        return self.adapted_frame.matrix
+        for a, e in enumerate((e1, e2, e3, e4)):
+            frame[..., a, :] = e
+        return AdaptedFrame(frame, coeff, x, y, z, ok)
 
     # ---- second fundamental form and mean curvature
 
@@ -451,7 +439,7 @@ class SurfaceGeometry:
     @cached_property
     def _normal_covectors(self):
         """(g e3, g e4) stacked like the normal pair."""
-        return self._lower(self.frame_matrix[..., 2:, :])
+        return self._lower(self.adapted_frame.matrix[..., 2:, :])
 
     @cached_property
     def second_fundamental(self):
@@ -469,7 +457,7 @@ class SurfaceGeometry:
         wn = np.zeros(W.shape[:-3] + (2, 2, 2))
         for c in range(4):
             wn += W[..., None, :, :, c] * co[..., :, None, None, c]
-        C = self.frame_coeff
+        C = self.adapted_frame.coeff
         h = np.zeros(wn.shape)
         for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
             cc = (C[..., i, :, None] * C[..., j, None, :])[..., None, :, :]
@@ -505,7 +493,8 @@ class SurfaceGeometry:
         S = self.surface
         d_theta = periodic_d1(field, 0, S.h_theta)[:, :, None]
         d_phi = periodic_d1(field, 1, S.h_phi)[:, :, None]
-        C = self.frame_coeff.reshape(self.frame_coeff.shape + (1,) * (field.ndim - 2))
+        C = self.adapted_frame.coeff
+        C = C.reshape(C.shape + (1,) * (field.ndim - 2))
         return C[:, :, 0] * d_theta + C[:, :, 1] * d_phi
 
     @cached_property
@@ -520,7 +509,7 @@ class SurfaceGeometry:
         """
         d = self.frame_derivative(vfield)
         if not self.ambient.flat_metric:
-            pair = self._tangent_frame[0]
+            pair = self.adapted_frame.matrix[..., :2, :]
             gamma = self.ambient.christoffel_pairs(self.pos, pair, vfield[..., None, :])
             d += gamma[..., 0, :]
         return d
@@ -549,7 +538,7 @@ class SurfaceGeometry:
             # read-only: every reader slices the table
             S = self.surface
             return np.broadcast_to(0.0, (S.n_theta, S.n_phi, 4, 4, 4))
-        return self.ambient.nabla_j_frame(self.pos, self.frame_matrix)
+        return self.ambient.nabla_j_frame(self.pos, self.adapted_frame.matrix)
 
     @cached_property
     def curvature_frame_components(self):
@@ -557,7 +546,7 @@ class SurfaceGeometry:
         if self.ambient.flat_metric:
             zero = np.zeros(self.cos_alpha.shape)
             return zero, zero.copy()
-        return self.ambient.curvature_frame(self.pos, self.frame_matrix)
+        return self.ambient.curvature_frame(self.pos, self.adapted_frame.matrix)
 
     # ---- assembled second-order frame quantities
 
@@ -578,8 +567,9 @@ class SurfaceGeometry:
     def tangent_connection(self):
         """theta_a = <bar nabla_{e_a} e1, e2> for a in {1, 2}."""
         # direction axis first, so the per-node metric broadcasts over it
-        de1 = np.moveaxis(self.covariant_frame_derivative(self.e1), 2, 0)
-        return np.moveaxis(self.dot(de1, self.e2), 0, -1)
+        fr = self.adapted_frame
+        de1 = np.moveaxis(self.covariant_frame_derivative(fr.e1), 2, 0)
+        return np.moveaxis(self.dot(de1, fr.e2), 0, -1)
 
     @cached_property
     def j12_kk(self):

@@ -318,29 +318,33 @@ def laplacian_identity_terms(G: SurfaceGeometry) -> dict:
 def verify_laplacian_identity(surfaces, ambient: AmbientManifold) -> Report:
     """Refinement study of the unconditional angle-Laplacian identity.
 
-    Every level is evaluated once, coarsest first, and its geometry is
-    dropped before the next one is built.  On flat Kahler ambients the
-    covariant-J terms of the finest level must also vanish to
-    ``FLAT_KAHLER_TOL``.
+    Levels are evaluated as ``verify_gradient_identities`` evaluates
+    them, so one level's caches are alive at a time.  On flat Kahler
+    ambients the covariant-J terms of the finest level must also vanish
+    to ``FLAT_KAHLER_TOL``.
     """
-    levels = _refinement_levels(surfaces)
-    field = _report_field(levels)
-    rows = []
-    for S in levels:
+    surfaces = _refinement_levels(surfaces)
+    j_term = math.nan
+
+    def evaluate(S):
+        nonlocal j_term
         G = SurfaceGeometry(S, ambient)
         terms = laplacian_identity_terms(G)
-        rows.append(_level(G, terms["residual"],
-                           [f for name, f in terms.items() if name != "residual"],
-                           order=3))
-        # the finest level's largest covariant-J term is reported; max |f|
-        # from the extremes, so no |f| copy of the covariant-J table
-        j_term = max(
-            abs(float(max(np.max(f), -np.min(f))))
-            for f in (terms["j_second"], terms["j_coupling"],
-                      G.nabla_j_frame[..., :2, :, :])
-        )
-        del G, terms  # this level's caches go before the next level's are built
-    rep = _refinement_study("laplacian_identity", ambient, rows, field, 1e-3, [])
+        residual = terms.pop("residual")
+        if S is surfaces[-1]:
+            # the finest level's largest covariant-J term is reported; max |f|
+            # from the extremes, so no |f| copy of the covariant-J table
+            j_term = max(
+                abs(float(max(np.max(f), -np.min(f))))
+                for f in (terms["j_second"], terms["j_coupling"],
+                          G.nabla_j_frame[..., :2, :, :])
+            )
+        return _level(G, residual, terms.values(), order=3)
+
+    field = _report_field(surfaces)
+    rep = _refinement_study(
+        "laplacian_identity", ambient, map(evaluate, surfaces), field, 1e-3, []
+    )
     rep.tolerances["kahler_j_terms"] = FLAT_KAHLER_TOL
     rep.values["max_j_term"] = j_term
     if rep.passed and ambient.flat_metric and not j_term < FLAT_KAHLER_TOL:

@@ -199,10 +199,11 @@ def test_flow_rejects_negative_beta():
 
 
 def test_flow_never_builds_the_tangent_frame(monkeypatch):
+    """The tangent pair lives in the adapted frame, which the flow never reads."""
     def refuse(self):
-        raise AssertionError("tangent frame built")
+        raise AssertionError("adapted frame built")
 
-    monkeypatch.setattr(SurfaceGeometry, "_tangent_frame", property(refuse))
+    monkeypatch.setattr(SurfaceGeometry, "adapted_frame", property(refuse))
     res = run_flow(small_case(n=16), EUC, 1.0, max_iterations=20, res_tol=2e-3)
     assert res.iterations == 20
 

@@ -98,21 +98,41 @@ def test_frame_orthonormal(surface, ambient):
             got = G.dot(vecs[a], vecs[b])
             want = 1.0 if a == b else 0.0
             assert np.max(np.abs(got - want)) < 1e-10
-    assert np.all(np.linalg.det(G.frame_matrix) > 0)
+    assert np.all(np.linalg.det(fr.matrix) > 0)
+
+
+def cached_arrays(value):
+    """The arrays a cached entry holds, through tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for v in value for a in cached_arrays(v)]
+    return []
 
 
 @pytest.mark.parametrize("ambient", [EUC, CONF], ids=["euclid", "conformal"])
 def test_frame_is_held_in_one_array(ambient):
-    """frame_matrix is the adapted frame's own array and e1..e4 are views
-    of its rows, also with unadapted nodes (the torus of revolution)."""
+    """e1..e4 are views of the rows of the adapted frame's one array, also
+    with unadapted nodes (the torus of revolution), and once every frame
+    quantity is built no other cached entry holds e1 or e2."""
     G = geometry(revolution_torus(n_theta=24, n_phi=24), ambient)
     fr = G.adapted_frame
     assert not fr.adapted.all()
-    assert G.frame_matrix is fr.matrix
     for a, e in enumerate((fr.e1, fr.e2, fr.e3, fr.e4)):
         assert e.base is fr.matrix
         assert np.array_equal(e, fr.matrix[..., a, :])
-    assert np.array_equal(fr.e1, G.e1) and np.array_equal(fr.e2, G.e2)
+    G.j12_kk, G.curvature_frame_components, G.mean_curvature_normal_derivative
+    G.grad_cos_frame
+    for name, value in vars(G).items():
+        if name == "adapted_frame":
+            continue
+        for arr in cached_arrays(value):
+            if arr.shape[:2] != (24, 24) or arr.shape[-1] != 4:
+                continue
+            rows = arr.reshape(24, 24, -1, 4)
+            for k in range(rows.shape[2]):
+                for e in (fr.e1, fr.e2):
+                    assert not np.array_equal(rows[:, :, k], e), name
 
 
 @pytest.mark.parametrize("ambient", [EUC, CONF], ids=["euclid", "conformal"])
@@ -268,6 +288,34 @@ def test_project_normal_on_degenerate_surface_raises(ambient):
         warnings.simplefilter("error")
         with pytest.raises(NotImmersed):
             geometry(flat, ambient).project_normal(np.ones((8, 8, 4)))
+
+
+# R = r: F_theta vanishes on the circle phi = pi
+PINCHED = [revolution_torus(0.5, 0.5, n_theta=n, n_phi=n) for n in (16, 32)]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda S, amb: geometry(S, amb).adapted_frame,
+        check_condition_cyclic,
+        check_condition_symmetric,
+        lambda S, amb: verify_laplacian_identity(PINCHED, amb),
+        lambda S, amb: verify_gradient_identities(PINCHED, amb),
+        lambda S, amb: verify_critical_identity(S, amb, 1.0),
+        lambda S, amb: verify_first_variation(S, amb, 1.0),
+    ],
+    ids=["adapted_frame", "cyclic", "symmetric", "laplacian", "gradient",
+         "critical", "first_variation"],
+)
+@pytest.mark.parametrize("ambient", [EUC, CONF], ids=["flat", "conformal"])
+def test_pinched_torus_raises_not_immersed(entry, ambient):
+    """The frame and every check read the immersion test before they
+    normalise a tangent: a typed error, no divide-by-zero warning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotImmersed):
+            entry(PINCHED[0], ambient)
 
 
 def test_validation_rejects_bad_shapes():
@@ -542,10 +590,24 @@ FRAME_SURFACES = [
 ]
 
 
+@pytest.mark.parametrize("ambient", [EUC, CONF], ids=["euclid", "conformal"])
+@pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
+def test_frame_coeff_writes_the_tangent_pair_in_the_parametric_tangents(
+        surface, ambient):
+    """coeff^T g coeff is the identity, and sum_i coeff[i, a] d_i F = e_a."""
+    G = geometry(surface, ambient)
+    fr = G.adapted_frame
+    C = fr.coeff
+    gram = np.einsum("...ia,...ij,...jb->...ab", C, G.induced_metric, C)
+    assert np.max(np.abs(gram - np.eye(2))) < 1e-13
+    legs = np.einsum("...ia,...ic->...ac", C, G.fderiv)
+    assert np.max(np.abs(legs - fr.matrix[..., :2, :])) < 1e-13
+
+
 @pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
 def test_nabla_j_frame_matches_one_shot_contraction(surface):
     G = geometry(surface, CONF)
-    fr = G.frame_matrix
+    fr = G.adapted_frame.matrix
     dj = np.einsum("...kc,...cab->...kab", fr, CONF.nabla_j_tensor_at(G.pos))
     want = np.einsum("...kab,...mb,...ad,...nd->...kmn", dj, fr, G.amb_g, fr)
     assert np.max(np.abs(G.nabla_j_frame - want)) < 1e-12
@@ -602,15 +664,15 @@ def test_kernels_match_einsum_reference(surface, ambient):
     omega = np.einsum("...ab,...a,...b->...", g, jfth, G.fph)
     w = fr.x[..., None] * fr.e3 - fr.y[..., None] * fr.e2
     dc, ca = G.grad_cos_frame, G.cos_alpha
-    tang = ca[..., None] * (dc[..., 0, None] * G.e2 - dc[..., 1, None] * G.e1)
+    tang = ca[..., None] * (dc[..., 0, None] * fr.e2 - dc[..., 1, None] * fr.e1)
     jtang = np.einsum("...ab,...b->...a", J, tang)
     # I - sum_a e_a (g e_a)^T, the g-orthogonal projector onto the normal plane
-    tangent = np.stack([G.e1, G.e2], axis=-2)
+    tangent = fr.matrix[..., :2, :]
     co = np.einsum("...ab,...kb->...ka", g, tangent)
     proj = np.eye(4) - np.einsum("...ka,...kb->...ab", tangent, co)
     gamma = ambient.christoffel_at(G.pos)
     accel = G.fsecond + np.einsum("...abc,...ib,...jc->...ija", gamma, F, F)
-    normals = G.frame_matrix[..., 2:, :]
+    normals = fr.matrix[..., 2:, :]
     wn = np.einsum("...cd,...ijc,...nd->...nij", g, accel, normals)
     # raw gauge: e3 is the normal part of the chart axis whose normal part
     # is longest; row B of ``axes`` is the normal part of chart axis B
@@ -619,7 +681,7 @@ def test_kernels_match_einsum_reference(surface, ambient):
     norms = np.einsum("...Ba,...ab,...Bb->...B", axes, g[bad], axes)
     m, best = np.arange(len(axes)), np.argmax(norms, axis=-1)
     raw_e3 = axes[m, best] / np.sqrt(norms[m, best])[:, None]
-    C = G.frame_coeff
+    C = fr.coeff
     h = np.einsum("...ia,...jb,...nij->...nab", C, C, wn)
     pairs = {
         "induced_metric": (G.induced_metric, metric),
@@ -659,13 +721,14 @@ def test_kernels_match_einsum_reference(surface, ambient):
 
 def frame_reject(G, v):
     """g-orthogonal rejection of v from the Gram-Schmidt pair (e1, e2)."""
-    return v - G.dot(v, G.e1)[..., None] * G.e1 - G.dot(v, G.e2)[..., None] * G.e2
+    fr = G.adapted_frame
+    return v - G.dot(v, fr.e1)[..., None] * fr.e1 - G.dot(v, fr.e2)[..., None] * fr.e2
 
 
 def frame_j_tangent_grad(G):
     """J (J grad cos a)^T = J cos a (e2 d1(cos a) - e1 d2(cos a))."""
-    dc, ca = G.grad_cos_frame, G.cos_alpha
-    return G.apply_j(ca[..., None] * (dc[..., 0, None] * G.e2 - dc[..., 1, None] * G.e1))
+    dc, ca, fr = G.grad_cos_frame, G.cos_alpha, G.adapted_frame
+    return G.apply_j(ca[..., None] * (dc[..., 0, None] * fr.e2 - dc[..., 1, None] * fr.e1))
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
@@ -710,7 +773,9 @@ def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
     """
     G = geometry(surface, CONF)
     pos, F = G.pos, G.fderiv
-    fr = G.frame_matrix if frame == "adapted" else skewed(G.frame_matrix)
+    fr = G.adapted_frame.matrix
+    if frame == "skewed":
+        fr = skewed(fr)
     H = G.mean_curvature[..., None, :]
     base = AmbientManifold
     table = CONF.nabla_j_frame(pos, fr)
@@ -759,7 +824,7 @@ def test_constant_conformal_factor_scales_area_and_keeps_the_angle(surface):
     assert abs(area / np.exp(0.6) - 1.0) < 1e-14
     assert np.max(np.abs(scaled.cos_alpha - flat.cos_alpha)) < 1e-14
     amb, base = scaled.ambient, AmbientManifold
-    pos, F, fr = scaled.pos, scaled.fderiv, scaled.frame_matrix
+    pos, F, fr = scaled.pos, scaled.fderiv, scaled.adapted_frame.matrix
     closed = [amb.christoffel_pairs(pos, F, F), amb.nabla_j_frame(pos, fr),
               *amb.curvature_frame(pos, fr)]
     contracted = [base.christoffel_pairs(amb, pos, F, F),
