@@ -21,10 +21,9 @@ difference nothing: :class:`ConformalManifold` (exp(2 lam) delta
 with the standard J), whose connection, its partials and d(omega) are
 closed forms in the first and second partials of lam, so its curvature
 is the base class's contraction of closed forms, and
-:class:`EuclideanManifold`, flat C^2, which is its lam = 0 case.  They
-declare what surfaces may skip through the class attributes
-``flat_metric`` and ``constant_j``; a user-built ambient declares
-neither and always takes the general path.
+:class:`EuclideanManifold`, flat C^2, which is its lam = 0 case.
+Surfaces tell them apart by class: they skip work on these two and take
+the general path on any other ambient, a user-built one included.
 
 A surface reads the ambient through three entry points that take the
 node positions and chart vectors: ``christoffel_pairs`` (Gamma(X, Y)),
@@ -41,7 +40,7 @@ from __future__ import annotations
 import ast
 import operator
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -204,11 +203,6 @@ class AmbientManifold:
     j_field: Callable[[np.ndarray], np.ndarray]
     metric_derivative_field: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = "custom"
-
-    # What a closed-form subclass declares so that surfaces skip work;
-    # the general class declares neither.
-    flat_metric: ClassVar[bool] = False  # g is the identity and J constant
-    constant_j: ClassVar[bool] = False  # J is constant in the chart
 
     # -- basic fields -------------------------------------------------
 
@@ -434,8 +428,6 @@ class ConformalManifold(AmbientManifold):
     for comparison.  In the docstrings below X.Y is the Euclidean dot.
     """
 
-    constant_j: ClassVar[bool] = True
-
     def __init__(self, exponent: Callable[[np.ndarray], np.ndarray],
                  gradient: Callable[[np.ndarray], np.ndarray],
                  hessian: Callable[[np.ndarray], np.ndarray],
@@ -607,13 +599,10 @@ class ConformalManifold(AmbientManifold):
 class EuclideanManifold(ConformalManifold):
     """Flat C^2: the conformal ambient with lam = 0, so g is the identity.
 
-    It declares ``flat_metric``, so surfaces use the Euclidean dot and
-    skip the connection, the covariant derivative of J and the
-    curvature, all of which vanish; d(omega) is a zero table, not
-    2 dlam ^ omega evaluated at dlam = 0.
+    Surfaces in it use the Euclidean dot and skip the connection, the
+    covariant derivative of J and the curvature, all of which vanish;
+    d(omega) is a zero table, not 2 dlam ^ omega evaluated at dlam = 0.
     """
-
-    flat_metric: ClassVar[bool] = True
 
     def __init__(self):
         super().__init__(lambda p: _zeros(p, 0), lambda p: _zeros(p, 1),

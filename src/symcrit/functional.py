@@ -56,6 +56,16 @@ def validate_beta(beta: float, for_flow: bool = False) -> float:
     return beta
 
 
+def _geometry(surface, ambient, geometry):
+    """``geometry``, checked to be the one of ``surface`` in ``ambient``,
+    or a new geometry when it is None."""
+    if geometry is None:
+        return SurfaceGeometry(surface, ambient)
+    if geometry.surface is not surface or geometry.ambient is not ambient:
+        raise ValueError("geometry was built for another surface or ambient")
+    return geometry
+
+
 def l_beta(
     surface: ImmersedSurface,
     ambient: AmbientManifold,
@@ -72,7 +82,7 @@ def l_beta(
     beta = validate_beta(beta)
     if not math.isfinite(cos_floor):
         raise ValueError(f"cos_floor must be finite, got {cos_floor}")
-    G = geometry or SurfaceGeometry(surface, ambient)
+    G = _geometry(surface, ambient, geometry)
     ca = G.cos_alpha
     bad = int(np.sum(ca <= cos_floor))
     if bad:
@@ -137,7 +147,7 @@ def el_operator(
     cos^3(alpha) g^ij W_ij - beta J (J grad cos alpha)^T.
     """
     beta = validate_beta(beta)
-    G = geometry or SurfaceGeometry(surface, ambient)
+    G = _geometry(surface, ambient, geometry)
     ca = G.cos_alpha
     raw = ca[..., None] ** 3 * G._raw_mean_curvature
     if beta != 0.0:
@@ -164,7 +174,7 @@ def el_components(
     Returns (r3, r4) grid fields.
     """
     beta = validate_beta(beta)
-    G = geometry or SurfaceGeometry(surface, ambient)
+    G = _geometry(surface, ambient, geometry)
     fr = G.adapted_frame
     H = G.mean_curvature_frame
     dc = G.grad_cos_frame

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambient import AmbientManifold, ConformalManifold, _dot
+from .ambient import AmbientManifold, ConformalManifold, EuclideanManifold, _dot
 from .errors import NotImmersed
 
 __all__ = [
@@ -272,7 +272,7 @@ class SurfaceGeometry:
         bit for bit (one nonzero term per entry); neither samples the 4x4
         metric.  Every use of the metric goes through here.
         """
-        if self.ambient.flat_metric:
+        if isinstance(self.ambient, EuclideanManifold):
             return v
         if isinstance(self.ambient, ConformalManifold):
             f = self._metric_factor if nodes is None else self._metric_factor[nodes]
@@ -368,13 +368,14 @@ class SurfaceGeometry:
     def apply_j(self, v):
         """J v for a chart vector field on the grid.
 
-        A constant J is applied as one (N, 4) @ (4, 4) product with its
-        sample, so neither the node positions nor a per-node J are built.
+        The constant J of a conformal ambient is applied as one
+        (N, 4) @ (4, 4) product with its sample, so neither the node
+        positions nor a per-node J are built.
         For ``STANDARD_J``, whose rows have one nonzero entry each, the
         product is exact.
         """
         v = np.asarray(v)
-        if self.ambient.constant_j:
+        if isinstance(self.ambient, ConformalManifold):
             J = self.ambient.j_at(np.zeros(4))
             return (v.reshape(-1, 4) @ J.T).reshape(v.shape)
         return (self.amb_j @ v[..., None])[..., 0]
@@ -431,7 +432,7 @@ class SurfaceGeometry:
     def accel(self):
         """W_ij = second derivatives plus ambient Christoffel correction."""
         W = self.fsecond
-        if not self.ambient.flat_metric:
+        if not isinstance(self.ambient, EuclideanManifold):
             F = self.fderiv
             W += self.ambient.christoffel_pairs(self.pos, F, F)
         return W
@@ -508,7 +509,7 @@ class SurfaceGeometry:
         Shape (..., 2, 4), the direction as axis 2, like ``frame_derivative``.
         """
         d = self.frame_derivative(vfield)
-        if not self.ambient.flat_metric:
+        if not isinstance(self.ambient, EuclideanManifold):
             pair = self.adapted_frame.matrix[..., :2, :]
             gamma = self.ambient.christoffel_pairs(self.pos, pair, vfield[..., None, :])
             d += gamma[..., 0, :]
@@ -534,7 +535,7 @@ class SurfaceGeometry:
 
         k runs over the full frame, like a and b.
         """
-        if self.ambient.flat_metric:
+        if isinstance(self.ambient, EuclideanManifold):
             # read-only: every reader slices the table
             S = self.surface
             return np.broadcast_to(0.0, (S.n_theta, S.n_phi, 4, 4, 4))
@@ -543,7 +544,7 @@ class SurfaceGeometry:
     @cached_property
     def curvature_frame_components(self):
         """(K_1213, K_1224) = (K(e1, e2, e1, e3), K(e1, e2, e2, e4))."""
-        if self.ambient.flat_metric:
+        if isinstance(self.ambient, EuclideanManifold):
             zero = np.zeros(self.cos_alpha.shape)
             return zero, zero.copy()
         return self.ambient.curvature_frame(self.pos, self.adapted_frame.matrix)
@@ -554,14 +555,10 @@ class SurfaceGeometry:
     def mean_curvature_normal_derivative(self):
         """H^n_{,a} = <bar nabla_{e_a} H, e_{n+3}>, shape (..., a, n).
 
-        The sum over c starts from +0.0 and runs over 0..3 in order.
+        The sum over chart components runs in ``_dot``'s fixed order.
         """
         dH = self.covariant_frame_derivative(self.mean_curvature)
-        co = self._normal_covectors
-        out = np.zeros(dH.shape[:-1] + (2,))
-        for c in range(4):
-            out += dH[..., :, None, c] * co[..., None, :, c]
-        return out
+        return _dot(dH[..., :, None, :], self._normal_covectors[..., None, :, :])
 
     @cached_property
     def tangent_connection(self):
@@ -580,7 +577,7 @@ class SurfaceGeometry:
         result matches the value taken in a frame that is covariantly
         constant at the node.  Identically zero for a parallel J.
         """
-        if self.ambient.flat_metric:
+        if isinstance(self.ambient, EuclideanManifold):
             return np.zeros(self.cos_alpha.shape)
         jf = self.nabla_j_frame  # (..., k, a, b)
         phi = jf[..., :2, 0, 1]  # J_{12,k} for tangent k, (..., k)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ambient import AmbientManifold
+from .ambient import AmbientManifold, EuclideanManifold
 from .functional import COS_FLOOR, el_operator, l_beta, validate_beta
 from .surface import ImmersedSurface, SurfaceGeometry
 
@@ -128,75 +128,70 @@ def _max_abs(a, b):
     return np.maximum(np.abs(a), np.abs(b))
 
 
-def _refinement_levels(surfaces):
-    """One surface, or a non-empty list whose grid sizes strictly increase."""
-    if isinstance(surfaces, ImmersedSurface):
-        return [surfaces]
-    surfaces = list(surfaces)
+def _level(G: SurfaceGeometry, identity_terms, order: int):
+    """What a refinement study keeps of one level:
+    (n, residual, mask, weights, floor).
+
+    ``identity_terms(G)`` returns the identity's named term fields and
+    its ``"residual"``.  ``floor`` is the roundoff level of the residual:
+    ``EXACT_ULPS`` ulps of the largest term, times (1/h)^order.
+    ``order`` is the number of difference quotients of the immersion
+    that the identity's deepest term composes; each multiplies the
+    roundoff of its input by about 1/h.  Neither ``G`` nor the terms are
+    kept.
+    """
+    terms = identity_terms(G)
+    residual = terms.pop("residual")
+    S = G.surface
+    scale = max(float(np.max(np.abs(t))) for t in terms.values())
+    gain = 1.0 / min(S.h_theta, S.h_phi)
+    floor = EXACT_ULPS * np.finfo(float).eps * scale * gain**order
+    return S.n_theta, residual, G.adapted_frame.adapted, G.area_weights, floor
+
+
+def _refinement_study(check, surfaces, ambient, identity_terms, order, single_tol):
+    """Refinement study of an identity over ``surfaces``, one surface or a
+    non-empty list whose grid sizes strictly increase.
+
+    Each level's geometry is built when the study reaches it and handed
+    to ``_level`` (which ``identity_terms`` and ``order`` are for), so one
+    level's caches are alive at a time.  Norms and the reported residual
+    field, the finest level's, cover adapted nodes only.
+    Several levels pass when every step to a finer level reaches
+    ``ORDER_TOL`` or lands on an exact level, one whose Linf is within
+    its roundoff floor (see ``_level``): an identity that holds to
+    roundoff has no order to observe.  A single level passes when its
+    Linf is below ``single_tol``.  More than 10% unadapted nodes on the
+    finest level make the study inconclusive.
+    """
+    surfaces = [surfaces] if isinstance(surfaces, ImmersedSurface) else list(surfaces)
     sizes = [(S.n_theta, S.n_phi) for S in surfaces]
     if not sizes or np.any(np.diff(sizes, axis=0) <= 0):
         raise ValueError(
             f"refinement needs at least one surface and grid sizes that "
             f"strictly increase, got {sizes}"
         )
-    return surfaces
-
-
-def _level(G: SurfaceGeometry, residual, terms, order: int):
-    """What a refinement study keeps of one level:
-    (n, residual, mask, weights, floor).
-
-    ``floor`` is the roundoff level of the residual: ``EXACT_ULPS`` ulps
-    of the largest of the identity's ``terms``, times (1/h)^order.
-    ``order`` is the number of difference quotients of the immersion
-    that the identity's deepest term composes; each multiplies the
-    roundoff of its input by about 1/h.  The geometry itself is not
-    kept, so its caches are freed as soon as the caller drops it.
-    """
-    S = G.surface
-    scale = max(float(np.max(np.abs(t))) for t in terms)
-    gain = 1.0 / min(S.h_theta, S.h_phi)
-    floor = EXACT_ULPS * np.finfo(float).eps * scale * gain**order
-    return S.n_theta, residual, G.adapted_frame.adapted, G.area_weights, floor
-
-
-def _report_field(surfaces):
-    """Zeroed buffer for the residual field of a study over ``surfaces``.
-
-    Callers allocate it before they evaluate any level, so the long-lived
-    array sits below the levels' short-lived working arrays instead of in
-    the holes they leave behind: a caller that keeps many reports then
-    does not fragment the heap (glibc malloc), and its peak resident
-    memory does not grow faster than the reports themselves.
-    """
-    finest = surfaces[-1]
-    return np.zeros((finest.n_theta, finest.n_phi))
-
-
-def _refinement_study(check, ambient, levels, field, single_tol, notes):
-    """Refinement study over ``levels``, ``_level`` tuples of increasing n.
-
-    ``field`` is the ``_report_field`` buffer the finest residual is
-    written to.  Norms and the reported residual field cover adapted
-    nodes only.
-    Several levels pass when every step to a finer level reaches
-    ``ORDER_TOL`` or lands on an exact level, one whose Linf is within
-    its roundoff floor (see ``_level``): an identity that holds to
-    roundoff has no order to observe.  A single level passes when its
-    Linf is below ``single_tol``.  More than 10% unadapted nodes on the
-    finest level make the study inconclusive.  ``notes`` is extended in
-    place.
-    """
+    # The report's residual field is allocated before any level is
+    # evaluated, so the long-lived array sits below the levels'
+    # short-lived working arrays instead of in the holes they leave
+    # behind: a caller that keeps many reports then does not fragment the
+    # heap (glibc malloc), and its peak resident memory does not grow
+    # faster than the reports themselves.
+    field = np.zeros(sizes[-1])
     rows = []  # (n, l2, linf, order observed from the previous level)
     exact = []  # the levels a step lands on within their floor, below order
-    for n, res, mask, weights, floor in levels:
+    notes = []
+    for S in surfaces:
+        n, res, mask, weights, floor = _level(
+            SurfaceGeometry(S, ambient), identity_terms, order
+        )
         l2, linf = _norms(np.abs(res), weights, mask)
         prev = rows[-1][2] if rows else 0.0
-        order = math.log2(prev / linf) if linf > 0 and prev > 0 else float("nan")
+        observed = math.log2(prev / linf) if linf > 0 and prev > 0 else float("nan")
         # a level with no adapted node measures nothing, so it is not exact
-        if rows and not order >= ORDER_TOL and linf <= floor and mask.any():
+        if rows and not observed >= ORDER_TOL and linf <= floor and mask.any():
             exact.append(n)
-        rows.append((n, l2, linf, order))
+        rows.append((n, l2, linf, observed))
     if len(rows) > 1:
         ok = all(r[3] >= ORDER_TOL or r[0] in exact for r in rows[1:])
         if exact:
@@ -245,26 +240,22 @@ def gradient_identity_residuals(G: SurfaceGeometry):
 
 
 def verify_gradient_identities(surfaces, ambient: AmbientManifold) -> Report:
-    """Refinement study of the larger of the two gradient-identity residuals.
+    """Refinement study (``_refinement_study``) of the larger of the two
+    gradient-identity residuals."""
 
-    Each level's geometry is built only when the study reaches it and
-    dropped when it is done, so one level's caches are alive at a time.
-    """
-
-    def evaluate(S):
-        G = SurfaceGeometry(S, ambient)
+    def terms(G):
         r1, r2 = gradient_identity_residuals(G)
         # the second fundamental form counts at its largest component: each
         # component read in the frame carries the roundoff of the whole form
-        terms = (G.grad_cos_frame, G.nabla_j_frame[..., :2, 0, 1],
-                 G.sin_alpha[..., None, None, None] * G.second_fundamental)
-        return _level(G, _max_abs(r1, r2), terms, order=2)
+        return {
+            "grad_cos": G.grad_cos_frame,
+            "j12": G.nabla_j_frame[..., :2, 0, 1],
+            "second_fundamental": G.sin_alpha[..., None, None, None]
+            * G.second_fundamental,
+            "residual": _max_abs(r1, r2),
+        }
 
-    surfaces = _refinement_levels(surfaces)
-    field = _report_field(surfaces)
-    return _refinement_study(
-        "gradient_identities", ambient, map(evaluate, surfaces), field, 1e-4, []
-    )
+    return _refinement_study("gradient_identities", surfaces, ambient, terms, 2, 1e-4)
 
 
 # -- angle Laplacian identity -----------------------------------------
@@ -316,38 +307,30 @@ def laplacian_identity_terms(G: SurfaceGeometry) -> dict:
 
 
 def verify_laplacian_identity(surfaces, ambient: AmbientManifold) -> Report:
-    """Refinement study of the unconditional angle-Laplacian identity.
+    """Refinement study (``_refinement_study``) of the unconditional
+    angle-Laplacian identity.
 
-    Levels are evaluated as ``verify_gradient_identities`` evaluates
-    them, so one level's caches are alive at a time.  On flat Kahler
-    ambients the covariant-J terms of the finest level must also vanish
-    to ``FLAT_KAHLER_TOL``.
+    On flat Kahler ambients the covariant-J terms of the finest level
+    must also vanish to ``FLAT_KAHLER_TOL``.
     """
-    surfaces = _refinement_levels(surfaces)
     j_term = math.nan
 
-    def evaluate(S):
+    def terms(G):
         nonlocal j_term
-        G = SurfaceGeometry(S, ambient)
-        terms = laplacian_identity_terms(G)
-        residual = terms.pop("residual")
-        if S is surfaces[-1]:
-            # the finest level's largest covariant-J term is reported; max |f|
-            # from the extremes, so no |f| copy of the covariant-J table
-            j_term = max(
-                abs(float(max(np.max(f), -np.min(f))))
-                for f in (terms["j_second"], terms["j_coupling"],
-                          G.nabla_j_frame[..., :2, :, :])
-            )
-        return _level(G, residual, terms.values(), order=3)
+        out = laplacian_identity_terms(G)
+        # the level's largest covariant-J term; the finest one is reported.
+        # max |f| from the extremes, so no |f| copy of the covariant-J table
+        j_term = max(
+            abs(float(max(np.max(f), -np.min(f))))
+            for f in (out["j_second"], out["j_coupling"], G.nabla_j_frame[..., :2, :, :])
+        )
+        return out
 
-    field = _report_field(surfaces)
-    rep = _refinement_study(
-        "laplacian_identity", ambient, map(evaluate, surfaces), field, 1e-3, []
-    )
+    rep = _refinement_study("laplacian_identity", surfaces, ambient, terms, 3, 1e-3)
     rep.tolerances["kahler_j_terms"] = FLAT_KAHLER_TOL
     rep.values["max_j_term"] = j_term
-    if rep.passed and ambient.flat_metric and not j_term < FLAT_KAHLER_TOL:
+    flat = isinstance(ambient, EuclideanManifold)
+    if rep.passed and flat and not j_term < FLAT_KAHLER_TOL:
         rep.status = "fail"
     return rep
 
@@ -480,7 +463,7 @@ def check_condition_symmetric(surface: ImmersedSurface,
         ok = values["consequence_res"] < 10.0 * cond + FLAT_KAHLER_TOL
     else:
         notes.append("condition violated: consequence identities not applicable")
-    if ambient.flat_metric:
+    if isinstance(ambient, EuclideanManifold):
         ok = ok and cond < FLAT_KAHLER_TOL
     return Report(
         check="condition_symmetric",

@@ -19,6 +19,13 @@ from symcrit.ambient import (
     parse_scalar_field,
 )
 from symcrit.errors import AmbientDegenerate, StructureViolation
+from symcrit.functional import el_operator, l_beta
+from symcrit.surface import ImmersedSurface, SurfaceGeometry, perturbed_graph
+from symcrit.verify import (
+    verify_first_variation,
+    verify_gradient_identities,
+    verify_laplacian_identity,
+)
 
 RNG = np.random.default_rng(20250825)
 
@@ -393,6 +400,91 @@ def test_conformal_metric_always_spd(a, b, px, py):
     np.linalg.cholesky(g)
     J = M.j_at(pt)
     assert np.max(np.abs(J @ J + np.eye(4))) < 1e-12
+
+
+# -- the general path under a change of chart ---------------------------
+
+# Flat C^2 in the chart y of x = psi(y) = y + CHART_EPS f(y).  f is 2 pi
+# periodic in p1 and p2 and pi periodic in p3 and p4, so it is periodic
+# along the winding of perturbed_graph(0.5, .), whose periods move the chart
+# by (2 pi, 0, pi, 0) and (0, 2 pi, 0, -pi): psi maps such a torus to a
+# torus with the same linear part.
+CHART_EPS = 0.05
+
+
+def chart_offset(p):
+    """f(p) = (sin p2 + cos(2 p3) / 2, cos p1, sin(p1 + 2 p4), cos(2 p3) sin p2)."""
+    p1, p2, p3, p4 = (p[..., i] for i in range(4))
+    return np.stack([np.sin(p2) + 0.5 * np.cos(2 * p3), np.cos(p1),
+                     np.sin(p1 + 2 * p4), np.cos(2 * p3) * np.sin(p2)], axis=-1)
+
+
+def chart_jacobian(p):
+    """D psi = I + CHART_EPS D f, D f[i, j] = d f_i / d p_j."""
+    p1, p2, p3, p4 = (p[..., i] for i in range(4))
+    df = np.zeros(p.shape[:-1] + (4, 4))
+    df[..., 0, 1] = np.cos(p2)
+    df[..., 0, 2] = -np.sin(2 * p3)
+    df[..., 1, 0] = -np.sin(p1)
+    df[..., 2, 0] = np.cos(p1 + 2 * p4)
+    df[..., 2, 3] = 2 * np.cos(p1 + 2 * p4)
+    df[..., 3, 1] = np.cos(2 * p3) * np.cos(p2)
+    df[..., 3, 2] = -2 * np.sin(2 * p3) * np.sin(p2)
+    return np.eye(4) + CHART_EPS * df
+
+
+def chart_metric(p):
+    D = chart_jacobian(p)
+    return np.swapaxes(D, -1, -2) @ D  # the pullback D psi^T D psi
+
+
+def chart_j(p):
+    D = chart_jacobian(p)
+    return np.linalg.solve(D, STANDARD_J @ D)  # D psi^-1 J_0 D psi
+
+
+# a plain AmbientManifold: a non-diagonal metric, a J that varies, and every
+# derivative by finite differences
+FLAT_IN_CHART = AmbientManifold(chart_metric, chart_j, name="flat-in-chart")
+
+
+def chart_surface(n):
+    return perturbed_graph(0.5, 0.05, n_theta=n, n_phi=n)
+
+
+def mapped_to_flat(S):
+    """psi o S: the same linear part, periodic part P + CHART_EPS f(positions)."""
+    return ImmersedSurface(S.linear_part,
+                           S.periodic_part + CHART_EPS * chart_offset(S.positions()))
+
+
+def test_change_of_chart_keeps_the_functional_and_pushes_the_operator_forward():
+    """l_beta(S; chart) = l_beta(psi o S; flat) and D psi E_chart = E_flat(psi o S)
+    up to the grid error of each side, so both differences fall at order 4."""
+    rel_l, err_e = [], []
+    for n in (16, 32, 64):
+        S, T = chart_surface(n), mapped_to_flat(chart_surface(n))
+        G = SurfaceGeometry(S, FLAT_IN_CHART)
+        flat = l_beta(T, euclidean_c2(), 0.0)
+        rel_l.append(abs(l_beta(S, FLAT_IN_CHART, 0.0, geometry=G) - flat) / flat)
+        E = el_operator(S, FLAT_IN_CHART, 1.0, geometry=G).vector
+        pushed = (chart_jacobian(G.pos) @ E[..., None])[..., 0]
+        err_e.append(np.max(np.abs(pushed - el_operator(T, euclidean_c2(), 1.0).vector)))
+        assert {"amb_g", "amb_j"} <= set(vars(G))  # the general path ran
+    for errs in (rel_l, err_e):
+        assert min(np.log2(errs[k - 1] / errs[k]) for k in (1, 2)) > 3.5, errs
+    assert rel_l[-1] < 1e-7 and err_e[-1] < 1e-6
+
+
+def test_change_of_chart_passes_the_studies_and_the_first_variation():
+    levels = [chart_surface(n) for n in (16, 32)]
+    for study in (verify_gradient_identities, verify_laplacian_identity):
+        rep = study(levels, FLAT_IN_CHART)
+        assert rep.status == "pass", rep.to_text()[:400]
+        assert rep.refinement[-1][3] > 3.5
+    rep = verify_first_variation(levels[-1], FLAT_IN_CHART, 1.0)
+    assert rep.status == "pass"
+    assert rep.values["cyclic_condition_res"] < 1e-10  # Kahler, in disguise
 
 
 # -- optional heavy imports ---------------------------------------------

@@ -246,3 +246,17 @@ def test_el_operator_deterministic():
     el2 = el_operator(perturbed_graph(0.5, 0.05, n_theta=24, n_phi=24), EUC, 1.0)
     assert np.array_equal(el.vector, el2.vector)
     assert el.norm_l2 == el2.norm_l2
+
+
+@pytest.mark.parametrize("evaluate", [l_beta, el_operator, el_components],
+                         ids=["l_beta", "el_operator", "el_components"])
+def test_geometry_of_another_surface_or_ambient_is_rejected(evaluate):
+    """A passed geometry must be the one of the surface and ambient passed
+    beside it; otherwise the values would silently be that geometry's."""
+    S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
+    other = perturbed_graph(0.5, 0.1, n_theta=16, n_phi=16)
+    conf = conformal("0.1*sin(p1) + 0.05*cos(p2)")
+    for geometry in (SurfaceGeometry(other, EUC), SurfaceGeometry(S, conf)):
+        with pytest.raises(ValueError, match="geometry"):
+            evaluate(S, EUC, 1.0, geometry=geometry)
+    evaluate(S, EUC, 1.0, geometry=SurfaceGeometry(S, EUC))

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcrit.ambient import STANDARD_J, AmbientManifold, conformal, euclidean_c2
+from symcrit.ambient import (
+    STANDARD_J,
+    AmbientManifold,
+    EuclideanManifold,
+    conformal,
+    euclidean_c2,
+)
 from symcrit.errors import AmbientDegenerate, NotImmersed
 from symcrit.functional import el_operator, jj_grad_perp, l_beta
 from symcrit.surface import (
@@ -561,7 +567,7 @@ def test_euclidean_dot_matches_np_sum_bit_for_bit():
     rng = np.random.default_rng(7)
     n = 12
     G = geometry(holomorphic_graph(0.3, -0.2, n_theta=n, n_phi=n))
-    assert G.ambient.flat_metric
+    assert isinstance(G.ambient, EuclideanManifold)
     cases = {
         "grid": (rng.standard_normal((n, n, 4)), rng.standard_normal((n, n, 4))),
         "stacked": (rng.standard_normal((2, n, n, 4)), rng.standard_normal((n, n, 4))),
@@ -645,7 +651,7 @@ def rel_err(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
-# the conformal fields without the constant-J flag: the per-node J path
+# the conformal fields in a plain AmbientManifold: the per-node J path
 CONF_GENERIC_J = AmbientManifold(metric_field=CONF.metric_field, j_field=CONF.j_field)
 
 
@@ -714,6 +720,12 @@ def test_kernels_match_einsum_reference(surface, ambient):
         for name in ("accel", "second_fundamental"):
             got, want = pairs[name]
             assert got.tobytes() == want.tobytes(), name
+    # the loop that the fixed-order _dot replaced: the same bits, in every ambient
+    dH = G.covariant_frame_derivative(G.mean_curvature)
+    loop = np.zeros(dH.shape[:-1] + (2,))
+    for c in range(4):
+        loop += dH[..., :, None, c] * G._normal_covectors[..., None, :, c]
+    assert G.mean_curvature_normal_derivative.tobytes() == loop.tobytes()
 
 
 # the frame formulas the coordinate projection replaced, kept as references

@@ -1,6 +1,7 @@
 """Tests for the identity checks, refinement studies, and reports."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -99,6 +100,42 @@ def test_wrong_curvature_sign_fails_the_study():
     assert rep.status == "fail" and not rep.passed
     assert rep.refinement[-1][3] < 1.0
     assert not any("roundoff" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("ambient", [EUC, CONF], ids=["euclid", "conformal"])
+@pytest.mark.parametrize("study", ["gradient", "laplacian"])
+def test_study_holds_one_level_geometry_at_a_time(monkeypatch, study, ambient):
+    """A study drops each level's geometry before it builds the next one,
+    so one level's caches are alive at a time: no earlier level's geometry
+    is alive when the next level's geometry is built or its terms start.
+    A driver that binds the geometry in its loop body fails this."""
+    refs, alive = [], []
+
+    def count_alive(when):
+        alive.append((when, sum(ref() is not None for ref in refs)))
+
+    def geometry(surface, amb):
+        count_alive("built")
+        return SurfaceGeometry(surface, amb)
+
+    drive = V._refinement_study
+
+    def tracked(check, surfaces, amb, identity_terms, *rest):
+        def terms(G):
+            count_alive("terms")
+            refs.append(weakref.ref(G))
+            return identity_terms(G)
+
+        return drive(check, surfaces, amb, terms, *rest)
+
+    monkeypatch.setattr(V, "SurfaceGeometry", geometry)
+    monkeypatch.setattr(V, "_refinement_study", tracked)
+    check = {"gradient": V.verify_gradient_identities,
+             "laplacian": V.verify_laplacian_identity}[study]
+    rep = check(ladder((12, 24, 48)), ambient)
+    assert [row[0] for row in rep.refinement] == [12, 24, 48]
+    assert alive == [("built", 0), ("terms", 0)] * 3
+    assert all(ref() is None for ref in refs)
 
 
 EXACT_SURFACES = {
