@@ -174,6 +174,12 @@ class AdaptedFrame:
     ``matrix[..., a, :]`` is e_{a+1}; ``e1`` .. ``e4`` are views of it.
     ``coeff[..., i, a]`` writes the tangent pair in the parametric
     tangents: e_a = sum_i coeff[i, a] d_i F for a, i in {0, 1}.
+    Gram-Schmidt makes it upper triangular, and ``coeff[..., 1, 0]`` is
+    +0.0 bit for bit at every node, adapted or not: the closed form of
+    ``SurfaceGeometry.second_fundamental`` drops the terms it multiplies.
+    That closed form still reads <W_10, e_n> and <W_01, e_n> apart,
+    since a general ambient's Christoffel term makes W_10 and W_01
+    differ at roundoff.
     """
 
     matrix: np.ndarray  # (..., 4, 4)
@@ -446,26 +452,33 @@ class SurfaceGeometry:
     def second_fundamental(self):
         """h[..., n, a, b] = <bar nabla_{e_a} e_b, e_{n+3}> in the frame.
 
-        Both sums start from +0.0, as an einsum sum does, and run in a
-        fixed order: c over 0..3, then (i, j) over (0,0), (1,0), (0,1),
-        (1,1) with the products formed as (C_ia C_jb) wn_nij.  For the
-        Euclidean dot that reproduces the einsum expressions the tests
-        keep as reference, bit for bit.
+        With w_ij = <W_ij, e_{n+3}> this is the symmetric part of
+        sum_ij C_ia C_jb w_ij, C = ``adapted_frame.coeff``.  C is upper
+        triangular with C[1, 0] = +0.0 exactly, so every term with a
+        C[1, 0] factor is a signed zero and drops out.  The closed form
+        below keeps the surviving terms in the order of the general sum
+        ((i, j) over (0,0), (1,0), (0,1), (1,1), products formed as
+        (C_ia C_jb) w_ij).  The + 0.0 of each entry stands for that
+        sum's +0.0 start and comes before the halving, as the start does;
+        it turns the -0.0 of an underflowing coefficient product into
+        +0.0.  So the bits are those of the general sum, signs of zero
+        included.  w_10 is read on its own: a general
+        ambient's Christoffel term makes W_10 and W_01 differ at roundoff
+        (they are equal bit for bit in flat and conformal ambients).
         """
         W = self.accel
         co = self._normal_covectors
-        # wn[n, i, j] = <W_ij, e_{n+3}>
-        wn = np.zeros(W.shape[:-3] + (2, 2, 2))
-        for c in range(4):
-            wn += W[..., None, :, :, c] * co[..., :, None, None, c]
+        w00, w10, w01, w11 = (_dot(W[..., None, i, j, :], co)
+                              for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
         C = self.adapted_frame.coeff
-        h = np.zeros(wn.shape)
-        for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            cc = (C[..., i, :, None] * C[..., j, None, :])[..., None, :, :]
-            h += cc * wn[..., :, i, j, None, None]
-        # contraction order breaks the symmetry at roundoff level; restore it
-        h += np.swapaxes(h, -1, -2)
-        h *= 0.5
+        c00, c01, c11 = C[..., 0, 0, None], C[..., 0, 1, None], C[..., 1, 1, None]
+        h = np.empty(co.shape[:-1] + (2, 2))
+        h[..., 0, 0] = (c00 * c00) * w00 + 0.0
+        h[..., 0, 1] = ((((c00 * c01) * w00 + (c00 * c11) * w01)
+                         + ((c01 * c00) * w00 + (c11 * c00) * w10)) + 0.0) * 0.5
+        h[..., 1, 0] = h[..., 0, 1]
+        h[..., 1, 1] = ((((c01 * c01) * w00 + (c11 * c01) * w10)
+                         + (c01 * c11) * w01) + (c11 * c11) * w11) + 0.0
         return h
 
     @cached_property

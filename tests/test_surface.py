@@ -11,12 +11,14 @@ from symcrit.ambient import (
     STANDARD_J,
     AmbientManifold,
     EuclideanManifold,
+    _dot,
     conformal,
     euclidean_c2,
 )
 from symcrit.errors import AmbientDegenerate, NotImmersed
 from symcrit.functional import el_operator, jj_grad_perp, l_beta
 from symcrit.surface import (
+    AdaptedFrame,
     ImmersedSurface,
     SurfaceGeometry,
     holomorphic_graph,
@@ -726,6 +728,88 @@ def test_kernels_match_einsum_reference(surface, ambient):
     for c in range(4):
         loop += dH[..., :, None, c] * G._normal_covectors[..., None, :, c]
     assert G.mean_curvature_normal_derivative.tobytes() == loop.tobytes()
+
+
+def second_fundamental_general_sum(G):
+    """The general sum the closed form replaced, kept as reference.
+
+    wn[n, i, j] = <W_ij, e_{n+3}> summed over c from +0.0, then
+    sum_ij (C_ia C_jb) wn_nij over all four (i, j) pairs from +0.0,
+    then the symmetric part.
+    """
+    W, co = G.accel, G._normal_covectors
+    wn = np.zeros(W.shape[:-3] + (2, 2, 2))
+    for c in range(4):
+        wn += W[..., None, :, :, c] * co[..., :, None, None, c]
+    C = G.adapted_frame.coeff
+    h = np.zeros(wn.shape)
+    for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        cc = (C[..., i, :, None] * C[..., j, None, :])[..., None, :, :]
+        h += cc * wn[..., :, i, j, None, None]
+    return 0.5 * (h + np.swapaxes(h, -1, -2))
+
+
+# zbar_graph is affine, so W = 0 in the flat ambient and the products are
+# signed zeros; holomorphic_graph has every node in the raw gauge
+SECOND_FUNDAMENTAL_SURFACES = FRAME_SURFACES + [
+    zbar_graph(0.4, n_theta=16, n_phi=12),
+    holomorphic_graph(0.3, -0.2, n_theta=16, n_phi=12),
+]
+SECOND_FUNDAMENTAL_IDS = ["graph", "torus", "zbar", "holomorphic"]
+THREE_AMBIENTS = pytest.mark.parametrize(
+    "ambient", [EUC, CONF, CONF_GENERIC_J], ids=["flat", "conformal", "generic-j"]
+)
+
+
+@THREE_AMBIENTS
+@pytest.mark.parametrize("surface", SECOND_FUNDAMENTAL_SURFACES, ids=SECOND_FUNDAMENTAL_IDS)
+def test_second_fundamental_closed_form_matches_general_sum_bit_for_bit(surface, ambient):
+    G = geometry(surface, ambient)
+    if surface is SECOND_FUNDAMENTAL_SURFACES[2] and ambient is EUC:
+        assert not G.accel.any()
+    if surface is SECOND_FUNDAMENTAL_SURFACES[3]:
+        assert not G.adapted_frame.adapted.any()
+    assert G.second_fundamental.tobytes() == second_fundamental_general_sum(G).tobytes()
+
+
+def test_second_fundamental_signs_of_zero_at_the_ends_of_the_range():
+    """Where the closed form can make a zero the general sum does not:
+    an underflowing coefficient product makes -0.0 terms, which the sum's
+    +0.0 start turns into +0.0; an off-diagonal sum of -5e-324 halves to
+    -0.0 in both, and a +0.0 added after the halving would lose it."""
+    G = geometry(FRAME_SURFACES[0])
+    fr = G.adapted_frame
+    coeff = fr.coeff.copy()
+    coeff[..., 0, 0] = 1e-170  # squares to +0.0
+    G.adapted_frame = AdaptedFrame(fr.matrix, coeff, fr.x, fr.y, fr.z, fr.adapted)
+    assert (_dot(G.accel[..., None, 0, 0, :], G._normal_covectors) < 0).any()
+    assert not G.second_fundamental[..., 0, 0].any()
+    assert G.second_fundamental.tobytes() == second_fundamental_general_sum(G).tobytes()
+
+    H = geometry(FRAME_SURFACES[0])
+    n = H.fth.shape[:2]
+    H.adapted_frame = AdaptedFrame(fr.matrix, np.broadcast_to(np.eye(2), n + (2, 2)),
+                                   fr.x, fr.y, fr.z, fr.adapted)
+    H._normal_covectors = np.zeros(n + (2, 4))
+    H._normal_covectors[..., 0] = 1.0
+    H.accel = np.zeros(n + (2, 2, 4))
+    H.accel[..., 0, 1, 0] = -5e-324
+    assert np.signbit(H.second_fundamental[..., 0, 1]).all()
+    assert H.second_fundamental.tobytes() == second_fundamental_general_sum(H).tobytes()
+
+
+@THREE_AMBIENTS
+def test_frame_coeff_is_upper_triangular_bit_for_bit(ambient):
+    """coeff[..., 1, 0] is +0.0 at every node, adapted and raw-gauge alike,
+    which the closed form of the second fundamental form relies on."""
+    masks = []
+    for surface in SECOND_FUNDAMENTAL_SURFACES:
+        fr = geometry(surface, ambient).adapted_frame
+        lower = fr.coeff[..., 1, 0]
+        assert lower.tobytes() == np.zeros(lower.shape).tobytes()
+        masks.append(fr.adapted.ravel())
+    masks = np.concatenate(masks)
+    assert masks.any() and not masks.all()
 
 
 # the frame formulas the coordinate projection replaced, kept as references
