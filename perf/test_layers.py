@@ -5,13 +5,15 @@ flat ambient, the surface size of the first-variation check; the check
 also runs in the conformal ambient, and so does the covariant-J table
 ``nabla_j_frame`` (64x64 is also the middle refinement level).  The
 ``_n32`` group runs the periodic stencils, one descent step
-(``run_flow`` with a budget of one iteration), the critical operator
-(fresh geometry), and the normal projection ``project_normal`` and
-``jj_grad_perp`` at 32x32, the grid of the benchmark's descent
-workload, on the criterion-8 surface; the last two run on a fresh
-geometry that ``l_beta`` has already read (cos(alpha) and the area
-element), as a descent step has it, and ``project_normal`` projects a
-fixed random chart vector field.  The
+(``run_flow`` with a budget of one iteration), the functional and the
+critical operator (fresh geometry; the functional on a fresh geometry
+is what the line search pays per candidate), ``apply_j`` and the
+normal projection ``project_normal`` and ``jj_grad_perp`` at 32x32,
+the grid of the benchmark's descent workload, on the criterion-8
+surface; the last two run on a fresh geometry that ``l_beta`` has
+already read (cos(alpha) and the area element), as a descent step has
+it, and ``apply_j`` and ``project_normal`` take a fixed random chart
+vector field.  The
 ``_n128`` group runs the functional, frame, acceleration,
 second-fundamental-form, mean-curvature-derivative, covariant-J,
 curvature, critical operator, cyclic-condition (residuals and the whole
@@ -145,6 +147,17 @@ def test_run_flow_one_step_n32(benchmark):
                              {"max_iterations": 1, "res_tol": 0.0},
                              rounds=ROUNDS_COARSE)
     assert res.iterations == 1 and res.states[0].tau > 0
+
+
+def test_l_beta_fresh_geometry_n32(benchmark):
+    value = benchmark.pedantic(l_beta, (SURFACE_COARSE, EUC, BETA), rounds=ROUNDS_COARSE)
+    assert value > 0
+
+
+def test_apply_j_n32(benchmark):
+    G = SurfaceGeometry(SURFACE_COARSE, EUC)
+    value = benchmark.pedantic(G.apply_j, (FIELD_COARSE,), rounds=ROUNDS_COARSE)
+    assert value.shape == FIELD_COARSE.shape
 
 
 def test_el_operator_fresh_geometry_n32(benchmark):

@@ -12,7 +12,8 @@ those of ``RUN_FILE``; any other section or key is a configuration
 error.  The flags --beta, --levels, --tol, --out replace the entries
 ``FLAGS`` names.  Exit codes: 0 all good,
 1 a check failed or the run hit a geometric obstruction, 2 bad usage
-or configuration.
+or configuration, an ambient that degenerates on the surface or is not
+periodic along its winding included.
 """
 
 from __future__ import annotations
@@ -373,7 +374,9 @@ def main(argv=None) -> int:
             return cmd_flow(cfg)
         if args.command == "angle-report":
             return cmd_angle_report(cfg)
-    except ConfigError as err:
+    except (ConfigError, AmbientDegenerate) as err:
+        # an ambient that degenerates on the surface, or whose fields do not
+        # repeat along its winding, is a bad pairing of the two config sections
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NotSymplectic as err:
@@ -381,8 +384,7 @@ def main(argv=None) -> int:
         print("the functional and flow need cos(alpha) bounded away from "
               "zero; this surface violates that", file=sys.stderr)
         return 1
-    except (NotImmersed, FlowStalled, AmbientDegenerate,
-            StructureViolation) as err:
+    except (NotImmersed, FlowStalled, StructureViolation) as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -2,7 +2,8 @@
 
 
 class AmbientDegenerate(Exception):
-    """Metric evaluation produced a non-symmetric-positive-definite matrix."""
+    """Metric evaluation produced a non-symmetric-positive-definite matrix,
+    or the ambient's fields are not periodic along a surface's winding."""
 
 
 class StructureViolation(Exception):

@@ -18,7 +18,7 @@ import numpy as np
 from .ambient import AmbientManifold
 from .errors import FlowStalled, NotImmersed, NotSymplectic
 from .functional import el_operator, l_beta, validate_beta
-from .surface import ImmersedSurface, SurfaceGeometry
+from .surface import ImmersedSurface, SurfaceGeometry, check_winding_periodic
 
 __all__ = [
     "FlowResult",
@@ -139,10 +139,13 @@ def run_flow(
     accepted candidate.  Every step moves along the weighted velocity
     cos^-(beta+3)(alpha) E and backtracks from the cap ``stable_step``;
     ``max_iterations=1, res_tol=0.0`` takes one step.  A critical
-    operator that is not finite raises FlowStalled.
+    operator that is not finite raises FlowStalled; an ambient that is
+    not periodic along the surface's winding raises AmbientDegenerate
+    before the first step (``check_winding_periodic``).
     """
     beta = validate_beta(beta, for_flow=True)
     validate_budget(max_iterations, res_tol)
+    check_winding_periodic(surface, ambient)
     G = SurfaceGeometry(surface, ambient)
     value = l_beta(surface, ambient, beta, geometry=G)
     rows = []

@@ -34,13 +34,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambient import AmbientManifold, ConformalManifold, EuclideanManifold, _dot
-from .errors import NotImmersed
+from .ambient import (
+    STANDARD_J,
+    STRUCTURE_TOL,
+    AmbientManifold,
+    ConformalManifold,
+    EuclideanManifold,
+    _dot,
+)
+from .errors import AmbientDegenerate, NotImmersed
 
 __all__ = [
     "ImmersedSurface",
     "AdaptedFrame",
     "SurfaceGeometry",
+    "check_winding_periodic",
     "read_surface",
     "write_surface",
     "zbar_graph",
@@ -54,6 +62,9 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 # |normal part of J e1| = sin(alpha) below which a node is left unadapted
 FRAME_TOL = 1e-6
+# The constant J of the shipped ambients as the right factor of the row
+# product v @ J^T, contiguous, so ``apply_j`` never samples the ambient
+_STANDARD_JT = np.ascontiguousarray(STANDARD_J.T)
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,40 @@ def _grids(n_theta, n_phi, t_theta=TWO_PI, t_phi=TWO_PI):
     th = np.arange(n_theta) * (t_theta / n_theta)
     ph = np.arange(n_phi) * (t_phi / n_phi)
     return np.meshgrid(th, ph, indexing="ij")
+
+
+def check_winding_periodic(surface: ImmersedSurface, ambient: AmbientManifold) -> None:
+    """Raise AmbientDegenerate unless the ambient's metric and J repeat
+    one period along each winding direction of ``surface``.
+
+    The torus closes in the ambient's quotient only where its fields
+    do; elsewhere every check and the flow read fields that jump across
+    the seam, and give wrong numbers without an error.  The fields on
+    the theta = 0 node line are compared with their values at
+    pos + t_theta L[:, 0], those on the phi = 0 line with their values
+    at pos + t_phi L[:, 1], each sample checked as ``metric_at`` and
+    ``j_at`` check it.  A difference above ``STRUCTURE_TOL`` relative
+    to the field's size raises, naming the field and the direction.  The
+    flat ambient is translation invariant and is not sampled.
+    """
+    if isinstance(ambient, EuclideanManifold):
+        return
+    S, L = surface, surface.linear_part
+    lines = {"theta": (1, S.n_phi), "phi": (S.n_theta, 1)}
+    for k, (direction, shape) in enumerate(lines.items()):
+        th, ph = _grids(*shape, S.t_theta, S.t_phi)
+        pos = th[..., None] * L[:, 0] + ph[..., None] * L[:, 1]
+        pos += S.periodic_part[:shape[0], :shape[1]]
+        shifted = pos + (S.t_theta, S.t_phi)[k] * L[:, k]
+        for field, at in (("metric", ambient.metric_at), ("J", ambient.j_at)):
+            here = at(pos)
+            gap = float(np.max(np.abs(at(shifted) - here)))
+            if not gap <= STRUCTURE_TOL * (1.0 + float(np.max(np.abs(here)))):
+                raise AmbientDegenerate(
+                    f"{field} of {ambient.name} is not periodic along the "
+                    f"surface's {direction} winding: it changes by {gap:.3e} "
+                    f"one period along, at pos + t L[:, {k}]"
+                )
 
 
 # -- periodic finite differences --------------------------------------
@@ -347,8 +392,27 @@ class SurfaceGeometry:
 
     @cached_property
     def cos_alpha(self):
-        """cos(alpha) = omega(F_theta, F_phi) / sqrt(det g_ij)."""
-        omega = self.dot(self.apply_j(self.fth), self.fph)
+        """cos(alpha) = omega(F_theta, F_phi) / sqrt(det g_ij).
+
+        omega = <J F_theta, F_phi>.  In the flat ambient it is the ordered
+        sum (((-a1 b0 + a0 b1) + -a3 b2) + a2 b3) + 0.0 with a = F_theta,
+        b = F_phi, and no J F_theta field is built.  That is ``dot`` of
+        ``apply_j(F_theta)`` and F_phi bit for bit: each row of
+        ``STANDARD_J`` has one nonzero entry, +-1, so J F_theta is exact
+        and ``_dot`` sums the same products in the same order; its final
+        + 0.0, kept here, turns a zero sum of either sign into +0.0, so
+        the signs of zero the sampled product may give its terms do not
+        show.  Other ambients take ``dot(apply_j(F_theta), F_phi)``.
+        """
+        if isinstance(self.ambient, EuclideanManifold):
+            a, b = self.fth, self.fph
+            # -a1 b0 + a0 b1, the same sum in IEEE arithmetic
+            omega = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+            omega -= a[..., 3] * b[..., 2]
+            omega += a[..., 2] * b[..., 3]
+            omega += 0.0
+        else:
+            omega = self.dot(self.apply_j(self.fth), self.fph)
         return omega / self.sqrt_det
 
     @cached_property
@@ -374,16 +438,15 @@ class SurfaceGeometry:
     def apply_j(self, v):
         """J v for a chart vector field on the grid.
 
-        The constant J of a conformal ambient is applied as one
-        (N, 4) @ (4, 4) product with its sample, so neither the node
-        positions nor a per-node J are built.
-        For ``STANDARD_J``, whose rows have one nonzero entry each, the
-        product is exact.
+        On a conformal ambient, the flat one included, J is the constant
+        ``STANDARD_J``: it is applied as one (N, 4) @ (4, 4) product with
+        the module's contiguous J^T, so the ambient is not sampled and
+        neither the node positions nor a per-node J are built.  Each row
+        of ``STANDARD_J`` has one nonzero entry, so the product is exact.
         """
         v = np.asarray(v)
         if isinstance(self.ambient, ConformalManifold):
-            J = self.ambient.j_at(np.zeros(4))
-            return (v.reshape(-1, 4) @ J.T).reshape(v.shape)
+            return (v.reshape(-1, 4) @ _STANDARD_JT).reshape(v.shape)
         return (self.amb_j @ v[..., None])[..., 0]
 
     # ---- adapted frame

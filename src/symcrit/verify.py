@@ -9,6 +9,10 @@ The curvature term enters the angle-Laplacian identity as
 +sin(alpha) (K_1213 - K_1224) in the commutator convention of the
 ambient module, so an ambient whose curvature has the wrong sign fails
 the identity.
+
+Every public check first calls ``check_winding_periodic`` on each
+surface it is given, so an ambient whose fields do not repeat along the
+surface's winding raises AmbientDegenerate instead of a report.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .ambient import AmbientManifold, EuclideanManifold
 from .functional import COS_FLOOR, el_operator, l_beta, validate_beta
-from .surface import ImmersedSurface, SurfaceGeometry
+from .surface import ImmersedSurface, SurfaceGeometry, check_winding_periodic
 
 __all__ = [
     "Report",
@@ -171,6 +175,8 @@ def _refinement_study(check, surfaces, ambient, identity_terms, order, single_to
             f"refinement needs at least one surface and grid sizes that "
             f"strictly increase, got {sizes}"
         )
+    for S in surfaces:
+        check_winding_periodic(S, ambient)
     # The report's residual field is allocated before any level is
     # evaluated, so the long-lived array sits below the levels'
     # short-lived working arrays instead of in the holes they leave
@@ -397,6 +403,7 @@ def check_condition_cyclic(surface: ImmersedSurface,
     The report's pass line certifies agreement with the independent
     exterior-derivative oracle; the condition's own residual is data.
     """
+    check_winding_periodic(surface, ambient)
     G = SurfaceGeometry(surface, ambient)
     c3, c4 = condition_cyclic_residuals(G)
     dw = ambient.d_kahler_form_at(G.pos)
@@ -443,6 +450,7 @@ def check_condition_symmetric(surface: ImmersedSurface,
     When the condition holds, three consequences are spot-checked: the
     diagonal components vanish and two off-diagonal components pair up.
     """
+    check_winding_periodic(surface, ambient)
     G = SurfaceGeometry(surface, ambient)
     res = condition_symmetric_residuals(G)
     cond = float(np.max(np.abs(res)))
@@ -501,6 +509,7 @@ def verify_critical_identity(
         raise ValueError(
             f"resid_tol must be None or finite and non-negative, got {resid_tol}"
         )
+    check_winding_periodic(surface, ambient)
     G = SurfaceGeometry(surface, ambient)
     el = el_operator(surface, ambient, beta, geometry=G)
     c3, c4 = condition_cyclic_residuals(G)
@@ -613,6 +622,7 @@ def verify_first_variation(
     for name, value in (("delta", delta), ("rel_tol", rel_tol)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value}")
+    check_winding_periodic(surface, ambient)
     G = SurfaceGeometry(surface, ambient)
     E = el_operator(surface, ambient, beta, geometry=G).vector
     cyc = float(np.max(_max_abs(*condition_cyclic_residuals(G))))

@@ -143,6 +143,33 @@ generator = moebius
     assert main(["verify", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "flow"])
+def test_lambda_not_periodic_along_the_winding_is_config_error(tmp_path, capsys,
+                                                               command):
+    cfg = write_config(
+        tmp_path,
+        f"""
+[ambient]
+kind = conformal
+lambda = 0.1*sin(p3) + 0.05*cos(p2)
+
+[surface]
+generator = perturbed
+params = c=0.5 eps=0.05
+
+[task]
+levels = 16
+
+[output]
+dir = {tmp_path / "out"}
+""",
+    )
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: metric of conformal(0.1*sin(p3) + 0.05*cos(p2))")
+    assert "not periodic along the surface's theta winding" in err
+
+
 def test_bad_lambda_is_config_error(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -5,7 +5,7 @@ import pytest
 
 from symcrit.ambient import conformal, euclidean_c2
 from symcrit.errors import NotSymplectic
-from symcrit.flow import stable_step
+from symcrit.flow import run_flow, stable_step
 from symcrit.functional import (
     el_components,
     el_operator,
@@ -169,11 +169,21 @@ def test_descent_step_builds_no_tangent_frame(ambient, beta):
 
 
 def test_flat_l_beta_builds_no_node_fields():
-    """The flat functional needs no positions, per-node J or derivative stack."""
+    """The flat functional needs no positions and no per-node metric or J,
+    and the flat descent never samples J: with ``j_at`` refusing every
+    call, l_beta and one step of the flow run."""
     S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
     G = SurfaceGeometry(S, EUC)
     l_beta(S, EUC, 1.0, geometry=G)
-    assert not {"pos", "amb_g", "amb_j", "fderiv"} & set(G.__dict__)
+    assert not {"pos", "amb_g", "amb_j"} & set(G.__dict__)
+
+    def refuse(points, check=True):
+        raise AssertionError("the flat ambient's J was sampled")
+
+    ambient = euclidean_c2()
+    ambient.j_at = refuse
+    assert l_beta(S, ambient, 1.0) == l_beta(S, EUC, 1.0)
+    assert run_flow(S, ambient, 1.0, max_iterations=1, res_tol=0.0).iterations == 1
 
 
 def test_flat_geometry_never_samples_metric_or_j():

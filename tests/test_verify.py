@@ -6,11 +6,14 @@ import weakref
 import numpy as np
 import pytest
 
-from symcrit.ambient import conformal, euclidean_c2
+from symcrit.ambient import STANDARD_J, AmbientManifold, conformal, euclidean_c2
+from symcrit.errors import AmbientDegenerate
+from symcrit.flow import run_flow
 from symcrit.functional import ELField, el_operator, l_beta
 from symcrit.surface import (
     ImmersedSurface,
     SurfaceGeometry,
+    check_winding_periodic,
     holomorphic_graph,
     lagrangian_torus,
     perturbed_graph,
@@ -490,3 +493,60 @@ def test_unadapted_frame_makes_the_study_inconclusive():
     rep = V.verify_gradient_identities(S, EUC)
     assert rep.status == "inconclusive" and not rep.passed
     assert rep.excluded_nodes == rep.total_nodes == 256
+
+
+# -- ambient fields periodic along the winding -------------------------
+
+
+def rotated_j(points):
+    """STANDARD_J turned by a rotation of the (p1, p3) plane through
+    0.3 sin(p4): compatible with the identity metric, and not periodic
+    where a winding moves p4 by half a period."""
+    a = 0.3 * np.sin(points[..., 3])
+    R = np.zeros(points.shape[:-1] + (4, 4))
+    R[..., 0, 0] = R[..., 2, 2] = np.cos(a)
+    R[..., 2, 0] = np.sin(a)
+    R[..., 0, 2] = -R[..., 2, 0]
+    R[..., 1, 1] = R[..., 3, 3] = 1.0
+    return R @ STANDARD_J @ np.swapaxes(R, -1, -2)
+
+
+# perturbed_graph(0.5, .) moves (p1, p3) by (2 pi, pi) along theta and
+# (p2, p4) by (2 pi, -pi) along phi
+NOT_PERIODIC = {
+    "sin-p3": (conformal("0.1*sin(p3) + 0.05*cos(p2)"), "metric", "theta"),
+    "cos-p4": (conformal("0.1*cos(p4)"), "metric", "phi"),
+    "rotated-j": (
+        AmbientManifold(lambda p: np.broadcast_to(np.eye(4), p.shape[:-1] + (4, 4)),
+                        rotated_j),
+        "J", "phi",
+    ),
+}
+ENTRY_POINTS = {
+    "gradient": lambda S, amb: V.verify_gradient_identities([S], amb),
+    "laplacian": lambda S, amb: V.verify_laplacian_identity(S, amb),
+    "critical": lambda S, amb: V.verify_critical_identity(S, amb, 1.0),
+    "first-variation": lambda S, amb: V.verify_first_variation(S, amb, 1.0),
+    "cyclic": V.check_condition_cyclic,
+    "symmetric": V.check_condition_symmetric,
+    "flow": lambda S, amb: run_flow(S, amb, 1.0, max_iterations=1),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize("case", NOT_PERIODIC.values(), ids=NOT_PERIODIC.keys())
+def test_fields_not_periodic_along_the_winding_raise_at_every_entry_point(case, entry):
+    ambient, field, direction = case
+    S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
+    with pytest.raises(AmbientDegenerate,
+                       match=f"{field} of .* not periodic along the surface's "
+                             f"{direction} winding"):
+        entry(S, ambient)
+
+
+def test_the_same_field_is_periodic_along_a_whole_period_winding():
+    """sin(p3) repeats where the theta winding moves p3 by 2 pi, and no
+    field of a torus without a linear part is compared with another."""
+    ambient = NOT_PERIODIC["sin-p3"][0]
+    assert check_winding_periodic(zbar_graph(1.0, n_theta=16, n_phi=16), ambient) is None
+    assert check_winding_periodic(lagrangian_torus(n_theta=16, n_phi=16), ambient) is None
