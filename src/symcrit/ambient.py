@@ -174,20 +174,6 @@ class CurvatureData:
     first_bianchi: float
 
 
-def _check_curvature(K: np.ndarray) -> CurvatureData:
-    a12 = float(np.max(np.abs(K + np.swapaxes(K, -4, -3))))
-    a34 = float(np.max(np.abs(K + np.swapaxes(K, -2, -1))))
-    # pair symmetry K_ABCD = K_CDAB
-    perm = list(range(K.ndim))
-    perm[-4:] = [perm[-2], perm[-1], perm[-4], perm[-3]]
-    pair = float(np.max(np.abs(K - np.transpose(K, perm))))
-    # first Bianchi, cyclic over the last three indices
-    cyc1 = np.einsum("...acdb->...abcd", K)  # entry (a,b,c,d) -> K_acdb
-    cyc2 = np.einsum("...adbc->...abcd", K)  # entry (a,b,c,d) -> K_adbc
-    bianchi = float(np.max(np.abs(K + cyc1 + cyc2)))
-    return CurvatureData(K, a12, a34, pair, bianchi)
-
-
 @dataclass
 class AmbientManifold:
     """Chart description of an ambient Hermitian 4-manifold.
@@ -313,7 +299,18 @@ class AmbientManifold:
         return np.einsum("...de,...eabc->...abcd", g, mixed)
 
     def curvature_data_at(self, points) -> CurvatureData:
-        return _check_curvature(self.curvature_at(points))
+        K = self.curvature_at(points)
+        a12 = float(np.max(np.abs(K + np.swapaxes(K, -4, -3))))
+        a34 = float(np.max(np.abs(K + np.swapaxes(K, -2, -1))))
+        # pair symmetry K_ABCD = K_CDAB
+        perm = list(range(K.ndim))
+        perm[-4:] = [perm[-2], perm[-1], perm[-4], perm[-3]]
+        pair = float(np.max(np.abs(K - np.transpose(K, perm))))
+        # first Bianchi, cyclic over the last three indices
+        cyc1 = np.einsum("...acdb->...abcd", K)  # entry (a,b,c,d) -> K_acdb
+        cyc2 = np.einsum("...adbc->...abcd", K)  # entry (a,b,c,d) -> K_adbc
+        bianchi = float(np.max(np.abs(K + cyc1 + cyc2)))
+        return CurvatureData(K, a12, a34, pair, bianchi)
 
     # -- almost-complex structure -------------------------------------
 
@@ -440,15 +437,19 @@ class ConformalManifold(AmbientManifold):
                          name=name)
 
     def metric_at(self, points, check: bool = True) -> np.ndarray:
-        """exp(2 lam) delta, positive definite wherever exp(2 lam) > 0."""
-        return self.metric_factor_at(points, check)[..., None, None] * np.eye(4)
+        """exp(2 lam) delta, checked by ``metric_factor_at`` in any case."""
+        return self.metric_factor_at(points)[..., None, None] * np.eye(4)
 
-    def metric_factor_at(self, points, check: bool = True) -> np.ndarray:
-        """exp(2 lam), the factor of delta in the metric, checked as
-        ``metric_at`` checks it; surfaces lower indices by this scalar and
-        never sample the 4x4 metric."""
-        factor = self._factor(points)
-        if check and not (factor > 0.0).all():
+    def metric_factor_at(self, points) -> np.ndarray:
+        """exp(2 lam), the factor of delta that every closed form here reads
+        and surfaces lower indices by.  Where it is not finite, or not
+        positive (underflowed), it raises AmbientDegenerate with the
+        messages of the base class's ``metric_at``."""
+        with np.errstate(over="ignore"):
+            factor = np.exp(2.0 * self.conformal_exponent(points))
+        if not np.isfinite(factor).all():
+            raise AmbientDegenerate("metric not finite at some evaluation point")
+        if not (factor > 0.0).all():
             raise AmbientDegenerate(
                 "metric not positive definite at some evaluation point"
             )
@@ -460,7 +461,7 @@ class ConformalManifold(AmbientManifold):
 
     def metric_derivative_at(self, points) -> np.ndarray:
         """d_c g_ab = 2 exp(2 lam) lam_c delta_ab, derivative index first."""
-        factor = self._factor(points)
+        factor = self.metric_factor_at(points)
         grad = self.conformal_gradient(points)
         return (2.0 * factor[..., None] * grad)[..., :, None, None] * np.eye(4)
 
@@ -470,22 +471,14 @@ class ConformalManifold(AmbientManifold):
     def d_kahler_form_at(self, points) -> np.ndarray:
         """d omega = 2 dlam ^ omega: with w = omega / exp(2 lam) = J^T,
         (d omega)_abc = 2 exp(2 lam) (lam_a w_bc + lam_b w_ca + lam_c w_ab)."""
-        dl = 2.0 * self._factor(points)[..., None] * self.conformal_gradient(points)
+        factor = self.metric_factor_at(points)
+        dl = 2.0 * factor[..., None] * self.conformal_gradient(points)
         w = STANDARD_J.T
         return (
             dl[..., :, None, None] * w
             + dl[..., None, :, None] * w.T[:, None, :]
             + dl[..., None, None, :] * w[:, :, None]
         )
-
-    def _factor(self, points) -> np.ndarray:
-        """exp(2 lam), the metric's diagonal; an overflow raises
-        AmbientDegenerate, as it does in ``metric_at``."""
-        with np.errstate(over="ignore"):
-            factor = np.exp(2.0 * self.conformal_exponent(points))
-        if not np.isfinite(factor).all():
-            raise AmbientDegenerate("metric not finite at some evaluation point")
-        return factor
 
     def christoffel_at(self, points) -> np.ndarray:
         """Gamma^a_bc = delta^a_b lam_c + delta^a_c lam_b - delta_bc lam_a."""
@@ -534,7 +527,7 @@ class ConformalManifold(AmbientManifold):
         all exactly.  The (k, a, b) axes lead in memory, so each reader's
         J_{ab,k} slice is a contiguous node field.
         """
-        factor = self._factor(points)
+        factor = self.metric_factor_at(points)
         grad = np.moveaxis(self.conformal_gradient(points), -1, 0)
         # e[c, a] is the node field of e_a^c, component first
         e = np.ascontiguousarray(np.moveaxis(frame, (-1, -2), (0, 1)), dtype=float)
@@ -584,7 +577,7 @@ class ConformalManifold(AmbientManifold):
         T = (top @ self.conformal_hessian(points)) @ frt
         T -= u[..., :2, None] * u[..., None, :]
         T += (0.5 * np.sum(grad**2, axis=-1))[..., None, None] * M
-        factor = -self._factor(points)
+        factor = -self.metric_factor_at(points)
         k1213 = factor * (
             T[..., 0, 2] * M[..., 1, 0] + T[..., 1, 0] * M[..., 0, 2]
             - T[..., 0, 0] * M[..., 1, 2] - T[..., 1, 2] * M[..., 0, 0]
@@ -600,16 +593,14 @@ class EuclideanManifold(ConformalManifold):
     """Flat C^2: the conformal ambient with lam = 0, so g is the identity.
 
     Surfaces in it use the Euclidean dot and skip the connection, the
-    covariant derivative of J and the curvature, all of which vanish;
-    d(omega) is a zero table, not 2 dlam ^ omega evaluated at dlam = 0.
+    covariant derivative of J and the curvature, all of which vanish.
+    d(omega) is the conformal closed form 2 dlam ^ omega at dlam = 0:
+    zero, with entries of either sign of zero.
     """
 
     def __init__(self):
         super().__init__(lambda p: _zeros(p, 0), lambda p: _zeros(p, 1),
                          lambda p: _zeros(p, 2), name="euclidean_c2")
-
-    def d_kahler_form_at(self, points) -> np.ndarray:
-        return _zeros(points, 3)
 
 
 def euclidean_c2() -> EuclideanManifold:

@@ -394,26 +394,10 @@ class SurfaceGeometry:
     def cos_alpha(self):
         """cos(alpha) = omega(F_theta, F_phi) / sqrt(det g_ij).
 
-        omega = <J F_theta, F_phi>.  In the flat ambient it is the ordered
-        sum (((-a1 b0 + a0 b1) + -a3 b2) + a2 b3) + 0.0 with a = F_theta,
-        b = F_phi, and no J F_theta field is built.  That is ``dot`` of
-        ``apply_j(F_theta)`` and F_phi bit for bit: each row of
-        ``STANDARD_J`` has one nonzero entry, +-1, so J F_theta is exact
-        and ``_dot`` sums the same products in the same order; its final
-        + 0.0, kept here, turns a zero sum of either sign into +0.0, so
-        the signs of zero the sampled product may give its terms do not
-        show.  Other ambients take ``dot(apply_j(F_theta), F_phi)``.
+        omega = <J F_theta, F_phi>, taken as ``dot`` of ``apply_j(F_theta)``
+        and F_phi in every ambient.
         """
-        if isinstance(self.ambient, EuclideanManifold):
-            a, b = self.fth, self.fph
-            # -a1 b0 + a0 b1, the same sum in IEEE arithmetic
-            omega = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-            omega -= a[..., 3] * b[..., 2]
-            omega += a[..., 2] * b[..., 3]
-            omega += 0.0
-        else:
-            omega = self.dot(self.apply_j(self.fth), self.fph)
-        return omega / self.sqrt_det
+        return self.dot(self.apply_j(self.fth), self.fph) / self.sqrt_det
 
     @cached_property
     def sin_alpha(self):

@@ -52,8 +52,6 @@ FLAT_KAHLER_TOL = 1e-12  # covariant-J terms on a flat Kahler ambient
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
     x = float(x)
     if math.isnan(x):
         return "nan"

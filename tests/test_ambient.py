@@ -91,6 +91,34 @@ def test_broken_j_raises_structure_violation():
         M.j_at(np.zeros(4))
 
 
+def constant_field(table):
+    """A chart field that is ``table`` at every point."""
+    return lambda p: np.broadcast_to(table, np.shape(p)[:-1] + (4, 4)).copy()
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [(np.full((4, 4), np.nan), "metric not finite at some evaluation point"),
+     (np.eye(4) + 1e-6 * np.eye(4, k=1), "metric not symmetric (max asymmetry 1.000e-06)")],
+    ids=["not-finite", "asymmetric"],
+)
+def test_general_metric_check_names_the_fault(table, message):
+    M = AmbientManifold(metric_field=constant_field(table),
+                        j_field=constant_field(STANDARD_J))
+    with pytest.raises(AmbientDegenerate) as info:
+        M.metric_at(np.zeros((3, 4)))
+    assert str(info.value) == message
+
+
+def test_j_not_metric_compatible_raises_structure_violation():
+    """J^2 = -I holds, but the standard J is not an isometry of diag(1, 2, 1, 1)."""
+    M = AmbientManifold(metric_field=constant_field(np.diag([1.0, 2.0, 1.0, 1.0])),
+                        j_field=constant_field(STANDARD_J))
+    with pytest.raises(StructureViolation) as info:
+        M.j_at(np.zeros((3, 4)))
+    assert str(info.value) == "J not metric compatible, |J^T g J - g| = 1.000e+00"
+
+
 def test_non_finite_metric_raises_without_warnings():
     M = conformal("400*p1")  # exp(800) overflows
     with warnings.catch_warnings():

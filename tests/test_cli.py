@@ -425,6 +425,30 @@ def test_bad_surface_input_is_config_error(tmp_path, capsys, surface_lines, key)
     assert err.startswith("config error: ") and key in err
 
 
+@pytest.mark.parametrize(
+    "line, replacement, message",
+    [("params = c=0.5", "params = c0.5",
+      "generator parameter 'c0.5' is not key=value"),
+     ("generator = zbar\nparams = c=0.5",
+      "generator = perturbed\nparams = c=0.5 eps=0.05 modes=1,2,3",
+      "[surface] params modes=1,2,3: needs two integers"),
+     ("kind = euclidean", "kind = conformal",
+      "conformal ambient needs a lambda expression"),
+     ("kind = euclidean", "kind = hyperbolic", "unknown ambient kind 'hyperbolic'"),
+     ("check = conditions", "check = conditions,curvature",
+      "unknown check 'curvature' (have: first-variation, gradient, laplacian, "
+      "critical, conditions)")],
+    ids=["params-not-key-value", "modes-three", "conformal-no-lambda",
+         "ambient-kind", "check"],
+)
+def test_config_error_names_the_fault(tmp_path, capsys, line, replacement, message):
+    body = VALID_RUN.format(out=tmp_path / "rep").replace(line, replacement)
+    code = main(["verify", "--config", write_config(tmp_path, body)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "rep").exists()
+
+
 def test_flow_on_lagrangian_input_fails_with_diagnostic(tmp_path, capsys):
     spath = tmp_path / "lag.txt"
     write_surface(lagrangian_torus(1.0, 1.0, n_theta=16, n_phi=16), spath)
@@ -539,6 +563,44 @@ dir = {tmp_path / "angles"}
     assert len(csv) == 16 * 16 + 1
     vals = np.array([float(r.split(",")[2]) for r in csv[1:]])
     assert np.max(np.abs(vals - 0.6)) < 1e-12
+
+
+ANGLE_REPORT = """
+[ambient]
+kind = euclidean
+
+[surface]
+generator = {generator}
+params = {params}
+
+[task]
+levels = 16
+
+[output]
+dir = {out}
+"""
+
+
+def test_angle_report_on_lagrangian_surface_leaves_l_beta_undefined(tmp_path, capsys):
+    """The angle table is written; the functional, which needs cos(alpha) > 0,
+    is reported undefined, and the command still succeeds."""
+    body = ANGLE_REPORT.format(generator="lagrangian", params="r1=1 r2=1",
+                               out=tmp_path / "angles")
+    code = main(["angle-report", "--config", write_config(tmp_path, body)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "l_beta(1) undefined: cos(alpha) <= 0.0001 at 256 of 256 nodes\n" in out
+    assert (tmp_path / "angles" / "angle.csv").exists()
+
+
+def test_angle_report_on_pinched_torus_is_not_immersed(tmp_path, capsys):
+    """R = r pinches the torus of revolution to a point circle at phi = pi."""
+    body = ANGLE_REPORT.format(generator="revolution", params="big=0.5 small=0.5",
+                               out=tmp_path / "angles")
+    code = main(["angle-report", "--config", write_config(tmp_path, body)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "NotImmersed: induced metric singular at 16 nodes\n"
 
 
 def test_info(capsys):

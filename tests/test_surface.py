@@ -346,6 +346,12 @@ def test_validation_rejects_bad_shapes():
         ImmersedSurface(np.zeros((4, 2)), bad)
 
 
+def test_periodic_part_of_the_wrong_shape_is_named():
+    with pytest.raises(ValueError) as info:
+        ImmersedSurface(np.zeros((4, 2)), np.zeros((8, 8, 3)))
+    assert str(info.value) == "periodic part must be (n_theta, n_phi, 4), got (8, 8, 3)"
+
+
 @pytest.mark.parametrize("periods", [(np.inf, 1.0), (1.0, -np.inf), (np.nan, 1.0),
                                      (1.0, 0.0), (-1.0, 1.0)])
 def test_surface_rejects_periods_not_finite_and_positive(periods):
@@ -374,6 +380,22 @@ def test_surface_read_rejects_garbage(tmp_path):
     path.write_text("surf 16 16 6.28 6.28\n")  # missing blocks
     with pytest.raises(ValueError):
         read_surface(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("surf 8 8 6.28\n", "malformed surf header"),
+     ("surf 8 8 6.28 6.28\nlinear 1 0 0 1 0 0 0\n", "linear row needs 8 values"),
+     ("surf 8 8 6.28 6.28\nlinear 1 0 0 1 0 0 0 0\n" + "0 0 0\n" * 64,
+      "node rows need 4 values")],
+    ids=["header", "linear-row", "node-rows"],
+)
+def test_surface_read_names_the_malformed_block(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        read_surface(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_surface_read_rejects_infinite_period(tmp_path):
@@ -1052,3 +1074,22 @@ def test_conformal_entry_points_raise_typed_error_on_overflow(entry):
         warnings.simplefilter("error")
         with pytest.raises(AmbientDegenerate):
             getattr(amb, entry)(pos, frame)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    ["metric_factor_at", "metric_derivative_at", "d_kahler_form_at",
+     "nabla_j_frame", "curvature_frame"],
+)
+def test_conformal_entry_points_raise_typed_error_on_underflow(entry):
+    """exp(2 lam) = exp(-800) underflows to zero: every closed form that
+    reads the factor refuses it, as ``metric_at`` does."""
+    amb = conformal("-400")
+    pos = FRAME_SURFACES[0].positions()
+    frame = np.broadcast_to(np.eye(4), pos.shape[:-1] + (4, 4))
+    args = (pos, frame) if entry in ("nabla_j_frame", "curvature_frame") else (pos,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AmbientDegenerate) as info:
+            getattr(amb, entry)(*args)
+    assert str(info.value) == "metric not positive definite at some evaluation point"
