@@ -148,8 +148,11 @@ def _vectorized(coords, exprs, shape):
     """Callable mapping (..., 4) points to the ``exprs`` in ``coords`` as a
     (...) + shape array."""
     from sympy import lambdify
+    from sympy.printing.numpy import NumPyPrinter
 
-    fn = lambdify(coords, exprs, modules="numpy")
+    # a namespace of numpy alone: modules="numpy" runs `from numpy import *`,
+    # which loads numpy.f2py, numpy.testing and the rest of its submodules
+    fn = lambdify(coords, exprs, modules=[{"numpy": np}], printer=NumPyPrinter)
 
     def evaluate(points):
         points = np.asarray(points, dtype=float)

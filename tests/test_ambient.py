@@ -531,6 +531,57 @@ assert "sympy" in sys.modules
 """
 
 
+# six fields covering ^, **, fractional and negative powers, /, unary minus,
+# pi, sin, cos and exp; every field is finite on the points sampled
+LAMBDIFY_NUMPY_ONLY = """
+import sys
+import numpy as np
+import symcrit.ambient as A
+fields = [
+    "0.1*sin(p1) + 0.05*cos(p2)",
+    "0.2*(p1^2 + p2**2) / (3 + p3^2)",
+    "(2 + sin(p1))^0.5 - 0.1*(1.5 + cos(p4))**-2",
+    "-0.3*exp(-p3^2) + pi/10*cos(p4)",
+    "0.05*exp(sin(p1 + 2*p2))*cos(p3 - p4)",
+    "-(1/3)*(1 + p1^2)^(-1.5)",
+]
+compiled = []
+vectorized = A._vectorized
+def recording(coords, exprs, shape):
+    fn = vectorized(coords, exprs, shape)
+    compiled.append((coords, exprs, shape, fn))
+    return fn
+A._vectorized = recording
+points = np.linspace(-2.0, 3.0, 5 * 7 * 4).reshape(5, 7, 4)
+for text in fields:
+    M = A.conformal(text)
+    M.conformal_exponent(points), M.conformal_gradient(points), M.conformal_hessian(points)
+assert len(compiled) == 3 * len(fields)
+loaded = [m for m in ("numpy.f2py", "numpy.testing") if m in sys.modules]
+assert not loaded, loaded
+import sympy
+comps = [points[..., i] for i in range(4)]
+for coords, exprs, shape, fn in compiled:
+    reference = sympy.lambdify(coords, exprs, modules="numpy")
+    cols = [np.broadcast_to(np.asarray(c, dtype=float), points.shape[:-1])
+            for c in reference(*comps)]
+    want = np.stack(cols, axis=-1).reshape(points.shape[:-1] + shape)
+    got = fn(points)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), exprs
+"""
+
+
+def test_conformal_fields_compile_against_numpy_alone():
+    """The conformal callables load no numpy submodule beyond numpy's own
+    import, and evaluate byte for byte as sympy's ``modules="numpy"``."""
+    src = str(Path(symcrit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAMBDIFY_NUMPY_ONLY],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_flat_run_never_imports_sympy():
     src = str(Path(symcrit.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -310,8 +310,9 @@ def test_first_variation_on_critical_graph_takes_stationary_path():
 
 
 def test_first_variation_builds_each_displaced_surface_once(monkeypatch):
-    # 3 fields x 10 distinct steps: +-delta, +-2 delta and the +-1e-3, +-2e-3,
-    # +-4e-3 of the order ladder; the 4-point quotients reuse them
+    # 3 fields x 8 distinct steps: +-delta and the +-1e-3, +-2e-3, +-4e-3 of
+    # the order ladder, whose 4-point reference reuses them; a stationary
+    # direction reads +-delta alone, 3 fields x 2 steps
     fresh = []
 
     def counting_l_beta(*args, **kwargs):
@@ -322,7 +323,12 @@ def test_first_variation_builds_each_displaced_surface_once(monkeypatch):
     monkeypatch.setattr(V, "l_beta", counting_l_beta)
     rep = V.verify_first_variation(ladder((64,))[0], EUC, 1.0)
     assert rep.passed
-    assert len(fresh) == 30
+    assert len(fresh) == 24
+    fresh.clear()
+    rep = V.verify_first_variation(holomorphic_graph(1.0, n_theta=32, n_phi=32), EUC, 1.0)
+    assert rep.passed
+    assert sum("stationary" in n for n in rep.notes) == 3
+    assert len(fresh) == 6
 
 
 def test_first_variation_rejects_beta_minus_one():
