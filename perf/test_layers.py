@@ -8,12 +8,12 @@ also runs in the conformal ambient, and so does the covariant-J table
 (``run_flow`` with a budget of one iteration), the functional and the
 critical operator (fresh geometry; the functional on a fresh geometry
 is what the line search pays per candidate), ``apply_j`` and the
-normal projection ``project_normal`` and ``jj_grad_perp`` at 32x32,
-the grid of the benchmark's descent workload, on the criterion-8
-surface; the last two run on a fresh geometry that ``l_beta`` has
-already read (cos(alpha) and the area element), as a descent step has
-it, and ``apply_j`` and ``project_normal`` take a fixed random chart
-vector field.  The
+normal projection ``project_normal`` at 32x32, the grid of the
+benchmark's descent workload, on the criterion-8 surface; the
+projection runs on a fresh geometry that ``l_beta`` has already read
+(cos(alpha) and the area element), as a descent step has it, and
+``apply_j`` and ``project_normal`` take a fixed random chart vector
+field.  The
 ``_n128`` group runs the functional, frame, acceleration,
 second-fundamental-form, mean-curvature-derivative, covariant-J,
 curvature, critical operator, cyclic-condition (residuals and the whole
@@ -21,20 +21,24 @@ check with its d(omega) oracle) and Laplacian-identity layers at
 128x128, the finest level of the refinement studies, in the flat and
 the conformal ambient; the whole gradient and Laplacian refinement
 studies run over levels 32, 64 and 128 in both ambients, and the
-conformal curvature tensor ``curvature_at``, the conformal connection
-``christoffel_pairs`` on the parametric tangents (F, F) and the lowered
-tangents ``_coordinate_covectors`` (fresh geometry: the metric is
-sampled in the round) at 128x128.  Run from the root of a checkout, with BLAS on one
-thread as in ``bench/``:
+conformal curvature tensor ``curvature_at``, the conformal sample's
+connection ``christoffel_pairs`` on the parametric tangents (F, F)
+(grad lam sampled before the rounds, as a geometry samples it once) and
+the lowered tangents ``_coordinate_covectors`` (fresh geometry: the
+metric factor is sampled in the round) at 128x128.  Run from the root
+of a checkout, with BLAS on one thread as in ``bench/``:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest perf --benchmark-json=layers.json
 
 ``testpaths`` in ``pyproject.toml`` keeps a bare ``pytest`` from
 collecting this directory.  Cached properties are timed on a fresh
 geometry whose inputs (named in each test) are already computed, so a
-round times that property alone; an input a geometry does not have is
-skipped, so the file also times checkouts from before it was added (the
-metric input is ``amb_g`` there, the conformal ``_metric_factor`` here).
+round times that property alone.  A dotted input is a field of the
+geometry's ambient sample (``_sample.factor``, exp(2 lam) of the
+conformal sample; ``_sample.grad``, its grad lam; ``_sample.points``,
+the positions a sample reads); an input that a geometry or its sample
+does not have is skipped, so the flat ambient, whose sample holds
+nothing, pre-reads none of them.
 The functional, the critical operator,
 the cyclic check and the first-variation check build their geometry
 inside the round, as their callers do.
@@ -45,7 +49,7 @@ import pytest
 
 from symcrit.ambient import conformal, euclidean_c2
 from symcrit.flow import run_flow
-from symcrit.functional import el_operator, jj_grad_perp, l_beta
+from symcrit.functional import el_operator, l_beta
 from symcrit.surface import (
     SurfaceGeometry,
     periodic_d1,
@@ -82,13 +86,18 @@ LADDER = [perturbed_graph(0.5, 0.05, n_theta=n, n_phi=n) for n in (32, 64)] + [S
 
 
 def prebuilt(*names, surface=SURFACE, ambient=EUC):
-    """``benchmark.pedantic`` set-up: a fresh geometry with ``names`` read."""
+    """``benchmark.pedantic`` set-up: a fresh geometry with ``names`` read;
+    a dotted name reads along the path, up to the first attribute that the
+    object's class lacks."""
 
     def setup():
         G = SurfaceGeometry(surface, ambient)
         for name in names:
-            if hasattr(SurfaceGeometry, name):
-                getattr(G, name)
+            obj = G
+            for attr in name.split("."):
+                if not hasattr(type(obj), attr):
+                    break
+                obj = getattr(obj, attr)
         return (G,), {}
 
     return setup
@@ -128,7 +137,7 @@ def test_verify_first_variation_conformal(benchmark):
 
 
 def test_conformal_nabla_j_frame(benchmark):
-    setup = prebuilt("adapted_frame", "pos", ambient=AMBIENTS["conformal"])
+    setup = prebuilt("adapted_frame", "_sample.grad", ambient=AMBIENTS["conformal"])
     value = benchmark.pedantic(lambda G: G.nabla_j_frame, setup=setup, rounds=ROUNDS)
     assert value.shape == (N, N, 4, 4, 4)
 
@@ -167,9 +176,7 @@ def test_el_operator_fresh_geometry_n32(benchmark):
 
 
 @pytest.mark.parametrize(
-    "layer",
-    [lambda G: G.project_normal(FIELD_COARSE), jj_grad_perp],
-    ids=["project_normal", "jj_grad_perp"],
+    "layer", [lambda G: G.project_normal(FIELD_COARSE)], ids=["project_normal"]
 )
 def test_normal_projection_n32(benchmark, layer):
     setup = prebuilt("cos_alpha", "sqrt_det", surface=SURFACE_COARSE)
@@ -180,13 +187,13 @@ def test_normal_projection_n32(benchmark, layer):
 FINE_LAYERS = {
     # cached property: the inputs read before the round
     "adapted_frame": (),
-    "accel": ("fth", "fph", "pos"),
-    "second_fundamental": ("adapted_frame", "accel", "amb_g", "_metric_factor"),
+    "accel": ("fth", "fph", "_sample.points"),
+    "second_fundamental": ("adapted_frame", "accel", "_sample.factor"),
     "mean_curvature_normal_derivative": (
-        "mean_curvature", "adapted_frame", "amb_g", "_metric_factor", "pos",
+        "mean_curvature", "adapted_frame", "_sample.factor", "_sample.grad",
     ),
-    "nabla_j_frame": ("adapted_frame", "pos"),
-    "curvature_frame_components": ("adapted_frame", "pos"),
+    "nabla_j_frame": ("adapted_frame", "_sample.grad"),
+    "curvature_frame_components": ("adapted_frame", "_sample.grad"),
 }
 
 
@@ -268,14 +275,14 @@ def test_conformal_curvature_at_n128(benchmark):
 
 def test_conformal_christoffel_pairs_n128(benchmark):
     G = SurfaceGeometry(SURFACE_FINE, AMBIENTS["conformal"])
-    pos, F = G.pos, G.fderiv
-    gamma = benchmark.pedantic(AMBIENTS["conformal"].christoffel_pairs, (pos, F, F),
-                               rounds=ROUNDS_FINE)
+    sample, F = G._sample, G.fderiv
+    sample.grad
+    gamma = benchmark.pedantic(sample.christoffel_pairs, (F, F), rounds=ROUNDS_FINE)
     assert gamma.shape == (N_FINE, N_FINE, 2, 2, 4)
 
 
 def test_conformal_coordinate_covectors_fresh_geometry_n128(benchmark):
-    setup = prebuilt("fth", "fph", "pos", surface=SURFACE_FINE,
+    setup = prebuilt("fth", "fph", "_sample.points", surface=SURFACE_FINE,
                      ambient=AMBIENTS["conformal"])
     gth, _ = benchmark.pedantic(lambda G: G._coordinate_covectors, setup=setup,
                                 rounds=ROUNDS_FINE)

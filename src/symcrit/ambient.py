@@ -22,17 +22,13 @@ with the standard J), whose connection, its partials and d(omega) are
 closed forms in the first and second partials of lam, so its curvature
 is the base class's contraction of closed forms, and
 :class:`EuclideanManifold`, flat C^2, which is its lam = 0 case.
-Surfaces tell them apart by class: they skip work on these two and take
-the general path on any other ambient, a user-built one included.
 
-A surface reads the ambient through three entry points that take the
-node positions and chart vectors: ``christoffel_pairs`` (Gamma(X, Y)),
-``nabla_j_frame`` (the covariant derivative of J in a frame) and
-``curvature_frame`` (K_1213 and K_1224).  The base class contracts the
-tensors above; the conformal ambient evaluates closed forms, so it
-builds no rank-3 or rank-4 tensor per node.  Surfaces lower indices
-with ``metric_at``, except on a conformal ambient, whose scalar
-``metric_factor_at`` they multiply by.
+A surface reads the ambient through the sample that ``sample(points)``
+returns for its nodes.  The flat sample holds nothing; the general one
+holds g and J and contracts the tensors above into ``christoffel_pairs``
+(Gamma(X, Y)), ``nabla_j_frame`` (nabla J in a frame) and
+``curvature_frame`` (K_1213, K_1224); the conformal one holds exp(2 lam)
+and grad lam and evaluates all three in closed form, per node.
 """
 
 from __future__ import annotations
@@ -40,6 +36,7 @@ from __future__ import annotations
 import ast
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,7 +46,6 @@ from .errors import AmbientDegenerate, StructureViolation
 __all__ = [
     "AmbientManifold",
     "ConformalManifold",
-    "CurvatureData",
     "EuclideanManifold",
     "euclidean_c2",
     "conformal",
@@ -164,17 +160,6 @@ def _vectorized(coords, exprs, shape):
         return np.stack(cols, axis=-1).reshape(points.shape[:-1] + shape)
 
     return evaluate
-
-
-@dataclass
-class CurvatureData:
-    """Covariant curvature components with algebraic-identity residuals."""
-
-    components: np.ndarray  # (..., 4, 4, 4, 4)
-    antisymmetry_12: float
-    antisymmetry_34: float
-    pair_symmetry: float
-    first_bianchi: float
 
 
 @dataclass
@@ -301,20 +286,6 @@ class AmbientManifold:
         g = self.metric_at(points, check=False)
         return np.einsum("...de,...eabc->...abcd", g, mixed)
 
-    def curvature_data_at(self, points) -> CurvatureData:
-        K = self.curvature_at(points)
-        a12 = float(np.max(np.abs(K + np.swapaxes(K, -4, -3))))
-        a34 = float(np.max(np.abs(K + np.swapaxes(K, -2, -1))))
-        # pair symmetry K_ABCD = K_CDAB
-        perm = list(range(K.ndim))
-        perm[-4:] = [perm[-2], perm[-1], perm[-4], perm[-3]]
-        pair = float(np.max(np.abs(K - np.transpose(K, perm))))
-        # first Bianchi, cyclic over the last three indices
-        cyc1 = np.einsum("...acdb->...abcd", K)  # entry (a,b,c,d) -> K_acdb
-        cyc2 = np.einsum("...adbc->...abcd", K)  # entry (a,b,c,d) -> K_adbc
-        bianchi = float(np.max(np.abs(K + cyc1 + cyc2)))
-        return CurvatureData(K, a12, a34, pair, bianchi)
-
     # -- almost-complex structure -------------------------------------
 
     def nabla_j_tensor_at(self, points) -> np.ndarray:
@@ -343,46 +314,12 @@ class AmbientManifold:
             + np.einsum("...cab->...abc", domega)
         )
 
-    # -- quantities in a surface's frame ------------------------------
+    # -- the ambient at a surface's nodes ------------------------------
 
-    def christoffel_pairs(self, points, X, Y) -> np.ndarray:
-        """Gamma(X_p, Y_q)^A = Gamma^A_{BC} X_p^B Y_q^C for every pair (p, q).
-
-        ``X`` is (..., p, 4) and ``Y`` is (..., q, 4) at the (..., 4)
-        ``points``; the result is (..., p, q, 4).
-        """
-        gamma = self.christoffel_at(points)
-        return np.einsum("...abc,...pb,...qc->...pqa", gamma, X, Y)
-
-    def nabla_j_frame(self, points, frame) -> np.ndarray:
-        """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g, shape (..., k, a, b).
-
-        ``frame`` is (..., 4, 4) with ``frame[..., a, :]`` = e_{a+1}; k, a
-        and b all run over the four frame vectors.
-        """
-        S = self.nabla_j_tensor_at(points)  # (..., c, a, b)
-        # [k, a, b] = (nabla_{e_k} J)^a_b as one batched (4 x 4) @ (4 x 16) product
-        dj = (frame @ S.reshape(S.shape[:-3] + (4, 16))).reshape(S.shape)
-        # [k, a, m] = (nabla_{e_k} J)^a_b e_m^b as one (16 x 4) @ (4 x 4) product
-        frt = np.swapaxes(frame, -1, -2)
-        djm = (dj.reshape(S.shape[:-3] + (16, 4)) @ frt).reshape(S.shape)
-        # [k, n, m] = <e_n, (nabla_{e_k} J) e_m>_g
-        g = self.metric_at(points, check=False)
-        return np.swapaxes((frame @ g)[..., None, :, :] @ djm, -1, -2)
-
-    def curvature_frame(self, points, frame):
-        """(K_1213, K_1224) = (K(e1, e2, e1, e3), K(e1, e2, e2, e4)).
-
-        ``frame`` is (..., 4, 4) with ``frame[..., a, :]`` = e_{a+1}.
-        """
-        K = self.curvature_at(points)
-        e1, e2, e3, e4 = (frame[..., a, :] for a in range(4))
-        # K(e1, e2, ., .) once, as a 4x4 block per node
-        k12 = np.einsum("...abcd,...a->...bcd", K, e1)
-        k12 = np.einsum("...bcd,...b->...cd", k12, e2)
-        k1213 = np.einsum("...c,...cd,...d->...", e1, k12, e3)
-        k1224 = np.einsum("...c,...cd,...d->...", e2, k12, e4)
-        return k1213, k1224
+    def sample(self, points):
+        """The ambient at ``points``, (..., 4) positions with any leading
+        node axes or a callable that returns them on first need."""
+        return _GeneralSample(self, points)
 
 
 # -- builtin manifolds ------------------------------------------------
@@ -425,7 +362,7 @@ class ConformalManifold(AmbientManifold):
     d(omega) are closed forms and no field is differenced; the curvature
     tensor is the base class's contraction of them.  The fields the
     base class reads are these closed forms, so it can be built on them
-    for comparison.  In the docstrings below X.Y is the Euclidean dot.
+    for comparison.
     """
 
     def __init__(self, exponent: Callable[[np.ndarray], np.ndarray],
@@ -444,10 +381,9 @@ class ConformalManifold(AmbientManifold):
         return self.metric_factor_at(points)[..., None, None] * np.eye(4)
 
     def metric_factor_at(self, points) -> np.ndarray:
-        """exp(2 lam), the factor of delta that every closed form here reads
-        and surfaces lower indices by.  Where it is not finite, or not
-        positive (underflowed), it raises AmbientDegenerate with the
-        messages of the base class's ``metric_at``."""
+        """exp(2 lam), the factor of delta that every closed form reads.
+        Where it is not finite, or not positive (underflowed), it raises
+        AmbientDegenerate with the messages of the base class's ``metric_at``."""
         with np.errstate(over="ignore"):
             factor = np.exp(2.0 * self.conformal_exponent(points))
         if not np.isfinite(factor).all():
@@ -498,13 +434,212 @@ class ConformalManifold(AmbientManifold):
         first = eye[:, :, None] * hess[..., :, None, None, :]  # delta_ab lam_dc
         return first + np.swapaxes(first, -1, -2) - hess[..., :, :, None, None] * eye
 
-    def christoffel_pairs(self, points, X, Y) -> np.ndarray:
+    def sample(self, points):
+        """The closed-form sample at ``points`` (see ``AmbientManifold.sample``)."""
+        return _ConformalSample(self, points)
+
+
+class EuclideanManifold(ConformalManifold):
+    """Flat C^2: the conformal ambient with lam = 0, so g is the identity.
+
+    Its sample is the flat one, which reads no positions.  d(omega) is
+    the conformal closed form 2 dlam ^ omega at dlam = 0: zero, with
+    entries of either sign of zero.
+    """
+
+    def __init__(self):
+        super().__init__(lambda p: _zeros(p, 0), lambda p: _zeros(p, 1),
+                         lambda p: _zeros(p, 2), name="euclidean_c2")
+
+    def sample(self, points):
+        """The flat sample, which never reads ``points``."""
+        return _FlatSample()
+
+
+def euclidean_c2() -> EuclideanManifold:
+    """Flat C^2: identity metric and the constant standard J."""
+    return EuclideanManifold()
+
+
+def conformal(expression: str) -> ConformalManifold:
+    """Conformally flat Hermitian structure g = exp(2*lam) * delta.
+
+    ``expression`` is the conformal exponent lam as a function of
+    p1..p4.  J stays the constant standard structure, which keeps it
+    compatible with g.  The metric and its first derivatives, the
+    connection and its partials and d(omega) are closed forms in the
+    sympy partials of lam; the curvature is contracted from them.
+    """
+    lam, dlam, ddlam = parse_scalar_field(expression)
+    return ConformalManifold(lam, dlam, ddlam, name=f"conformal({expression})")
+
+
+# -- samples: an ambient at the nodes of a surface --------------------
+
+# J^T of the shipped ambients, contiguous, as the right factor of v @ J^T
+_STANDARD_JT = np.ascontiguousarray(STANDARD_J.T)
+
+
+def _apply_standard_j(v):
+    """``STANDARD_J`` v for chart vectors v[..., :], as one (N, 4) @ (4, 4)
+    product; each row of ``STANDARD_J`` has one nonzero entry, so the
+    product is exact."""
+    v = np.asarray(v)
+    return (v.reshape(-1, 4) @ _STANDARD_JT).reshape(v.shape)
+
+
+class _FlatSample:
+    """Flat C^2 at any nodes.  It holds nothing: g is the identity, J is
+    ``STANDARD_J`` and the connection, nabla J and the curvature vanish,
+    so no read needs node positions or a frame."""
+
+    apply_j = staticmethod(_apply_standard_j)
+
+    def lower(self, v, nodes=None):
+        return v
+
+    def covariant(self, d, X, Y):
+        return d
+
+    def fields(self):
+        return ()
+
+    def accel(self, geometry):
+        return geometry.fsecond
+
+    def frame_nabla_j(self, geometry):
+        # read-only: every reader slices the table
+        S = geometry.surface
+        return np.broadcast_to(0.0, (S.n_theta, S.n_phi, 4, 4, 4))
+
+    def frame_curvature(self, geometry):
+        return np.zeros(geometry.cos_alpha.shape), np.zeros(geometry.cos_alpha.shape)
+
+    def j12_kk(self, geometry):
+        return np.zeros(geometry.cos_alpha.shape)
+
+
+class _GeneralSample:
+    """Any ambient at the nodes: g and J, each sampled and checked once,
+    and the connection, nabla J and curvature tensors, taken when a read
+    needs them.  The reads that take a geometry pass its frame on."""
+
+    def __init__(self, ambient: AmbientManifold, points):
+        self.ambient = ambient
+        self._points = points
+
+    @cached_property
+    def points(self):
+        points = self._points
+        return np.asarray(points() if callable(points) else points, dtype=float)
+
+    @cached_property
+    def g(self):
+        return self.ambient.metric_at(self.points)
+
+    @cached_property
+    def j(self):
+        return self.ambient.j_at(self.points)
+
+    def fields(self):
+        """(name, field) for the metric and J at the nodes, each checked."""
+        return ("metric", self.g), ("J", self.j)
+
+    def lower(self, v, nodes=None):
+        """g v for every row v[..., k, :], as the row product v @ g; ``nodes``
+        picks the nodes when ``v`` holds only some."""
+        return v @ (self.g if nodes is None else self.g[nodes])
+
+    def apply_j(self, v):
+        return (self.j @ np.asarray(v)[..., None])[..., 0]
+
+    def covariant(self, d, X, Y):
+        """``d`` + Gamma(X, Y), added into ``d``, whose shape the pairs take."""
+        d += self.christoffel_pairs(X, Y).reshape(d.shape)
+        return d
+
+    def accel(self, geometry):
+        W, F = geometry.fsecond, geometry.fderiv
+        return self.covariant(W, F, F)
+
+    def frame_nabla_j(self, geometry):
+        return self.nabla_j_frame(geometry.adapted_frame.matrix)
+
+    def frame_curvature(self, geometry):
+        return self.curvature_frame(geometry.adapted_frame.matrix)
+
+    def j12_kk(self, geometry):
+        return geometry._assemble_j12_kk()
+
+    def christoffel_pairs(self, X, Y) -> np.ndarray:
+        """Gamma(X_p, Y_q)^A = Gamma^A_{BC} X_p^B Y_q^C for every pair (p, q).
+
+        ``X`` is (..., p, 4) and ``Y`` is (..., q, 4) at the nodes; the
+        result is (..., p, q, 4).
+        """
+        gamma = self.ambient.christoffel_at(self.points)
+        return np.einsum("...abc,...pb,...qc->...pqa", gamma, X, Y)
+
+    def nabla_j_frame(self, frame) -> np.ndarray:
+        """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g, shape (..., k, a, b).
+
+        ``frame`` is (..., 4, 4) with ``frame[..., a, :]`` = e_{a+1}; k, a
+        and b all run over the four frame vectors.
+        """
+        S = self.ambient.nabla_j_tensor_at(self.points)  # (..., c, a, b)
+        # [k, a, b] = (nabla_{e_k} J)^a_b as one batched (4 x 4) @ (4 x 16) product
+        dj = (frame @ S.reshape(S.shape[:-3] + (4, 16))).reshape(S.shape)
+        # [k, a, m] = (nabla_{e_k} J)^a_b e_m^b as one (16 x 4) @ (4 x 4) product
+        frt = np.swapaxes(frame, -1, -2)
+        djm = (dj.reshape(S.shape[:-3] + (16, 4)) @ frt).reshape(S.shape)
+        # [k, n, m] = <e_n, (nabla_{e_k} J) e_m>_g
+        return np.swapaxes((frame @ self.g)[..., None, :, :] @ djm, -1, -2)
+
+    def curvature_frame(self, frame):
+        """(K_1213, K_1224) = (K(e1, e2, e1, e3), K(e1, e2, e2, e4)).
+
+        ``frame`` is (..., 4, 4) with ``frame[..., a, :]`` = e_{a+1}.
+        """
+        K = self.ambient.curvature_at(self.points)
+        e1, e2, e3, e4 = (frame[..., a, :] for a in range(4))
+        # K(e1, e2, ., .) once, as a 4x4 block per node
+        k12 = np.einsum("...abcd,...a->...bcd", K, e1)
+        k12 = np.einsum("...bcd,...b->...cd", k12, e2)
+        k1213 = np.einsum("...c,...cd,...d->...", e1, k12, e3)
+        k1224 = np.einsum("...c,...cd,...d->...", e2, k12, e4)
+        return k1213, k1224
+
+
+class _ConformalSample(_GeneralSample):
+    """A conformal ambient at the nodes: exp(2 lam) and grad lam, each
+    evaluated and checked once, and the Hessian of lam only where the
+    curvature is read.  No rank-3 or rank-4 tensor is built.  In the
+    docstrings below X.Y is the Euclidean dot."""
+
+    apply_j = staticmethod(_apply_standard_j)
+
+    @cached_property
+    def factor(self):
+        """exp(2 lam), checked as ``ConformalManifold.metric_factor_at`` does."""
+        return self.ambient.metric_factor_at(self.points)
+
+    @cached_property
+    def grad(self):
+        return self.ambient.conformal_gradient(self.points)
+
+    def lower(self, v, nodes=None):
+        """exp(2 lam) v: for g = exp(2 lam) delta this equals the row product
+        v @ g bit for bit (one nonzero term per entry)."""
+        f = self.factor[..., None, None]
+        return (f if nodes is None else f[nodes]) * v
+
+    def christoffel_pairs(self, X, Y) -> np.ndarray:
         """Gamma(X, Y) = X dlam(Y) + Y dlam(X) - (X.Y) grad lam, per pair.
 
         dlam(.) and X.Y are elementwise four-term sums: a batched matmul
         of such small blocks costs more than the arithmetic.
         """
-        grad = self.conformal_gradient(points)[..., None, :]
+        grad = self.grad[..., None, :]
         lx = _dot(X, grad)[..., :, None, None]  # dlam(X_p)
         ly = _dot(Y, grad)[..., None, :, None]
         out = X[..., :, None, :] * ly
@@ -512,7 +647,7 @@ class ConformalManifold(AmbientManifold):
         out -= _dot(X[..., :, None, :], Y[..., None, :, :])[..., None] * grad[..., None, :]
         return out
 
-    def nabla_j_frame(self, points, frame) -> np.ndarray:
+    def nabla_j_frame(self, frame) -> np.ndarray:
         """J_{ab,k} from the closed form of nabla J for a constant J.
 
         (nabla_X J) Y = X dlam(JY) - JX dlam(Y) - (X.JY) grad lam
@@ -530,8 +665,8 @@ class ConformalManifold(AmbientManifold):
         all exactly.  The (k, a, b) axes lead in memory, so each reader's
         J_{ab,k} slice is a contiguous node field.
         """
-        factor = self.metric_factor_at(points)
-        grad = np.moveaxis(self.conformal_gradient(points), -1, 0)
+        factor = self.factor
+        grad = np.moveaxis(self.grad, -1, 0)
         # e[c, a] is the node field of e_a^c, component first
         e = np.ascontiguousarray(np.moveaxis(frame, (-1, -2), (0, 1)), dtype=float)
         # J^T grad lam and J e_a for STANDARD_J, component by component
@@ -560,7 +695,7 @@ class ConformalManifold(AmbientManifold):
                 np.negative(table[:, a, b], out=table[:, b, a])
         return np.moveaxis(table, (0, 1, 2), (-3, -2, -1))
 
-    def curvature_frame(self, points, frame):
+    def curvature_frame(self, frame):
         """(K_1213, K_1224) from K(X, Y, Z, W) = -exp(2 lam) (T o delta)(X, Y, Z, W).
 
         That is the conformal-change formula for exp(2 lam) delta (Besse,
@@ -571,16 +706,16 @@ class ConformalManifold(AmbientManifold):
         - T(Y, W) X.Z, so only T(e_a, e_b) and e_a.e_b for a in {1, 2}
         are formed.
         """
-        grad = self.conformal_gradient(points)
+        grad = self.grad
         top = frame[..., :2, :]
         frt = np.swapaxes(frame, -1, -2)
         M = top @ frt  # e_a.e_b, (..., 2, 4)
         u = (frame @ grad[..., None])[..., 0]  # dlam(e_b)
         # T(e_a, e_b) = e_a.(dd lam e_b) - dlam(e_a) dlam(e_b) + |dlam|^2 e_a.e_b / 2
-        T = (top @ self.conformal_hessian(points)) @ frt
+        T = (top @ self.ambient.conformal_hessian(self.points)) @ frt
         T -= u[..., :2, None] * u[..., None, :]
         T += (0.5 * np.sum(grad**2, axis=-1))[..., None, None] * M
-        factor = -self.metric_factor_at(points)
+        factor = -self.factor
         k1213 = factor * (
             T[..., 0, 2] * M[..., 1, 0] + T[..., 1, 0] * M[..., 0, 2]
             - T[..., 0, 0] * M[..., 1, 2] - T[..., 1, 2] * M[..., 0, 0]
@@ -590,35 +725,3 @@ class ConformalManifold(AmbientManifold):
             - T[..., 0, 1] * M[..., 1, 3] - T[..., 1, 3] * M[..., 0, 1]
         )
         return k1213, k1224
-
-
-class EuclideanManifold(ConformalManifold):
-    """Flat C^2: the conformal ambient with lam = 0, so g is the identity.
-
-    Surfaces in it use the Euclidean dot and skip the connection, the
-    covariant derivative of J and the curvature, all of which vanish.
-    d(omega) is the conformal closed form 2 dlam ^ omega at dlam = 0:
-    zero, with entries of either sign of zero.
-    """
-
-    def __init__(self):
-        super().__init__(lambda p: _zeros(p, 0), lambda p: _zeros(p, 1),
-                         lambda p: _zeros(p, 2), name="euclidean_c2")
-
-
-def euclidean_c2() -> EuclideanManifold:
-    """Flat C^2: identity metric and the constant standard J."""
-    return EuclideanManifold()
-
-
-def conformal(expression: str) -> ConformalManifold:
-    """Conformally flat Hermitian structure g = exp(2*lam) * delta.
-
-    ``expression`` is the conformal exponent lam as a function of
-    p1..p4.  J stays the constant standard structure, which keeps it
-    compatible with g.  The metric and its first derivatives, the
-    connection and its partials and d(omega) are closed forms in the
-    sympy partials of lam; the curvature is contracted from them.
-    """
-    lam, dlam, ddlam = parse_scalar_field(expression)
-    return ConformalManifold(lam, dlam, ddlam, name=f"conformal({expression})")

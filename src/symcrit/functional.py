@@ -35,9 +35,7 @@ from .surface import ImmersedSurface, SurfaceGeometry, periodic_d1
 
 __all__ = [
     "ELField",
-    "el_components",
     "el_operator",
-    "jj_grad_perp",
     "l_beta",
     "validate_beta",
 ]
@@ -102,25 +100,6 @@ def _j_tangent_grad(G: SurfaceGeometry):
     return G.apply_j(d_theta[..., None] * G.fph - d_phi[..., None] * G.fth)
 
 
-def jj_grad_perp(geometry: SurfaceGeometry):
-    """Normal part of J applied to the tangential part of J grad cos(alpha).
-
-    Uses the pointwise identity in the parametric tangents
-        (J grad cos a)^T = cos a (d_theta(cos a) F_phi - d_phi(cos a) F_theta)
-                           / sqrt(det g):
-    on the tangent plane J has tangential part cos a times the quarter
-    turn, and the quarter turn of grad f is
-    (d_theta f F_phi - d_phi f F_theta) / sqrt(det g).  Building the
-    tangential part from the two partials avoids the cancellation of
-    projecting J grad cos a itself, whose normal part, of length
-    sin a |grad cos a|, dwarfs the tangential one, cos a |grad cos a|,
-    where cos a is small: the raw double projection of the chart
-    gradient gives the same field, only less accurately.  No frame is
-    built; the one projection goes through g^ij.
-    """
-    return geometry.project_normal(_j_tangent_grad(geometry))
-
-
 @dataclass
 class ELField:
     """Euler-Lagrange residual field of the angle-weighted functional.
@@ -158,27 +137,3 @@ def el_operator(
     norm_linf = float(np.max(mag))
     return ELField(E, norm_l2, norm_linf)
 
-
-def el_components(
-    surface: ImmersedSurface,
-    ambient: AmbientManifold,
-    beta: float,
-    geometry: SurfaceGeometry | None = None,
-):
-    """Component residuals of the two scalar critical equations.
-
-        r3 = H^3 + beta cos^-2(a) (y d2 cos a - z d1 cos a)
-        r4 = H^4 + beta cos^-2(a) (y d1 cos a + z d2 cos a)
-
-    Evaluated in the adapted gauge (z = 0 wherever the frame adapts).
-    Returns (r3, r4) grid fields.
-    """
-    beta = validate_beta(beta)
-    G = _geometry(surface, ambient, geometry)
-    fr = G.adapted_frame
-    H = G.mean_curvature_frame
-    dc = G.grad_cos_frame
-    inv2 = 1.0 / G.cos_alpha**2
-    r3 = H[..., 0] + beta * inv2 * (fr.y * dc[..., 1] - fr.z * dc[..., 0])
-    r4 = H[..., 1] + beta * inv2 * (fr.y * dc[..., 0] + fr.z * dc[..., 1])
-    return r3, r4

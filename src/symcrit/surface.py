@@ -7,11 +7,13 @@ on a regular grid (no seam duplication: theta_i = i T_theta / n).
 
 Parametric derivatives use 4th-order periodic central differences on P
 plus the exact contribution of the linear part.  All node-level tensors
-are cached lazily on :class:`SurfaceGeometry`.  Normal parts are taken
-in coordinates, v - g^ij <v, F_j> F_i with F_i the parametric tangents
-and g^ij the inverse induced metric, so the functional, the critical
-operator and the flow build no frame at all; the orthonormal frame below
-is assembled only for the frame components the checks read.
+are cached lazily on :class:`SurfaceGeometry`, which reads the ambient
+through its sample at the nodes (``AmbientManifold.sample``).  Normal
+parts are taken in coordinates, v - g^ij <v, F_j> F_i with F_i the
+parametric tangents and g^ij the inverse induced metric, so the
+functional, the critical operator and the flow build no frame at all;
+the orthonormal frame below is assembled only for the frame components
+the checks read.
 
 Frame conventions at a node:
 
@@ -34,14 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ambient import (
-    STANDARD_J,
-    STRUCTURE_TOL,
-    AmbientManifold,
-    ConformalManifold,
-    EuclideanManifold,
-    _dot,
-)
+from .ambient import STRUCTURE_TOL, AmbientManifold, _dot
 from .errors import AmbientDegenerate, NotImmersed
 
 __all__ = [
@@ -62,9 +57,6 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 # |normal part of J e1| = sin(alpha) below which a node is left unadapted
 FRAME_TOL = 1e-6
-# The constant J of the shipped ambients as the right factor of the row
-# product v @ J^T, contiguous, so ``apply_j`` never samples the ambient
-_STANDARD_JT = np.ascontiguousarray(STANDARD_J.T)
 
 
 @dataclass(frozen=True)
@@ -146,23 +138,23 @@ def check_winding_periodic(surface: ImmersedSurface, ambient: AmbientManifold) -
     the seam, and give wrong numbers without an error.  The fields on
     the theta = 0 node line are compared with their values at
     pos + t_theta L[:, 0], those on the phi = 0 line with their values
-    at pos + t_phi L[:, 1], each sample checked as ``metric_at`` and
-    ``j_at`` check it.  A difference above ``STRUCTURE_TOL`` relative
-    to the field's size raises, naming the field and the direction.  The
-    flat ambient is translation invariant and is not sampled.
+    at pos + t_phi L[:, 1], both ends in one sample, whose ``fields``
+    are checked as ``metric_at`` and ``j_at`` check them.  A difference
+    above ``STRUCTURE_TOL`` relative to the field's size raises, naming
+    the field and the direction.  The flat sample has no fields to
+    compare, so the flat ambient computes no node line.
     """
-    if isinstance(ambient, EuclideanManifold):
-        return
     S, L = surface, surface.linear_part
     lines = {"theta": (1, S.n_phi), "phi": (S.n_theta, 1)}
     for k, (direction, shape) in enumerate(lines.items()):
-        th, ph = _grids(*shape, S.t_theta, S.t_phi)
-        pos = th[..., None] * L[:, 0] + ph[..., None] * L[:, 1]
-        pos += S.periodic_part[:shape[0], :shape[1]]
-        shifted = pos + (S.t_theta, S.t_phi)[k] * L[:, k]
-        for field, at in (("metric", ambient.metric_at), ("J", ambient.j_at)):
-            here = at(pos)
-            gap = float(np.max(np.abs(at(shifted) - here)))
+        def ends(k=k, shape=shape):  # the node line and its image, stacked
+            th, ph = _grids(*shape, S.t_theta, S.t_phi)
+            pos = th[..., None] * L[:, 0] + ph[..., None] * L[:, 1]
+            pos += S.periodic_part[:shape[0], :shape[1]]
+            return np.stack([pos, pos + (S.t_theta, S.t_phi)[k] * L[:, k]])
+
+        for field, (here, there) in ambient.sample(ends).fields():
+            gap = float(np.max(np.abs(there - here)))
             if not gap <= STRUCTURE_TOL * (1.0 + float(np.max(np.abs(here)))):
                 raise AmbientDegenerate(
                     f"{field} of {ambient.name} is not periodic along the "
@@ -222,9 +214,6 @@ class AdaptedFrame:
     Gram-Schmidt makes it upper triangular, and ``coeff[..., 1, 0]`` is
     +0.0 bit for bit at every node, adapted or not: the closed form of
     ``SurfaceGeometry.second_fundamental`` drops the terms it multiplies.
-    That closed form still reads <W_10, e_n> and <W_01, e_n> apart,
-    since a general ambient's Christoffel term makes W_10 and W_01
-    differ at roundoff.
     """
 
     matrix: np.ndarray  # (..., 4, 4)
@@ -279,7 +268,7 @@ class SurfaceGeometry:
     def fderiv(self):
         """First derivatives stacked: index i in {theta, phi} first.
 
-        Built on each read, like ``fsecond``: ``accel`` is its one reader.
+        Built on each read, like ``fsecond``; a non-flat sample's ``accel`` reads it.
         """
         return np.stack([self.fth, self.fph], axis=-2)  # (nt, np, 2, 4)
 
@@ -301,39 +290,12 @@ class SurfaceGeometry:
         out[..., 1, 1, :] = dpp
         return out
 
-    # ---- ambient fields along the surface
+    # ---- the ambient at the nodes
 
     @cached_property
-    def amb_g(self):
-        return self.ambient.metric_at(self.pos)
-
-    @cached_property
-    def _metric_factor(self):
-        """exp(2 lam) of a conformal ambient at the nodes, (..., 1, 1)."""
-        return self.ambient.metric_factor_at(self.pos)[..., None, None]
-
-    def _lower(self, v, nodes=None):
-        """g v for every row v[..., k, :], as the row product v @ g.
-
-        g is symmetric, so row k of the product is g applied to row k.  The
-        metric's node axes broadcast against the axes of ``v`` before the
-        row axis; ``nodes`` picks the nodes when ``v`` holds only some.  On
-        a flat metric the rows are their own lowering, and a conformal
-        metric exp(2 lam) delta scales them, which equals the row product
-        bit for bit (one nonzero term per entry); neither samples the 4x4
-        metric.  Every use of the metric goes through here.
-        """
-        if isinstance(self.ambient, EuclideanManifold):
-            return v
-        if isinstance(self.ambient, ConformalManifold):
-            f = self._metric_factor if nodes is None else self._metric_factor[nodes]
-            return f * v
-        g = self.amb_g if nodes is None else self.amb_g[nodes]
-        return v @ g
-
-    @cached_property
-    def amb_j(self):
-        return self.ambient.j_at(self.pos)
+    def _sample(self):
+        """The ambient at the nodes; every use of the metric is its ``lower``."""
+        return self.ambient.sample(self.surface.positions)
 
     # ---- induced metric and area
 
@@ -341,13 +303,13 @@ class SurfaceGeometry:
         """Ambient inner product of chart vector fields on the grid."""
         # v is lowered as a one-row stack, so axes of v before the node axes
         # broadcast like those of u
-        return _dot(u, self._lower(np.asarray(v)[..., None, :])[..., 0, :])
+        return _dot(u, self._sample.lower(np.asarray(v)[..., None, :])[..., 0, :])
 
     @cached_property
     def _coordinate_covectors(self):
         """(g F_theta, g F_phi): the parametric tangents lowered."""
         fth, fph = self.fth, self.fph
-        return tuple(self._lower(f[..., None, :])[..., 0, :] for f in (fth, fph))
+        return tuple(self._sample.lower(f[..., None, :])[..., 0, :] for f in (fth, fph))
 
     @cached_property
     def induced_metric(self):
@@ -420,18 +382,9 @@ class SurfaceGeometry:
         return v - ath[..., None] * self.fth - aph[..., None] * self.fph
 
     def apply_j(self, v):
-        """J v for a chart vector field on the grid.
-
-        On a conformal ambient, the flat one included, J is the constant
-        ``STANDARD_J``: it is applied as one (N, 4) @ (4, 4) product with
-        the module's contiguous J^T, so the ambient is not sampled and
-        neither the node positions nor a per-node J are built.  Each row
-        of ``STANDARD_J`` has one nonzero entry, so the product is exact.
-        """
-        v = np.asarray(v)
-        if isinstance(self.ambient, ConformalManifold):
-            return (v.reshape(-1, 4) @ _STANDARD_JT).reshape(v.shape)
-        return (self.amb_j @ v[..., None])[..., 0]
+        """J v for a chart vector field on the grid; on a conformal
+        ambient, the flat one included, without node positions."""
+        return self._sample.apply_j(v)
 
     # ---- adapted frame
 
@@ -462,7 +415,7 @@ class SurfaceGeometry:
             # row B: normal part of chart axis B at each unadapted node, (m, 4, 4)
             axes = self.project_normal(np.eye(4)[:, None, None, :])
             axes = np.moveaxis(axes, 0, -2)[~ok]
-            norms = _dot(axes, self._lower(axes, ~ok))
+            norms = _dot(axes, self._sample.lower(axes, ~ok))
             best = np.argmax(norms, axis=-1)
             m = np.arange(best.size)
             e3[~ok] = axes[m, best] / np.sqrt(norms[m, best])[:, None]
@@ -483,17 +436,14 @@ class SurfaceGeometry:
 
     @cached_property
     def accel(self):
-        """W_ij = second derivatives plus ambient Christoffel correction."""
-        W = self.fsecond
-        if not isinstance(self.ambient, EuclideanManifold):
-            F = self.fderiv
-            W += self.ambient.christoffel_pairs(self.pos, F, F)
-        return W
+        """W_ij = second derivatives plus the ambient's Christoffel term
+        Gamma(F_i, F_j), which a flat sample skips."""
+        return self._sample.accel(self)
 
     @cached_property
     def _normal_covectors(self):
         """(g e3, g e4) stacked like the normal pair."""
-        return self._lower(self.adapted_frame.matrix[..., 2:, :])
+        return self._sample.lower(self.adapted_frame.matrix[..., 2:, :])
 
     @cached_property
     def second_fundamental(self):
@@ -568,12 +518,9 @@ class SurfaceGeometry:
 
         Shape (..., 2, 4), the direction as axis 2, like ``frame_derivative``.
         """
-        d = self.frame_derivative(vfield)
-        if not isinstance(self.ambient, EuclideanManifold):
-            pair = self.adapted_frame.matrix[..., :2, :]
-            gamma = self.ambient.christoffel_pairs(self.pos, pair, vfield[..., None, :])
-            d += gamma[..., 0, :]
-        return d
+        pair = self.adapted_frame.matrix[..., :2, :]
+        return self._sample.covariant(self.frame_derivative(vfield), pair,
+                                      vfield[..., None, :])
 
     def laplace_beltrami(self, field):
         """Divergence-form Laplace-Beltrami of a scalar grid field."""
@@ -593,21 +540,15 @@ class SurfaceGeometry:
     def nabla_j_frame(self):
         """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g, shape (..., k, a, b).
 
-        k runs over the full frame, like a and b.
+        k runs over the full frame, like a and b.  A flat sample returns a
+        read-only zero table without building the frame.
         """
-        if isinstance(self.ambient, EuclideanManifold):
-            # read-only: every reader slices the table
-            S = self.surface
-            return np.broadcast_to(0.0, (S.n_theta, S.n_phi, 4, 4, 4))
-        return self.ambient.nabla_j_frame(self.pos, self.adapted_frame.matrix)
+        return self._sample.frame_nabla_j(self)
 
     @cached_property
     def curvature_frame_components(self):
         """(K_1213, K_1224) = (K(e1, e2, e1, e3), K(e1, e2, e2, e4))."""
-        if isinstance(self.ambient, EuclideanManifold):
-            zero = np.zeros(self.cos_alpha.shape)
-            return zero, zero.copy()
-        return self.ambient.curvature_frame(self.pos, self.adapted_frame.matrix)
+        return self._sample.frame_curvature(self)
 
     # ---- assembled second-order frame quantities
 
@@ -630,15 +571,14 @@ class SurfaceGeometry:
 
     @cached_property
     def j12_kk(self):
-        """Trace of the surface second covariant derivative of J_{12,.}.
+        """Trace of the surface second covariant derivative of J_{12,.};
+        identically zero for a parallel J, which the flat sample returns."""
+        return self._sample.j12_kk(self)
 
-        Assembled by differencing the J_{12,k} grid fields along the
-        tangent frame and removing the frame-connection terms, so the
-        result matches the value taken in a frame that is covariantly
-        constant at the node.  Identically zero for a parallel J.
-        """
-        if isinstance(self.ambient, EuclideanManifold):
-            return np.zeros(self.cos_alpha.shape)
+    def _assemble_j12_kk(self):
+        """``j12_kk`` by differencing the J_{12,k} grid fields along the
+        tangent frame and removing the frame-connection terms, so it is the
+        value taken in a frame that is covariantly constant at the node."""
         jf = self.nabla_j_frame  # (..., k, a, b)
         phi = jf[..., :2, 0, 1]  # J_{12,k} for tangent k, (..., k)
         # e_k(phi_k)

@@ -46,7 +46,7 @@ ORDER_TOL = 1.9  # least observed convergence order a study accepts
 # refinement level's Linf counts as exact to roundoff (see _level)
 EXACT_ULPS = 16
 ORACLE_TOL = 1e-6  # cyclic condition against the d(omega) oracle
-FLAT_KAHLER_TOL = 1e-12  # absolute floor of the symmetric consequence bound
+CONSEQUENCE_FLOOR = 1e-12  # absolute floor of the symmetric consequence bound
 
 
 def _fmt(x) -> str:
@@ -440,7 +440,7 @@ def check_condition_symmetric(surface: ImmersedSurface,
 
     When the condition holds, three consequences are spot-checked: the
     diagonal components vanish and two off-diagonal components pair up,
-    to within ten times the condition's residual plus ``FLAT_KAHLER_TOL``.
+    to within ten times the condition's residual plus ``CONSEQUENCE_FLOOR``.
     """
     check_winding_periodic(surface, ambient)
     G = SurfaceGeometry(surface, ambient)
@@ -460,14 +460,14 @@ def check_condition_symmetric(surface: ImmersedSurface,
         pair1 = float(np.max(np.abs(jf[..., 1, 0, 2] - jf[..., 0, 2, 1])))
         pair2 = float(np.max(np.abs(jf[..., 0, 3, 1] - jf[..., 1, 0, 3])))
         values["consequence_res"] = max(diag, pair1, pair2)
-        ok = values["consequence_res"] < 10.0 * cond + FLAT_KAHLER_TOL
+        ok = values["consequence_res"] < 10.0 * cond + CONSEQUENCE_FLOOR
     else:
         notes.append("condition violated: consequence identities not applicable")
     return Report(
         check="condition_symmetric",
         ambient=ambient.name,
         status="pass" if ok else "fail",
-        tolerances={"flat_kahler_res": FLAT_KAHLER_TOL},
+        tolerances={"consequence_floor": CONSEQUENCE_FLOOR},
         values=values,
         notes=notes,
         total_nodes=int(res[..., 0, 0].size),

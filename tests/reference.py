@@ -1,0 +1,86 @@
+"""Functions that only the tests read.
+
+None of them is on a path of the package: each restates a quantity the
+package computes another way, or checks an identity the package relies
+on, so the tests can compare the two, or counts the calls a test
+expects.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from symcrit.functional import _geometry, _j_tangent_grad, validate_beta
+
+
+@dataclass
+class CurvatureData:
+    """Covariant curvature components with algebraic-identity residuals."""
+
+    components: np.ndarray  # (..., 4, 4, 4, 4)
+    antisymmetry_12: float
+    antisymmetry_34: float
+    pair_symmetry: float
+    first_bianchi: float
+
+
+def curvature_data(ambient, points) -> CurvatureData:
+    """``ambient.curvature_at(points)`` with the largest residuals of its
+    two antisymmetries, its pair symmetry and the first Bianchi sum."""
+    K = ambient.curvature_at(points)
+    a12 = float(np.max(np.abs(K + np.swapaxes(K, -4, -3))))
+    a34 = float(np.max(np.abs(K + np.swapaxes(K, -2, -1))))
+    # pair symmetry K_ABCD = K_CDAB
+    perm = list(range(K.ndim))
+    perm[-4:] = [perm[-2], perm[-1], perm[-4], perm[-3]]
+    pair = float(np.max(np.abs(K - np.transpose(K, perm))))
+    # first Bianchi, cyclic over the last three indices
+    cyc1 = np.einsum("...acdb->...abcd", K)  # entry (a,b,c,d) -> K_acdb
+    cyc2 = np.einsum("...adbc->...abcd", K)  # entry (a,b,c,d) -> K_adbc
+    bianchi = float(np.max(np.abs(K + cyc1 + cyc2)))
+    return CurvatureData(K, a12, a34, pair, bianchi)
+
+
+def jj_grad_perp(geometry):
+    """Normal part of J applied to the tangential part of J grad cos(alpha).
+
+    Uses the pointwise identity in the parametric tangents
+        (J grad cos a)^T = cos a (d_theta(cos a) F_phi - d_phi(cos a) F_theta)
+                           / sqrt(det g):
+    on the tangent plane J has tangential part cos a times the quarter
+    turn, and the quarter turn of grad f is
+    (d_theta f F_phi - d_phi f F_theta) / sqrt(det g).  This is the
+    beta term of ``el_operator`` before its factor -beta, projected alone.
+    """
+    return geometry.project_normal(_j_tangent_grad(geometry))
+
+
+def el_components(surface, ambient, beta, geometry=None):
+    """Component residuals of the two scalar critical equations.
+
+        r3 = H^3 + beta cos^-2(a) (y d2 cos a - z d1 cos a)
+        r4 = H^4 + beta cos^-2(a) (y d1 cos a + z d2 cos a)
+
+    Evaluated in the adapted gauge (z = 0 wherever the frame adapts).
+    Returns (r3, r4) grid fields.  A passed ``geometry`` must be the one
+    of ``surface`` in ``ambient``, as for the package's functions.
+    """
+    beta = validate_beta(beta)
+    G = _geometry(surface, ambient, geometry)
+    fr = G.adapted_frame
+    H = G.mean_curvature_frame
+    dc = G.grad_cos_frame
+    inv2 = 1.0 / G.cos_alpha**2
+    r3 = H[..., 0] + beta * inv2 * (fr.y * dc[..., 1] - fr.z * dc[..., 0])
+    r4 = H[..., 1] + beta * inv2 * (fr.y * dc[..., 0] + fr.z * dc[..., 1])
+    return r3, r4
+
+
+def counted(fn, shapes):
+    """``fn``, appending the node shape of the points of each call to ``shapes``."""
+
+    def wrapper(points, *args, **kwargs):
+        shapes.append(np.shape(points)[:-1])
+        return fn(points, *args, **kwargs)
+
+    return wrapper

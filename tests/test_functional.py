@@ -6,14 +6,9 @@ import pytest
 from symcrit.ambient import conformal, euclidean_c2
 from symcrit.errors import NotSymplectic
 from symcrit.flow import run_flow, stable_step
-from symcrit.functional import (
-    el_components,
-    el_operator,
-    jj_grad_perp,
-    l_beta,
-    validate_beta,
-)
+from symcrit.functional import el_operator, l_beta, validate_beta
 from symcrit.surface import (
+    ImmersedSurface,
     SurfaceGeometry,
     holomorphic_graph,
     lagrangian_torus,
@@ -23,7 +18,13 @@ from symcrit.surface import (
     revolution_torus,
     zbar_graph,
 )
-from symcrit.verify import gradient_identity_residuals, laplacian_identity_terms
+from symcrit.verify import (
+    critical_identity_terms,
+    gradient_identity_residuals,
+    laplacian_identity_terms,
+)
+
+from reference import counted, el_components, jj_grad_perp
 
 EUC = euclidean_c2()
 
@@ -168,44 +169,51 @@ def test_descent_step_builds_no_tangent_frame(ambient, beta):
     assert "adapted_frame" not in vars(G)
 
 
-def test_flat_l_beta_builds_no_node_fields():
+def refuse(*args, **kwargs):
+    raise AssertionError("sampled where nothing should be")
+
+
+def test_flat_l_beta_builds_no_node_fields(monkeypatch):
     """The flat functional needs no positions and no per-node metric or J,
-    and the flat descent never samples J: with ``j_at`` refusing every
-    call, l_beta and one step of the flow run."""
+    and the flat descent never samples them: with ``positions``,
+    ``metric_at`` and ``j_at`` refusing every call, l_beta and one step of
+    the flow run."""
     S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
-    G = SurfaceGeometry(S, EUC)
-    l_beta(S, EUC, 1.0, geometry=G)
-    assert not {"pos", "amb_g", "amb_j"} & set(G.__dict__)
-
-    def refuse(points, check=True):
-        raise AssertionError("the flat ambient's J was sampled")
-
+    want = l_beta(S, EUC, 1.0)
     ambient = euclidean_c2()
-    ambient.j_at = refuse
-    assert l_beta(S, ambient, 1.0) == l_beta(S, EUC, 1.0)
+    ambient.metric_at = ambient.j_at = refuse
+    monkeypatch.setattr(ImmersedSurface, "positions", refuse)
+    assert l_beta(S, ambient, 1.0) == want
     assert run_flow(S, ambient, 1.0, max_iterations=1, res_tol=0.0).iterations == 1
 
 
-def test_flat_geometry_never_samples_metric_or_j():
+def test_flat_geometry_never_samples_metric_or_j(monkeypatch):
     """Flat frames, second fundamental forms, E and the Laplacian terms use
-    the Euclidean dot and the constant J: no per-node metric or J is built."""
-    torus = SurfaceGeometry(revolution_torus(n_theta=16, n_phi=16), EUC)
+    the Euclidean dot and the constant J: with ``positions``, ``metric_at``
+    and ``j_at`` refusing every call, they are all built."""
+    ambient = euclidean_c2()
+    ambient.metric_at = ambient.j_at = refuse
+    monkeypatch.setattr(ImmersedSurface, "positions", refuse)
+    torus = SurfaceGeometry(revolution_torus(n_theta=16, n_phi=16), ambient)
     assert not torus.adapted_frame.adapted.all()  # raw gauge at some nodes
     torus.second_fundamental
     S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
-    G = SurfaceGeometry(S, EUC)
+    G = SurfaceGeometry(S, ambient)
     G.adapted_frame, G.second_fundamental
-    el_operator(S, EUC, 1.0, geometry=G)
+    el_operator(S, ambient, 1.0, geometry=G)
     laplacian_identity_terms(G)
-    for geometry in (torus, G):
-        assert not {"amb_g", "amb_j"} & set(geometry.__dict__)
 
 
 def test_conformal_geometry_never_samples_the_4x4_metric():
     """A conformal metric is exp(2 lam) delta, so surfaces lower by the
     scalar: the refinement studies' fields, E and the functional build no
-    per-node 4x4 metric, on a torus with unadapted nodes too."""
+    per-node 4x4 metric or J, on a torus with unadapted nodes too.  With
+    ``metric_at`` and ``j_at`` refusing every call, each geometry
+    evaluates lam once, on its nodes."""
     amb = conformal("0.1*sin(p1) + 0.05*cos(p2)")
+    amb.metric_at = amb.j_at = refuse
+    lam = []
+    amb.conformal_exponent = counted(amb.conformal_exponent, lam)
     torus = SurfaceGeometry(revolution_torus(n_theta=16, n_phi=16), amb)
     assert not torus.adapted_frame.adapted.all()
     S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
@@ -216,8 +224,26 @@ def test_conformal_geometry_never_samples_the_4x4_metric():
         laplacian_identity_terms(geometry)
         gradient_identity_residuals(geometry)
         geometry.area_weights
-        assert "_metric_factor" in geometry.__dict__
-        assert "amb_g" not in geometry.__dict__
+    assert lam == [(16, 16), (16, 16)]
+
+
+def test_conformal_geometry_evaluates_lam_once_on_its_nodes():
+    """Every read of a conformal geometry shares one sample, which holds
+    exp(2 lam) and grad lam: the functional, E, the Laplacian and gradient
+    identity terms and the critical identity terms evaluate lam, grad lam
+    and the Hessian of lam once each, on the node grid."""
+    amb = conformal("0.1*sin(p1) + 0.05*cos(p2)")
+    calls = {"conformal_exponent": [], "conformal_gradient": [], "conformal_hessian": []}
+    for name, shapes in calls.items():
+        setattr(amb, name, counted(getattr(amb, name), shapes))
+    S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
+    G = SurfaceGeometry(S, amb)
+    l_beta(S, amb, 1.0, geometry=G)
+    el_operator(S, amb, 1.0, geometry=G)
+    laplacian_identity_terms(G)
+    gradient_identity_residuals(G)
+    critical_identity_terms(G, 1.0)
+    assert calls == {name: [(16, 16)] for name in calls}
 
 
 def test_jj_grad_perp_identity_matches_raw_projection():
@@ -233,9 +259,10 @@ def test_jj_grad_perp_identity_matches_raw_projection():
         )
         up = np.einsum("...ij,...j->...i", G.induced_metric_inv, dcos)
         grad = np.einsum("...i,...ia->...a", up, G.fderiv)
-        jg = np.einsum("...ab,...b->...a", G.amb_j, grad)
+        J = ambient.j_at(G.pos)
+        jg = np.einsum("...ab,...b->...a", J, grad)
         jg_tan = jg - G.project_normal(jg)
-        raw = G.project_normal(np.einsum("...ab,...b->...a", G.amb_j, jg_tan))
+        raw = G.project_normal(np.einsum("...ab,...b->...a", J, jg_tan))
         scale = max(np.max(np.abs(identity)), 1e-12)
         assert np.max(np.abs(identity - raw)) / scale < 1e-8
 

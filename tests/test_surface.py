@@ -16,7 +16,7 @@ from symcrit.ambient import (
     euclidean_c2,
 )
 from symcrit.errors import AmbientDegenerate, NotImmersed
-from symcrit.functional import el_operator, jj_grad_perp, l_beta
+from symcrit.functional import el_operator, l_beta
 from symcrit.surface import (
     AdaptedFrame,
     ImmersedSurface,
@@ -41,6 +41,8 @@ from symcrit.verify import (
     verify_gradient_identities,
     verify_laplacian_identity,
 )
+
+from reference import curvature_data, jj_grad_perp
 
 EUC = euclidean_c2()
 CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
@@ -163,7 +165,7 @@ def test_frame_j_matrix_structure(ambient):
     G = geometry(perturbed_graph(0.5, 0.05, n_theta=24, n_phi=24), ambient)
     fr = G.adapted_frame
     vecs = [fr.e1, fr.e2, fr.e3, fr.e4]
-    J = G.amb_j
+    J = ambient.j_at(G.pos)
     M = np.empty(G.cos_alpha.shape + (4, 4))
     for a in range(4):
         jv = np.einsum("...ab,...b->...a", J, vecs[a])
@@ -648,7 +650,8 @@ def test_nabla_j_frame_matches_one_shot_contraction(surface):
     G = geometry(surface, CONF)
     fr = G.adapted_frame.matrix
     dj = np.einsum("...kc,...cab->...kab", fr, CONF.nabla_j_tensor_at(G.pos))
-    want = np.einsum("...kab,...mb,...ad,...nd->...kmn", dj, fr, G.amb_g, fr)
+    g = CONF.metric_at(G.pos)
+    want = np.einsum("...kab,...mb,...ad,...nd->...kmn", dj, fr, g, fr)
     assert np.max(np.abs(G.nabla_j_frame - want)) < 1e-12
 
 
@@ -656,10 +659,11 @@ def test_nabla_j_frame_matches_one_shot_contraction(surface):
 def test_condition_cyclic_residuals_match_one_shot_contraction(surface):
     G = geometry(surface, CONF)
     S = CONF.nabla_j_tensor_at(G.pos)
+    g = CONF.metric_at(G.pos)
     fr = G.adapted_frame
 
     def term(W, U, V):
-        return np.einsum("...cab,...c,...b,...ad,...d->...", S, W, U, G.amb_g, V)
+        return np.einsum("...cab,...c,...b,...ad,...d->...", S, W, U, g, V)
 
     c3, c4 = condition_cyclic_residuals(G)
     for got, xi in ((c3, fr.e3), (c4, fr.e4)):
@@ -708,7 +712,7 @@ SECOND_FUNDAMENTAL_IDS = ["graph", "torus", "zbar", "holomorphic"]
 def test_kernels_match_einsum_reference(surface, ambient):
     """Each matmul or closed-form kernel against the einsum it replaced."""
     G = geometry(surface, ambient)
-    g, J, F = G.amb_g, G.amb_j, G.fderiv
+    g, J, F = ambient.metric_at(G.pos), ambient.j_at(G.pos), G.fderiv
     fr = G.adapted_frame
     jfth = np.einsum("...ab,...b->...a", J, G.fth)
     metric = np.einsum("...ab,...ia,...jb->...ij", g, F, F)
@@ -925,36 +929,34 @@ def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
     if frame == "skewed":
         fr = skewed(fr)
     H = G.mean_curvature[..., None, :]
-    base = AmbientManifold
-    table = CONF.nabla_j_frame(pos, fr)
+    closed, base = CONF.sample(pos), AmbientManifold.sample(CONF, pos)
+    table = closed.nabla_j_frame(fr)
     # other points and frames on a second grid, paired arbitrarily
     stacked = (np.stack([pos, np.roll(pos, 3, axis=0)]),
                np.stack([fr, np.roll(fr, 5, axis=1)]))
     pairs = {
-        "Gamma(F_i, F_j)": (
-            CONF.christoffel_pairs(pos, F, F), base.christoffel_pairs(CONF, pos, F, F)
-        ),
-        "Gamma(e_k, H)": (
-            CONF.christoffel_pairs(pos, fr, H), base.christoffel_pairs(CONF, pos, fr, H)
-        ),
-        "nabla J table": (table, base.nabla_j_frame(CONF, pos, fr)),
+        "Gamma(F_i, F_j)": (closed.christoffel_pairs(F, F), base.christoffel_pairs(F, F)),
+        "Gamma(e_k, H)": (closed.christoffel_pairs(fr, H), base.christoffel_pairs(fr, H)),
+        "nabla J table": (table, base.nabla_j_frame(fr)),
         "nabla J table, stacked grids": (
-            CONF.nabla_j_frame(*stacked), base.nabla_j_frame(CONF, *stacked)
+            CONF.sample(stacked[0]).nabla_j_frame(stacked[1]),
+            AmbientManifold.sample(CONF, stacked[0]).nabla_j_frame(stacked[1]),
         ),
     }
     if surface is FRAME_SURFACES[1]:
         unadapted = ~G.adapted_frame.adapted
         assert unadapted.any()
-        nodes = (pos[unadapted], fr[unadapted])
+        nodes, nodes_fr = pos[unadapted], fr[unadapted]
         pairs["nabla J table, unadapted nodes"] = (
-            CONF.nabla_j_frame(*nodes), base.nabla_j_frame(CONF, *nodes)
+            CONF.sample(nodes).nabla_j_frame(nodes_fr),
+            AmbientManifold.sample(CONF, nodes).nabla_j_frame(nodes_fr),
         )
     off = ~np.eye(4, dtype=bool)
     flipped = np.negative(np.swapaxes(table, -1, -2))
     assert table[..., off].tobytes() == flipped[..., off].tobytes()
     assert not np.any(np.diagonal(table, axis1=-2, axis2=-1))
-    k_closed = CONF.curvature_frame(pos, fr)
-    k_base = base.curvature_frame(CONF, pos, fr)
+    k_closed = closed.curvature_frame(fr)
+    k_base = base.curvature_frame(fr)
     pairs["K_1213"] = (k_closed[0], k_base[0])
     pairs["K_1224"] = (k_closed[1], k_base[1])
     for name, (got, want) in pairs.items():
@@ -971,12 +973,12 @@ def test_constant_conformal_factor_scales_area_and_keeps_the_angle(surface):
     area = np.sum(scaled.area_weights) / np.sum(flat.area_weights)
     assert abs(area / np.exp(0.6) - 1.0) < 1e-14
     assert np.max(np.abs(scaled.cos_alpha - flat.cos_alpha)) < 1e-14
-    amb, base = scaled.ambient, AmbientManifold
     pos, F, fr = scaled.pos, scaled.fderiv, scaled.adapted_frame.matrix
-    closed = [amb.christoffel_pairs(pos, F, F), amb.nabla_j_frame(pos, fr),
-              *amb.curvature_frame(pos, fr)]
-    contracted = [base.christoffel_pairs(amb, pos, F, F),
-                  base.nabla_j_frame(amb, pos, fr), *base.curvature_frame(amb, pos, fr)]
+    samples = scaled.ambient.sample(pos), AmbientManifold.sample(scaled.ambient, pos)
+    closed, contracted = (
+        [s.christoffel_pairs(F, F), s.nabla_j_frame(fr), *s.curvature_frame(fr)]
+        for s in samples
+    )
     for got, want in zip(closed, contracted):
         assert got.shape == want.shape
         assert not np.any(got) and not np.any(want)
@@ -1007,7 +1009,7 @@ def test_conformal_curvature_frame_components_difference_nothing(monkeypatch):
                      "christoffel_derivative_at", "curvature_at",
                      "nabla_j_tensor_at", "d_kahler_form_at"):
             assert np.all(np.isfinite(getattr(ambient, name)(pos))), name
-        assert np.all(np.isfinite(ambient.curvature_data_at(pos).components))
+        assert np.all(np.isfinite(curvature_data(ambient, pos).components))
         G = geometry(surfaces[0], ambient)
         k1213, k1224 = G.curvature_frame_components
         assert np.all(np.isfinite(k1213)) and np.all(np.isfinite(k1224))
@@ -1023,11 +1025,16 @@ def test_conformal_curvature_frame_components_difference_nothing(monkeypatch):
 
 
 def test_non_finite_ambient_metric_raises_typed_error():
-    G = geometry(FRAME_SURFACES[0], conformal("400*p1"))
+    """The conformal metric at the nodes overflows: ``metric_at`` refuses it,
+    and so does a geometry that samples the 4x4 metric (the general path)."""
+    amb = conformal("400*p1")
+    general = AmbientManifold(metric_field=amb.metric_field, j_field=amb.j_field)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AmbientDegenerate):
-            G.amb_g
+            amb.metric_at(FRAME_SURFACES[0].positions())
+        with pytest.raises(AmbientDegenerate):
+            geometry(FRAME_SURFACES[0], general).induced_metric
 
 
 @pytest.mark.parametrize(
@@ -1051,17 +1058,20 @@ def test_conformal_factor_out_of_range_raises_typed_error_in_a_geometry(
 
 def test_conformal_lowering_is_the_metric_product_bit_for_bit():
     """The scalar lowering exp(2 lam) v equals v @ g for g = exp(2 lam) I:
-    each entry of the product has one nonzero term.  Checked on every node
+    each entry of the product has one nonzero term.  The conformal sample
+    is checked against the general one on the same ambient, on every node
     and on the unadapted nodes of the torus alone (the ``nodes`` path)."""
     G = geometry(FRAME_SURFACES[1], CONF)
     unadapted = ~G.adapted_frame.adapted
     assert unadapted.any()
+    closed, base = CONF.sample(G.pos), AmbientManifold.sample(CONF, G.pos)
     rng = np.random.default_rng(11)
     rows = rng.standard_normal((3,) + unadapted.shape + (2, 4))
-    assert G._lower(rows).tobytes() == (rows @ G.amb_g).tobytes()
+    assert closed.lower(rows).tobytes() == base.lower(rows).tobytes()
+    assert base.lower(rows).tobytes() == (rows @ CONF.metric_at(G.pos)).tobytes()
     axes = rng.standard_normal((int(unadapted.sum()), 4, 4))
-    got = G._lower(axes, unadapted)
-    assert got.tobytes() == (axes @ G.amb_g[unadapted]).tobytes()
+    got = closed.lower(axes, unadapted)
+    assert got.tobytes() == base.lower(axes, unadapted).tobytes()
 
 
 @pytest.mark.parametrize("entry", ["nabla_j_frame", "curvature_frame"])
@@ -1073,7 +1083,7 @@ def test_conformal_entry_points_raise_typed_error_on_overflow(entry):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AmbientDegenerate):
-            getattr(amb, entry)(pos, frame)
+            getattr(amb.sample(pos), entry)(frame)
 
 
 @pytest.mark.parametrize(
@@ -1087,9 +1097,12 @@ def test_conformal_entry_points_raise_typed_error_on_underflow(entry):
     amb = conformal("-400")
     pos = FRAME_SURFACES[0].positions()
     frame = np.broadcast_to(np.eye(4), pos.shape[:-1] + (4, 4))
-    args = (pos, frame) if entry in ("nabla_j_frame", "curvature_frame") else (pos,)
+    if entry in ("nabla_j_frame", "curvature_frame"):
+        owner, args = amb.sample(pos), (frame,)
+    else:
+        owner, args = amb, (pos,)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AmbientDegenerate) as info:
-            getattr(amb, entry)(*args)
+            getattr(owner, entry)(*args)
     assert str(info.value) == "metric not positive definite at some evaluation point"

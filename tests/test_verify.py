@@ -92,13 +92,20 @@ def test_wrong_curvature_sign_fails_the_study():
     module's convention, so an ambient whose curvature returns
     (-K_1213, -K_1224) must fail criterion 3 rather than be corrected."""
     ambient = conformal("0.1*sin(p1) + 0.05*cos(p2)")
-    curvature = ambient.curvature_frame
+    sample = ambient.sample
 
-    def negated(points, frame):
-        k1213, k1224 = curvature(points, frame)
-        return -k1213, -k1224
+    def negated_sample(points):
+        nodes = sample(points)
+        curvature = nodes.curvature_frame
 
-    ambient.curvature_frame = negated
+        def negated(frame):
+            k1213, k1224 = curvature(frame)
+            return -k1213, -k1224
+
+        nodes.curvature_frame = negated
+        return nodes
+
+    ambient.sample = negated_sample
     rep = V.verify_laplacian_identity(ladder(), ambient)
     assert rep.status == "fail" and not rep.passed
     assert rep.refinement[-1][3] < 1.0
@@ -556,3 +563,70 @@ def test_the_same_field_is_periodic_along_a_whole_period_winding():
     ambient = NOT_PERIODIC["sin-p3"][0]
     assert check_winding_periodic(zbar_graph(1.0, n_theta=16, n_phi=16), ambient) is None
     assert check_winding_periodic(lagrangian_torus(n_theta=16, n_phi=16), ambient) is None
+
+
+# -- symmetry: a torus invariant under an ambient isometry --------------
+
+# lam depends on p1 alone, so translation along F_phi = (0, 1, 0, -0.5),
+# the phi winding of zbar_graph(0.5), is an isometry preserving J
+SYMMETRIC = conformal("0.1*sin(p1)")
+SYMMETRIC_AMBIENTS = {
+    "conformal": SYMMETRIC,
+    "general": AmbientManifold(metric_field=SYMMETRIC.metric_at,
+                               j_field=SYMMETRIC.j_at, name="general"),
+}
+
+
+def theta_only_torus(n):
+    """zbar_graph(0.5) plus a periodic part that depends on theta alone:
+    a torus invariant under the translation along F_phi (Palais 1979)."""
+    base = zbar_graph(0.5, n_theta=n, n_phi=n)
+    th, _ = base.grids()
+    P = np.zeros(th.shape + (4,))
+    P[..., 2] = 0.05 * np.sin(th) + 0.02 * np.cos(2 * th)
+    P[..., 3] = 0.03 * np.cos(th)
+    return ImmersedSurface(base.linear_part, P)
+
+
+def constant_along_phi(field):
+    """Whether every node of ``field`` equals the node at phi = 0, bit for bit."""
+    field = np.asarray(field)
+    return field.tobytes() == np.broadcast_to(field[:, :1], field.shape).tobytes()
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("ambient", sorted(SYMMETRIC_AMBIENTS))
+def test_fields_of_a_symmetric_torus_are_constant_along_the_symmetry(ambient, n, beta):
+    """Every node field of a torus that an isometry preserving J maps onto
+    itself, shifting phi, is the same on each phi line, bit for bit, on
+    the closed-form and the general path."""
+    amb = SYMMETRIC_AMBIENTS[ambient]
+    S = theta_only_torus(n)
+    G = SurfaceGeometry(S, amb)
+    fields = {
+        "cos_alpha": G.cos_alpha,
+        "E": el_operator(S, amb, beta, geometry=G).vector,
+        "second_fundamental": G.second_fundamental,
+        "nabla_j_frame": G.nabla_j_frame,
+        "curvature_frame_components": np.stack(G.curvature_frame_components, axis=-1),
+        "j12_kk": G.j12_kk,
+    }
+    for kind, terms in (("laplacian", V.laplacian_identity_terms(G)),
+                        ("critical", V.critical_identity_terms(G, beta))):
+        fields.update({f"{kind}.{name}": term for name, term in terms.items()})
+    for name, field in fields.items():
+        assert np.shape(field)[:2] == (n, n), name
+        assert constant_along_phi(field), name
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize("ambient", sorted(SYMMETRIC_AMBIENTS))
+def test_flow_keeps_a_symmetric_torus_symmetric(ambient, beta):
+    """Five descent steps from the symmetric torus keep its periodic part
+    the same on each phi line, bit for bit."""
+    S = theta_only_torus(16)
+    result = run_flow(S, SYMMETRIC_AMBIENTS[ambient], beta, max_iterations=5, res_tol=0.0)
+    assert result.iterations == 5
+    assert not np.array_equal(result.surface.periodic_part, S.periodic_part)
+    assert constant_along_phi(result.surface.periodic_part)
