@@ -1,0 +1,132 @@
+"""Mutation audit: which single-line mutants of the formulas Tier-1 kills.
+
+    python perf/mutants.py
+
+Each row of ``MUTANTS`` names a file under ``src/``, a text that must
+occur in it exactly once, the text that replaces it, what the mutant
+breaks and a status: ``must kill``, or ``gap: <why no test can see it
+yet>``.  For each row the runner copies ``src/``, ``tests/`` and
+``pyproject.toml`` of the checkout holding this file to a temporary
+directory, applies the mutant and runs the Tier-1 suite there with
+``-x -q``.  It prints one line per row: ``killed`` with the first
+failing test, or ``survived``.  The unmutated copy runs first, since a
+suite that already fails would kill every mutant.
+
+It exits 1 when the unmutated suite fails, when an old text does not
+occur exactly once, or when a ``must kill`` row survives; surviving gaps
+alone exit 0.  It runs one suite at a time, each 10-15 s on a 2-core
+machine; it is not part of Tier-1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MUST_KILL = "must kill"
+NABLA_J_GAP = "gap: nabla J = 0 on every ambient where the identity is gated"
+BETA_GAP = "gap: needs critical tori at beta > 0 (exact tori by symmetry reduction)"
+
+# (file, old text, new text, what it breaks, status): the eight sign and
+# coefficient mutants of ``critical_identity_terms`` that survived Tier-1
+# when the identity was gated only on surfaces where its terms vanish
+MUTANTS = [
+    ("src/symcrit/verify.py",
+     "+ sa * ca**2 / D * (k1213 - k1224)",
+     "- sa * ca**2 / D * (k1213 - k1224)",
+     "sign of the curvature term", MUST_KILL),
+    ("src/symcrit/verify.py",
+     "- 2.0 * ca * grad_alpha2",
+     "- 1.0 * ca * grad_alpha2",
+     "-2 cos(alpha) |grad alpha|^2 made -1", MUST_KILL),
+    ("src/symcrit/verify.py",
+     "2.0 * beta * sa**2 / (ca * D) * grad_alpha2",
+     "1.0 * beta * sa**2 / (ca * D) * grad_alpha2",
+     "2 beta sin^2(alpha) / (cos(alpha) D) |grad alpha|^2 made 1", BETA_GAP),
+    ("src/symcrit/verify.py",
+     "3.0 * grad[..., 1] * j132",
+     "1.0 * grad[..., 1] * j132",
+     "3 J_{13,2} made 1 J_{13,2}", NABLA_J_GAP),
+    ("src/symcrit/verify.py",
+     "(grad[..., 0] * j142 + 3.0",
+     "(-grad[..., 0] * j142 + 3.0",
+     "sign of the beta J_{14,2} term", NABLA_J_GAP),
+    ("src/symcrit/verify.py",
+     "2.0 * ca / sa2 * (1.0 + ca**2 / D) * pairing",
+     "1.0 * ca / sa2 * (1.0 + ca**2 / D) * pairing",
+     "factor 2 of the theta pairing made 1", NABLA_J_GAP),
+    ("src/symcrit/verify.py",
+     "+ ca**2 / D * G.j12_kk",
+     "- ca**2 / D * G.j12_kk",
+     "sign of the j12_kk term", NABLA_J_GAP),
+    ("src/symcrit/verify.py",
+     "2.0 * ca**3 / (sa2 * D) * (j121**2 + j122**2)",
+     "1.0 * ca**3 / (sa2 * D) * (j121**2 + j122**2)",
+     "factor 2 of (j121^2 + j122^2) made 1", NABLA_J_GAP),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+
+
+def first_failure(root: Path):
+    """Run the suite under ``root``; None when it passes, else the first
+    failing test (or the tail of the output when none is named)."""
+    env = dict(os.environ, PYTHONPATH="src")
+    run = subprocess.run(TIER1, cwd=root, env=env, capture_output=True, text=True)
+    if run.returncode == 0:
+        return None
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.MULTILINE)
+    return failed.group(1) if failed else (run.stdout + run.stderr).strip()[-300:]
+
+
+def copy_checkout(root: Path, into: Path) -> None:
+    for name in ("src", "tests"):
+        shutil.copytree(root / name, into / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(root / "pyproject.toml", into)
+
+
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        copy_checkout(ROOT, clean)
+        failed = first_failure(clean)
+        if failed is not None:
+            print(f"unmutated suite fails: {failed}", flush=True)
+            return 1
+    bad, killed = 0, 0
+    for path, old, new, breaks, status in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = Path(tmp) / "mutant"
+            copy_checkout(ROOT, copy)
+            target = copy / path
+            text = target.read_text()
+            if text.count(old) != 1:
+                print(f"no match   {breaks}: {old!r} occurs "
+                      f"{text.count(old)} times in {path}", flush=True)
+                bad += 1
+                continue
+            target.write_text(text.replace(old, new))
+            failed = first_failure(copy)
+        if failed is None:
+            bad += status == MUST_KILL
+            print(f"survived   {breaks} [{status}]", flush=True)
+        else:
+            killed += 1
+            print(f"killed     {breaks} [{status}] by {failed}", flush=True)
+    print(f"{killed} of {len(MUTANTS)} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,9 +36,10 @@ geometry whose inputs (named in each test) are already computed, so a
 round times that property alone.  A dotted input is a field of the
 geometry's ambient sample (``_sample.factor``, exp(2 lam) of the
 conformal sample; ``_sample.grad``, its grad lam; ``_sample.points``,
-the positions a sample reads); an input that a geometry or its sample
-does not have is skipped, so the flat ambient, whose sample holds
-nothing, pre-reads none of them.
+the node positions every sample builds on first read); an input that a
+geometry or its sample does not have is skipped, so the flat ambient,
+whose sample holds no field, pre-reads only the positions, which no
+flat layer reads.
 The functional, the critical operator,
 the cyclic check and the first-variation check build their geometry
 inside the round, as their callers do.

@@ -18,13 +18,13 @@ covariant derivative of J and d(omega), and contracts the connection
 and its partials, taken by differencing the Christoffel field, into the
 curvature.  The two ambients that ship are closed-form subclasses that
 difference nothing: :class:`ConformalManifold` (exp(2 lam) delta
-with the standard J), whose connection, its partials and d(omega) are
-closed forms in the first and second partials of lam, so its curvature
-is the base class's contraction of closed forms, and
-:class:`EuclideanManifold`, flat C^2, which is its lam = 0 case.
+with the standard J), whose metric derivative, connection partials and
+d(omega) are closed forms in the first and second partials of lam, so
+its connection and curvature are the base class's contractions of
+closed forms, and :class:`EuclideanManifold`, flat C^2, its lam = 0 case.
 
 A surface reads the ambient through the sample that ``sample(points)``
-returns for its nodes.  The flat sample holds nothing; the general one
+returns for its nodes.  The flat sample holds no field; the general one
 holds g and J and contracts the tensors above into ``christoffel_pairs``
 (Gamma(X, Y)), ``nabla_j_frame`` (nabla J in a frame) and
 ``curvature_frame`` (K_1213, K_1224); the conformal one holds exp(2 lam)
@@ -357,12 +357,12 @@ class ConformalManifold(AmbientManifold):
     """Conformally flat g = exp(2 lam) delta with the constant standard J.
 
     The exponent lam comes with its first and second partials, each a
-    callable from (..., 4) points, so the metric and its derivatives,
-    the connection and its partials, the covariant derivative of J and
-    d(omega) are closed forms and no field is differenced; the curvature
-    tensor is the base class's contraction of them.  The fields the
-    base class reads are these closed forms, so it can be built on them
-    for comparison.
+    callable from (..., 4) points, so the metric and its derivative, the
+    partials of the connection, the derivative of J and d(omega) are
+    closed forms and no field is differenced; the connection, nabla J
+    and the curvature are the base class's contractions of them.  The
+    fields the base class reads are these closed forms, so it can be
+    built on them for comparison.
     """
 
     def __init__(self, exponent: Callable[[np.ndarray], np.ndarray],
@@ -419,13 +419,6 @@ class ConformalManifold(AmbientManifold):
             + dl[..., None, None, :] * w[:, :, None]
         )
 
-    def christoffel_at(self, points) -> np.ndarray:
-        """Gamma^a_bc = delta^a_b lam_c + delta^a_c lam_b - delta_bc lam_a."""
-        grad = self.conformal_gradient(points)
-        eye = np.eye(4)
-        first = eye[:, :, None] * grad[..., None, None, :]  # delta_ab lam_c
-        return first + np.swapaxes(first, -1, -2) - grad[..., :, None, None] * eye
-
     def christoffel_derivative_at(self, points) -> np.ndarray:
         """d_d Gamma^a_bc = delta_ab lam_cd + delta_ac lam_bd - delta_bc lam_ad,
         derivative index first; the base class contracts it into K."""
@@ -452,8 +445,8 @@ class EuclideanManifold(ConformalManifold):
                          lambda p: _zeros(p, 2), name="euclidean_c2")
 
     def sample(self, points):
-        """The flat sample, which never reads ``points``."""
-        return _FlatSample()
+        """The flat sample, which reads ``points`` only for ``pos``."""
+        return _FlatSample(self, points)
 
 
 def euclidean_c2() -> EuclideanManifold:
@@ -467,8 +460,8 @@ def conformal(expression: str) -> ConformalManifold:
     ``expression`` is the conformal exponent lam as a function of
     p1..p4.  J stays the constant standard structure, which keeps it
     compatible with g.  The metric and its first derivatives, the
-    connection and its partials and d(omega) are closed forms in the
-    sympy partials of lam; the curvature is contracted from them.
+    connection's partials and d(omega) are closed forms in the sympy
+    partials of lam; the connection and the curvature contract them.
     """
     lam, dlam, ddlam = parse_scalar_field(expression)
     return ConformalManifold(lam, dlam, ddlam, name=f"conformal({expression})")
@@ -488,10 +481,24 @@ def _apply_standard_j(v):
     return (v.reshape(-1, 4) @ _STANDARD_JT).reshape(v.shape)
 
 
-class _FlatSample:
-    """Flat C^2 at any nodes.  It holds nothing: g is the identity, J is
-    ``STANDARD_J`` and the connection, nabla J and the curvature vanish,
-    so no read needs node positions or a frame."""
+class _Sample:
+    """An ambient at some nodes, whose positions ``points`` builds on first
+    read from an (..., 4) array or a callable that returns one."""
+
+    def __init__(self, ambient: AmbientManifold, points):
+        self.ambient = ambient
+        self._points = points
+
+    @cached_property
+    def points(self):
+        points = self._points
+        return np.asarray(points() if callable(points) else points, dtype=float)
+
+
+class _FlatSample(_Sample):
+    """Flat C^2 at any nodes: g is the identity, J is ``STANDARD_J`` and
+    the connection, nabla J and the curvature vanish, so no read but
+    ``points`` builds node positions, and none builds a frame."""
 
     apply_j = staticmethod(_apply_standard_j)
 
@@ -519,19 +526,10 @@ class _FlatSample:
         return np.zeros(geometry.cos_alpha.shape)
 
 
-class _GeneralSample:
+class _GeneralSample(_Sample):
     """Any ambient at the nodes: g and J, each sampled and checked once,
     and the connection, nabla J and curvature tensors, taken when a read
     needs them.  The reads that take a geometry pass its frame on."""
-
-    def __init__(self, ambient: AmbientManifold, points):
-        self.ambient = ambient
-        self._points = points
-
-    @cached_property
-    def points(self):
-        points = self._points
-        return np.asarray(points() if callable(points) else points, dtype=float)
 
     @cached_property
     def g(self):
@@ -626,6 +624,10 @@ class _ConformalSample(_GeneralSample):
     @cached_property
     def grad(self):
         return self.ambient.conformal_gradient(self.points)
+
+    def fields(self):
+        """(name, field) for exp(2 lam), checked: the one field that varies."""
+        return (("metric", self.factor),)
 
     def lower(self, v, nodes=None):
         """exp(2 lam) v: for g = exp(2 lam) delta this equals the row product

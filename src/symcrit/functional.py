@@ -68,24 +68,20 @@ def l_beta(
     surface: ImmersedSurface,
     ambient: AmbientManifold,
     beta: float,
-    cos_floor: float = COS_FLOOR,
     geometry: SurfaceGeometry | None = None,
 ) -> float:
     """Integral of cos(alpha)^-beta over the surface.
 
-    Raises NotSymplectic when any node has cos(alpha) <= cos_floor;
-    the functional is only meaningful on symplectic surfaces.  The floor
-    must be finite.
+    Raises NotSymplectic when any node has cos(alpha) <= ``COS_FLOOR``;
+    the functional is only meaningful on symplectic surfaces.
     """
     beta = validate_beta(beta)
-    if not math.isfinite(cos_floor):
-        raise ValueError(f"cos_floor must be finite, got {cos_floor}")
     G = _geometry(surface, ambient, geometry)
     ca = G.cos_alpha
-    bad = int(np.sum(ca <= cos_floor))
+    bad = int(np.sum(ca <= COS_FLOOR))
     if bad:
         raise NotSymplectic(
-            f"cos(alpha) <= {cos_floor:g} at {bad} of {ca.size} nodes", bad
+            f"cos(alpha) <= {COS_FLOOR:g} at {bad} of {ca.size} nodes", bad
         )
     return float(np.sum(ca ** (-beta) * G.area_weights))
 

@@ -141,8 +141,9 @@ def check_winding_periodic(surface: ImmersedSurface, ambient: AmbientManifold) -
     at pos + t_phi L[:, 1], both ends in one sample, whose ``fields``
     are checked as ``metric_at`` and ``j_at`` check them.  A difference
     above ``STRUCTURE_TOL`` relative to the field's size raises, naming
-    the field and the direction.  The flat sample has no fields to
-    compare, so the flat ambient computes no node line.
+    the field and the direction.  A conformal sample compares exp(2 lam),
+    whose gap and size are the metric's, as J is constant; the flat sample
+    has no fields to compare, so the flat ambient computes no node line.
     """
     S, L = surface, surface.linear_part
     lines = {"theta": (1, S.n_phi), "phi": (S.n_theta, 1)}
@@ -245,9 +246,9 @@ class SurfaceGeometry:
 
     # ---- parametric derivatives
 
-    @cached_property
+    @property
     def pos(self):
-        return self.surface.positions()
+        return self._sample.points
 
     @cached_property
     def _periodic_partials(self):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from symcrit.ambient import STANDARD_J, AmbientManifold
 from symcrit.functional import _geometry, _j_tangent_grad, validate_beta
 
 
@@ -84,3 +85,34 @@ def counted(fn, shapes):
         return fn(points, *args, **kwargs)
 
     return wrapper
+
+
+def _product_metric(points):
+    """diag(a, a, 1, 1) with a = 1 + 0.3 cos p1."""
+    g = np.zeros(np.shape(points)[:-1] + (4, 4))
+    g[..., 0, 0] = g[..., 1, 1] = 1.0 + 0.3 * np.cos(points[..., 0])
+    g[..., 2, 2] = g[..., 3, 3] = 1.0
+    return g
+
+
+def _product_metric_derivative(points):
+    """d_c g_ab of ``_product_metric``, derivative index first: only
+    d_1 g_11 = d_1 g_22 = -0.3 sin p1 is non-zero."""
+    dg = np.zeros(np.shape(points)[:-1] + (4, 4, 4))
+    dg[..., 0, 0, 0] = dg[..., 0, 1, 1] = -0.3 * np.sin(points[..., 0])
+    return dg
+
+
+# A Kaehler product: g = I + Hess(phi) + J^T Hess(phi) J for phi = -0.3 cos p1,
+# with the standard J, so omega = a dp1^dp2 + dp3^dp4 is closed and nabla J = 0.
+# It depends on p1 alone, so translation along the phi winding (0, 1, 0, -c) of
+# zbar_graph(c) is an isometry that preserves J.  The graph itself solves the
+# reduced area equation d/dtheta (dl/du') = 0, as dl/du' = c on it, so by the
+# principle of symmetric criticality (Palais, Comm. Math. Phys. 69, 1979) it
+# is critical at beta = 0.
+KAHLER_PRODUCT = AmbientManifold(
+    metric_field=_product_metric,
+    j_field=lambda p: np.broadcast_to(STANDARD_J, np.shape(p)[:-1] + (4, 4)),
+    metric_derivative_field=_product_metric_derivative,
+    name="kahler_product",
+)

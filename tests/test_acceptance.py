@@ -1,10 +1,11 @@
-"""Acceptance gate: nine end-to-end criteria with stated tolerances.
+"""Acceptance gate: ten end-to-end criteria with stated tolerances.
 
 Each test prints one PASS/FAIL line (visible with pytest -s) and
 asserts the same condition, including the runtime budget where one
 applies.  Heavy artifacts are shared through module fixtures.
 """
 
+import math
 import time
 
 import numpy as np
@@ -23,7 +24,7 @@ from symcrit.surface import (
 )
 from symcrit import verify as V
 
-from reference import curvature_data, el_components
+from reference import KAHLER_PRODUCT, curvature_data, el_components
 
 EUC = euclidean_c2()
 CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
@@ -242,3 +243,23 @@ def test_criterion_9_curvature_conventions():
     verdict(9, ok, "curvature symmetries and first Bianchi sum "
             f"{worst:.1e} < 1e-6 at 100 random points over three "
             f"conformal ambients; connection closed form {gerr:.1e} < 1e-8")
+
+
+def test_criterion_10_critical_identity_on_a_kahler_critical_torus():
+    """The conditional identity on a critical torus far from holomorphic
+    (sin(alpha) >= 0.73), with curvature and |grad alpha|^2 terms that do
+    not vanish: in the Kaehler product, where both covariant-J conditions
+    hold, the residual falls at the order of the stencils."""
+    reports = [V.verify_critical_identity(zbar_graph(0.5, n_theta=n, n_phi=n),
+                                          KAHLER_PRODUCT, 0.0)
+               for n in (16, 32, 64)]
+    res = [rep.values["res_linf"] for rep in reports]
+    orders = [math.log2(a / b) for a, b in zip(res, res[1:])]
+    ok = all(rep.status == "conditional" and rep.excluded_nodes == 0
+             and rep.values["el_res_linf"] < 1e-12
+             and rep.values["condition_res"] < 1e-12 for rep in reports)
+    ok &= min(orders) >= V.ORDER_TOL
+    verdict(10, ok, "conditional identity on zbar_graph(0.5) in a Kaehler "
+            "product at beta=0: E and both conditions < 1e-12, no node "
+            f"excluded, residual {res[-1]:.1e} at n=64 at orders "
+            f"{orders[0]:.2f}, {orders[1]:.2f} >= {V.ORDER_TOL}")

@@ -50,10 +50,14 @@ def test_revolution_torus_not_symplectic():
         l_beta(S, EUC, 0.0)
 
 
-def test_l_zero_is_area_with_floor_disabled():
-    S = revolution_torus(2.0, 0.5, n_theta=64, n_phi=64)
-    got = l_beta(S, EUC, 0.0, cos_floor=-2.0)
-    assert abs(got - 4.0 * np.pi**2) < 1e-3
+def test_l_zero_is_area():
+    """At beta = 0 the functional is the area: the sum of the area weights,
+    4 pi^2 (1 + c^2) for the graph of slope c."""
+    c = 0.5
+    S = zbar_graph(c, n_theta=32, n_phi=32)
+    got = l_beta(S, EUC, 0.0)
+    assert got == float(np.sum(SurfaceGeometry(S, EUC).area_weights))
+    assert abs(got - 4.0 * np.pi**2 * (1.0 + c * c)) < 1e-12 * got
 
 
 def test_beta_minus_one_rejected():
@@ -83,21 +87,6 @@ def test_lagrangian_torus_not_symplectic():
     with pytest.raises(NotSymplectic) as err:
         l_beta(S, EUC, 1.0)
     assert err.value.bad_nodes == 16 * 16
-
-
-def test_angle_floor_configurable():
-    # graph with cos(alpha) = 0.6 passes a floor of 0.5 and fails 0.7
-    S = zbar_graph(0.5, n_theta=8, n_phi=8)
-    l_beta(S, EUC, 1.0, cos_floor=0.5)
-    with pytest.raises(NotSymplectic):
-        l_beta(S, EUC, 1.0, cos_floor=0.7)
-
-
-@pytest.mark.parametrize("cos_floor", [float("nan"), float("inf"), -float("inf")])
-def test_non_finite_cos_floor_rejected(cos_floor):
-    S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
-    with pytest.raises(ValueError, match="cos_floor"):
-        l_beta(S, EUC, 1.0, cos_floor=cos_floor)
 
 
 # -- critical operator ------------------------------------------------

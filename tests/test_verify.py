@@ -557,6 +557,32 @@ def test_fields_not_periodic_along_the_winding_raise_at_every_entry_point(case, 
         entry(S, ambient)
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("general path taken on a shipped ambient")
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize("make", [lambda: conformal("0.1*sin(p1) + 0.05*cos(p2)"),
+                                  euclidean_c2], ids=["conformal", "flat"])
+def test_shipped_ambients_are_read_only_through_their_closed_forms(make, entry):
+    """No check and no flow on a shipped ambient samples the per-node 4x4
+    metric or J, the winding check included: with ``metric_at`` and
+    ``j_at`` refusing every call, every entry point runs."""
+    ambient = make()
+    ambient.metric_at = ambient.j_at = refuse
+    entry(perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16), ambient)
+
+
+def test_cyclic_check_computes_the_node_positions_once(monkeypatch):
+    """The sample and the d(omega) oracle read one array of node positions."""
+    calls = []
+    positions = ImmersedSurface.positions
+    monkeypatch.setattr(ImmersedSurface, "positions",
+                        lambda self: calls.append(self) or positions(self))
+    V.check_condition_cyclic(perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16), CONF)
+    assert len(calls) == 1
+
+
 def test_the_same_field_is_periodic_along_a_whole_period_winding():
     """sin(p3) repeats where the theta winding moves p3 by 2 pi, and no
     field of a torus without a linear part is compared with another."""
