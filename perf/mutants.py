@@ -37,7 +37,9 @@ BETA_GAP = "gap: needs critical tori at beta > 0 (exact tori by symmetry reducti
 
 # (file, old text, new text, what it breaks, status): the eight sign and
 # coefficient mutants of ``critical_identity_terms`` that survived Tier-1
-# when the identity was gated only on surfaces where its terms vanish
+# when the identity was gated only on surfaces where its terms vanish, and
+# three of L_beta along a line, which the first variation's central
+# quotient alone may not see (a t^2 term cancels in it)
 MUTANTS = [
     ("src/symcrit/verify.py",
      "+ sa * ca**2 / D * (k1213 - k1224)",
@@ -71,6 +73,18 @@ MUTANTS = [
      "2.0 * ca**3 / (sa2 * D) * (j121**2 + j122**2)",
      "1.0 * ca**3 / (sa2 * D) * (j121**2 + j122**2)",
      "factor 2 of (j121^2 + j122^2) made 1", NABLA_J_GAP),
+    ("src/symcrit/functional.py",
+     "(_dot(fth, fth), 2.0 * _dot(fth, a), _dot(a, a)),",
+     "(_dot(fth, fth), 2.0 * _dot(fth, a), 0.0 * _dot(a, a)),",
+     "t^2 coefficient of |F_theta|^2 along a line dropped", MUST_KILL),
+    ("src/symcrit/functional.py",
+     "_dot(jth, b) + _dot(ja, fph)",
+     "_dot(jth, b) - _dot(ja, fph)",
+     "sign of the cross term of omega along a line", MUST_KILL),
+    ("src/symcrit/ambient.py",
+     "metric_factor_at(self.points + t * xi)",
+     "metric_factor_at(self.points)",
+     "exp(2 lam) along a line read at the undisplaced nodes", MUST_KILL),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",

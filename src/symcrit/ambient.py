@@ -28,7 +28,10 @@ returns for its nodes.  The flat sample holds no field; the general one
 holds g and J and contracts the tensors above into ``christoffel_pairs``
 (Gamma(X, Y)), ``nabla_j_frame`` (nabla J in a frame) and
 ``curvature_frame`` (K_1213, K_1224); the conformal one holds exp(2 lam)
-and grad lam and evaluates all three in closed form, per node.
+and grad lam and evaluates all three in closed form, per node.  The flat
+and conformal samples also give exp(2 lam) along a line of displaced
+nodes, points + t xi (``factor_along``), as a function of t; the general
+one has no scalar metric factor and gives None.
 """
 
 from __future__ import annotations
@@ -511,6 +514,10 @@ class _FlatSample(_Sample):
     def fields(self):
         return ()
 
+    def factor_along(self, xi):
+        """exp(2 lam) at points + t xi, as a function of t: 1 everywhere."""
+        return lambda t: 1.0
+
     def accel(self, geometry):
         return geometry.fsecond
 
@@ -528,8 +535,9 @@ class _FlatSample(_Sample):
 
 class _GeneralSample(_Sample):
     """Any ambient at the nodes: g and J, each sampled and checked once,
-    and the connection, nabla J and curvature tensors, taken when a read
-    needs them.  The reads that take a geometry pass its frame on."""
+    the connection, taken once when a read first needs it, and the nabla J
+    and curvature tensors, taken by the read that needs them.  The reads
+    that take a geometry pass its frame on."""
 
     @cached_property
     def g(self):
@@ -539,9 +547,19 @@ class _GeneralSample(_Sample):
     def j(self):
         return self.ambient.j_at(self.points)
 
+    @cached_property
+    def gamma(self):
+        """Gamma^A_{BC} at the nodes, taken once for every ``christoffel_pairs``."""
+        return self.ambient.christoffel_at(self.points)
+
     def fields(self):
         """(name, field) for the metric and J at the nodes, each checked."""
         return ("metric", self.g), ("J", self.j)
+
+    def factor_along(self, xi):
+        """None: a general metric is no scalar multiple of delta, so it has
+        no factor along the line points + t xi."""
+        return None
 
     def lower(self, v, nodes=None):
         """g v for every row v[..., k, :], as the row product v @ g; ``nodes``
@@ -575,8 +593,7 @@ class _GeneralSample(_Sample):
         ``X`` is (..., p, 4) and ``Y`` is (..., q, 4) at the nodes; the
         result is (..., p, q, 4).
         """
-        gamma = self.ambient.christoffel_at(self.points)
-        return np.einsum("...abc,...pb,...qc->...pqa", gamma, X, Y)
+        return np.einsum("...abc,...pb,...qc->...pqa", self.gamma, X, Y)
 
     def nabla_j_frame(self, frame) -> np.ndarray:
         """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g, shape (..., k, a, b).
@@ -628,6 +645,11 @@ class _ConformalSample(_GeneralSample):
     def fields(self):
         """(name, field) for exp(2 lam), checked: the one field that varies."""
         return (("metric", self.factor),)
+
+    def factor_along(self, xi):
+        """exp(2 lam) at points + t xi, as a function of t, checked as
+        ``ConformalManifold.metric_factor_at`` does."""
+        return lambda t: self.ambient.metric_factor_at(self.points + t * xi)
 
     def lower(self, v, nodes=None):
         """exp(2 lam) v: for g = exp(2 lam) delta this equals the row product

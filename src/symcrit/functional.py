@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientManifold
+from .ambient import AmbientManifold, _dot
 from .errors import NotSymplectic
-from .surface import ImmersedSurface, SurfaceGeometry, periodic_d1
+from .surface import ImmersedSurface, SurfaceGeometry, _checked_det, periodic_d1
 
 __all__ = [
     "ELField",
@@ -77,13 +77,57 @@ def l_beta(
     """
     beta = validate_beta(beta)
     G = _geometry(surface, ambient, geometry)
-    ca = G.cos_alpha
+    ca = _checked_cos_alpha(G.cos_alpha)
+    return float(np.sum(ca ** (-beta) * G.area_weights))
+
+
+def _checked_cos_alpha(ca):
+    """``ca``, cos(alpha) at the nodes; raises NotSymplectic where it is at
+    most ``COS_FLOOR``."""
     bad = int(np.sum(ca <= COS_FLOOR))
     if bad:
         raise NotSymplectic(
             f"cos(alpha) <= {COS_FLOOR:g} at {bad} of {ca.size} nodes", bad
         )
-    return float(np.sum(ca ** (-beta) * G.area_weights))
+    return ca
+
+
+def _l_beta_along(G: SurfaceGeometry, beta: float, xi):
+    """t -> ``l_beta`` of ``G.surface`` displaced by t xi, raising as it does.
+
+    The periodic stencil is linear, so the tangents of the displaced
+    surface are F_i + t D_i xi.  Where the sample has a scalar metric
+    factor along the line (``factor_along``: exp(2 lam) delta with the
+    standard J, the flat ambient included), the Euclidean Gram entries
+    and omega_e(F_theta, F_phi) = (J F_theta).F_phi are quadratics in t,
+    whose coefficients are formed once; a step then evaluates node
+    scalars alone and builds no surface or geometry.  Any other ambient
+    evaluates ``l_beta`` on the displaced surface.
+    """
+    S, factor_at = G.surface, G._sample.factor_along(xi)
+    if factor_at is None:
+        return lambda t: l_beta(S.displaced(t * xi), G.ambient, beta)
+    a, b = periodic_d1(xi, 0, S.h_theta), periodic_d1(xi, 1, S.h_phi)
+    fth, fph = G.fth, G.fph
+    jth, ja = G.apply_j(fth), G.apply_j(a)
+    # (1, t, t^2) coefficients of |F_theta|^2, F_theta.F_phi, |F_phi|^2
+    # and omega_e(F_theta, F_phi) for the tangents F_theta + t a, F_phi + t b
+    quadratics = (
+        (_dot(fth, fth), 2.0 * _dot(fth, a), _dot(a, a)),
+        (_dot(fth, fph), _dot(fth, b) + _dot(a, fph), _dot(a, b)),
+        (_dot(fph, fph), 2.0 * _dot(fph, b), _dot(b, b)),
+        (_dot(jth, fph), _dot(jth, b) + _dot(ja, fph), _dot(ja, b)),
+    )
+    cell = S.h_theta * S.h_phi
+
+    def at(t):
+        f = factor_at(t)
+        g11, g12, g22, omega = (f * (c0 + t * (c1 + t * c2)) for c0, c1, c2 in quadratics)
+        sqrt_det = np.sqrt(_checked_det(g11 * g22 - g12**2))
+        ca = _checked_cos_alpha(omega / sqrt_det)
+        return float(np.sum(ca ** (-beta) * (sqrt_det * cell)))
+
+    return at
 
 
 def _j_tangent_grad(G: SurfaceGeometry):

@@ -195,6 +195,15 @@ def periodic_d2(field: np.ndarray, axis: int, spacing: float) -> np.ndarray:
 # -- node-level geometry ----------------------------------------------
 
 
+def _checked_det(det):
+    """``det``, the determinant of the induced metric at the nodes; raises
+    NotImmersed where it is at most 1e-14."""
+    if np.any(det <= 1e-14):
+        bad = int(np.sum(det <= 1e-14))
+        raise NotImmersed(f"induced metric singular at {bad} nodes")
+    return det
+
+
 def _sum4(p):
     """Sum over a last axis of length 4 as (p0 + p2) + (p1 + p3).
 
@@ -325,11 +334,7 @@ class SurfaceGeometry:
     @cached_property
     def det_induced(self):
         gi = self.induced_metric
-        det = gi[..., 0, 0] * gi[..., 1, 1] - gi[..., 0, 1] ** 2
-        if np.any(det <= 1e-14):
-            bad = int(np.sum(det <= 1e-14))
-            raise NotImmersed(f"induced metric singular at {bad} nodes")
-        return det
+        return _checked_det(gi[..., 0, 0] * gi[..., 1, 1] - gi[..., 0, 1] ** 2)
 
     @cached_property
     def sqrt_det(self):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambient import AmbientManifold
-from .functional import COS_FLOOR, el_operator, l_beta, validate_beta
+from .functional import COS_FLOOR, _l_beta_along, el_operator, l_beta, validate_beta
 from .surface import ImmersedSurface, SurfaceGeometry, check_winding_periodic
 
 __all__ = [
@@ -608,10 +608,13 @@ def verify_first_variation(
     ladder 4e-3, 2e-3, 1e-3 against a 4-point reference at 1e-3, which
     isolates the stencil error from the fixed spatial-discretization
     offset shared by every stencil.  A stationary direction carries
-    ``fieldN.abs_err`` instead.  L_beta is evaluated once per distinct
-    step: eight displaced surfaces per direction (+-delta and the
-    ladder's +-1e-3, +-2e-3, +-4e-3), two on a stationary one.  ``delta``
-    and ``rel_tol`` must be finite and positive.
+    ``fieldN.abs_err`` instead.  L_beta of the surface displaced by
+    t xi is evaluated once per distinct step: eight per direction
+    (+-delta and the ladder's +-1e-3, +-2e-3, +-4e-3), two on a
+    stationary one.  On a flat or conformal ambient a step reads the
+    tangents of the check's one geometry (``_l_beta_along``); any other
+    ambient builds each displaced surface.  ``delta`` and ``rel_tol``
+    must be finite and positive.
     """
     beta = validate_beta(beta)
     for name, value in (("delta", delta), ("rel_tol", rel_tol)):
@@ -638,7 +641,7 @@ def verify_first_variation(
     measured_orders = []
     for idx, xi in enumerate(_variation_fields(G), start=1):
         # L_beta of the surface displaced by t * xi, evaluated once per step t
-        at = functools.cache(lambda t: l_beta(surface.displaced(t * xi), ambient, beta))
+        at = functools.cache(_l_beta_along(G, beta, xi))
         analytic = analytic_first_variation(G, beta, E, xi)
         measured = fd2(at, delta)
         values[f"field{idx}.analytic"] = analytic

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from symcrit.ambient import conformal, euclidean_c2
-from symcrit.errors import NotSymplectic
+from symcrit.errors import AmbientDegenerate, NotImmersed, NotSymplectic
 from symcrit.flow import run_flow, stable_step
-from symcrit.functional import el_operator, l_beta, validate_beta
+from symcrit.functional import _l_beta_along, el_operator, l_beta, validate_beta
 from symcrit.surface import (
     ImmersedSurface,
     SurfaceGeometry,
@@ -19,6 +19,7 @@ from symcrit.surface import (
     zbar_graph,
 )
 from symcrit.verify import (
+    _variation_fields,
     critical_identity_terms,
     gradient_identity_residuals,
     laplacian_identity_terms,
@@ -286,3 +287,74 @@ def test_geometry_of_another_surface_or_ambient_is_rejected(evaluate):
         with pytest.raises(ValueError, match="geometry"):
             evaluate(S, EUC, 1.0, geometry=geometry)
     evaluate(S, EUC, 1.0, geometry=SurfaceGeometry(S, EUC))
+
+
+# -- L_beta along a line ----------------------------------------------
+
+CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
+# the steps that verify_first_variation takes at its default delta
+STEPS = (1e-4, -1e-4, 1e-3, -1e-3, 2e-3, -2e-3, 4e-3, -4e-3)
+
+
+@pytest.mark.parametrize("ambient", [EUC, CONF], ids=["flat", "conformal"])
+@pytest.mark.parametrize(
+    "surface",
+    [perturbed_graph(0.5, 0.05, n_theta=32, n_phi=32),
+     perturbed_holomorphic_graph(0.3, -0.2, 0.05, n_theta=32, n_phi=32),
+     holomorphic_graph(0.3, -0.2, n_theta=32, n_phi=32)],
+    ids=["perturbed_graph", "perturbed_holomorphic_graph", "holomorphic_graph"],
+)
+def test_l_beta_along_a_line_is_l_beta_of_the_displaced_surface(ambient, surface):
+    """The quadratics in t of the tangents' Gram entries and omega give
+    l_beta of the displaced surface at every step of the first-variation
+    check, along each of its directions, to roundoff."""
+    G = SurfaceGeometry(surface, ambient)
+    for xi in _variation_fields(G):
+        for beta in (0.0, 1.0, 2.0):
+            at = _l_beta_along(G, beta, xi)
+            for t in STEPS:
+                want = l_beta(surface.displaced(t * xi), ambient, beta)
+                assert abs(at(t) - want) <= 1e-14 * abs(want), (beta, t)
+
+
+def _line(component, values):
+    """The complex line p3 = p4 = 0 at 16^2, and the direction xi whose
+    ``component`` is ``values(theta)`` and whose other components are 0."""
+    S = holomorphic_graph(0.0, n_theta=16, n_phi=16)
+    th, _ = S.grids()
+    xi = np.zeros(th.shape + (4,))
+    xi[..., component] = values(th)
+    return S, xi
+
+
+def _cancel_f_theta(S, xi):
+    """The step t at which F_theta + t D_theta xi vanishes at theta = 0."""
+    return -1.0 / periodic_d1(xi, 0, S.h_theta)[0, 0, 0]
+
+
+@pytest.mark.parametrize(
+    "ambient, component, values, step, error",
+    [
+        (EUC, 2, np.sin, lambda S, xi: 1e5, NotSymplectic),
+        (CONF, 2, np.sin, lambda S, xi: 1e5, NotSymplectic),
+        (EUC, 0, lambda th: -np.sin(th), _cancel_f_theta, NotImmersed),
+        (CONF, 0, lambda th: -np.sin(th), _cancel_f_theta, NotImmersed),
+        (conformal("exp(p3)"), 2, np.ones_like, lambda S, xi: 10.0, AmbientDegenerate),
+    ],
+    ids=["cos-floor-flat", "cos-floor-conformal", "singular-flat",
+         "singular-conformal", "factor-overflow"],
+)
+def test_l_beta_along_a_line_raises_as_l_beta_does(ambient, component, values,
+                                                   step, error):
+    """A step that tilts the plane to cos(alpha) <= COS_FLOOR, one that
+    cancels F_theta on a node line and one whose exp(2 lam) overflows at
+    the displaced nodes raise l_beta's error, with its message."""
+    S, xi = _line(component, values)
+    t = step(S, xi)
+    at = _l_beta_along(SurfaceGeometry(S, ambient), 1.0, xi)
+    l_beta(S, ambient, 1.0)  # the surface itself is fine
+    with pytest.raises(error) as along:
+        at(t)
+    with pytest.raises(error) as displaced:
+        l_beta(S.displaced(t * xi), ambient, 1.0)
+    assert str(along.value) == str(displaced.value)

@@ -9,7 +9,7 @@ import pytest
 from symcrit.ambient import STANDARD_J, AmbientManifold, conformal, euclidean_c2
 from symcrit.errors import AmbientDegenerate
 from symcrit.flow import run_flow
-from symcrit.functional import ELField, el_operator, l_beta
+from symcrit.functional import ELField, el_operator
 from symcrit.surface import (
     ImmersedSurface,
     SurfaceGeometry,
@@ -17,13 +17,18 @@ from symcrit.surface import (
     holomorphic_graph,
     lagrangian_torus,
     perturbed_graph,
+    perturbed_holomorphic_graph,
     revolution_torus,
     zbar_graph,
 )
 from symcrit import verify as V
 
+from reference import counted
+
 EUC = euclidean_c2()
 CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
+# the conformal metric and J as fields alone: the general path
+GENERAL_CONF = AmbientManifold(metric_field=CONF.metric_field, j_field=CONF.j_field)
 
 
 def ladder(levels=(24, 48)):
@@ -238,6 +243,17 @@ def test_laplacian_terms_sum_to_lhs():
     assert np.max(np.abs(t["lhs"] - rebuilt)) < 1e-12
 
 
+def test_general_sample_takes_the_node_connection_once(monkeypatch):
+    """accel and the two covariant frame derivatives share the sample's
+    Christoffel tensor; nabla J and the curvature take their own, and the
+    curvature's partials difference 16 more."""
+    shapes = []
+    monkeypatch.setattr(GENERAL_CONF, "christoffel_at",
+                        counted(GENERAL_CONF.christoffel_at, shapes))
+    V.laplacian_identity_terms(SurfaceGeometry(ladder((16,))[0], GENERAL_CONF))
+    assert shapes == [(16, 16)] * 19
+
+
 # -- conditions -------------------------------------------------------
 
 
@@ -319,23 +335,60 @@ def test_first_variation_on_critical_graph_takes_stationary_path():
 def test_first_variation_builds_each_displaced_surface_once(monkeypatch):
     # 3 fields x 8 distinct steps: +-delta and the +-1e-3, +-2e-3, +-4e-3 of
     # the order ladder, whose 4-point reference reuses them; a stationary
-    # direction reads +-delta alone, 3 fields x 2 steps
-    fresh = []
+    # direction reads +-delta alone, 3 fields x 2 steps.  A flat or
+    # conformal ambient evaluates each step along the line from the
+    # tangents of the one geometry of the check, so it builds no other.
+    lines, geometries = [], []  # the steps evaluated along each direction
+    along, init = V._l_beta_along, SurfaceGeometry.__init__
 
-    def counting_l_beta(*args, **kwargs):
-        if kwargs.get("geometry") is None:
-            fresh.append(1)
-        return l_beta(*args, **kwargs)
+    def counting_along(G, beta, xi):
+        at, steps = along(G, beta, xi), []
+        lines.append(steps)
 
-    monkeypatch.setattr(V, "l_beta", counting_l_beta)
-    rep = V.verify_first_variation(ladder((64,))[0], EUC, 1.0)
-    assert rep.passed
-    assert len(fresh) == 24
-    fresh.clear()
+        def counted_at(t):
+            steps.append(t)
+            return at(t)
+
+        return counted_at
+
+    def counting_init(self, *args):
+        geometries.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(V, "_l_beta_along", counting_along)
+    monkeypatch.setattr(SurfaceGeometry, "__init__", counting_init)
+    for ambient, beta in ((EUC, 1.0), (CONF, 0.0)):
+        lines.clear(), geometries.clear()
+        rep = V.verify_first_variation(ladder((64,))[0], ambient, beta)
+        assert rep.passed
+        assert [len(set(steps)) for steps in lines] == [8, 8, 8]
+        assert sum(map(len, lines)) == 24 and len(geometries) == 1
+    lines.clear(), geometries.clear()
     rep = V.verify_first_variation(holomorphic_graph(1.0, n_theta=32, n_phi=32), EUC, 1.0)
     assert rep.passed
     assert sum("stationary" in n for n in rep.notes) == 3
-    assert len(fresh) == 6
+    assert [len(set(steps)) for steps in lines] == [2, 2, 2]
+    assert sum(map(len, lines)) == 6 and len(geometries) == 1
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "surface",
+    [perturbed_graph(0.5, 0.05, n_theta=32, n_phi=32),
+     perturbed_holomorphic_graph(0.3, -0.2, 0.05, n_theta=32, n_phi=32)],
+    ids=["perturbed_graph", "perturbed_holomorphic_graph"],
+)
+def test_first_variation_on_the_general_path_matches_the_conformal_one(surface, beta):
+    """The general ambient evaluates L_beta on displaced surfaces, the
+    conformal one along the line: the same verdict, and quotients that
+    agree far below the gate (the analytic sides differ by the general
+    path's difference-quotient connection)."""
+    general = V.verify_first_variation(surface, GENERAL_CONF, beta)
+    closed = V.verify_first_variation(surface, CONF, beta)
+    assert general.status == closed.status
+    assert general.values.keys() == closed.values.keys()
+    for key in (k for k in closed.values if k.endswith(".rel_err")):
+        assert abs(general.values[key] - closed.values[key]) <= 1e-9, key
 
 
 def test_first_variation_rejects_beta_minus_one():
