@@ -81,9 +81,9 @@ MUTANTS = [
      "_dot(jth, b) + _dot(ja, fph)",
      "_dot(jth, b) - _dot(ja, fph)",
      "sign of the cross term of omega along a line", MUST_KILL),
-    ("src/symcrit/ambient.py",
-     "metric_factor_at(self.points + t * xi)",
-     "metric_factor_at(self.points)",
+    ("src/symcrit/functional.py",
+     "sample(lambda: G.pos + t * xi)",
+     "sample(lambda: G.pos)",
      "exp(2 lam) along a line read at the undisplaced nodes", MUST_KILL),
 ]
 

@@ -28,10 +28,9 @@ returns for its nodes.  The flat sample holds no field; the general one
 holds g and J and contracts the tensors above into ``christoffel_pairs``
 (Gamma(X, Y)), ``nabla_j_frame`` (nabla J in a frame) and
 ``curvature_frame`` (K_1213, K_1224); the conformal one holds exp(2 lam)
-and grad lam and evaluates all three in closed form, per node.  The flat
-and conformal samples also give exp(2 lam) along a line of displaced
-nodes, points + t xi (``factor_along``), as a function of t; the general
-one has no scalar metric factor and gives None.
+and grad lam and evaluates all three in closed form, per node.  Every
+sample's ``factor`` is exp(2 lam) where g = exp(2 lam) delta: 1.0 on the
+flat one, which reads no positions for it, and None on the general one.
 """
 
 from __future__ import annotations
@@ -364,8 +363,9 @@ class ConformalManifold(AmbientManifold):
     partials of the connection, the derivative of J and d(omega) are
     closed forms and no field is differenced; the connection, nabla J
     and the curvature are the base class's contractions of them.  The
-    fields the base class reads are these closed forms, so it can be
-    built on them for comparison.
+    metric, J and metric derivative are closed-form fields that the base
+    class's readers check, so a plain ``AmbientManifold`` can be built
+    on them for comparison.
     """
 
     def __init__(self, exponent: Callable[[np.ndarray], np.ndarray],
@@ -375,13 +375,23 @@ class ConformalManifold(AmbientManifold):
         self.conformal_exponent = exponent  # lam, (...)
         self.conformal_gradient = gradient  # d lam, (..., 4)
         self.conformal_hessian = hessian  # d d lam, (..., 4, 4)
-        super().__init__(metric_field=self.metric_at, j_field=self.j_at,
-                         metric_derivative_field=self.metric_derivative_at,
+        super().__init__(metric_field=self._metric, j_field=self._j,
+                         metric_derivative_field=self._metric_derivative,
                          name=name)
 
-    def metric_at(self, points, check: bool = True) -> np.ndarray:
-        """exp(2 lam) delta, checked by ``metric_factor_at`` in any case."""
+    def _metric(self, points) -> np.ndarray:
+        """exp(2 lam) delta, checked by ``metric_factor_at``."""
         return self.metric_factor_at(points)[..., None, None] * np.eye(4)
+
+    def _j(self, points) -> np.ndarray:
+        """``STANDARD_J`` at each point, as a read-only broadcast."""
+        return np.broadcast_to(STANDARD_J, np.shape(points)[:-1] + (4, 4))
+
+    def _metric_derivative(self, points) -> np.ndarray:
+        """d_c g_ab = 2 exp(2 lam) lam_c delta_ab, derivative index first."""
+        factor = self.metric_factor_at(points)
+        grad = self.conformal_gradient(points)
+        return (2.0 * factor[..., None] * grad)[..., :, None, None] * np.eye(4)
 
     def metric_factor_at(self, points) -> np.ndarray:
         """exp(2 lam), the factor of delta that every closed form reads.
@@ -396,16 +406,6 @@ class ConformalManifold(AmbientManifold):
                 "metric not positive definite at some evaluation point"
             )
         return factor
-
-    def j_at(self, points, check: bool = True) -> np.ndarray:
-        """``STANDARD_J`` at each point, as a read-only broadcast."""
-        return np.broadcast_to(STANDARD_J, np.shape(points)[:-1] + (4, 4))
-
-    def metric_derivative_at(self, points) -> np.ndarray:
-        """d_c g_ab = 2 exp(2 lam) lam_c delta_ab, derivative index first."""
-        factor = self.metric_factor_at(points)
-        grad = self.conformal_gradient(points)
-        return (2.0 * factor[..., None] * grad)[..., :, None, None] * np.eye(4)
 
     def j_derivative_at(self, points) -> np.ndarray:
         return _zeros(points, 3)
@@ -486,7 +486,11 @@ def _apply_standard_j(v):
 
 class _Sample:
     """An ambient at some nodes, whose positions ``points`` builds on first
-    read from an (..., 4) array or a callable that returns one."""
+    read from an (..., 4) array or a callable that returns one.  ``factor``
+    is exp(2 lam) at the nodes where g = exp(2 lam) delta with the standard
+    J, and None where the metric is no scalar multiple of delta."""
+
+    factor = None
 
     def __init__(self, ambient: AmbientManifold, points):
         self.ambient = ambient
@@ -504,6 +508,7 @@ class _FlatSample(_Sample):
     ``points`` builds node positions, and none builds a frame."""
 
     apply_j = staticmethod(_apply_standard_j)
+    factor = 1.0
 
     def lower(self, v, nodes=None):
         return v
@@ -513,10 +518,6 @@ class _FlatSample(_Sample):
 
     def fields(self):
         return ()
-
-    def factor_along(self, xi):
-        """exp(2 lam) at points + t xi, as a function of t: 1 everywhere."""
-        return lambda t: 1.0
 
     def accel(self, geometry):
         return geometry.fsecond
@@ -555,11 +556,6 @@ class _GeneralSample(_Sample):
     def fields(self):
         """(name, field) for the metric and J at the nodes, each checked."""
         return ("metric", self.g), ("J", self.j)
-
-    def factor_along(self, xi):
-        """None: a general metric is no scalar multiple of delta, so it has
-        no factor along the line points + t xi."""
-        return None
 
     def lower(self, v, nodes=None):
         """g v for every row v[..., k, :], as the row product v @ g; ``nodes``
@@ -645,11 +641,6 @@ class _ConformalSample(_GeneralSample):
     def fields(self):
         """(name, field) for exp(2 lam), checked: the one field that varies."""
         return (("metric", self.factor),)
-
-    def factor_along(self, xi):
-        """exp(2 lam) at points + t xi, as a function of t, checked as
-        ``ConformalManifold.metric_factor_at`` does."""
-        return lambda t: self.ambient.metric_factor_at(self.points + t * xi)
 
     def lower(self, v, nodes=None):
         """exp(2 lam) v: for g = exp(2 lam) delta this equals the row product

@@ -11,6 +11,7 @@ floor.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,12 @@ class FlowResult:
 
 def validate_budget(max_iterations: int, res_tol: float) -> None:
     """Reject an iteration budget or residual target the flow cannot honour."""
+    try:
+        operator.index(max_iterations)
+    except TypeError:
+        raise ValueError(
+            f"max_iterations must be an integer, got {max_iterations!r}"
+        ) from None
     if max_iterations < 0:
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     if not (math.isfinite(res_tol) and res_tol >= 0.0):

@@ -97,15 +97,16 @@ def _l_beta_along(G: SurfaceGeometry, beta: float, xi):
 
     The periodic stencil is linear, so the tangents of the displaced
     surface are F_i + t D_i xi.  Where the sample has a scalar metric
-    factor along the line (``factor_along``: exp(2 lam) delta with the
-    standard J, the flat ambient included), the Euclidean Gram entries
-    and omega_e(F_theta, F_phi) = (J F_theta).F_phi are quadratics in t,
-    whose coefficients are formed once; a step then evaluates node
-    scalars alone and builds no surface or geometry.  Any other ambient
-    evaluates ``l_beta`` on the displaced surface.
+    ``factor`` (exp(2 lam) delta with the standard J, the flat ambient
+    included), the Euclidean Gram entries and omega_e(F_theta, F_phi) =
+    (J F_theta).F_phi are quadratics in t, whose coefficients are formed
+    once; a step then reads the factor of the ambient sampled at the
+    displaced nodes, whose positions only a conformal sample builds, and
+    evaluates node scalars alone, building no surface or geometry.  Any
+    other ambient evaluates ``l_beta`` on the displaced surface.
     """
-    S, factor_at = G.surface, G._sample.factor_along(xi)
-    if factor_at is None:
+    S = G.surface
+    if G._sample.factor is None:
         return lambda t: l_beta(S.displaced(t * xi), G.ambient, beta)
     a, b = periodic_d1(xi, 0, S.h_theta), periodic_d1(xi, 1, S.h_phi)
     fth, fph = G.fth, G.fph
@@ -121,7 +122,7 @@ def _l_beta_along(G: SurfaceGeometry, beta: float, xi):
     cell = S.h_theta * S.h_phi
 
     def at(t):
-        f = factor_at(t)
+        f = G.ambient.sample(lambda: G.pos + t * xi).factor
         g11, g12, g22, omega = (f * (c0 + t * (c1 + t * c2)) for c0, c1, c2 in quadratics)
         sqrt_det = np.sqrt(_checked_det(g11 * g22 - g12**2))
         ca = _checked_cos_alpha(omega / sqrt_det)

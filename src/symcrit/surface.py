@@ -69,6 +69,8 @@ class ImmersedSurface:
     t_phi: float = TWO_PI
 
     def __post_init__(self):
+        if np.iscomplexobj(self.linear_part) or np.iscomplexobj(self.periodic_part):
+            raise ValueError("surface data must be real")
         L = np.asarray(self.linear_part, dtype=float)
         P = np.asarray(self.periodic_part, dtype=float)
         if L.shape != (4, 2):
@@ -483,11 +485,6 @@ class SurfaceGeometry:
         h[..., 1, 1] = ((((c01 * c01) * w00 + (c11 * c01) * w10)
                          + (c01 * c11) * w01) + (c11 * c11) * w11) + 0.0
         return h
-
-    @cached_property
-    def mean_curvature_frame(self):
-        h = self.second_fundamental
-        return h[..., 0, 0] + h[..., 1, 1]  # (nt, np, 2)
 
     @cached_property
     def _raw_mean_curvature(self):

@@ -56,6 +56,13 @@ def jj_grad_perp(geometry):
     return geometry.project_normal(_j_tangent_grad(geometry))
 
 
+def mean_curvature_frame(geometry):
+    """(H^3, H^4), the frame trace h_11 + h_22 of the second fundamental
+    form, (n_theta, n_phi, 2)."""
+    h = geometry.second_fundamental
+    return h[..., 0, 0] + h[..., 1, 1]
+
+
 def el_components(surface, ambient, beta, geometry=None):
     """Component residuals of the two scalar critical equations.
 
@@ -69,7 +76,7 @@ def el_components(surface, ambient, beta, geometry=None):
     beta = validate_beta(beta)
     G = _geometry(surface, ambient, geometry)
     fr = G.adapted_frame
-    H = G.mean_curvature_frame
+    H = mean_curvature_frame(G)
     dc = G.grad_cos_frame
     inv2 = 1.0 / G.cos_alpha**2
     r3 = H[..., 0] + beta * inv2 * (fr.y * dc[..., 1] - fr.z * dc[..., 0])

@@ -184,9 +184,11 @@ def test_non_finite_critical_operator_stalls_the_flow(monkeypatch):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"max_iterations": -1}, {"res_tol": float("nan")},
+    [{"max_iterations": -1}, {"max_iterations": 2.5},
+     {"max_iterations": np.float64(3)}, {"res_tol": float("nan")},
      {"res_tol": float("inf")}, {"res_tol": -1e-3}],
-    ids=["max_iterations-negative", "res_tol-nan", "res_tol-inf", "res_tol-negative"],
+    ids=["max_iterations-negative", "max_iterations-fraction",
+         "max_iterations-float64", "res_tol-nan", "res_tol-inf", "res_tol-negative"],
 )
 def test_run_flow_rejects_bad_budget(kwargs):
     with pytest.raises(ValueError, match="max_iterations|res_tol"):

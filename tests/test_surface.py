@@ -42,7 +42,7 @@ from symcrit.verify import (
     verify_laplacian_identity,
 )
 
-from reference import curvature_data, jj_grad_perp
+from reference import curvature_data, jj_grad_perp, mean_curvature_frame
 
 EUC = euclidean_c2()
 CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
@@ -203,10 +203,10 @@ def test_mean_curvature_is_frame_trace():
     G = geometry(perturbed_graph(0.5, 0.05, n_theta=24, n_phi=24), CONF)
     h = G.second_fundamental
     trace = h[..., 0, 0] + h[..., 1, 1]
-    assert np.max(np.abs(trace - G.mean_curvature_frame)) < 1e-12
+    H = mean_curvature_frame(G)
+    assert np.max(np.abs(trace - H)) < 1e-12
     fr = G.adapted_frame
-    rebuilt = (G.mean_curvature_frame[..., 0, None] * fr.e3
-               + G.mean_curvature_frame[..., 1, None] * fr.e4)
+    rebuilt = H[..., 0, None] * fr.e3 + H[..., 1, None] * fr.e4
     assert np.max(np.abs(rebuilt - G.mean_curvature)) < 1e-10
 
 
@@ -346,6 +346,11 @@ def test_validation_rejects_bad_shapes():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         ImmersedSurface(np.zeros((4, 2)), bad)
+    # a cast to float would drop the imaginary part with a warning alone
+    with pytest.raises(ValueError, match="surface data must be real"):
+        ImmersedSurface(np.zeros((4, 2)) + 1j, np.zeros((8, 8, 4)))
+    with pytest.raises(ValueError, match="surface data must be real"):
+        ImmersedSurface(np.zeros((4, 2)), np.zeros((8, 8, 4)) + 0.5j)
 
 
 def test_periodic_part_of_the_wrong_shape_is_named():

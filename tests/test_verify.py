@@ -369,6 +369,25 @@ def test_first_variation_builds_each_displaced_surface_once(monkeypatch):
     assert sum("stationary" in n for n in rep.notes) == 3
     assert [len(set(steps)) for steps in lines] == [2, 2, 2]
     assert sum(map(len, lines)) == 6 and len(geometries) == 1
+    # the ambient at the displaced nodes is read through its sample: the
+    # flat one reads no positions and no field, the conformal one exp(2 lam)
+    # at the nodes of the geometry and once per step (3 x 8)
+    monkeypatch.undo()
+    S = perturbed_graph(0.5, 0.05, n_theta=32, n_phi=32)
+    flat = euclidean_c2()
+    text = V.verify_first_variation(S, flat, 1.0).to_text()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("flat first variation read positions or a field")
+
+    monkeypatch.setattr(ImmersedSurface, "positions", refuse)
+    flat.metric_at = flat.j_at = refuse
+    assert V.verify_first_variation(S, flat, 1.0).to_text() == text
+    monkeypatch.undo()
+    conf, shapes = conformal("0.1*sin(p1) + 0.05*cos(p2)"), []
+    conf.conformal_exponent = counted(conf.conformal_exponent, shapes)
+    assert V.verify_first_variation(S, conf, 0.0).passed
+    assert shapes.count((32, 32)) == 25
 
 
 @pytest.mark.parametrize("beta", [0.0, 1.0, 2.0])
