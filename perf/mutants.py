@@ -39,7 +39,8 @@ BETA_GAP = "gap: needs critical tori at beta > 0 (exact tori by symmetry reducti
 # coefficient mutants of ``critical_identity_terms`` that survived Tier-1
 # when the identity was gated only on surfaces where its terms vanish, and
 # three of L_beta along a line, which the first variation's central
-# quotient alone may not see (a t^2 term cancels in it)
+# quotient alone may not see (a t^2 term cancels in it), and one of the
+# scalar-field parser's check that constants are finite in float64
 MUTANTS = [
     ("src/symcrit/verify.py",
      "+ sa * ca**2 / D * (k1213 - k1224)",
@@ -85,6 +86,10 @@ MUTANTS = [
      "sample(lambda: G.pos + t * xi)",
      "sample(lambda: G.pos)",
      "exp(2 lam) along a line read at the undisplaced nodes", MUST_KILL),
+    ("src/symcrit/ambient.py",
+     "not (sub.is_real and math.isfinite(float(sub)))",
+     "not sub.is_real",
+     "constants that overflow float64 accepted by the parser", MUST_KILL),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",

@@ -36,6 +36,7 @@ flat one, which reads no positions for it, and None on the general one.
 from __future__ import annotations
 
 import ast
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -89,9 +90,9 @@ def parse_scalar_field(expression: str):
     ``pi``, ``+ - * /``, powers (both ``**`` and ``^``), unary signs and
     sin, cos and exp of one argument.  The text is read as a syntax
     tree and never executed; anything outside the language, and any
-    constant that is not a finite real number (``1/0``, ``(-1)^0.5``),
-    raises ValueError.  Returns ``(value, grad, hess)`` where
-    ``value(points)`` maps an (..., 4) array to (...) values,
+    constant that is not a finite real number in float64 (``1/0``,
+    ``(-1)^0.5``, ``1e400``), raises ValueError.  Returns ``(value, grad,
+    hess)`` where ``value(points)`` maps an (..., 4) array to (...) values,
     ``grad(points)`` to (..., 4) first partials and ``hess(points)`` to
     (..., 4, 4) second partials.
 
@@ -130,7 +131,9 @@ def parse_scalar_field(expression: str):
         expr = build(ast.parse(text, mode="eval").body)
     except SyntaxError as exc:
         raise ValueError(f"cannot parse scalar field {expression!r}: {exc}") from exc
-    if any(sub.is_number and not sub.is_real for sub in sp.preorder_traversal(expr)):
+    # finite in float64, where the lambdified code evaluates it, not only in sympy
+    if any(sub.is_number and not (sub.is_real and math.isfinite(float(sub)))
+           for sub in sp.preorder_traversal(expr)):
         raise ValueError(
             f"scalar field {expression!r} has a constant that is not finite and real"
         )
@@ -510,7 +513,7 @@ class _FlatSample(_Sample):
     apply_j = staticmethod(_apply_standard_j)
     factor = 1.0
 
-    def lower(self, v, nodes=None):
+    def lower(self, v):
         return v
 
     def covariant(self, d, X, Y):
@@ -557,10 +560,9 @@ class _GeneralSample(_Sample):
         """(name, field) for the metric and J at the nodes, each checked."""
         return ("metric", self.g), ("J", self.j)
 
-    def lower(self, v, nodes=None):
-        """g v for every row v[..., k, :], as the row product v @ g; ``nodes``
-        picks the nodes when ``v`` holds only some."""
-        return v @ (self.g if nodes is None else self.g[nodes])
+    def lower(self, v):
+        """g v for every row v[..., k, :], as the row product v @ g."""
+        return v @ self.g
 
     def apply_j(self, v):
         return (self.j @ np.asarray(v)[..., None])[..., 0]
@@ -642,11 +644,10 @@ class _ConformalSample(_GeneralSample):
         """(name, field) for exp(2 lam), checked: the one field that varies."""
         return (("metric", self.factor),)
 
-    def lower(self, v, nodes=None):
+    def lower(self, v):
         """exp(2 lam) v: for g = exp(2 lam) delta this equals the row product
         v @ g bit for bit (one nonzero term per entry)."""
-        f = self.factor[..., None, None]
-        return (f if nodes is None else f[nodes]) * v
+        return self.factor[..., None, None] * v
 
     def christoffel_pairs(self, X, Y) -> np.ndarray:
         """Gamma(X, Y) = X dlam(Y) + Y dlam(X) - (X.Y) grad lam, per pair.

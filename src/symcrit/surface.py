@@ -353,7 +353,7 @@ class SurfaceGeometry:
         inv[..., 1, 0] = -gi[..., 1, 0]
         return inv / det[..., None, None]
 
-    @property
+    @cached_property
     def area_weights(self):
         S = self.surface
         return self.sqrt_det * (S.h_theta * S.h_phi)
@@ -420,10 +420,11 @@ class SurfaceGeometry:
         ok = r > FRAME_TOL
         e3 /= np.where(ok, r, 1.0)[..., None]
         if not ok.all():
-            # row B: normal part of chart axis B at each unadapted node, (m, 4, 4)
+            # row B: normal part of chart axis B, kept at unadapted nodes, (m, 4, 4)
             axes = self.project_normal(np.eye(4)[:, None, None, :])
-            axes = np.moveaxis(axes, 0, -2)[~ok]
-            norms = _dot(axes, self._sample.lower(axes, ~ok))
+            axes = np.moveaxis(axes, 0, -2)
+            norms = _dot(axes, self._sample.lower(axes))[~ok]
+            axes = axes[~ok]
             best = np.argmax(norms, axis=-1)
             m = np.arange(best.size)
             e3[~ok] = axes[m, best] / np.sqrt(norms[m, best])[:, None]

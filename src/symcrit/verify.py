@@ -444,8 +444,8 @@ def check_condition_symmetric(surface: ImmersedSurface,
     """
     check_winding_periodic(surface, ambient)
     G = SurfaceGeometry(surface, ambient)
-    res = condition_symmetric_residuals(G)
-    cond = float(np.max(np.abs(res)))
+    res = np.abs(condition_symmetric_residuals(G))
+    cond = float(np.max(res))
     holds = cond < CONDITION_TOL
     jf = G.nabla_j_frame
     values = {"condition_res_linf": cond, "condition_holds": float(holds)}
@@ -471,7 +471,7 @@ def check_condition_symmetric(surface: ImmersedSurface,
         values=values,
         notes=notes,
         total_nodes=int(res[..., 0, 0].size),
-        residual_field=np.max(np.abs(res), axis=(-2, -1)),
+        residual_field=np.max(res, axis=(-2, -1)),
     )
 
 
@@ -567,29 +567,22 @@ def verify_critical_identity(
 
 
 def _variation_fields(G: SurfaceGeometry):
-    """Three deterministic smooth normal fields spanning both normals."""
-    S = G.surface
-    th, ph = S.grids()
-    shapes = [
-        (np.sin(th) * np.cos(ph), 0.5 * np.cos(ph)),
-        (0.3 * np.cos(th), np.sin(ph) * np.cos(th)),
-        (np.sin(th + ph), 0.4 * np.sin(th) * np.sin(ph)),
-    ]
-    fields = []
-    for a, b in shapes:
-        raw = np.zeros(th.shape + (4,))
-        raw[..., 2] = a
-        raw[..., 3] = b
-        fields.append(G.project_normal(raw))
-    return fields
+    """Three deterministic smooth normal fields spanning both normals, as
+    one (3, n_theta, n_phi, 4) stack: the normal parts of fields with only
+    p3 and p4 components."""
+    th, ph = G.surface.grids()
+    raw = np.zeros((3,) + th.shape + (4,))
+    raw[..., 2] = np.sin(th) * np.cos(ph), 0.3 * np.cos(th), np.sin(th + ph)
+    raw[..., 3] = 0.5 * np.cos(ph), np.sin(ph) * np.cos(th), 0.4 * np.sin(th) * np.sin(ph)
+    return G.project_normal(raw)
 
 
-def analytic_first_variation(G: SurfaceGeometry, beta: float, E, xi) -> float:
-    """Right side of the first-variation formula for a normal field xi,
-    -(1 + beta) times the integral of cos^-(beta+3)(alpha) <xi, E>, with
-    E the chart components of the critical operator on ``G``."""
+def analytic_first_variation(G: SurfaceGeometry, beta: float, E, xi) -> list:
+    """Right side of the first-variation formula for each normal field of
+    the stack xi, -(1 + beta) times the integral of cos^-(beta+3)(alpha)
+    <xi[k], E>, with E the chart components of the critical operator."""
     weight = G.cos_alpha ** (-(beta + 3.0)) * G.area_weights
-    return float(-(beta + 1.0) * np.sum(G.dot(xi, E) * weight))
+    return [float(-(beta + 1.0) * np.sum(p)) for p in G.dot(xi, E) * weight]
 
 
 def verify_first_variation(
@@ -639,10 +632,11 @@ def verify_first_variation(
     ok = True
     worst_rel = 0.0
     measured_orders = []
-    for idx, xi in enumerate(_variation_fields(G), start=1):
+    fields = _variation_fields(G)
+    analytics = analytic_first_variation(G, beta, E, fields)
+    for idx, (xi, analytic) in enumerate(zip(fields, analytics), start=1):
         # L_beta of the surface displaced by t * xi, evaluated once per step t
         at = functools.cache(_l_beta_along(G, beta, xi))
-        analytic = analytic_first_variation(G, beta, E, xi)
         measured = fd2(at, delta)
         values[f"field{idx}.analytic"] = analytic
         if abs(analytic) < stationary_floor:

@@ -380,7 +380,8 @@ def test_parse_scalar_field_rejects_unknown_names():
 @pytest.mark.parametrize(
     "expression",
     ["1/0", "zoo", "I*p1", "(-1)^(1/3)", "Max(p1, p2)", "E*p1", "sin(p1, p2)",
-     "sin(x=p1)", "p1 if p2 else p3", "1j", "True", "'p1'", "2 p1", ""],
+     "sin(x=p1)", "p1 if p2 else p3", "1j", "True", "'p1'", "2 p1", "",
+     "1e400*p1", "1e308*10*p1", "exp(1000)*p1"],
 )
 def test_parse_scalar_field_rejects_input_outside_the_language(expression):
     with pytest.raises(ValueError, match="scalar field"):

@@ -188,8 +188,10 @@ params = c=0.5
 
 @pytest.mark.parametrize(
     "expression",
-    ["1/0", "zoo", "I*p1", "Max(p1, p2)", "__import__('pathlib').Path('{marker}').touch()"],
-    ids=["division-by-zero", "complex-infinity", "imaginary", "max", "python-call"],
+    ["1/0", "zoo", "I*p1", "Max(p1, p2)", "__import__('pathlib').Path('{marker}').touch()",
+     "1e400*p1"],
+    ids=["division-by-zero", "complex-infinity", "imaginary", "max", "python-call",
+         "float-overflow"],
 )
 def test_lambda_outside_the_language_is_config_error(tmp_path, capsys, expression):
     marker = tmp_path / "executed"
@@ -203,7 +205,9 @@ generator = zbar
 params = c=0.5
 """)
     assert main(["angle-report", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith("config error: [ambient] ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [ambient] ")
+    assert "scalar field" in err
     assert not marker.exists()
 
 

@@ -46,6 +46,8 @@ from reference import curvature_data, jj_grad_perp, mean_curvature_frame
 
 EUC = euclidean_c2()
 CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
+# the conformal fields in a plain AmbientManifold: the per-node J path
+CONF_GENERIC_J = AmbientManifold(metric_field=CONF.metric_field, j_field=CONF.j_field)
 
 
 def geometry(surface, ambient=EUC):
@@ -200,12 +202,15 @@ def test_second_fundamental_symmetry():
 
 
 def test_mean_curvature_is_frame_trace():
+    """The projected g^ij W_ij, read in e3 and e4, is the trace of the
+    frame's second fundamental form."""
     G = geometry(perturbed_graph(0.5, 0.05, n_theta=24, n_phi=24), CONF)
     h = G.second_fundamental
     trace = h[..., 0, 0] + h[..., 1, 1]
-    H = mean_curvature_frame(G)
-    assert np.max(np.abs(trace - H)) < 1e-12
     fr = G.adapted_frame
+    for n, e in enumerate((fr.e3, fr.e4)):
+        assert np.max(np.abs(G.dot(G.mean_curvature, e) - trace[..., n])) < 1e-12
+    H = mean_curvature_frame(G)
     rebuilt = H[..., 0, None] * fr.e3 + H[..., 1, None] * fr.e4
     assert np.max(np.abs(rebuilt - G.mean_curvature)) < 1e-10
 
@@ -627,6 +632,20 @@ def test_euclidean_dot_matches_np_sum_bit_for_bit():
         assert same_bits(G.dot(u, v), np.sum(u * v, axis=-1)), name
 
 
+@pytest.mark.parametrize(
+    "ambient", [EUC, CONF, CONF_GENERIC_J], ids=["flat", "conformal", "generic-j"]
+)
+def test_project_normal_of_a_stack_is_each_projection_bit_for_bit(ambient):
+    """A (3, n, n, 4) stack of fields projects in one call to the bytes of
+    the three single projections, as the first-variation check relies on."""
+    n = 16
+    G = geometry(perturbed_graph(0.5, 0.05, n_theta=n, n_phi=n), ambient)
+    stack = np.random.default_rng(5).standard_normal((3, n, n, 4))
+    got = G.project_normal(stack)
+    for k in range(3):
+        assert same_bits(got[k], G.project_normal(stack[k])), k
+
+
 # -- frame components of ambient tensors -------------------------------
 
 
@@ -694,10 +713,6 @@ def rel_err(got, want):
     where ``want`` is zero throughout."""
     scale = np.max(np.abs(want))
     return np.max(np.abs(got - want)) / (scale if scale > 0.0 else 1.0)
-
-
-# the conformal fields in a plain AmbientManifold: the per-node J path
-CONF_GENERIC_J = AmbientManifold(metric_field=CONF.metric_field, j_field=CONF.j_field)
 
 
 # zbar_graph is affine, so W = 0 in the flat ambient and the products are
@@ -1064,8 +1079,7 @@ def test_conformal_factor_out_of_range_raises_typed_error_in_a_geometry(
 def test_conformal_lowering_is_the_metric_product_bit_for_bit():
     """The scalar lowering exp(2 lam) v equals v @ g for g = exp(2 lam) I:
     each entry of the product has one nonzero term.  The conformal sample
-    is checked against the general one on the same ambient, on every node
-    and on the unadapted nodes of the torus alone (the ``nodes`` path)."""
+    is checked against the general one on the same ambient."""
     G = geometry(FRAME_SURFACES[1], CONF)
     unadapted = ~G.adapted_frame.adapted
     assert unadapted.any()
@@ -1074,9 +1088,6 @@ def test_conformal_lowering_is_the_metric_product_bit_for_bit():
     rows = rng.standard_normal((3,) + unadapted.shape + (2, 4))
     assert closed.lower(rows).tobytes() == base.lower(rows).tobytes()
     assert base.lower(rows).tobytes() == (rows @ CONF.metric_at(G.pos)).tobytes()
-    axes = rng.standard_normal((int(unadapted.sum()), 4, 4))
-    got = closed.lower(axes, unadapted)
-    assert got.tobytes() == base.lower(axes, unadapted).tobytes()
 
 
 @pytest.mark.parametrize("entry", ["nabla_j_frame", "curvature_frame"])
