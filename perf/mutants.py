@@ -39,8 +39,13 @@ BETA_GAP = "gap: needs critical tori at beta > 0 (exact tori by symmetry reducti
 # coefficient mutants of ``critical_identity_terms`` that survived Tier-1
 # when the identity was gated only on surfaces where its terms vanish, and
 # three of L_beta along a line, which the first variation's central
-# quotient alone may not see (a t^2 term cancels in it), and one of the
-# scalar-field parser's check that constants are finite in float64
+# quotient alone may not see (a t^2 term cancels in it), one of the
+# scalar-field parser's check that constants are finite in float64, and
+# three of the geometry's node fields: the order of the off-diagonal terms
+# of g^ij W_ij (W_01 and W_10 differ at roundoff only in a general
+# ambient), the sign of the inverse metric's off-diagonal entry, and the
+# second-derivative stencil taking f[i+2] - f[i-2] in place of
+# f[i+2] + f[i-2]
 MUTANTS = [
     ("src/symcrit/verify.py",
      "+ sa * ca**2 / D * (k1213 - k1224)",
@@ -90,6 +95,18 @@ MUTANTS = [
      "not (sub.is_real and math.isfinite(float(sub)))",
      "not sub.is_real",
      "constants that overflow float64 accepted by the parser", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "out += i01 * W01\n        out += i01 * W10",
+     "out += i01 * W10\n        out += i01 * W01",
+     "W_01 and W_10 terms of g^ij W_ij swapped", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "return g11 / det, -g01 / det, g00 / det",
+     "return g11 / det, g01 / det, g00 / det",
+     "sign of the inverse metric's off-diagonal entry", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "- (fp2 + fm2)) / (12.0 * spacing**2)",
+     "- (fp2 - fm2)) / (12.0 * spacing**2)",
+     "second derivative reading f[i+2] - f[i-2] for f[i+2] + f[i-2]", MUST_KILL),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",

@@ -4,8 +4,14 @@ The first group runs at 64x64 on ``perturbed_graph(0.5, 0.05)`` in the
 flat ambient, the surface size of the first-variation check; the check
 also runs in the conformal ambient, and so does the covariant-J table
 ``nabla_j_frame`` (64x64 is also the middle refinement level).  The
-``_n32`` group runs the periodic stencils, one descent step
-(``run_flow`` with a budget of one iteration), the functional and the
+``_n32`` group runs the periodic stencils, the geometry's parametric
+partials (``_second_partials`` on a fresh geometry, which takes the
+first partials too: all five partials of P), g^ij W_ij
+(``_raw_mean_curvature``, the inverse metric entries and the W_ij
+fields prebuilt), one descent step (``run_flow`` with a budget of one
+iteration), the whole descent to ``res_tol`` 1e-3 (its iteration count
+in ``extra_info["iterations"]``, so time per iteration is the time over
+it), the functional and the
 critical operator (fresh geometry; the functional on a fresh geometry
 is what the line search pays per candidate), ``apply_j`` and the
 normal projection ``project_normal`` at 32x32, the grid of the
@@ -14,8 +20,8 @@ projection runs on a fresh geometry that ``l_beta`` has already read
 (cos(alpha) and the area element), as a descent step has it, and
 ``apply_j`` and ``project_normal`` take a fixed random chart vector
 field.  The
-``_n128`` group runs the functional, frame, acceleration,
-second-fundamental-form, mean-curvature-derivative, covariant-J,
+``_n128`` group runs the functional, frame, parametric partials, W_ij fields,
+second-fundamental-form, g^ij W_ij, mean-curvature-derivative, covariant-J,
 curvature, critical operator, cyclic-condition (residuals and the whole
 check with its d(omega) oracle) and Laplacian-identity layers at
 128x128, the finest level of the refinement studies, in the flat and
@@ -75,6 +81,7 @@ SURFACE = perturbed_graph(0.5, 0.05, n_theta=N, n_phi=N)
 
 N_COARSE = 32
 ROUNDS_COARSE = 500
+ROUNDS_DESCENT = 10
 SURFACE_COARSE = perturbed_holomorphic_graph(0.3, -0.2, 0.05, n_theta=N_COARSE,
                                              n_phi=N_COARSE)
 FIELD_COARSE = np.random.default_rng(5).standard_normal((N_COARSE, N_COARSE, 4))
@@ -152,6 +159,27 @@ def test_periodic_stencil_n32(benchmark, stencil, axis):
     assert out.shape == field.shape
 
 
+def test_geometry_partials_n32(benchmark):
+    value = benchmark.pedantic(lambda G: G._second_partials,
+                               setup=prebuilt(surface=SURFACE_COARSE), rounds=ROUNDS_COARSE)
+    assert len(value) == 3
+
+
+def test_raw_mean_curvature_n32(benchmark):
+    setup = prebuilt("_inverse_entries", "_accel_entries", surface=SURFACE_COARSE)
+    value = benchmark.pedantic(lambda G: G._raw_mean_curvature, setup=setup,
+                               rounds=ROUNDS_COARSE)
+    assert value.shape == (N_COARSE, N_COARSE, 4)
+
+
+def test_run_flow_to_res_tol_n32(benchmark):
+    res = benchmark.pedantic(run_flow, (SURFACE_COARSE, EUC, BETA),
+                             {"res_tol": 1e-3, "max_iterations": 4000},
+                             rounds=ROUNDS_DESCENT)
+    benchmark.extra_info["iterations"] = res.iterations
+    assert res.converged
+
+
 def test_run_flow_one_step_n32(benchmark):
     res = benchmark.pedantic(run_flow, (SURFACE_COARSE, EUC, BETA),
                              {"max_iterations": 1, "res_tol": 0.0},
@@ -188,8 +216,10 @@ def test_normal_projection_n32(benchmark, layer):
 FINE_LAYERS = {
     # cached property: the inputs read before the round
     "adapted_frame": (),
-    "accel": ("fth", "fph", "_sample.points"),
-    "second_fundamental": ("adapted_frame", "accel", "_sample.factor"),
+    "_second_partials": (),
+    "_accel_entries": ("fth", "fph", "_sample.points"),
+    "second_fundamental": ("adapted_frame", "_accel_entries", "_sample.factor"),
+    "_raw_mean_curvature": ("_inverse_entries", "_accel_entries"),
     "mean_curvature_normal_derivative": (
         "mean_curvature", "adapted_frame", "_sample.factor", "_sample.grad",
     ),

@@ -523,7 +523,9 @@ class _FlatSample(_Sample):
         return ()
 
     def accel(self, geometry):
-        return geometry.fsecond
+        """The second partials themselves, as (W_00, W_01, W_10, W_11)."""
+        dtt, dpp, dtp = geometry._second_partials
+        return dtt, dtp, dtp, dpp
 
     def frame_nabla_j(self, geometry):
         # read-only: every reader slices the table
@@ -573,8 +575,13 @@ class _GeneralSample(_Sample):
         return d
 
     def accel(self, geometry):
-        W, F = geometry.fsecond, geometry.fderiv
-        return self.covariant(W, F, F)
+        """(W_00, W_01, W_10, W_11): each second partial plus its
+        Gamma(F_i, F_j)."""
+        dtt, dpp, dtp = geometry._second_partials
+        F = geometry.fderiv
+        gamma = self.christoffel_pairs(F, F)
+        return tuple(d + gamma[..., i, j, :] for d, (i, j) in
+                     zip((dtt, dtp, dtp, dpp), ((0, 0), (0, 1), (1, 0), (1, 1))))
 
     def frame_nabla_j(self, geometry):
         return self.nabla_j_frame(geometry.adapted_frame.matrix)

@@ -97,9 +97,9 @@ def stable_step(G: SurfaceGeometry, beta: float) -> float:
     chart direction times the largest eigenvalue of the coefficient.
     A safety factor of 0.85 leaves the rest to the line search.
     """
-    gi = G.induced_metric_inv
-    tr = gi[..., 0, 0] + gi[..., 1, 1]
-    det = gi[..., 0, 0] * gi[..., 1, 1] - gi[..., 0, 1] * gi[..., 1, 0]
+    i00, i01, i11 = G._inverse_entries
+    tr = i00 + i11
+    det = i00 * i11 - i01 * i01
     max_eig = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
     nu = float(np.max(G.cos_alpha ** (-beta) * max_eig))
     S = G.surface

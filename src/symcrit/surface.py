@@ -6,7 +6,9 @@ winding of the torus and P a smooth doubly periodic 4-vector sampled
 on a regular grid (no seam duplication: theta_i = i T_theta / n).
 
 Parametric derivatives use 4th-order periodic central differences on P
-plus the exact contribution of the linear part.  All node-level tensors
+plus the exact contribution of the linear part.  The first partials of
+P and its three second partials are cached as contiguous node fields,
+the second only once a reader needs W_ij.  All node-level tensors
 are cached lazily on :class:`SurfaceGeometry`, which reads the ambient
 through its sample at the nodes (``AmbientManifold.sample``).  Normal
 parts are taken in coordinates, v - g^ij <v, F_j> F_i with F_i the
@@ -206,6 +208,15 @@ def _checked_det(det):
     return det
 
 
+def _block(e00, e01, e10, e11):
+    """The 2x2 block [[e00, e01], [e10, e11]] of node fields, its two axes
+    after the node axes: (n_theta, n_phi, 2, 2) + the fields' own axes."""
+    out = np.empty(e00.shape[:2] + (2, 2) + e00.shape[2:])
+    for (i, j), e in zip(((0, 0), (0, 1), (1, 0), (1, 1)), (e00, e01, e10, e11)):
+        out[:, :, i, j] = e
+    return out
+
+
 def _sum4(p):
     """Sum over a last axis of length 4 as (p0 + p2) + (p1 + p3).
 
@@ -249,6 +260,12 @@ class SurfaceGeometry:
     in axes of length 2 ordered (e3, e4).  The frame is held once, in
     ``adapted_frame``: every frame quantity reads its ``matrix`` and its
     tangent coefficients ``coeff``.
+
+    Node fields that the package contracts entry by entry are held as
+    contiguous fields: the induced metric and its inverse (the three
+    entries of each) and W_ij (the four fields ``_accel_entries``).
+    ``induced_metric``, ``induced_metric_inv``, ``fsecond`` and ``accel``
+    build their stacked (..., 2, 2) blocks on each read.
     """
 
     def __init__(self, surface: ImmersedSurface, ambient: AmbientManifold):
@@ -262,25 +279,34 @@ class SurfaceGeometry:
         return self._sample.points
 
     @cached_property
-    def _periodic_partials(self):
-        """First partials (d_theta P, d_phi P) of the periodic part."""
+    def _first_partials(self):
+        """(d_theta P, d_phi P): first partials of the periodic part."""
         S = self.surface
         P = S.periodic_part
         return periodic_d1(P, 0, S.h_theta), periodic_d1(P, 1, S.h_phi)
 
     @cached_property
+    def _second_partials(self):
+        """(d_theta^2 P, d_phi^2 P, d_theta d_phi P), taken on first read
+        only: a geometry that ``l_beta`` alone reads never takes them."""
+        S = self.surface
+        P = S.periodic_part
+        return (periodic_d2(P, 0, S.h_theta), periodic_d2(P, 1, S.h_phi),
+                periodic_d1(self._first_partials[0], 1, S.h_phi))
+
+    @cached_property
     def fth(self):
-        return self.surface.linear_part[:, 0] + self._periodic_partials[0]
+        return self.surface.linear_part[:, 0] + self._first_partials[0]
 
     @cached_property
     def fph(self):
-        return self.surface.linear_part[:, 1] + self._periodic_partials[1]
+        return self.surface.linear_part[:, 1] + self._first_partials[1]
 
     @property
     def fderiv(self):
         """First derivatives stacked: index i in {theta, phi} first.
 
-        Built on each read, like ``fsecond``; a non-flat sample's ``accel`` reads it.
+        Built on each read; the general sample's ``accel`` reads it.
         """
         return np.stack([self.fth, self.fph], axis=-2)  # (nt, np, 2, 4)
 
@@ -288,19 +314,11 @@ class SurfaceGeometry:
     def fsecond(self):
         """Second parametric derivatives, symmetric 2x2 block of 4-vectors.
 
-        Built on each read: ``accel``, which caches, is its one reader.
+        Built on each read from ``_second_partials``, which the samples'
+        ``accel`` reads directly; no reader in the package.
         """
-        S = self.surface
-        P = S.periodic_part
-        dtt = periodic_d2(P, 0, S.h_theta)
-        dpp = periodic_d2(P, 1, S.h_phi)
-        dtp = periodic_d1(self._periodic_partials[0], 1, S.h_phi)
-        out = np.empty(P.shape[:2] + (2, 2, 4))
-        out[..., 0, 0, :] = dtt
-        out[..., 0, 1, :] = dtp
-        out[..., 1, 0, :] = dtp
-        out[..., 1, 1, :] = dpp
-        return out
+        dtt, dpp, dtp = self._second_partials
+        return _block(dtt, dtp, dtp, dpp)
 
     # ---- the ambient at the nodes
 
@@ -324,34 +342,41 @@ class SurfaceGeometry:
         return tuple(self._sample.lower(f[..., None, :])[..., 0, :] for f in (fth, fph))
 
     @cached_property
-    def induced_metric(self):
+    def _metric_entries(self):
+        """(g_00, g_01, g_11): the induced metric as contiguous node fields,
+        indexed 0-based like the (..., 2, 2) block."""
         fth, fph = self.fth, self.fph
         gth, gph = self._coordinate_covectors
-        out = np.empty(fth.shape[:-1] + (2, 2))
-        out[..., 0, 0] = _sum4(fth * gth)
-        out[..., 0, 1] = out[..., 1, 0] = _sum4(fth * gph)
-        out[..., 1, 1] = _sum4(fph * gph)
-        return out
+        return _sum4(fth * gth), _sum4(fth * gph), _sum4(fph * gph)
+
+    @property
+    def induced_metric(self):
+        """g_ij as a (..., 2, 2) block, built from the entries on each read."""
+        g00, g01, g11 = self._metric_entries
+        return _block(g00, g01, g01, g11)
 
     @cached_property
     def det_induced(self):
-        gi = self.induced_metric
-        return _checked_det(gi[..., 0, 0] * gi[..., 1, 1] - gi[..., 0, 1] ** 2)
+        g00, g01, g11 = self._metric_entries
+        return _checked_det(g00 * g11 - g01 ** 2)
 
     @cached_property
     def sqrt_det(self):
         return np.sqrt(self.det_induced)
 
     @cached_property
-    def induced_metric_inv(self):
-        gi = self.induced_metric
+    def _inverse_entries(self):
+        """(g^00, g^01, g^11): the inverse induced metric as contiguous node
+        fields; g^10 = g^01."""
+        g00, g01, g11 = self._metric_entries
         det = self.det_induced
-        inv = np.empty_like(gi)
-        inv[..., 0, 0] = gi[..., 1, 1]
-        inv[..., 1, 1] = gi[..., 0, 0]
-        inv[..., 0, 1] = -gi[..., 0, 1]
-        inv[..., 1, 0] = -gi[..., 1, 0]
-        return inv / det[..., None, None]
+        return g11 / det, -g01 / det, g00 / det
+
+    @property
+    def induced_metric_inv(self):
+        """g^ij as a (..., 2, 2) block, built from the entries on each read."""
+        i00, i01, i11 = self._inverse_entries
+        return _block(i00, i01, i01, i11)
 
     @cached_property
     def area_weights(self):
@@ -383,10 +408,10 @@ class SurfaceGeometry:
         Raises NotImmersed where the induced metric is singular.
         """
         v = np.asarray(v)
-        gi = self.induced_metric_inv
+        i00, i01, i11 = self._inverse_entries
         cth, cph = (_dot(v, co) for co in self._coordinate_covectors)
-        ath = gi[..., 0, 0] * cth + gi[..., 0, 1] * cph
-        aph = gi[..., 1, 0] * cth + gi[..., 1, 1] * cph
+        ath = i00 * cth + i01 * cph
+        aph = i01 * cth + i11 * cph
         return v - ath[..., None] * self.fth - aph[..., None] * self.fph
 
     def apply_j(self, v):
@@ -444,10 +469,18 @@ class SurfaceGeometry:
     # ---- second fundamental form and mean curvature
 
     @cached_property
-    def accel(self):
-        """W_ij = second derivatives plus the ambient's Christoffel term
-        Gamma(F_i, F_j), which a flat sample skips."""
+    def _accel_entries(self):
+        """(W_00, W_01, W_10, W_11), i and j in {0, 1} = {theta, phi}:
+        W_ij = d_i d_j F plus the ambient's Christoffel term Gamma(F_i, F_j),
+        each a contiguous (..., 4) field.  A flat sample returns
+        ``_second_partials`` themselves."""
         return self._sample.accel(self)
+
+    @property
+    def accel(self):
+        """W_ij as a (..., 2, 2, 4) block, built from the entries on each
+        read; no reader in the package."""
+        return _block(*self._accel_entries)
 
     @cached_property
     def _normal_covectors(self):
@@ -472,10 +505,9 @@ class SurfaceGeometry:
         ambient's Christoffel term makes W_10 and W_01 differ at roundoff
         (they are equal bit for bit in flat and conformal ambients).
         """
-        W = self.accel
+        W00, W01, W10, W11 = self._accel_entries
         co = self._normal_covectors
-        w00, w10, w01, w11 = (_dot(W[..., None, i, j, :], co)
-                              for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
+        w00, w10, w01, w11 = (_dot(W[..., None, :], co) for W in (W00, W10, W01, W11))
         C = self.adapted_frame.coeff
         c00, c01, c11 = C[..., 0, 0, None], C[..., 0, 1, None], C[..., 1, 1, None]
         h = np.empty(co.shape[:-1] + (2, 2))
@@ -489,8 +521,22 @@ class SurfaceGeometry:
 
     @cached_property
     def _raw_mean_curvature(self):
-        """g^ij W_ij in chart components, before the normal projection."""
-        return np.einsum("...ij,...ija->...a", self.induced_metric_inv, self.accel)
+        """g^ij W_ij in chart components, before the normal projection.
+
+        Summed as (((g^00 W_00 + g^01 W_01) + g^10 W_10) + g^11 W_11) + 0.0
+        from the contiguous entries, the order of
+        np.einsum("...ij,...ija->...a") on the stacked blocks, which starts
+        from +0.0: the final + 0.0 turns a sum of four -0.0 products into
+        +0.0 and changes nothing else.  So the bits are the einsum's.
+        """
+        i00, i01, i11 = (e[..., None] for e in self._inverse_entries)
+        W00, W01, W10, W11 = self._accel_entries
+        out = i00 * W00
+        out += i01 * W01
+        out += i01 * W10
+        out += i11 * W11
+        out += 0.0
+        return out
 
     @cached_property
     def mean_curvature(self):
@@ -531,10 +577,10 @@ class SurfaceGeometry:
         S = self.surface
         d0 = periodic_d1(field, 0, S.h_theta)
         d1 = periodic_d1(field, 1, S.h_phi)
-        ginv = self.induced_metric_inv
+        i00, i01, i11 = self._inverse_entries
         w = self.sqrt_det
-        q0 = w * (ginv[..., 0, 0] * d0 + ginv[..., 0, 1] * d1)
-        q1 = w * (ginv[..., 1, 0] * d0 + ginv[..., 1, 1] * d1)
+        q0 = w * (i00 * d0 + i01 * d1)
+        q1 = w * (i01 * d0 + i11 * d1)
         div = periodic_d1(q0, 0, S.h_theta) + periodic_d1(q1, 1, S.h_phi)
         return div / w
 
@@ -715,7 +761,18 @@ def write_surface(surface: ImmersedSurface, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _parsed(path, kind, values, message):
+    """``values`` read as ``kind``; ValueError "``path``: ``message``" when
+    one of them does not read."""
+    try:
+        return [kind(v) for v in values]
+    except ValueError:
+        raise ValueError(f"{path}: {message}") from None
+
+
 def read_surface(path) -> ImmersedSurface:
+    """Read a surface written by ``write_surface``; every malformed block
+    raises ValueError with a message that begins with ``path``."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or not lines[0].startswith("surf "):
@@ -723,22 +780,25 @@ def read_surface(path) -> ImmersedSurface:
     head = lines[0].split()
     if len(head) != 5:
         raise ValueError(f"{path}: malformed surf header")
-    n_theta, n_phi = int(head[1]), int(head[2])
+    n_theta, n_phi = _parsed(path, int, head[1:3], "grid sizes must be integers")
     if n_theta < 1 or n_phi < 1:
         raise ValueError(f"{path}: grid sizes must be positive")
-    t_theta, t_phi = float(head[3]), float(head[4])
+    t_theta, t_phi = _parsed(path, float, head[3:], "periods must be numbers")
     if len(lines) < 2 or not lines[1].startswith("linear "):
         raise ValueError(f"{path}: missing linear row")
-    lvals = [float(v) for v in lines[1].split()[1:]]
+    lvals = _parsed(path, float, lines[1].split()[1:], "linear row must hold numbers")
     if len(lvals) != 8:
         raise ValueError(f"{path}: linear row needs 8 values")
     L = np.array(lvals).reshape(4, 2)
-    body = lines[2:]
+    body = [ln.split() for ln in lines[2:]]
     if len(body) != n_theta * n_phi:
         raise ValueError(
             f"{path}: expected {n_theta * n_phi} node rows, got {len(body)}"
         )
-    P = np.array([[float(v) for v in ln.split()] for ln in body])
-    if P.shape[1] != 4:
+    if any(len(row) != 4 for row in body):
         raise ValueError(f"{path}: node rows need 4 values")
-    return ImmersedSurface(L, P.reshape(n_theta, n_phi, 4), t_theta, t_phi)
+    P = np.array([_parsed(path, float, row, "node rows must hold numbers") for row in body])
+    try:
+        return ImmersedSurface(L, P.reshape(n_theta, n_phi, 4), t_theta, t_phi)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None

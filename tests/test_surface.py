@@ -16,6 +16,7 @@ from symcrit.ambient import (
     euclidean_c2,
 )
 from symcrit.errors import AmbientDegenerate, NotImmersed
+from symcrit.flow import stable_step
 from symcrit.functional import el_operator, l_beta
 from symcrit.surface import (
     AdaptedFrame,
@@ -399,8 +400,17 @@ def test_surface_read_rejects_garbage(tmp_path):
     [("surf 8 8 6.28\n", "malformed surf header"),
      ("surf 8 8 6.28 6.28\nlinear 1 0 0 1 0 0 0\n", "linear row needs 8 values"),
      ("surf 8 8 6.28 6.28\nlinear 1 0 0 1 0 0 0 0\n" + "0 0 0\n" * 64,
-      "node rows need 4 values")],
-    ids=["header", "linear-row", "node-rows"],
+      "node rows need 4 values"),
+     ("surf 8 8 6.28 6.28\nlinear 1 0 0 1 0 0 0 0\n" + "0 0 0 0\n" * 63 + "0 0 0\n",
+      "node rows need 4 values"),
+     ("surf 8.5 8 6.28 6.28\nlinear 1 0 0 1 0 0 0 0\n" + "0 0 0 0\n" * 64,
+      "grid sizes must be integers"),
+     ("surf 8 8 6.28 6.28\nlinear 1 0 0 1 0 0 0 0\n" + "0 0 0 0\n" * 63 + "0 abc 0 0\n",
+      "node rows must hold numbers"),
+     ("surf 4 4 6.28 6.28\nlinear 1 0 0 1 0 0 0 0\n" + "0 0 0 0\n" * 16,
+      "need at least 8 nodes per direction")],
+    ids=["header", "linear-row", "node-rows", "one-short-node-row", "grid-size",
+         "node-entry", "small-grid"],
 )
 def test_surface_read_names_the_malformed_block(tmp_path, text, message):
     path = tmp_path / "bad.txt"
@@ -606,6 +616,29 @@ def test_periodic_stencils_match_roll_reference(kind, n, square):
     for axis, spacing in ((0, 0.3), (1, 2 * np.pi / m)):
         assert same_bits(periodic_d1(field, axis, spacing), roll_d1(field, axis, spacing))
         assert same_bits(periodic_d2(field, axis, spacing), roll_d2(field, axis, spacing))
+
+
+@pytest.mark.parametrize("periods", [(2 * np.pi, 2 * np.pi), (1.3, 0.7)],
+                         ids=["two-pi", "other"])
+@pytest.mark.parametrize("shape", [(8, 9), (24, 20), (32, 32)], ids=str)
+def test_parametric_derivatives_are_the_stencil_compositions_bit_for_bit(shape, periods):
+    """The tangents, the flat W_ij fields and the fsecond block against the
+    np.roll stencils composed as d_theta, d_phi, d_theta^2, d_phi^2 and
+    d_phi(d_theta): each W_ij is a second partial, W_01 and W_10 the same."""
+    rng = np.random.default_rng(shape[0])
+    S = ImmersedSurface(rng.standard_normal((4, 2)),
+                        stencil_field("vector", *shape, rng), *periods)
+    G = geometry(S)
+    P, ht, hp = S.periodic_part, S.h_theta, S.h_phi
+    dth = roll_d1(P, 0, ht)
+    dtt, dpp, dtp = roll_d2(P, 0, ht), roll_d2(P, 1, hp), roll_d1(dth, 1, hp)
+    assert same_bits(G.fth, S.linear_part[:, 0] + dth)
+    assert same_bits(G.fph, S.linear_part[:, 1] + roll_d1(P, 1, hp))
+    for k, (got, want) in enumerate(zip(G._accel_entries, (dtt, dtp, dtp, dpp))):
+        assert same_bits(got, want), k
+    block = np.stack([np.stack([dtt, dtp], axis=2), np.stack([dtp, dpp], axis=2)], axis=2)
+    assert same_bits(G.fsecond, block)
+    assert same_bits(G.accel, block)
 
 
 def test_euclidean_dot_matches_np_sum_bit_for_bit():
@@ -868,10 +901,93 @@ def test_second_fundamental_signs_of_zero_at_the_ends_of_the_range():
                                    fr.x, fr.y, fr.z, fr.adapted)
     H._normal_covectors = np.zeros(n + (2, 4))
     H._normal_covectors[..., 0] = 1.0
-    H.accel = np.zeros(n + (2, 2, 4))
-    H.accel[..., 0, 1, 0] = -5e-324
+    W = np.zeros(n + (2, 2, 4))
+    W[..., 0, 1, 0] = -5e-324
+    H._accel_entries = (W[..., 0, 0, :], W[..., 0, 1, :], W[..., 1, 0, :], W[..., 1, 1, :])
     assert np.signbit(H.second_fundamental[..., 0, 1]).all()
     assert H.second_fundamental.tobytes() == second_fundamental_general_sum(H).tobytes()
+
+
+def mean_curvature_einsum(G):
+    """The einsum g^ij W_ij that the four-term sum replaced, kept as reference."""
+    return np.einsum("...ij,...ija->...a", G.induced_metric_inv, G.accel)
+
+
+@THREE_AMBIENTS
+@pytest.mark.parametrize("surface", SECOND_FUNDAMENTAL_SURFACES, ids=SECOND_FUNDAMENTAL_IDS)
+def test_raw_mean_curvature_is_the_einsum_bit_for_bit(surface, ambient):
+    G = geometry(surface, ambient)
+    W01, W10 = G._accel_entries[1:3]
+    if ambient is CONF_GENERIC_J and surface is SECOND_FUNDAMENTAL_SURFACES[0]:
+        # the sampled connection makes W_01 and W_10 differ at roundoff, so
+        # the order of the two off-diagonal terms shows in the bits
+        assert not np.array_equal(W01, W10)
+        assert np.max(np.abs(W01 - W10)) < 1e-12 * np.max(np.abs(W01))
+    elif ambient is not CONF_GENERIC_J:
+        assert W01.tobytes() == W10.tobytes()
+    for W in G._accel_entries:
+        assert W.flags.c_contiguous
+    assert G._raw_mean_curvature.tobytes() == mean_curvature_einsum(G).tobytes()
+
+
+def test_raw_mean_curvature_of_negative_zero_products_is_positive_zero():
+    """np.einsum sums from +0.0, so four -0.0 products give +0.0; the
+    four-term sum keeps that sign."""
+    G = geometry(FRAME_SURFACES[0])
+    n = G.fth.shape[:2]
+    ones, zeros = np.ones(n), np.zeros(n + (4,))
+    G._inverse_entries = (ones, -ones, 2.0 * ones)
+    G._accel_entries = (-zeros, zeros, zeros, -zeros)  # every product is -0.0
+    want = mean_curvature_einsum(G)
+    assert not want.any() and not np.signbit(want).any()
+    assert G._raw_mean_curvature.tobytes() == want.tobytes()
+
+
+def stacked_metric(G):
+    """The (..., 2, 2) induced metric and its inverse as they were built
+    before the entries were held as node fields, kept as reference."""
+    fth, fph = G.fth, G.fph
+    gth, gph = G._coordinate_covectors
+
+    def sum4(p):
+        return (p[..., 0] + p[..., 2]) + (p[..., 1] + p[..., 3])
+
+    gi = np.empty(fth.shape[:-1] + (2, 2))
+    gi[..., 0, 0] = sum4(fth * gth)
+    gi[..., 0, 1] = gi[..., 1, 0] = sum4(fth * gph)
+    gi[..., 1, 1] = sum4(fph * gph)
+    det = gi[..., 0, 0] * gi[..., 1, 1] - gi[..., 0, 1] ** 2
+    inv = np.empty_like(gi)
+    inv[..., 0, 0] = gi[..., 1, 1]
+    inv[..., 1, 1] = gi[..., 0, 0]
+    inv[..., 0, 1] = -gi[..., 0, 1]
+    inv[..., 1, 0] = -gi[..., 1, 0]
+    return gi, inv / det[..., None, None]
+
+
+def stacked_stable_step(G, beta):
+    """``flow.stable_step`` as it read the stacked inverse metric."""
+    gi = stacked_metric(G)[1]
+    tr = gi[..., 0, 0] + gi[..., 1, 1]
+    det = gi[..., 0, 0] * gi[..., 1, 1] - gi[..., 0, 1] * gi[..., 1, 0]
+    max_eig = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+    nu = float(np.max(G.cos_alpha ** (-beta) * max_eig))
+    S = G.surface
+    lam = nu * (16.0 / 3.0) * (1.0 / S.h_theta**2 + 1.0 / S.h_phi**2)
+    return 1.7 / lam
+
+
+@THREE_AMBIENTS
+@pytest.mark.parametrize("surface", SECOND_FUNDAMENTAL_SURFACES, ids=SECOND_FUNDAMENTAL_IDS)
+def test_metric_entries_give_the_stacked_forms_bit_for_bit(surface, ambient):
+    G = geometry(surface, ambient)
+    metric, inverse = stacked_metric(G)
+    assert G.induced_metric.tobytes() == metric.tobytes()
+    assert G.induced_metric_inv.tobytes() == inverse.tobytes()
+    for entry in G._metric_entries + G._inverse_entries:
+        assert entry.flags.c_contiguous and entry.shape == G.fth.shape[:2]
+    for beta in (0.0, 1.0, 2.0):
+        assert stable_step(G, beta) == stacked_stable_step(G, beta), beta
 
 
 @THREE_AMBIENTS
