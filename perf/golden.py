@@ -78,10 +78,21 @@ AMBIENTS = {
     "conformal": lambda A: A.conformal(CONFORMAL),
     "generic-j": _generic_j,
 }
-# npz key -> reader; the frame keeps the key it had as a geometry alias, so
-# dumps of older checkouts still line up
+
+
+def _accel_block(G):
+    """W_ij stacked as the (..., 2, 2, 4) block that the ``accel`` key
+    has always held."""
+    import numpy as np
+
+    W = np.stack(G._accel_entries, axis=-2)
+    return W.reshape(W.shape[:-2] + (2, 2, 4))
+
+
+# npz key -> reader; the frame and W_ij keep the keys they had as geometry
+# properties, so dumps of older checkouts still line up
 FIELDS = {
-    "accel": lambda G: G.accel,
+    "accel": _accel_block,
     "second_fundamental": lambda G: G.second_fundamental,
     "frame_matrix": lambda G: G.adapted_frame.matrix,
     "nabla_j_frame": lambda G: G.nabla_j_frame,

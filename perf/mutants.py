@@ -45,7 +45,10 @@ BETA_GAP = "gap: needs critical tori at beta > 0 (exact tori by symmetry reducti
 # of g^ij W_ij (W_01 and W_10 differ at roundoff only in a general
 # ambient), the sign of the inverse metric's off-diagonal entry, and the
 # second-derivative stencil taking f[i+2] - f[i-2] in place of
-# f[i+2] + f[i-2]
+# f[i+2] + f[i-2]; the immersion gate made absolute again (it refuses a
+# small surface whose tangents are far from parallel), each of the shape
+# checks of the metric and J fields dropped, and w_10 read as w_01 in the
+# off-diagonal entry of the second fundamental form's closed form
 MUTANTS = [
     ("src/symcrit/verify.py",
      "+ sa * ca**2 / D * (k1213 - k1224)",
@@ -107,6 +110,22 @@ MUTANTS = [
      "- (fp2 + fm2)) / (12.0 * spacing**2)",
      "- (fp2 - fm2)) / (12.0 * spacing**2)",
      "second derivative reading f[i+2] - f[i-2] for f[i+2] + f[i-2]", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "singular = det <= 1e-14 * g00 * g11",
+     "singular = det <= 1e-14",
+     "immersion gate on det g itself, not on the squared sine", MUST_KILL),
+    ("src/symcrit/ambient.py",
+     '        _check_shape(g, points, "metric", AmbientDegenerate)\n',
+     "",
+     "shape of the metric field unchecked", MUST_KILL),
+    ("src/symcrit/ambient.py",
+     '        _check_shape(J, points, "J", StructureViolation)\n',
+     "",
+     "shape of the J field unchecked", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "+ ((c01 * c00) * w00 + (c11 * c00) * w10))",
+     "+ ((c01 * c00) * w00 + (c11 * c00) * w01))",
+     "w_10 read as w_01 in the off-diagonal second fundamental form", MUST_KILL),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",

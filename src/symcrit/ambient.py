@@ -172,7 +172,8 @@ class AmbientManifold:
     """Chart description of an ambient Hermitian 4-manifold.
 
     ``metric_field(points)`` and ``j_field(points)`` must accept an
-    (..., 4) array and return (..., 4, 4).  The optional analytic
+    (..., 4) array and return (..., 4, 4); ``metric_at`` and ``j_at``
+    refuse any other shape.  The optional analytic
     ``metric_derivative_field`` returns (..., 4, 4, 4) with the derivative
     index first.  Other field derivatives are central differences with
     step ``FD_STEP``.
@@ -189,6 +190,7 @@ class AmbientManifold:
         points = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
             g = np.asarray(self.metric_field(points), dtype=float)
+        _check_shape(g, points, "metric", AmbientDegenerate)
         if not np.isfinite(g).all():
             raise AmbientDegenerate("metric not finite at some evaluation point")
         if check:
@@ -209,6 +211,7 @@ class AmbientManifold:
         points = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
             J = np.asarray(self.j_field(points), dtype=float)
+        _check_shape(J, points, "J", StructureViolation)
         if not np.isfinite(J).all():
             raise StructureViolation("J not finite at some evaluation point")
         if check:
@@ -325,6 +328,15 @@ class AmbientManifold:
         """The ambient at ``points``, (..., 4) positions with any leading
         node axes or a callable that returns them on first need."""
         return _GeneralSample(self, points)
+
+
+def _check_shape(field, points, name, error):
+    """Raise ``error`` unless ``field``, sampled at ``points`` (..., 4), is
+    (..., 4, 4): one 4x4 matrix per point, as ``AmbientManifold`` requires."""
+    want = points.shape[:-1] + (4, 4)
+    if field.shape != want:
+        raise error(f"{name} field returned shape {field.shape} at points of "
+                    f"shape {points.shape}; expected {want}")
 
 
 # -- builtin manifolds ------------------------------------------------
@@ -578,7 +590,7 @@ class _GeneralSample(_Sample):
         """(W_00, W_01, W_10, W_11): each second partial plus its
         Gamma(F_i, F_j)."""
         dtt, dpp, dtp = geometry._second_partials
-        F = geometry.fderiv
+        F = np.stack([geometry.fth, geometry.fph], axis=-2)
         gamma = self.christoffel_pairs(F, F)
         return tuple(d + gamma[..., i, j, :] for d, (i, j) in
                      zip((dtt, dtp, dtp, dpp), ((0, 0), (0, 1), (1, 0), (1, 1))))

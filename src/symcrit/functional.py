@@ -124,7 +124,7 @@ def _l_beta_along(G: SurfaceGeometry, beta: float, xi):
     def at(t):
         f = G.ambient.sample(lambda: G.pos + t * xi).factor
         g11, g12, g22, omega = (f * (c0 + t * (c1 + t * c2)) for c0, c1, c2 in quadratics)
-        sqrt_det = np.sqrt(_checked_det(g11 * g22 - g12**2))
+        sqrt_det = np.sqrt(_checked_det(g11, g12, g22))
         ca = _checked_cos_alpha(omega / sqrt_det)
         return float(np.sum(ca ** (-beta) * (sqrt_det * cell)))
 

@@ -199,22 +199,17 @@ def periodic_d2(field: np.ndarray, axis: int, spacing: float) -> np.ndarray:
 # -- node-level geometry ----------------------------------------------
 
 
-def _checked_det(det):
-    """``det``, the determinant of the induced metric at the nodes; raises
-    NotImmersed where it is at most 1e-14."""
-    if np.any(det <= 1e-14):
-        bad = int(np.sum(det <= 1e-14))
-        raise NotImmersed(f"induced metric singular at {bad} nodes")
+def _checked_det(g00, g01, g11):
+    """det g = g00 g11 - g01^2 of the induced metric entries at the nodes;
+    raises NotImmersed where det g <= 1e-14 g00 g11, that is where the
+    squared sine of the angle between the tangents is at most 1e-14.  The
+    gate is scale free: a surface scaled by s meets it where the unscaled
+    one does."""
+    det = g00 * g11 - g01 ** 2
+    singular = det <= 1e-14 * g00 * g11
+    if np.any(singular):
+        raise NotImmersed(f"induced metric singular at {int(np.sum(singular))} nodes")
     return det
-
-
-def _block(e00, e01, e10, e11):
-    """The 2x2 block [[e00, e01], [e10, e11]] of node fields, its two axes
-    after the node axes: (n_theta, n_phi, 2, 2) + the fields' own axes."""
-    out = np.empty(e00.shape[:2] + (2, 2) + e00.shape[2:])
-    for (i, j), e in zip(((0, 0), (0, 1), (1, 0), (1, 1)), (e00, e01, e10, e11)):
-        out[:, :, i, j] = e
-    return out
 
 
 def _sum4(p):
@@ -262,10 +257,9 @@ class SurfaceGeometry:
     tangent coefficients ``coeff``.
 
     Node fields that the package contracts entry by entry are held as
-    contiguous fields: the induced metric and its inverse (the three
-    entries of each) and W_ij (the four fields ``_accel_entries``).
-    ``induced_metric``, ``induced_metric_inv``, ``fsecond`` and ``accel``
-    build their stacked (..., 2, 2) blocks on each read.
+    contiguous fields, in one form each: the induced metric and its
+    inverse (the three entries of each) and W_ij (the four fields
+    ``_accel_entries``).
     """
 
     def __init__(self, surface: ImmersedSurface, ambient: AmbientManifold):
@@ -302,24 +296,6 @@ class SurfaceGeometry:
     def fph(self):
         return self.surface.linear_part[:, 1] + self._first_partials[1]
 
-    @property
-    def fderiv(self):
-        """First derivatives stacked: index i in {theta, phi} first.
-
-        Built on each read; the general sample's ``accel`` reads it.
-        """
-        return np.stack([self.fth, self.fph], axis=-2)  # (nt, np, 2, 4)
-
-    @property
-    def fsecond(self):
-        """Second parametric derivatives, symmetric 2x2 block of 4-vectors.
-
-        Built on each read from ``_second_partials``, which the samples'
-        ``accel`` reads directly; no reader in the package.
-        """
-        dtt, dpp, dtp = self._second_partials
-        return _block(dtt, dtp, dtp, dpp)
-
     # ---- the ambient at the nodes
 
     @cached_property
@@ -344,21 +320,14 @@ class SurfaceGeometry:
     @cached_property
     def _metric_entries(self):
         """(g_00, g_01, g_11): the induced metric as contiguous node fields,
-        indexed 0-based like the (..., 2, 2) block."""
+        indices 0-based over (theta, phi)."""
         fth, fph = self.fth, self.fph
         gth, gph = self._coordinate_covectors
         return _sum4(fth * gth), _sum4(fth * gph), _sum4(fph * gph)
 
-    @property
-    def induced_metric(self):
-        """g_ij as a (..., 2, 2) block, built from the entries on each read."""
-        g00, g01, g11 = self._metric_entries
-        return _block(g00, g01, g01, g11)
-
     @cached_property
     def det_induced(self):
-        g00, g01, g11 = self._metric_entries
-        return _checked_det(g00 * g11 - g01 ** 2)
+        return _checked_det(*self._metric_entries)
 
     @cached_property
     def sqrt_det(self):
@@ -371,12 +340,6 @@ class SurfaceGeometry:
         g00, g01, g11 = self._metric_entries
         det = self.det_induced
         return g11 / det, -g01 / det, g00 / det
-
-    @property
-    def induced_metric_inv(self):
-        """g^ij as a (..., 2, 2) block, built from the entries on each read."""
-        i00, i01, i11 = self._inverse_entries
-        return _block(i00, i01, i01, i11)
 
     @cached_property
     def area_weights(self):
@@ -476,12 +439,6 @@ class SurfaceGeometry:
         ``_second_partials`` themselves."""
         return self._sample.accel(self)
 
-    @property
-    def accel(self):
-        """W_ij as a (..., 2, 2, 4) block, built from the entries on each
-        read; no reader in the package."""
-        return _block(*self._accel_entries)
-
     @cached_property
     def _normal_covectors(self):
         """(g e3, g e4) stacked like the normal pair."""
@@ -525,9 +482,10 @@ class SurfaceGeometry:
 
         Summed as (((g^00 W_00 + g^01 W_01) + g^10 W_10) + g^11 W_11) + 0.0
         from the contiguous entries, the order of
-        np.einsum("...ij,...ija->...a") on the stacked blocks, which starts
-        from +0.0: the final + 0.0 turns a sum of four -0.0 products into
-        +0.0 and changes nothing else.  So the bits are the einsum's.
+        np.einsum("...ij,...ija->...a") on the entries stacked as 2x2
+        blocks, which starts from +0.0: the final + 0.0 turns a sum of
+        four -0.0 products into +0.0 and changes nothing else.  So the
+        bits are the einsum's.
         """
         i00, i01, i11 = (e[..., None] for e in self._inverse_entries)
         W00, W01, W10, W11 = self._accel_entries

@@ -1,4 +1,6 @@
+import ast
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -22,6 +24,7 @@ from symcrit.errors import AmbientDegenerate, StructureViolation
 from symcrit.functional import el_operator, l_beta
 from symcrit.surface import ImmersedSurface, SurfaceGeometry, perturbed_graph
 from symcrit.verify import (
+    check_condition_cyclic,
     verify_first_variation,
     verify_gradient_identities,
     verify_laplacian_identity,
@@ -151,6 +154,38 @@ def test_vanishing_conformal_factor_raises():
         warnings.simplefilter("error")
         with pytest.raises(AmbientDegenerate, match="positive definite"):
             M.metric_at([[1.0, 0.0, 0.0, 0.0]])
+
+
+# a metric field of chart vectors, and a J field that is one 4x4 table
+# for every grid: each broadcasts through some numpy expressions; the
+# shape each returns at points of a given shape
+WRONG_SHAPES = {
+    "metric": (AmbientManifold(metric_field=lambda p: np.ones(np.shape(p)),
+                               j_field=constant_field(STANDARD_J)),
+               AmbientDegenerate, lambda points: points),
+    "J": (AmbientManifold(metric_field=constant_field(np.eye(4)),
+                          j_field=lambda p: STANDARD_J),
+          StructureViolation, lambda points: (4, 4)),
+}
+
+
+@pytest.mark.parametrize("entry", [lambda S, M: l_beta(S, M, 1.0), check_condition_cyclic],
+                         ids=["l_beta", "check_condition_cyclic"])
+@pytest.mark.parametrize("field", WRONG_SHAPES)
+def test_field_of_the_wrong_shape_is_a_typed_error(field, entry):
+    """A metric or J field that is not (..., 4, 4) at (..., 4) points is
+    refused by ``metric_at`` or ``j_at``, naming both shapes, before any
+    check reads it."""
+    M, error, returned = WRONG_SHAPES[field]
+    S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
+    with pytest.raises(error) as info:
+        entry(S, M)
+    shape = r"(\([\d, ]*\))"
+    parts = re.fullmatch(rf"{field} field returned shape {shape} at points of "
+                         rf"shape {shape}; expected {shape}", str(info.value))
+    got, points, want = (ast.literal_eval(part) for part in parts.groups())
+    assert got == returned(points)
+    assert want == points[:-1] + (4, 4)
 
 
 # -- conformal family --------------------------------------------------

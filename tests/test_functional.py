@@ -247,8 +247,10 @@ def test_jj_grad_perp_identity_matches_raw_projection():
         dcos = np.stack(
             [periodic_d1(ca, 0, S.h_theta), periodic_d1(ca, 1, S.h_phi)], axis=-1
         )
-        up = np.einsum("...ij,...j->...i", G.induced_metric_inv, dcos)
-        grad = np.einsum("...i,...ia->...a", up, G.fderiv)
+        i00, i01, i11 = G._inverse_entries
+        inverse = np.stack([np.stack([i00, i01], -1), np.stack([i01, i11], -1)], -2)
+        up = np.einsum("...ij,...j->...i", inverse, dcos)
+        grad = np.einsum("...i,...ia->...a", up, np.stack([G.fth, G.fph], axis=-2))
         J = ambient.j_at(G.pos)
         jg = np.einsum("...ab,...b->...a", J, grad)
         jg_tan = jg - G.project_normal(jg)
@@ -273,6 +275,32 @@ def test_el_operator_deterministic():
     el2 = el_operator(perturbed_graph(0.5, 0.05, n_theta=24, n_phi=24), EUC, 1.0)
     assert np.array_equal(el.vector, el2.vector)
     assert el.norm_l2 == el2.norm_l2
+
+
+@pytest.mark.parametrize("s", [2.0**-17, 2.0**-10, 2.0**10], ids=["2^-17", "2^-10", "2^10"])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "surface",
+    [perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16),
+     perturbed_holomorphic_graph(n_theta=16, n_phi=16)],
+    ids=["perturbed_graph", "perturbed_holomorphic_graph"],
+)
+def test_scaling_a_surface_by_a_power_of_two_scales_l_beta_and_e_exactly(surface, beta, s):
+    """In flat C^2 the surface s F has area element s^2 dA, the same
+    angle and E / s, and a power of two scales every product exactly:
+    so the values are equal bit for bit, along a line too, and no gate on
+    the scale refuses the small surface."""
+    scaled = ImmersedSurface(s * surface.linear_part, s * surface.periodic_part,
+                             surface.t_theta, surface.t_phi)
+    G, H = SurfaceGeometry(surface, EUC), SurfaceGeometry(scaled, EUC)
+    assert l_beta(scaled, EUC, beta, geometry=H) == s**2 * l_beta(surface, EUC, beta, geometry=G)
+    assert H.cos_alpha.tobytes() == G.cos_alpha.tobytes()
+    el = el_operator(surface, EUC, beta, geometry=G)
+    el_scaled = el_operator(scaled, EUC, beta, geometry=H)
+    assert el_scaled.vector.tobytes() == (el.vector / s).tobytes()
+    assert el_scaled.norm_l2 == el.norm_l2
+    xi = _variation_fields(G)[0]
+    assert _l_beta_along(H, beta, s * xi)(1e-3) == s**2 * _l_beta_along(G, beta, xi)(1e-3)
 
 
 @pytest.mark.parametrize("evaluate", [l_beta, el_operator, el_components],

@@ -55,6 +55,25 @@ def geometry(surface, ambient=EUC):
     return SurfaceGeometry(surface, ambient)
 
 
+# the geometry holds its node fields entry by entry; the einsum references
+# below read them stacked, as these two helpers build them
+
+
+def block(e00, e01, e10, e11):
+    """The 2x2 block [[e00, e01], [e10, e11]] of node fields, its two axes
+    after the node axes: (n_theta, n_phi, 2, 2) + the fields' own axes."""
+    return np.stack([np.stack([e00, e01], axis=2), np.stack([e10, e11], axis=2)], axis=2)
+
+
+def tangent_pair(G):
+    """(F_theta, F_phi) stacked, index i in {theta, phi} before the chart axis."""
+    return np.stack([G.fth, G.fph], axis=-2)
+
+
+# the (i, j) of the four entries of a 2x2 block, in the order of ``block``
+BLOCK_INDICES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 # frozen by an independent symbolic computation of the trace of the
 # second fundamental form for the (R, r) = (2, 1/2) torus of revolution
 TORUS_H_AT_ZERO = (-2.4, 0.0, 0.0, 0.0)
@@ -221,7 +240,8 @@ def test_affine_graph_derivatives_exact():
     G = geometry(S)
     assert np.max(np.abs(G.fth - S.linear_part[:, 0])) < 1e-15
     assert np.max(np.abs(G.fph - S.linear_part[:, 1])) < 1e-15
-    assert np.max(np.abs(G.fsecond)) < 1e-15
+    for d in G._second_partials:
+        assert np.max(np.abs(d)) < 1e-15
     assert np.max(np.abs(G.mean_curvature)) < 1e-15
 
 
@@ -622,7 +642,7 @@ def test_periodic_stencils_match_roll_reference(kind, n, square):
                          ids=["two-pi", "other"])
 @pytest.mark.parametrize("shape", [(8, 9), (24, 20), (32, 32)], ids=str)
 def test_parametric_derivatives_are_the_stencil_compositions_bit_for_bit(shape, periods):
-    """The tangents, the flat W_ij fields and the fsecond block against the
+    """The tangents, the second partials and the flat W_ij fields against the
     np.roll stencils composed as d_theta, d_phi, d_theta^2, d_phi^2 and
     d_phi(d_theta): each W_ij is a second partial, W_01 and W_10 the same."""
     rng = np.random.default_rng(shape[0])
@@ -634,11 +654,10 @@ def test_parametric_derivatives_are_the_stencil_compositions_bit_for_bit(shape, 
     dtt, dpp, dtp = roll_d2(P, 0, ht), roll_d2(P, 1, hp), roll_d1(dth, 1, hp)
     assert same_bits(G.fth, S.linear_part[:, 0] + dth)
     assert same_bits(G.fph, S.linear_part[:, 1] + roll_d1(P, 1, hp))
+    for k, (got, want) in enumerate(zip(G._second_partials, (dtt, dpp, dtp))):
+        assert same_bits(got, want), k
     for k, (got, want) in enumerate(zip(G._accel_entries, (dtt, dtp, dtp, dpp))):
         assert same_bits(got, want), k
-    block = np.stack([np.stack([dtt, dtp], axis=2), np.stack([dtp, dpp], axis=2)], axis=2)
-    assert same_bits(G.fsecond, block)
-    assert same_bits(G.accel, block)
 
 
 def test_euclidean_dot_matches_np_sum_bit_for_bit():
@@ -696,9 +715,10 @@ def test_frame_coeff_writes_the_tangent_pair_in_the_parametric_tangents(
     G = geometry(surface, ambient)
     fr = G.adapted_frame
     C = fr.coeff
-    gram = np.einsum("...ia,...ij,...jb->...ab", C, G.induced_metric, C)
+    g00, g01, g11 = G._metric_entries
+    gram = np.einsum("...ia,...ij,...jb->...ab", C, block(g00, g01, g01, g11), C)
     assert np.max(np.abs(gram - np.eye(2))) < 1e-13
-    legs = np.einsum("...ia,...ic->...ac", C, G.fderiv)
+    legs = np.einsum("...ia,...ic->...ac", C, tangent_pair(G))
     assert np.max(np.abs(legs - fr.matrix[..., :2, :])) < 1e-13
 
 
@@ -765,7 +785,7 @@ SECOND_FUNDAMENTAL_IDS = ["graph", "torus", "zbar", "holomorphic"]
 def test_kernels_match_einsum_reference(surface, ambient):
     """Each matmul or closed-form kernel against the einsum it replaced."""
     G = geometry(surface, ambient)
-    g, J, F = ambient.metric_at(G.pos), ambient.j_at(G.pos), G.fderiv
+    g, J, F = ambient.metric_at(G.pos), ambient.j_at(G.pos), tangent_pair(G)
     fr = G.adapted_frame
     jfth = np.einsum("...ab,...b->...a", J, G.fth)
     metric = np.einsum("...ab,...ia,...jb->...ij", g, F, F)
@@ -780,7 +800,8 @@ def test_kernels_match_einsum_reference(surface, ambient):
     co = np.einsum("...ab,...kb->...ka", g, tangent)
     proj = np.eye(4) - np.einsum("...ka,...kb->...ab", tangent, co)
     gamma = ambient.christoffel_at(G.pos)
-    accel = G.fsecond + np.einsum("...abc,...ib,...jc->...ija", gamma, F, F)
+    dtt, dpp, dtp = G._second_partials
+    accel = block(dtt, dtp, dtp, dpp) + np.einsum("...abc,...ib,...jc->...ija", gamma, F, F)
     normals = fr.matrix[..., 2:, :]
     wn = np.einsum("...cd,...ijc,...nd->...nij", g, accel, normals)
     # raw gauge: e3 is the normal part of the chart axis whose normal part
@@ -792,8 +813,11 @@ def test_kernels_match_einsum_reference(surface, ambient):
     raw_e3 = axes[m, best] / np.sqrt(norms[m, best])[:, None]
     C = fr.coeff
     h = np.einsum("...ia,...jb,...nij->...nab", C, C, wn)
+    g00, g01, g11 = G._metric_entries
     pairs = {
-        "induced_metric": (G.induced_metric, metric),
+        # stacked, so each entry is compared on the scale of the whole
+        # metric: g_01 is roundoff on the torus
+        "induced metric entries": (block(g00, g01, g01, g11), metric),
         "cos_alpha": (G.cos_alpha, omega / np.sqrt(det)),
         "dot": (G.dot(jfth, G.fph), omega),
         "project_normal": (
@@ -809,7 +833,8 @@ def test_kernels_match_einsum_reference(surface, ambient):
         "_normal_covectors": (
             G._normal_covectors, np.einsum("...ab,...nb->...na", g, normals)
         ),
-        "accel": (G.accel, accel),
+        **{f"W_{i}{j}": (W, accel[..., i, j, :])
+           for (i, j), W in zip(BLOCK_INDICES, G._accel_entries)},
         "second_fundamental": (
             G.second_fundamental, 0.5 * (h + np.swapaxes(h, -1, -2))
         ),
@@ -825,7 +850,7 @@ def test_kernels_match_einsum_reference(surface, ambient):
         assert rel_err(got, want) < 1e-14, name
     if ambient is EUC:
         # fixed-order sums: the einsum's bits, signs of zero included
-        for name in ("accel", "second_fundamental"):
+        for name in ("W_00", "W_01", "W_10", "W_11", "second_fundamental"):
             got, want = pairs[name]
             assert got.tobytes() == want.tobytes(), name
     if ambient is not CONF_GENERIC_J:
@@ -853,7 +878,7 @@ def second_fundamental_general_sum(G):
     sum_ij (C_ia C_jb) wn_nij over all four (i, j) pairs from +0.0,
     then the symmetric part.
     """
-    W, co = G.accel, G._normal_covectors
+    W, co = block(*G._accel_entries), G._normal_covectors
     wn = np.zeros(W.shape[:-3] + (2, 2, 2))
     for c in range(4):
         wn += W[..., None, :, :, c] * co[..., :, None, None, c]
@@ -875,7 +900,7 @@ THREE_AMBIENTS = pytest.mark.parametrize(
 def test_second_fundamental_closed_form_matches_general_sum_bit_for_bit(surface, ambient):
     G = geometry(surface, ambient)
     if surface is SECOND_FUNDAMENTAL_SURFACES[2] and ambient is EUC:
-        assert not G.accel.any()
+        assert not any(W.any() for W in G._accel_entries)
     if surface is SECOND_FUNDAMENTAL_SURFACES[3]:
         assert not G.adapted_frame.adapted.any()
     assert G.second_fundamental.tobytes() == second_fundamental_general_sum(G).tobytes()
@@ -891,7 +916,7 @@ def test_second_fundamental_signs_of_zero_at_the_ends_of_the_range():
     coeff = fr.coeff.copy()
     coeff[..., 0, 0] = 1e-170  # squares to +0.0
     G.adapted_frame = AdaptedFrame(fr.matrix, coeff, fr.x, fr.y, fr.z, fr.adapted)
-    assert (_dot(G.accel[..., None, 0, 0, :], G._normal_covectors) < 0).any()
+    assert (_dot(G._accel_entries[0][..., None, :], G._normal_covectors) < 0).any()
     assert not G.second_fundamental[..., 0, 0].any()
     assert G.second_fundamental.tobytes() == second_fundamental_general_sum(G).tobytes()
 
@@ -910,7 +935,9 @@ def test_second_fundamental_signs_of_zero_at_the_ends_of_the_range():
 
 def mean_curvature_einsum(G):
     """The einsum g^ij W_ij that the four-term sum replaced, kept as reference."""
-    return np.einsum("...ij,...ija->...a", G.induced_metric_inv, G.accel)
+    i00, i01, i11 = G._inverse_entries
+    return np.einsum("...ij,...ija->...a", block(i00, i01, i01, i11),
+                     block(*G._accel_entries))
 
 
 @THREE_AMBIENTS
@@ -982,8 +1009,10 @@ def stacked_stable_step(G, beta):
 def test_metric_entries_give_the_stacked_forms_bit_for_bit(surface, ambient):
     G = geometry(surface, ambient)
     metric, inverse = stacked_metric(G)
-    assert G.induced_metric.tobytes() == metric.tobytes()
-    assert G.induced_metric_inv.tobytes() == inverse.tobytes()
+    (g00, g01, g11), (i00, i01, i11) = G._metric_entries, G._inverse_entries
+    for (i, j), g, inv in zip(BLOCK_INDICES, (g00, g01, g01, g11), (i00, i01, i01, i11)):
+        assert g.tobytes() == metric[..., i, j].tobytes(), (i, j)
+        assert inv.tobytes() == inverse[..., i, j].tobytes(), (i, j)
     for entry in G._metric_entries + G._inverse_entries:
         assert entry.flags.c_contiguous and entry.shape == G.fth.shape[:2]
     for beta in (0.0, 1.0, 2.0):
@@ -1028,7 +1057,7 @@ def test_frame_free_operators_match_frame_formulas(surface, ambient, beta):
     G = geometry(surface, ambient)
     fields = np.random.default_rng(11).standard_normal((3,) + G.fth.shape)
     fields[0] = G.apply_j(G.fth)
-    H = frame_reject(G, np.einsum("...ij,...ija->...a", G.induced_metric_inv, G.accel))
+    H = frame_reject(G, mean_curvature_einsum(G))
     E = G.cos_alpha[..., None] ** 3 * H - beta * frame_reject(G, frame_j_tangent_grad(G))
     pairs = {
         "project_normal": (G.project_normal(fields), frame_reject(G, fields)),
@@ -1060,7 +1089,7 @@ def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
     with an exactly zero diagonal.
     """
     G = geometry(surface, CONF)
-    pos, F = G.pos, G.fderiv
+    pos, F = G.pos, tangent_pair(G)
     fr = G.adapted_frame.matrix
     if frame == "skewed":
         fr = skewed(fr)
@@ -1109,7 +1138,7 @@ def test_constant_conformal_factor_scales_area_and_keeps_the_angle(surface):
     area = np.sum(scaled.area_weights) / np.sum(flat.area_weights)
     assert abs(area / np.exp(0.6) - 1.0) < 1e-14
     assert np.max(np.abs(scaled.cos_alpha - flat.cos_alpha)) < 1e-14
-    pos, F, fr = scaled.pos, scaled.fderiv, scaled.adapted_frame.matrix
+    pos, F, fr = scaled.pos, tangent_pair(scaled), scaled.adapted_frame.matrix
     samples = scaled.ambient.sample(pos), AmbientManifold.sample(scaled.ambient, pos)
     closed, contracted = (
         [s.christoffel_pairs(F, F), s.nabla_j_frame(fr), *s.curvature_frame(fr)]
@@ -1170,7 +1199,7 @@ def test_non_finite_ambient_metric_raises_typed_error():
         with pytest.raises(AmbientDegenerate):
             amb.metric_at(FRAME_SURFACES[0].positions())
         with pytest.raises(AmbientDegenerate):
-            geometry(FRAME_SURFACES[0], general).induced_metric
+            geometry(FRAME_SURFACES[0], general).det_induced
 
 
 @pytest.mark.parametrize(
@@ -1187,7 +1216,7 @@ def test_conformal_factor_out_of_range_raises_typed_error_in_a_geometry(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AmbientDegenerate, match=message):
-            geometry(FRAME_SURFACES[0], amb).induced_metric
+            geometry(FRAME_SURFACES[0], amb).det_induced
         with pytest.raises(AmbientDegenerate, match=message):
             verify_laplacian_identity(FRAME_SURFACES[:1], amb)
 
