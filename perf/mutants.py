@@ -46,7 +46,9 @@ BETA_GAP = "gap: needs critical tori at beta > 0 (exact tori by symmetry reducti
 # ambient), the sign of the inverse metric's off-diagonal entry, and the
 # second-derivative stencil taking f[i+2] - f[i-2] in place of
 # f[i+2] + f[i-2]; the immersion gate made absolute again (it refuses a
-# small surface whose tangents are far from parallel), each of the shape
+# small surface whose tangents are far from parallel) or read as the
+# squared sine of the angle between the tangents alone (it passes a
+# tangent shrunk to roundoff beside the other), each of the shape
 # checks of the metric and J fields dropped, and w_10 read as w_01 in the
 # off-diagonal entry of the second fundamental form's closed form
 MUTANTS = [
@@ -111,9 +113,13 @@ MUTANTS = [
      "- (fp2 - fm2)) / (12.0 * spacing**2)",
      "second derivative reading f[i+2] - f[i-2] for f[i+2] + f[i-2]", MUST_KILL),
     ("src/symcrit/surface.py",
-     "singular = det <= 1e-14 * g00 * g11",
+     "singular = det <= 0.25e-14 * (g00 + g11) ** 2",
      "singular = det <= 1e-14",
-     "immersion gate on det g itself, not on the squared sine", MUST_KILL),
+     "immersion gate on det g itself, not on a scale-free ratio", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "singular = det <= 0.25e-14 * (g00 + g11) ** 2",
+     "singular = det <= 1e-14 * g00 * g11",
+     "immersion gate blind to a tangent shrunk to roundoff", MUST_KILL),
     ("src/symcrit/ambient.py",
      '        _check_shape(g, points, "metric", AmbientDegenerate)\n',
      "",

@@ -201,12 +201,12 @@ def periodic_d2(field: np.ndarray, axis: int, spacing: float) -> np.ndarray:
 
 def _checked_det(g00, g01, g11):
     """det g = g00 g11 - g01^2 of the induced metric entries at the nodes;
-    raises NotImmersed where det g <= 1e-14 g00 g11, that is where the
-    squared sine of the angle between the tangents is at most 1e-14.  The
-    gate is scale free: a surface scaled by s meets it where the unscaled
-    one does."""
+    raises NotImmersed where det g <= 1e-14 ((g00 + g11) / 2)^2, that is
+    4 l1 l2 / (l1 + l2)^2 <= 1e-14 for the eigenvalues l1, l2 of g: where
+    the tangents are near parallel or one is short beside the other.  The
+    gate is scale free: a scaled surface meets it where the unscaled does."""
     det = g00 * g11 - g01 ** 2
-    singular = det <= 1e-14 * g00 * g11
+    singular = det <= 0.25e-14 * (g00 + g11) ** 2
     if np.any(singular):
         raise NotImmersed(f"induced metric singular at {int(np.sum(singular))} nodes")
     return det

@@ -14,6 +14,25 @@ from symcrit.ambient import STANDARD_J, AmbientManifold
 from symcrit.functional import _geometry, _j_tangent_grad, validate_beta
 
 
+# the geometry holds its node fields entry by entry; the einsum references
+# read them stacked, as these two helpers build them
+
+
+def block(e00, e01, e10, e11):
+    """The 2x2 block [[e00, e01], [e10, e11]] of node fields, its two axes
+    after the node axes: (n_theta, n_phi, 2, 2) + the fields' own axes."""
+    return np.stack([np.stack([e00, e01], axis=2), np.stack([e10, e11], axis=2)], axis=2)
+
+
+def tangent_pair(G):
+    """(F_theta, F_phi) stacked, index i in {theta, phi} before the chart axis."""
+    return np.stack([G.fth, G.fph], axis=-2)
+
+
+# the (i, j) of the four entries of a 2x2 block, in the order of ``block``
+BLOCK_INDICES = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 @dataclass
 class CurvatureData:
     """Covariant curvature components with algebraic-identity residuals."""

@@ -25,7 +25,7 @@ from symcrit.verify import (
     laplacian_identity_terms,
 )
 
-from reference import counted, el_components, jj_grad_perp
+from reference import block, counted, el_components, jj_grad_perp, tangent_pair
 
 EUC = euclidean_c2()
 
@@ -248,9 +248,8 @@ def test_jj_grad_perp_identity_matches_raw_projection():
             [periodic_d1(ca, 0, S.h_theta), periodic_d1(ca, 1, S.h_phi)], axis=-1
         )
         i00, i01, i11 = G._inverse_entries
-        inverse = np.stack([np.stack([i00, i01], -1), np.stack([i01, i11], -1)], -2)
-        up = np.einsum("...ij,...j->...i", inverse, dcos)
-        grad = np.einsum("...i,...ia->...a", up, np.stack([G.fth, G.fph], axis=-2))
+        up = np.einsum("...ij,...j->...i", block(i00, i01, i01, i11), dcos)
+        grad = np.einsum("...i,...ia->...a", up, tangent_pair(G))
         J = ambient.j_at(G.pos)
         jg = np.einsum("...ab,...b->...a", J, grad)
         jg_tan = jg - G.project_normal(jg)

@@ -17,7 +17,7 @@ from symcrit.ambient import (
 )
 from symcrit.errors import AmbientDegenerate, NotImmersed
 from symcrit.flow import stable_step
-from symcrit.functional import el_operator, l_beta
+from symcrit.functional import _l_beta_along, el_operator, l_beta
 from symcrit.surface import (
     AdaptedFrame,
     ImmersedSurface,
@@ -43,7 +43,14 @@ from symcrit.verify import (
     verify_laplacian_identity,
 )
 
-from reference import curvature_data, jj_grad_perp, mean_curvature_frame
+from reference import (
+    BLOCK_INDICES,
+    block,
+    curvature_data,
+    jj_grad_perp,
+    mean_curvature_frame,
+    tangent_pair,
+)
 
 EUC = euclidean_c2()
 CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
@@ -54,24 +61,6 @@ CONF_GENERIC_J = AmbientManifold(metric_field=CONF.metric_field, j_field=CONF.j_
 def geometry(surface, ambient=EUC):
     return SurfaceGeometry(surface, ambient)
 
-
-# the geometry holds its node fields entry by entry; the einsum references
-# below read them stacked, as these two helpers build them
-
-
-def block(e00, e01, e10, e11):
-    """The 2x2 block [[e00, e01], [e10, e11]] of node fields, its two axes
-    after the node axes: (n_theta, n_phi, 2, 2) + the fields' own axes."""
-    return np.stack([np.stack([e00, e01], axis=2), np.stack([e10, e11], axis=2)], axis=2)
-
-
-def tangent_pair(G):
-    """(F_theta, F_phi) stacked, index i in {theta, phi} before the chart axis."""
-    return np.stack([G.fth, G.fph], axis=-2)
-
-
-# the (i, j) of the four entries of a 2x2 block, in the order of ``block``
-BLOCK_INDICES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 # frozen by an independent symbolic computation of the trace of the
@@ -333,6 +322,20 @@ def test_project_normal_on_degenerate_surface_raises(ambient):
         warnings.simplefilter("error")
         with pytest.raises(NotImmersed):
             geometry(flat, ambient).project_normal(np.ones((8, 8, 4)))
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0**-17, 2.0**-10, 2.0**10],
+                         ids=["1", "2^-17", "2^-10", "2^10"])
+@pytest.mark.parametrize("ambient", [EUC, CONF], ids=["flat", "conformal"])
+def test_tangent_short_beside_the_other_raises_not_immersed_at_every_scale(ambient, s):
+    """|F_theta| = 1e-9 |F_phi| with the tangents orthogonal: the metric's
+    condition number is 1e18, far from parallel tangents, and the gate
+    refuses it at every scale, in the geometry and along a line."""
+    S = lagrangian_torus(1e-9 * s, s, n_theta=16, n_phi=16)
+    with pytest.raises(NotImmersed):
+        geometry(S, ambient).det_induced
+    with pytest.raises(NotImmersed):
+        _l_beta_along(geometry(S, ambient), 1.0, np.zeros(S.periodic_part.shape))(0.0)
 
 
 # R = r: F_theta vanishes on the circle phi = pi
