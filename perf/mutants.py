@@ -50,7 +50,12 @@ BETA_GAP = "gap: needs critical tori at beta > 0 (exact tori by symmetry reducti
 # squared sine of the angle between the tangents alone (it passes a
 # tangent shrunk to roundoff beside the other), each of the shape
 # checks of the metric and J fields dropped, and w_10 read as w_01 in the
-# off-diagonal entry of the second fundamental form's closed form
+# off-diagonal entry of the second fundamental form's closed form; four
+# more of that closed form (a term dropped, a sign flipped, a coefficient
+# misread, the + 0.0 that fixes the sign of zero dropped), the Christoffel
+# term dropped from W_ij and from the covariant frame derivative, the flat
+# zero nabla J table made to build the frame it does not need, and each
+# check of an analytic metric derivative dropped
 MUTANTS = [
     ("src/symcrit/verify.py",
      "+ sa * ca**2 / D * (k1213 - k1224)",
@@ -132,6 +137,43 @@ MUTANTS = [
      "+ ((c01 * c00) * w00 + (c11 * c00) * w10))",
      "+ ((c01 * c00) * w00 + (c11 * c00) * w01))",
      "w_10 read as w_01 in the off-diagonal second fundamental form", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "+ ((c01 * c00) * w00 + (c11 * c00) * w10))",
+     "+ ((c01 * c00) * w00))",
+     "w_10 term of h_01 dropped", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "(c01 * c01) * w00 + (c11 * c01) * w10)",
+     "(c01 * c01) * w00 - (c11 * c01) * w10)",
+     "sign of (c11 c01) w_10 in h_11 flipped", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "(c11 * c11) * w11",
+     "(c11 * c01) * w11",
+     "(c11 c11) w_11 read as (c11 c01) w_11 in h_11", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "h[..., 0, 0] = (c00 * c00) * w00 + 0.0",
+     "h[..., 0, 0] = (c00 * c00) * w00",
+     "+ 0.0 of h_00 dropped (a -0.0 product kept)", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "tuple(d + gamma[..., i, j, :] for d,",
+     "tuple(d for d,",
+     "Christoffel term dropped from W_ij", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "            d += self._sample.christoffel_pairs(pair, vfield[..., None, :])",
+     "            d += 0.0 * self._sample.christoffel_pairs(pair, vfield[..., None, :])",
+     "Christoffel term dropped from the covariant frame derivative", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "            S = self.surface\n            return np.broadcast_to(0.0,",
+     "            S = self.surface\n            self.adapted_frame\n"
+     "            return np.broadcast_to(0.0,",
+     "flat zero nabla J table builds the frame", MUST_KILL),
+    ("src/symcrit/ambient.py",
+     '            _check_shape(dg, points, "metric derivative", AmbientDegenerate, (4, 4, 4))\n',
+     "",
+     "shape of an analytic metric derivative unchecked", MUST_KILL),
+    ("src/symcrit/ambient.py",
+     "            if not np.isfinite(dg).all():\n",
+     "            if False:\n",
+     "finiteness of an analytic metric derivative unchecked", MUST_KILL),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",

@@ -24,13 +24,15 @@ its connection and curvature are the base class's contractions of
 closed forms, and :class:`EuclideanManifold`, flat C^2, its lam = 0 case.
 
 A surface reads the ambient through the sample that ``sample(points)``
-returns for its nodes.  The flat sample holds no field; the general one
-holds g and J and contracts the tensors above into ``christoffel_pairs``
-(Gamma(X, Y)), ``nabla_j_frame`` (nabla J in a frame) and
-``curvature_frame`` (K_1213, K_1224); the conformal one holds exp(2 lam)
-and grad lam and evaluates all three in closed form, per node.  Every
-sample's ``factor`` is exp(2 lam) where g = exp(2 lam) delta: 1.0 on the
-flat one, which reads no positions for it, and None on the general one.
+returns for its nodes, which reads arrays, never the surface.  The flat
+sample holds no field and is ``flat``, so the surface writes the zero
+connection, nabla J and curvature itself; the general one holds g and J
+and contracts the tensors above into ``christoffel_pairs`` (Gamma(X,
+Y)), ``nabla_j_frame`` (nabla J in a frame) and ``curvature_frame``
+(K_1213, K_1224); the conformal one holds exp(2 lam) and grad lam and
+evaluates all three in closed form, per node.  Every sample's ``factor``
+is exp(2 lam) where g = exp(2 lam) delta: 1.0 on the flat one, which
+reads no positions for it, and None on the general one.
 """
 
 from __future__ import annotations
@@ -174,9 +176,9 @@ class AmbientManifold:
     ``metric_field(points)`` and ``j_field(points)`` must accept an
     (..., 4) array and return (..., 4, 4); ``metric_at`` and ``j_at``
     refuse any other shape.  The optional analytic
-    ``metric_derivative_field`` returns (..., 4, 4, 4) with the derivative
-    index first.  Other field derivatives are central differences with
-    step ``FD_STEP``.
+    ``metric_derivative_field`` returns (..., 4, 4, 4), finite, with the
+    derivative index first; ``metric_derivative_at`` refuses any other.
+    Other field derivatives are central differences with step ``FD_STEP``.
     """
 
     metric_field: Callable[[np.ndarray], np.ndarray]
@@ -249,7 +251,14 @@ class AmbientManifold:
 
     def metric_derivative_at(self, points) -> np.ndarray:
         if self.metric_derivative_field is not None:
-            return np.asarray(self.metric_derivative_field(points), dtype=float)
+            points = np.asarray(points, dtype=float)
+            with np.errstate(all="ignore"):
+                dg = np.asarray(self.metric_derivative_field(points), dtype=float)
+            _check_shape(dg, points, "metric derivative", AmbientDegenerate, (4, 4, 4))
+            if not np.isfinite(dg).all():
+                raise AmbientDegenerate(
+                    "metric derivative not finite at some evaluation point")
+            return dg
         return self._fd_derivative(lambda q: self.metric_at(q, check=False), points)
 
     def j_derivative_at(self, points) -> np.ndarray:
@@ -330,10 +339,10 @@ class AmbientManifold:
         return _GeneralSample(self, points)
 
 
-def _check_shape(field, points, name, error):
+def _check_shape(field, points, name, error, trailing=(4, 4)):
     """Raise ``error`` unless ``field``, sampled at ``points`` (..., 4), is
-    (..., 4, 4): one 4x4 matrix per point, as ``AmbientManifold`` requires."""
-    want = points.shape[:-1] + (4, 4)
+    (...) + ``trailing``: one 4x4 matrix per point unless told otherwise."""
+    want = points.shape[:-1] + trailing
     if field.shape != want:
         raise error(f"{name} field returned shape {field.shape} at points of "
                     f"shape {points.shape}; expected {want}")
@@ -501,11 +510,14 @@ def _apply_standard_j(v):
 
 class _Sample:
     """An ambient at some nodes, whose positions ``points`` builds on first
-    read from an (..., 4) array or a callable that returns one.  ``factor``
-    is exp(2 lam) at the nodes where g = exp(2 lam) delta with the standard
-    J, and None where the metric is no scalar multiple of delta."""
+    read from an (..., 4) array or a callable that returns one.  Every
+    sample has ``points``, ``factor``, ``flat``, ``lower``, ``apply_j`` and
+    ``fields``, and one that is not flat ``christoffel_pairs``,
+    ``nabla_j_frame`` and ``curvature_frame``.  ``factor`` is exp(2 lam)
+    where g = exp(2 lam) delta with the standard J, and None elsewhere."""
 
     factor = None
+    flat = False  # True where the connection, nabla J and the curvature vanish
 
     def __init__(self, ambient: AmbientManifold, points):
         self.ambient = ambient
@@ -520,42 +532,23 @@ class _Sample:
 class _FlatSample(_Sample):
     """Flat C^2 at any nodes: g is the identity, J is ``STANDARD_J`` and
     the connection, nabla J and the curvature vanish, so no read but
-    ``points`` builds node positions, and none builds a frame."""
+    ``points`` builds node positions."""
 
     apply_j = staticmethod(_apply_standard_j)
     factor = 1.0
+    flat = True
 
     def lower(self, v):
         return v
 
-    def covariant(self, d, X, Y):
-        return d
-
     def fields(self):
         return ()
-
-    def accel(self, geometry):
-        """The second partials themselves, as (W_00, W_01, W_10, W_11)."""
-        dtt, dpp, dtp = geometry._second_partials
-        return dtt, dtp, dtp, dpp
-
-    def frame_nabla_j(self, geometry):
-        # read-only: every reader slices the table
-        S = geometry.surface
-        return np.broadcast_to(0.0, (S.n_theta, S.n_phi, 4, 4, 4))
-
-    def frame_curvature(self, geometry):
-        return np.zeros(geometry.cos_alpha.shape), np.zeros(geometry.cos_alpha.shape)
-
-    def j12_kk(self, geometry):
-        return np.zeros(geometry.cos_alpha.shape)
 
 
 class _GeneralSample(_Sample):
     """Any ambient at the nodes: g and J, each sampled and checked once,
     the connection, taken once when a read first needs it, and the nabla J
-    and curvature tensors, taken by the read that needs them.  The reads
-    that take a geometry pass its frame on."""
+    and curvature tensors, taken by the read that needs them."""
 
     @cached_property
     def g(self):
@@ -580,29 +573,6 @@ class _GeneralSample(_Sample):
 
     def apply_j(self, v):
         return (self.j @ np.asarray(v)[..., None])[..., 0]
-
-    def covariant(self, d, X, Y):
-        """``d`` + Gamma(X, Y), added into ``d``, whose shape the pairs take."""
-        d += self.christoffel_pairs(X, Y).reshape(d.shape)
-        return d
-
-    def accel(self, geometry):
-        """(W_00, W_01, W_10, W_11): each second partial plus its
-        Gamma(F_i, F_j)."""
-        dtt, dpp, dtp = geometry._second_partials
-        F = np.stack([geometry.fth, geometry.fph], axis=-2)
-        gamma = self.christoffel_pairs(F, F)
-        return tuple(d + gamma[..., i, j, :] for d, (i, j) in
-                     zip((dtt, dtp, dtp, dpp), ((0, 0), (0, 1), (1, 0), (1, 1))))
-
-    def frame_nabla_j(self, geometry):
-        return self.nabla_j_frame(geometry.adapted_frame.matrix)
-
-    def frame_curvature(self, geometry):
-        return self.curvature_frame(geometry.adapted_frame.matrix)
-
-    def j12_kk(self, geometry):
-        return geometry._assemble_j12_kk()
 
     def christoffel_pairs(self, X, Y) -> np.ndarray:
         """Gamma(X_p, Y_q)^A = Gamma^A_{BC} X_p^B Y_q^C for every pair (p, q).
@@ -642,11 +612,11 @@ class _GeneralSample(_Sample):
         return k1213, k1224
 
 
-class _ConformalSample(_GeneralSample):
+class _ConformalSample(_Sample):
     """A conformal ambient at the nodes: exp(2 lam) and grad lam, each
     evaluated and checked once, and the Hessian of lam only where the
-    curvature is read.  No rank-3 or rank-4 tensor is built.  In the
-    docstrings below X.Y is the Euclidean dot."""
+    curvature is read.  No 4x4 g or J and no rank-3 or rank-4 tensor is
+    built.  In the docstrings below X.Y is the Euclidean dot."""
 
     apply_j = staticmethod(_apply_standard_j)
 

@@ -435,9 +435,15 @@ class SurfaceGeometry:
     def _accel_entries(self):
         """(W_00, W_01, W_10, W_11), i and j in {0, 1} = {theta, phi}:
         W_ij = d_i d_j F plus the ambient's Christoffel term Gamma(F_i, F_j),
-        each a contiguous (..., 4) field.  A flat sample returns
-        ``_second_partials`` themselves."""
-        return self._sample.accel(self)
+        each a contiguous (..., 4) field.  In a flat ambient they are the
+        ``_second_partials`` themselves, W_01 and W_10 one array."""
+        dtt, dpp, dtp = self._second_partials
+        if self._sample.flat:
+            return dtt, dtp, dtp, dpp
+        F = np.stack([self.fth, self.fph], axis=-2)
+        gamma = self._sample.christoffel_pairs(F, F)
+        return tuple(d + gamma[..., i, j, :] for d, (i, j) in
+                     zip((dtt, dtp, dtp, dpp), ((0, 0), (0, 1), (1, 0), (1, 1))))
 
     @cached_property
     def _normal_covectors(self):
@@ -526,9 +532,11 @@ class SurfaceGeometry:
 
         Shape (..., 2, 4), the direction as axis 2, like ``frame_derivative``.
         """
-        pair = self.adapted_frame.matrix[..., :2, :]
-        return self._sample.covariant(self.frame_derivative(vfield), pair,
-                                      vfield[..., None, :])
+        d = self.frame_derivative(vfield)
+        if not self._sample.flat:
+            pair = self.adapted_frame.matrix[..., :2, :]
+            d += self._sample.christoffel_pairs(pair, vfield[..., None, :]).reshape(d.shape)
+        return d
 
     def laplace_beltrami(self, field):
         """Divergence-form Laplace-Beltrami of a scalar grid field."""
@@ -548,15 +556,20 @@ class SurfaceGeometry:
     def nabla_j_frame(self):
         """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g, shape (..., k, a, b).
 
-        k runs over the full frame, like a and b.  A flat sample returns a
-        read-only zero table without building the frame.
+        k runs over the full frame, like a and b.  In a flat ambient it is
+        a read-only zero table, and no frame is built for it.
         """
-        return self._sample.frame_nabla_j(self)
+        if self._sample.flat:  # read-only: every reader slices the table
+            S = self.surface
+            return np.broadcast_to(0.0, (S.n_theta, S.n_phi, 4, 4, 4))
+        return self._sample.nabla_j_frame(self.adapted_frame.matrix)
 
     @cached_property
     def curvature_frame_components(self):
         """(K_1213, K_1224) = (K(e1, e2, e1, e3), K(e1, e2, e2, e4))."""
-        return self._sample.frame_curvature(self)
+        if self._sample.flat:
+            return np.zeros(self.cos_alpha.shape), np.zeros(self.cos_alpha.shape)
+        return self._sample.curvature_frame(self.adapted_frame.matrix)
 
     # ---- assembled second-order frame quantities
 
@@ -579,14 +592,12 @@ class SurfaceGeometry:
 
     @cached_property
     def j12_kk(self):
-        """Trace of the surface second covariant derivative of J_{12,.};
-        identically zero for a parallel J, which the flat sample returns."""
-        return self._sample.j12_kk(self)
-
-    def _assemble_j12_kk(self):
-        """``j12_kk`` by differencing the J_{12,k} grid fields along the
-        tangent frame and removing the frame-connection terms, so it is the
-        value taken in a frame that is covariantly constant at the node."""
+        """Trace of the surface second covariant derivative of J_{12,.}: the
+        J_{12,k} grid fields differenced along the tangent frame less the
+        frame-connection terms, its value in a frame covariantly constant at
+        the node.  Zero for a parallel J, so zeros in a flat ambient."""
+        if self._sample.flat:
+            return np.zeros(self.cos_alpha.shape)
         jf = self.nabla_j_frame  # (..., k, a, b)
         phi = jf[..., :2, 0, 1]  # J_{12,k} for tangent k, (..., k)
         # e_k(phi_k)

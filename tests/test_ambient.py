@@ -188,6 +188,35 @@ def test_field_of_the_wrong_shape_is_a_typed_error(field, entry):
     assert want == points[:-1] + (4, 4)
 
 
+# beside the identity metric: an analytic metric derivative that is one 4x4
+# table for every grid, and one of the right shape that is NaN throughout
+BAD_METRIC_DERIVATIVES = {
+    "wrong-shape": (lambda p: np.zeros((4, 4)),
+                    "metric derivative field returned shape (4, 4) at points of "
+                    "shape (16, 16, 4); expected (16, 16, 4, 4, 4)"),
+    "not-finite": (lambda p: np.full(np.shape(p)[:-1] + (4, 4, 4), np.nan),
+                   "metric derivative not finite at some evaluation point"),
+}
+
+
+@pytest.mark.parametrize("entry", [lambda S, M: el_operator(S, M, 1.0), check_condition_cyclic],
+                         ids=["el_operator", "check_condition_cyclic"])
+@pytest.mark.parametrize("field", BAD_METRIC_DERIVATIVES)
+def test_analytic_metric_derivative_is_checked_like_the_metric(field, entry):
+    """``metric_derivative_at`` refuses an analytic metric derivative that
+    is not (..., 4, 4, 4) at (..., 4) points, naming both shapes, or that
+    is not finite, before any connection is contracted from it."""
+    dg, message = BAD_METRIC_DERIVATIVES[field]
+    M = AmbientManifold(metric_field=constant_field(np.eye(4)),
+                        j_field=constant_field(STANDARD_J), metric_derivative_field=dg)
+    S = perturbed_graph(0.5, 0.05, n_theta=16, n_phi=16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AmbientDegenerate) as info:
+            entry(S, M)
+    assert str(info.value) == message
+
+
 # -- conformal family --------------------------------------------------
 
 

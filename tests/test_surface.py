@@ -1,5 +1,6 @@
 """Tests for immersed tori, adapted frames, and surface geometry."""
 
+import re
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from symcrit.ambient import (
     conformal,
     euclidean_c2,
 )
-from symcrit.errors import AmbientDegenerate, NotImmersed
+from symcrit.errors import AmbientDegenerate, NotImmersed, NotSymplectic
 from symcrit.flow import stable_step
 from symcrit.functional import _l_beta_along, el_operator, l_beta
 from symcrit.surface import (
@@ -1161,6 +1162,68 @@ def test_nabla_j_frame_is_exactly_zero_on_flat_kahler():
 def test_condition_cyclic_residuals_are_exactly_zero_on_flat_kahler():
     c3, c4 = condition_cyclic_residuals(geometry(FRAME_SURFACES[0]))
     assert not np.any(c3) and not np.any(c4)
+
+
+def test_flat_short_cuts_build_no_frame(monkeypatch):
+    """The first variation reads the nabla J table for its cyclic
+    condition; in the flat ambient that table is zero and needs no frame,
+    so with ``adapted_frame`` refusing every build the report text is
+    unchanged.  The flat W_ij are the second partials themselves, W_01 and
+    W_10 one array."""
+    S = perturbed_graph(0.5, 0.05, n_theta=32, n_phi=32)
+    want = verify_first_variation(S, EUC, 1.0).to_text()
+    G = geometry(S)
+    W00, W01, W10, W11 = G._accel_entries
+    dtt, dpp, dtp = G._second_partials
+    assert W00 is dtt and W01 is dtp and W10 is dtp and W11 is dpp
+
+    def refuse(self):
+        raise AssertionError("adapted frame built")
+
+    monkeypatch.setattr(SurfaceGeometry, "adapted_frame", property(refuse))
+    assert verify_first_variation(S, EUC, 1.0).to_text() == want
+
+
+# flat C^2 as the conformal ambient at lam = 0: factor 1 and grad lam = 0,
+# read on the path that is not flat
+ZERO_EXPONENT = conformal("0")
+FLAT_SHORT_CUTS = ("_accel_entries", "nabla_j_frame", "curvature_frame_components",
+                   "j12_kk", "tangent_connection", "mean_curvature_normal_derivative")
+FLAT_CHECKS = {
+    "laplacian": verify_laplacian_identity,
+    "gradient": verify_gradient_identities,
+    "first_variation": lambda S, amb: verify_first_variation(S[0], amb, 1.0),
+    "critical": lambda S, amb: verify_critical_identity(S[0], amb, 1.0),
+    "cyclic": lambda S, amb: check_condition_cyclic(S[0], amb),
+    "symmetric": lambda S, amb: check_condition_symmetric(S[0], amb),
+}
+
+
+def masked_report(check, surfaces, ambient):
+    """The report text with the ambient's name masked, or the refusal of a
+    surface that is not symplectic (the torus, to the checks that need it)."""
+    try:
+        text = check(surfaces, ambient).to_text()
+    except NotSymplectic as exc:
+        return f"error: {exc}"
+    return re.sub(r"^ambient .*$", "ambient *", text, flags=re.MULTILINE)
+
+
+@pytest.mark.parametrize("make", [lambda n: perturbed_graph(0.5, 0.05, n_theta=n, n_phi=n),
+                                  lambda n: revolution_torus(n_theta=n, n_phi=n)],
+                         ids=["graph", "torus"])
+def test_flat_short_cuts_are_the_zero_exponent_closed_forms(make):
+    """Each field the flat ambient writes without a sample read equals
+    the conformal closed forms at lam = 0 (the table and the curvature up
+    to the sign of zero), and every check reads the same text but for
+    the ambient's name, on a torus with raw-gauge nodes too."""
+    surfaces = [make(16), make(32)]
+    flat, zero = geometry(surfaces[0]), geometry(surfaces[0], ZERO_EXPONENT)
+    for name in FLAT_SHORT_CUTS:
+        assert np.array_equal(getattr(flat, name), getattr(zero, name)), name
+    for name, check in FLAT_CHECKS.items():
+        assert (masked_report(check, surfaces, EUC)
+                == masked_report(check, surfaces, ZERO_EXPONENT)), name
 
 
 def test_conformal_curvature_frame_components_difference_nothing(monkeypatch):

@@ -244,9 +244,10 @@ def test_laplacian_terms_sum_to_lhs():
 
 
 def test_general_sample_takes_the_node_connection_once(monkeypatch):
-    """accel and the two covariant frame derivatives share the sample's
-    Christoffel tensor; nabla J and the curvature take their own, and the
-    curvature's partials difference 16 more."""
+    """The geometry's W_ij (``_accel_entries``) and its two covariant frame
+    derivatives read ``christoffel_pairs`` of one sample, which takes the
+    Christoffel tensor once; nabla J and the curvature take their own, and
+    the curvature's partials difference 16 more."""
     shapes = []
     monkeypatch.setattr(GENERAL_CONF, "christoffel_at",
                         counted(GENERAL_CONF.christoffel_at, shapes))
