@@ -55,7 +55,10 @@ BETA_GAP = "gap: needs critical tori at beta > 0 (exact tori by symmetry reducti
 # misread, the + 0.0 that fixes the sign of zero dropped), the Christoffel
 # term dropped from W_ij and from the covariant frame derivative, the flat
 # zero nabla J table made to build the frame it does not need, and each
-# check of an analytic metric derivative dropped
+# check of an analytic metric derivative dropped; a sin and a cos swapped
+# in the separable bump of the perturbed graphs, a mirrored entry of the
+# parsed Hessian read from the wrong index, and the order of the flat
+# omega sum (its last two products swapped, its final + 0.0 dropped)
 MUTANTS = [
     ("src/symcrit/verify.py",
      "+ sa * ca**2 / D * (k1213 - k1224)",
@@ -174,6 +177,22 @@ MUTANTS = [
      "            if not np.isfinite(dg).all():\n",
      "            if False:\n",
      "finiteness of an analytic metric derivative unchecked", MUST_KILL),
+    ("src/symcrit/surface.py",
+     "s1, c1 = np.sin(k1 * th), np.cos(k1 * th)",
+     "s1, c1 = np.cos(k1 * th), np.sin(k1 * th)",
+     "sin and cos of the theta factor swapped in the separable bump", MUST_KILL),
+    ("src/symcrit/ambient.py",
+     "second = [upper[min(i, j), max(i, j)]",
+     "second = [upper[min(i, j), min(i, j)]",
+     "mirrored Hessian entry read from the wrong index", MUST_KILL),
+    ("src/symcrit/ambient.py",
+     "    out += p[..., 2]\n    out += p[..., 3]\n",
+     "    out += p[..., 3]\n    out += p[..., 2]\n",
+     "last two products of the flat omega sum swapped", MUST_KILL),
+    ("src/symcrit/ambient.py",
+     "    out += p[..., 3]\n    out += 0.0\n",
+     "    out += p[..., 3]\n",
+     "+ 0.0 of the flat omega sum dropped (a -0.0 kept)", MUST_KILL),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",

@@ -31,7 +31,11 @@ conformal curvature tensor ``curvature_at``, the conformal sample's
 connection ``christoffel_pairs`` on the parametric tangents (F, F)
 (grad lam sampled before the rounds, as a geometry samples it once) and
 the lowered tangents ``_coordinate_covectors`` (fresh geometry: the
-metric factor is sampled in the round) at 128x128.  Run from the root
+metric factor is sampled in the round) at 128x128.  The set-up group
+builds the inputs every check pays for: ``perturbed_graph`` and
+``ImmersedSurface.positions`` at 128x128, and ``conformal`` parsing
+its exponent after ``sympy.core.cache.clear_cache()``, as the first
+parse in a fresh process does.  Run from the root
 of a checkout, with BLAS on one thread as in ``bench/``:
 
     OPENBLAS_NUM_THREADS=1 python -m pytest perf --benchmark-json=layers.json
@@ -53,6 +57,7 @@ inside the round, as their callers do.
 
 import numpy as np
 import pytest
+import sympy
 
 from symcrit.ambient import conformal, euclidean_c2
 from symcrit.flow import run_flow
@@ -89,7 +94,8 @@ FIELD_COARSE = np.random.default_rng(5).standard_normal((N_COARSE, N_COARSE, 4))
 N_FINE = 128
 ROUNDS_FINE = 20
 SURFACE_FINE = perturbed_graph(0.5, 0.05, n_theta=N_FINE, n_phi=N_FINE)
-AMBIENTS = {"flat": EUC, "conformal": conformal("0.1*sin(p1) + 0.05*cos(p2)")}
+CONFORMAL = "0.1*sin(p1) + 0.05*cos(p2)"
+AMBIENTS = {"flat": EUC, "conformal": conformal(CONFORMAL)}
 LADDER = [perturbed_graph(0.5, 0.05, n_theta=n, n_phi=n) for n in (32, 64)] + [SURFACE_FINE]
 
 
@@ -318,3 +324,23 @@ def test_conformal_coordinate_covectors_fresh_geometry_n128(benchmark):
     gth, _ = benchmark.pedantic(lambda G: G._coordinate_covectors, setup=setup,
                                 rounds=ROUNDS_FINE)
     assert gth.shape == (N_FINE, N_FINE, 4)
+
+
+def test_perturbed_graph_n128(benchmark):
+    S = benchmark.pedantic(perturbed_graph, (0.5, 0.05),
+                           {"n_theta": N_FINE, "n_phi": N_FINE}, rounds=ROUNDS_FINE)
+    assert S.periodic_part.shape == (N_FINE, N_FINE, 4)
+
+
+def test_positions_n128(benchmark):
+    pos = benchmark.pedantic(SURFACE_FINE.positions, rounds=ROUNDS_FINE)
+    assert pos.shape == (N_FINE, N_FINE, 4)
+
+
+def test_conformal_parse_cold_cache(benchmark):
+    def setup():
+        sympy.core.cache.clear_cache()
+        return (CONFORMAL,), {}
+
+    ambient = benchmark.pedantic(conformal, setup=setup, rounds=ROUNDS_FINE)
+    assert ambient.name == f"conformal({CONFORMAL})"

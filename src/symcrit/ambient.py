@@ -142,7 +142,10 @@ def parse_scalar_field(expression: str):
 
     value = _vectorized(coords, [expr], ())
     grad = _vectorized(coords, [sp.diff(expr, c) for c in coords], (4,))
-    second = [sp.diff(expr, a, b) for a in coords for b in coords]
+    # the ten distinct second partials, each taken once and mirrored
+    upper = {(i, j): sp.diff(expr, coords[i], coords[j])
+             for i in range(4) for j in range(i, 4)}
+    second = [upper[min(i, j), max(i, j)] for i in range(4) for j in range(4)]
     hess = _vectorized(coords, second, (4, 4))
     return value, grad, hess
 

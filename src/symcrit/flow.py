@@ -112,8 +112,14 @@ def _line_search(G, beta, velocity, current, tau):
 
     ``current`` is the L_beta of ``G.surface``.  Returns (the geometry of
     the accepted candidate, its L_beta, accepted tau); raises FlowStalled
-    when tau falls below TAU_MIN.
+    when tau falls below TAU_MIN, or without a candidate when the cap
+    ``tau`` already lies below it.
     """
+    if not tau >= TAU_MIN:
+        raise FlowStalled(
+            f"stable step cap tau = {tau:.3g} at beta = {beta:g} is below "
+            f"TAU_MIN = {TAU_MIN:g}: no step was tried"
+        )
     while tau >= TAU_MIN:
         G_new = SurfaceGeometry(G.surface.displaced(tau * velocity), G.ambient)
         try:

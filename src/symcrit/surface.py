@@ -107,6 +107,7 @@ class ImmersedSurface:
         return self.t_phi / self.n_phi
 
     def grids(self):
+        """The open node grid: theta (n_theta, 1) and phi (1, n_phi)."""
         return _grids(self.n_theta, self.n_phi, self.t_theta, self.t_phi)
 
     def positions(self) -> np.ndarray:
@@ -126,11 +127,12 @@ class ImmersedSurface:
 
 
 def _grids(n_theta, n_phi, t_theta=TWO_PI, t_phi=TWO_PI):
-    """(theta, phi) at the nodes, each (n_theta, n_phi): i * t_theta / n_theta
-    along axis 0 and j * t_phi / n_phi along axis 1."""
+    """The node vectors theta_i = i * t_theta / n_theta, shaped (n_theta, 1),
+    and phi_j = j * t_phi / n_phi, shaped (1, n_phi): they broadcast to
+    the node grid, so a separable field takes its sin and cos on them."""
     th = np.arange(n_theta) * (t_theta / n_theta)
     ph = np.arange(n_phi) * (t_phi / n_phi)
-    return np.meshgrid(th, ph, indexing="ij")
+    return th[:, None], ph[None, :]
 
 
 def check_winding_periodic(surface: ImmersedSurface, ambient: AmbientManifold) -> None:
@@ -652,13 +654,17 @@ def holomorphic_graph(a: complex, b: complex = 0.0, n_theta: int = 64,
 
 def _low_mode_bump(base: ImmersedSurface, eps: float,
                    modes: Sequence[int]) -> ImmersedSurface:
+    # each term is a theta factor times a phi factor: sin and cos run on
+    # the node vectors, and broadcasting forms the products node by node
     th, ph = base.grids()
     k1, k2 = int(modes[0]), int(modes[1])
+    s1, c1 = np.sin(k1 * th), np.cos(k1 * th)
+    s2, c2 = np.sin(k2 * ph), np.cos(k2 * ph)
     P = base.periodic_part.copy()
-    P[..., 0] += 0.2 * eps * np.sin(k2 * ph)
-    P[..., 1] += 0.2 * eps * np.cos(k1 * th)
-    P[..., 2] += eps * (np.sin(k1 * th) * np.cos(k2 * ph) + 0.3 * np.cos(k2 * ph))
-    P[..., 3] += eps * (np.cos(k1 * th) * np.sin(k2 * ph) + 0.3 * np.sin(k1 * th))
+    P[..., 0] += 0.2 * eps * s2
+    P[..., 1] += 0.2 * eps * c1
+    P[..., 2] += eps * (s1 * c2 + 0.3 * c2)
+    P[..., 3] += eps * (c1 * s2 + 0.3 * s1)
     return ImmersedSurface(base.linear_part, P, base.t_theta, base.t_phi)
 
 

@@ -569,11 +569,15 @@ def verify_critical_identity(
 def _variation_fields(G: SurfaceGeometry):
     """Three deterministic smooth normal fields spanning both normals, as
     one (3, n_theta, n_phi, 4) stack: the normal parts of fields with only
-    p3 and p4 components."""
-    th, ph = G.surface.grids()
-    raw = np.zeros((3,) + th.shape + (4,))
-    raw[..., 2] = np.sin(th) * np.cos(ph), 0.3 * np.cos(th), np.sin(th + ph)
-    raw[..., 3] = 0.5 * np.cos(ph), np.sin(ph) * np.cos(th), 0.4 * np.sin(th) * np.sin(ph)
+    p3 and p4 components.  sin and cos run on the node vectors but for
+    sin(theta + phi), which is not separable."""
+    S = G.surface
+    th, ph = S.grids()
+    sin_th, cos_th, sin_ph, cos_ph = np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+    raw = np.zeros((3, S.n_theta, S.n_phi, 4))
+    raw[0, ..., 2], raw[0, ..., 3] = sin_th * cos_ph, 0.5 * cos_ph
+    raw[1, ..., 2], raw[1, ..., 3] = 0.3 * cos_th, sin_ph * cos_th
+    raw[2, ..., 2], raw[2, ..., 3] = np.sin(th + ph), 0.4 * sin_th * sin_ph
     return G.project_normal(raw)
 
 

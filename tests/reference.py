@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from symcrit.ambient import STANDARD_J, AmbientManifold
+from symcrit.ambient import STANDARD_J, AmbientManifold, _vectorized
 from symcrit.functional import _geometry, _j_tangent_grad, validate_beta
 
 
@@ -142,3 +142,68 @@ KAHLER_PRODUCT = AmbientManifold(
     metric_derivative_field=_product_metric_derivative,
     name="kahler_product",
 )
+
+
+# the node fields of the generators, positions() and the first-variation
+# fields as formulas on the full (n_theta, n_phi) grid, every sin and cos
+# taken at every node: the package takes them on the node vectors
+
+
+def full_grids(surface):
+    """(theta, phi) at every node, each (n_theta, n_phi), by np.meshgrid."""
+    return _meshgrid(surface.n_theta, surface.n_phi, surface.t_theta, surface.t_phi)
+
+
+def _meshgrid(n_theta, n_phi, t_theta=2.0 * np.pi, t_phi=2.0 * np.pi):
+    return np.meshgrid(np.arange(n_theta) * (t_theta / n_theta),
+                       np.arange(n_phi) * (t_phi / n_phi), indexing="ij")
+
+
+def grid_bump(base, eps, modes=(1, 1)):
+    """``base`` plus the low-mode bump of ``perturbed_graph``."""
+    th, ph = full_grids(base)
+    k1, k2 = int(modes[0]), int(modes[1])
+    P = base.periodic_part.copy()
+    P[..., 0] += 0.2 * eps * np.sin(k2 * ph)
+    P[..., 1] += 0.2 * eps * np.cos(k1 * th)
+    P[..., 2] += eps * (np.sin(k1 * th) * np.cos(k2 * ph) + 0.3 * np.cos(k2 * ph))
+    P[..., 3] += eps * (np.cos(k1 * th) * np.sin(k2 * ph) + 0.3 * np.sin(k1 * th))
+    return P
+
+
+def grid_lagrangian_torus(r1, r2, n_theta, n_phi):
+    th, ph = _meshgrid(n_theta, n_phi)
+    return np.stack([r1 * np.cos(th), r1 * np.sin(th),
+                     r2 * np.cos(ph), r2 * np.sin(ph)], axis=-1)
+
+
+def grid_revolution_torus(big, small, n_theta, n_phi):
+    th, ph = _meshgrid(n_theta, n_phi)
+    ring = big + small * np.cos(ph)
+    return np.stack([ring * np.cos(th), ring * np.sin(th),
+                     small * np.sin(ph), np.zeros_like(th)], axis=-1)
+
+
+def grid_positions(surface):
+    th, ph = full_grids(surface)
+    L = surface.linear_part
+    return th[..., None] * L[:, 0] + ph[..., None] * L[:, 1] + surface.periodic_part
+
+
+def grid_variation_fields(G):
+    """The three first-variation fields before their normal projection."""
+    th, ph = full_grids(G.surface)
+    raw = np.zeros((3,) + th.shape + (4,))
+    raw[..., 2] = np.sin(th) * np.cos(ph), 0.3 * np.cos(th), np.sin(th + ph)
+    raw[..., 3] = 0.5 * np.cos(ph), np.sin(ph) * np.cos(th), 0.4 * np.sin(th) * np.sin(ph)
+    return raw
+
+
+def full_hessian_table(expr):
+    """Hess of the sympy expression ``expr`` in p1..p4 as a callable, all
+    sixteen entries ``sp.diff(expr, a, b)`` taken one by one."""
+    import sympy as sp
+
+    coords = sp.symbols("p1 p2 p3 p4")
+    second = [sp.diff(expr, a, b) for a in coords for b in coords]
+    return _vectorized(coords, second, (4, 4))

@@ -30,7 +30,7 @@ from symcrit.verify import (
     verify_laplacian_identity,
 )
 
-from reference import counted, curvature_data
+from reference import counted, curvature_data, full_hessian_table
 
 RNG = np.random.default_rng(20250825)
 
@@ -471,6 +471,33 @@ def test_parse_scalar_field_reads_the_whole_language():
     assert np.allclose(grad(pts)[:, 1], 6 * u**2 / 7, rtol=1e-13, atol=1e-13)
     assert np.allclose(hess(pts)[:, 2, 3], 0.5 * np.exp(0.5 * p3) * np.cos(p4),
                        rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("expression", [
+    "0.1*sin(p1) + 0.05*cos(p2)",
+    "0.3*p1*p2 - 0.2*p3^2*p4 + 0.1*cos(p1 - p4)",
+    "0.05*exp(0.5*p3)*cos(p4) - 0.1*exp(-p1*p2)*sin(p2 + p3)",
+])
+def test_hessian_mirrors_ten_partials_bit_for_bit(monkeypatch, expression):
+    """The parser takes each distinct second partial once, ten in all;
+    its Hessian has the bits of the sixteen-entry table and is exactly
+    symmetric."""
+    import sympy
+
+    import symcrit.ambient as A
+
+    exprs, diffs = [], []
+    vectorized, diff = A._vectorized, sympy.diff
+    monkeypatch.setattr(A, "_vectorized",
+                        lambda c, e, shape: exprs.append(e) or vectorized(c, e, shape))
+    monkeypatch.setattr(sympy, "diff", lambda *a: diffs.append(a) or diff(*a))
+    _, _, hess = parse_scalar_field(expression)
+    assert sum(len(args) == 3 for args in diffs) == 10
+    pts = np.concatenate([random_points(64, 3.0), np.zeros((1, 4))])
+    H = hess(pts)
+    want = full_hessian_table(exprs[0][0])(pts)
+    assert H.tobytes() == want.tobytes()
+    assert H.tobytes() == np.ascontiguousarray(np.swapaxes(H, -1, -2)).tobytes()
 
 
 def test_parse_scalar_field_constant_broadcasts():

@@ -96,6 +96,37 @@ def test_stalled_line_search_raises(monkeypatch):
         one_step(S, 1.0)
 
 
+def test_cap_below_tau_min_raises_before_any_candidate(monkeypatch):
+    """cos(alpha) reaches 0.103 on this graph, so at beta = 50 the cap
+    cos^-beta scales down is about 2e-51: the flow names it and tries
+    no candidate."""
+    seen = record_l_beta(monkeypatch)
+    S = perturbed_graph(0.9, 0.05, n_theta=16, n_phi=16)
+    with pytest.raises(FlowStalled, match=r"stable step cap tau = \S+e-51 at "
+                       r"beta = 50 is below TAU_MIN = 1e-12: no step was tried"):
+        one_step(S, 50.0)
+    assert len(seen) == 1  # the start surface's L_beta alone
+
+
+def test_line_search_rejecting_every_candidate_falls_below_tau_min(monkeypatch):
+    """A cap above TAU_MIN whose every candidate is refused halves down
+    to TAU_MIN and reads "fell below"."""
+    calls = []
+
+    def refuse_candidates(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise NotSymplectic("refused for the test")
+        return l_beta(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "l_beta", refuse_candidates)
+    start_line_search_at(monkeypatch, 1e-3)
+    with pytest.raises(FlowStalled, match="fell below tau = 1e-12 without descent"):
+        one_step(small_case(n=16), 1.0)
+    # 1e-3 halved until below 1e-12: 30 candidates
+    assert len(calls) == 1 + 30
+
+
 def record_l_beta(monkeypatch):
     """Every L_beta the flow evaluates, or "angle floor" where it raised."""
     seen = []

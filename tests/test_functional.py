@@ -25,7 +25,14 @@ from symcrit.verify import (
     laplacian_identity_terms,
 )
 
-from reference import block, counted, el_components, jj_grad_perp, tangent_pair
+from reference import (
+    block,
+    counted,
+    el_components,
+    full_grids,
+    jj_grad_perp,
+    tangent_pair,
+)
 
 EUC = euclidean_c2()
 
@@ -348,7 +355,7 @@ def _line(component, values):
     """The complex line p3 = p4 = 0 at 16^2, and the direction xi whose
     ``component`` is ``values(theta)`` and whose other components are 0."""
     S = holomorphic_graph(0.0, n_theta=16, n_phi=16)
-    th, _ = S.grids()
+    th, _ = full_grids(S)
     xi = np.zeros(th.shape + (4,))
     xi[..., component] = values(th)
     return S, xi

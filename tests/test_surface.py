@@ -48,6 +48,11 @@ from reference import (
     BLOCK_INDICES,
     block,
     curvature_data,
+    full_grids,
+    grid_bump,
+    grid_lagrangian_torus,
+    grid_positions,
+    grid_revolution_torus,
     jj_grad_perp,
     mean_curvature_frame,
     tangent_pair,
@@ -241,7 +246,7 @@ def test_revolution_torus_mean_curvature_closed_form():
     R, r = 2.0, 0.5
     S = revolution_torus(R, r, n_theta=64, n_phi=64)
     G = geometry(S)
-    th, ph = S.grids()
+    th, ph = full_grids(S)
     scal = (R + 2.0 * r * np.cos(ph)) / (r * (R + r * np.cos(ph)))
     normal = np.stack(
         [np.cos(ph) * np.cos(th), np.cos(ph) * np.sin(th), np.sin(ph),
@@ -259,7 +264,7 @@ def test_mean_curvature_refinement_order():
     for n in (16, 32):
         S = revolution_torus(R, r, n_theta=n, n_phi=n)
         G = geometry(S)
-        th, ph = S.grids()
+        th, ph = full_grids(S)
         scal = (R + 2.0 * r * np.cos(ph)) / (r * (R + r * np.cos(ph)))
         normal = np.stack(
             [np.cos(ph) * np.cos(th), np.cos(ph) * np.sin(th), np.sin(ph),
@@ -299,8 +304,8 @@ def test_laplace_beltrami_basics():
     G = geometry(perturbed_graph(0.5, 0.05, n_theta=24, n_phi=24), CONF)
     const = np.full(G.cos_alpha.shape, 3.7)
     assert np.max(np.abs(G.laplace_beltrami(const))) < 1e-11
-    f = np.sin(G.surface.grids()[0])
-    g = np.cos(2.0 * G.surface.grids()[1])
+    f = np.sin(full_grids(G.surface)[0])
+    g = np.cos(2.0 * full_grids(G.surface)[1])
     lhs = G.laplace_beltrami(f + g)
     rhs = G.laplace_beltrami(f) + G.laplace_beltrami(g)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -1333,3 +1338,46 @@ def test_conformal_entry_points_raise_typed_error_on_underflow(entry):
         with pytest.raises(AmbientDegenerate) as info:
             getattr(owner, entry)(*args)
     assert str(info.value) == "metric not positive definite at some evaluation point"
+
+
+# -- node fields built on the node vectors ------------------------------
+
+GRID_SHAPES = [(8, 8), (9, 9), (32, 32), (128, 128), (8, 13), (32, 9)]
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_generators_equal_their_grid_formulas_bit_for_bit(shape):
+    """Each generator takes sin and cos on the node vectors; its periodic
+    part has the bits of the same formula taken at every node."""
+    n, m = shape
+    bumps = [
+        (perturbed_graph(0.5, 0.05, n_theta=n, n_phi=m), zbar_graph(0.5, n, m), 0.05, (1, 1)),
+        (perturbed_graph(0.9, 0.3, (2, 3), n, m), zbar_graph(0.9, n, m), 0.3, (2, 3)),
+        (perturbed_holomorphic_graph(0.3, -0.2 + 0.1j, 0.05, (1, 2), n, m),
+         holomorphic_graph(0.3, -0.2 + 0.1j, n, m), 0.05, (1, 2)),
+    ]
+    for S, base, eps, modes in bumps:
+        assert_same_bits(S.periodic_part, grid_bump(base, eps, modes))
+    assert_same_bits(lagrangian_torus(1.0, 0.7, n, m).periodic_part,
+                     grid_lagrangian_torus(1.0, 0.7, n, m))
+    assert_same_bits(revolution_torus(2.0, 0.5, n, m).periodic_part,
+                     grid_revolution_torus(2.0, 0.5, n, m))
+
+
+@pytest.mark.parametrize("periods", [(2.0 * np.pi, 2.0 * np.pi), (3.0, 5.5), (0.7, 2.0 * np.pi)],
+                         ids=["two-pi", "3-5.5", "0.7-two-pi"])
+@pytest.mark.parametrize("shape", GRID_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_positions_equal_the_grid_formula_bit_for_bit(shape, periods):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    S = ImmersedSurface(rng.standard_normal((4, 2)),
+                        rng.standard_normal(shape + (4,)), *periods)
+    assert_same_bits(S.positions(), grid_positions(S))
+    th, ph = S.grids()  # the open grid of the same nodes
+    assert th.shape == (shape[0], 1) and ph.shape == (1, shape[1])
+    for got, want in zip(np.broadcast_arrays(th, ph), full_grids(S)):
+        assert_same_bits(got, want)

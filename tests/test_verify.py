@@ -23,7 +23,7 @@ from symcrit.surface import (
 )
 from symcrit import verify as V
 
-from reference import counted
+from reference import counted, full_grids, grid_variation_fields
 
 EUC = euclidean_c2()
 CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
@@ -698,7 +698,7 @@ def theta_only_torus(n):
     """zbar_graph(0.5) plus a periodic part that depends on theta alone:
     a torus invariant under the translation along F_phi (Palais 1979)."""
     base = zbar_graph(0.5, n_theta=n, n_phi=n)
-    th, _ = base.grids()
+    th, _ = full_grids(base)
     P = np.zeros(th.shape + (4,))
     P[..., 2] = 0.05 * np.sin(th) + 0.02 * np.cos(2 * th)
     P[..., 3] = 0.03 * np.cos(th)
@@ -747,3 +747,18 @@ def test_flow_keeps_a_symmetric_torus_symmetric(ambient, beta):
     assert result.iterations == 5
     assert not np.array_equal(result.surface.periodic_part, S.periodic_part)
     assert constant_along_phi(result.surface.periodic_part)
+
+
+@pytest.mark.parametrize("periods", [(2.0 * np.pi, 2.0 * np.pi), (3.0, 5.5)],
+                         ids=["two-pi", "3-5.5"])
+@pytest.mark.parametrize("shape", [(8, 8), (9, 9), (32, 32), (128, 128), (8, 13)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_variation_fields_equal_the_grid_formula_bit_for_bit(shape, periods):
+    """The separable terms take sin and cos on the node vectors; the
+    fields have the bits of the formulas taken at every node."""
+    S = perturbed_graph(0.5, 0.05, n_theta=shape[0], n_phi=shape[1])
+    G = SurfaceGeometry(ImmersedSurface(S.linear_part, S.periodic_part, *periods), EUC)
+    got = V._variation_fields(G)
+    want = G.project_normal(grid_variation_fields(G))
+    assert got.shape == want.shape
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
