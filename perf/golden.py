@@ -95,7 +95,8 @@ FIELDS = {
     "accel": _accel_block,
     "second_fundamental": lambda G: G.second_fundamental,
     "frame_matrix": lambda G: G.adapted_frame.matrix,
-    "nabla_j_frame": lambda G: G.nabla_j_frame,
+    # the tangent rows: the table a geometry caches holds only those
+    "nabla_j_frame": lambda G: G.nabla_j_frame[..., :2, :, :],
     "curvature_frame_components": lambda G: G.curvature_frame_components,
     "mean_curvature_normal_derivative": lambda G: G.mean_curvature_normal_derivative,
     "j12_kk": lambda G: G.j12_kk,

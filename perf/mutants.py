@@ -42,8 +42,8 @@ BETA_GAP = "gap: needs critical tori at beta > 0 (exact tori by symmetry reducti
 # quotient alone may not see (a t^2 term cancels in it), one of the
 # scalar-field parser's check that constants are finite in float64, and
 # three of the geometry's node fields: the order of the off-diagonal terms
-# of g^ij W_ij (W_01 and W_10 differ at roundoff only in a general
-# ambient), the sign of the inverse metric's off-diagonal entry, and the
+# of g^ij W_ij (it shows only where W_01 and W_10 differ, which the
+# geometry never makes them but a test does), the sign of the inverse metric's off-diagonal entry, and the
 # second-derivative stencil taking f[i+2] - f[i-2] in place of
 # f[i+2] + f[i-2]; the immersion gate made absolute again (it refuses a
 # small surface whose tangents are far from parallel) or read as the
@@ -157,12 +157,12 @@ MUTANTS = [
      "h[..., 0, 0] = (c00 * c00) * w00",
      "+ 0.0 of h_00 dropped (a -0.0 product kept)", MUST_KILL),
     ("src/symcrit/surface.py",
-     "tuple(d + gamma[..., i, j, :] for d,",
-     "tuple(d for d,",
+     "(d + gamma(X, Y) for d, X, Y in",
+     "(d for d, X, Y in",
      "Christoffel term dropped from W_ij", MUST_KILL),
     ("src/symcrit/surface.py",
-     "            d += self._sample.christoffel_pairs(pair, vfield[..., None, :])",
-     "            d += 0.0 * self._sample.christoffel_pairs(pair, vfield[..., None, :])",
+     "                d[..., a, :] += gamma(frame[..., a, :], vfield)",
+     "                d[..., a, :] += 0.0 * gamma(frame[..., a, :], vfield)",
      "Christoffel term dropped from the covariant frame derivative", MUST_KILL),
     ("src/symcrit/surface.py",
      "            S = self.surface\n            return np.broadcast_to(0.0,",
@@ -182,8 +182,8 @@ MUTANTS = [
      "s1, c1 = np.cos(k1 * th), np.sin(k1 * th)",
      "sin and cos of the theta factor swapped in the separable bump", MUST_KILL),
     ("src/symcrit/ambient.py",
-     "second = [upper[min(i, j), max(i, j)]",
-     "second = [upper[min(i, j), min(i, j)]",
+     "mirror = [pairs.index((min(i, j), max(i, j)))",
+     "mirror = [pairs.index((min(i, j), min(i, j)))",
      "mirrored Hessian entry read from the wrong index", MUST_KILL),
     ("src/symcrit/ambient.py",
      "    out += p[..., 2]\n    out += p[..., 3]\n",

@@ -3,7 +3,8 @@
 The first group runs at 64x64 on ``perturbed_graph(0.5, 0.05)`` in the
 flat ambient, the surface size of the first-variation check; the check
 also runs in the conformal ambient, and so does the covariant-J table
-``nabla_j_frame`` (64x64 is also the middle refinement level).  The
+``nabla_j_frame``, its rows along e1 and e2 (64x64 is also the middle
+refinement level).  The
 ``_n32`` group runs the periodic stencils, the geometry's parametric
 partials (``_second_partials`` on a fresh geometry, which takes the
 first partials too: all five partials of P), g^ij W_ij
@@ -28,9 +29,10 @@ check with its d(omega) oracle) and Laplacian-identity layers at
 the conformal ambient; the whole gradient and Laplacian refinement
 studies run over levels 32, 64 and 128 in both ambients, and the
 conformal curvature tensor ``curvature_at``, the conformal sample's
-connection ``christoffel_pairs`` on the parametric tangents (F, F)
-(grad lam sampled before the rounds, as a geometry samples it once) and
-the lowered tangents ``_coordinate_covectors`` (fresh geometry: the
+pairwise connection ``christoffel`` on the pair (F_theta, F_phi) of W_01
+and on the pair (e1, H) of the covariant derivative of the mean
+curvature (grad lam sampled before the rounds, as a geometry samples it
+once) and the lowered tangents ``_coordinate_covectors`` (fresh geometry: the
 metric factor is sampled in the round) at 128x128.  The set-up group
 builds the inputs every check pays for: ``perturbed_graph`` and
 ``ImmersedSurface.positions`` at 128x128, and ``conformal`` parsing
@@ -153,7 +155,7 @@ def test_verify_first_variation_conformal(benchmark):
 def test_conformal_nabla_j_frame(benchmark):
     setup = prebuilt("adapted_frame", "_sample.grad", ambient=AMBIENTS["conformal"])
     value = benchmark.pedantic(lambda G: G.nabla_j_frame, setup=setup, rounds=ROUNDS)
-    assert value.shape == (N, N, 4, 4, 4)
+    assert value.shape == (N, N, 2, 4, 4)
 
 
 @pytest.mark.parametrize("stencil", [periodic_d1, periodic_d2], ids=["d1", "d2"])
@@ -310,12 +312,23 @@ def test_conformal_curvature_at_n128(benchmark):
     assert K.shape == (N_FINE, N_FINE, 4, 4, 4, 4)
 
 
-def test_conformal_christoffel_pairs_n128(benchmark):
+def _conformal_christoffel_args():
+    """The pairs a conformal geometry forms at 128x128: (F_i, F_j) for W_ij
+    and (e_a, H) for the covariant derivative of H."""
     G = SurfaceGeometry(SURFACE_FINE, AMBIENTS["conformal"])
-    sample, F = G._sample, np.stack([G.fth, G.fph], axis=-2)
+    frame, H = G.adapted_frame.matrix, G.mean_curvature
+    return G._sample, {
+        "F_theta-F_phi": (G.fth, G.fph),
+        "e1-H": (frame[..., 0, :], H),
+    }
+
+
+@pytest.mark.parametrize("pair", ["F_theta-F_phi", "e1-H"])
+def test_conformal_christoffel_n128(benchmark, pair):
+    sample, args = _conformal_christoffel_args()
     sample.grad
-    gamma = benchmark.pedantic(sample.christoffel_pairs, (F, F), rounds=ROUNDS_FINE)
-    assert gamma.shape == (N_FINE, N_FINE, 2, 2, 4)
+    gamma = benchmark.pedantic(sample.christoffel, args[pair], rounds=ROUNDS_FINE)
+    assert gamma.shape == (N_FINE, N_FINE, 4)
 
 
 def test_conformal_coordinate_covectors_fresh_geometry_n128(benchmark):

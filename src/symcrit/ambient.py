@@ -27,12 +27,14 @@ A surface reads the ambient through the sample that ``sample(points)``
 returns for its nodes, which reads arrays, never the surface.  The flat
 sample holds no field and is ``flat``, so the surface writes the zero
 connection, nabla J and curvature itself; the general one holds g and J
-and contracts the tensors above into ``christoffel_pairs`` (Gamma(X,
-Y)), ``nabla_j_frame`` (nabla J in a frame) and ``curvature_frame``
-(K_1213, K_1224); the conformal one holds exp(2 lam) and grad lam and
-evaluates all three in closed form, per node.  Every sample's ``factor``
-is exp(2 lam) where g = exp(2 lam) delta: 1.0 on the flat one, which
-reads no positions for it, and None on the general one.
+and contracts the tensors above into ``christoffel`` (Gamma(X, Y) of
+one pair of (..., 4) fields), ``nabla_j_frame`` (the nabla J table
+J_{ab,k} of a frame along the legs k it is asked for, (..., legs, 4,
+4)) and ``curvature_frame`` (K_1213, K_1224); the conformal one holds
+exp(2 lam) and grad lam and evaluates all three in closed form, per
+node.  Every sample's ``factor`` is exp(2 lam) where g = exp(2 lam)
+delta: 1.0 on the flat one, which reads no positions for it, and None on
+the general one.
 """
 
 from __future__ import annotations
@@ -142,11 +144,17 @@ def parse_scalar_field(expression: str):
 
     value = _vectorized(coords, [expr], ())
     grad = _vectorized(coords, [sp.diff(expr, c) for c in coords], (4,))
-    # the ten distinct second partials, each taken once and mirrored
-    upper = {(i, j): sp.diff(expr, coords[i], coords[j])
-             for i in range(4) for j in range(i, 4)}
-    second = [upper[min(i, j), max(i, j)] for i in range(4) for j in range(4)]
-    hess = _vectorized(coords, second, (4, 4))
+    # the ten distinct second partials, each taken and evaluated once; the
+    # sixteen entries mirror them by a fixed index
+    pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+    upper = _vectorized(coords, [sp.diff(expr, coords[i], coords[j]) for i, j in pairs],
+                        (len(pairs),))
+    mirror = [pairs.index((min(i, j), max(i, j))) for i in range(4) for j in range(4)]
+
+    def hess(points):
+        second = upper(points)
+        return second[..., mirror].reshape(second.shape[:-1] + (4, 4))
+
     return value, grad, hess
 
 
@@ -515,7 +523,7 @@ class _Sample:
     """An ambient at some nodes, whose positions ``points`` builds on first
     read from an (..., 4) array or a callable that returns one.  Every
     sample has ``points``, ``factor``, ``flat``, ``lower``, ``apply_j`` and
-    ``fields``, and one that is not flat ``christoffel_pairs``,
+    ``fields``, and one that is not flat ``christoffel``,
     ``nabla_j_frame`` and ``curvature_frame``.  ``factor`` is exp(2 lam)
     where g = exp(2 lam) delta with the standard J, and None elsewhere."""
 
@@ -563,7 +571,7 @@ class _GeneralSample(_Sample):
 
     @cached_property
     def gamma(self):
-        """Gamma^A_{BC} at the nodes, taken once for every ``christoffel_pairs``."""
+        """Gamma^A_{BC} at the nodes, taken once for every ``christoffel``."""
         return self.ambient.christoffel_at(self.points)
 
     def fields(self):
@@ -577,26 +585,25 @@ class _GeneralSample(_Sample):
     def apply_j(self, v):
         return (self.j @ np.asarray(v)[..., None])[..., 0]
 
-    def christoffel_pairs(self, X, Y) -> np.ndarray:
-        """Gamma(X_p, Y_q)^A = Gamma^A_{BC} X_p^B Y_q^C for every pair (p, q).
+    def christoffel(self, X, Y) -> np.ndarray:
+        """Gamma(X, Y)^A = Gamma^A_{BC} X^B Y^C for (..., 4) fields at the nodes."""
+        return np.einsum("...abc,...b,...c->...a", self.gamma, X, Y)
 
-        ``X`` is (..., p, 4) and ``Y`` is (..., q, 4) at the nodes; the
-        result is (..., p, q, 4).
-        """
-        return np.einsum("...abc,...pb,...qc->...pqa", self.gamma, X, Y)
-
-    def nabla_j_frame(self, frame) -> np.ndarray:
+    def nabla_j_frame(self, frame, legs) -> np.ndarray:
         """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g, shape (..., k, a, b).
 
-        ``frame`` is (..., 4, 4) with ``frame[..., a, :]`` = e_{a+1}; k, a
-        and b all run over the four frame vectors.
+        ``frame`` is (..., 4, 4) with ``frame[..., a, :]`` = e_{a+1}; a and
+        b run over the four frame vectors and k over the frame indices
+        ``legs``, 0-based.
         """
         S = self.ambient.nabla_j_tensor_at(self.points)  # (..., c, a, b)
-        # [k, a, b] = (nabla_{e_k} J)^a_b as one batched (4 x 4) @ (4 x 16) product
-        dj = (frame @ S.reshape(S.shape[:-3] + (4, 16))).reshape(S.shape)
-        # [k, a, m] = (nabla_{e_k} J)^a_b e_m^b as one (16 x 4) @ (4 x 4) product
+        rows = frame[..., list(legs), :]
+        shape = rows.shape[:-1] + (4, 4)
+        # [k, a, b] = (nabla_{e_k} J)^a_b as one batched (k x 4) @ (4 x 16) product
+        dj = (rows @ S.reshape(S.shape[:-3] + (4, 16))).reshape(shape)
+        # [k, a, m] = (nabla_{e_k} J)^a_b e_m^b as one (4k x 4) @ (4 x 4) product
         frt = np.swapaxes(frame, -1, -2)
-        djm = (dj.reshape(S.shape[:-3] + (16, 4)) @ frt).reshape(S.shape)
+        djm = (dj.reshape(shape[:-3] + (4 * len(legs), 4)) @ frt).reshape(shape)
         # [k, n, m] = <e_n, (nabla_{e_k} J) e_m>_g
         return np.swapaxes((frame @ self.g)[..., None, :, :] @ djm, -1, -2)
 
@@ -641,22 +648,22 @@ class _ConformalSample(_Sample):
         v @ g bit for bit (one nonzero term per entry)."""
         return self.factor[..., None, None] * v
 
-    def christoffel_pairs(self, X, Y) -> np.ndarray:
-        """Gamma(X, Y) = X dlam(Y) + Y dlam(X) - (X.Y) grad lam, per pair.
+    def christoffel(self, X, Y) -> np.ndarray:
+        """Gamma(X, Y) = X dlam(Y) + Y dlam(X) - (X.Y) grad lam for (..., 4)
+        fields at the nodes, symmetric in X and Y bit for bit.
 
         dlam(.) and X.Y are elementwise four-term sums: a batched matmul
         of such small blocks costs more than the arithmetic.
         """
-        grad = self.grad[..., None, :]
-        lx = _dot(X, grad)[..., :, None, None]  # dlam(X_p)
-        ly = _dot(Y, grad)[..., None, :, None]
-        out = X[..., :, None, :] * ly
-        out += Y[..., None, :, :] * lx
-        out -= _dot(X[..., :, None, :], Y[..., None, :, :])[..., None] * grad[..., None, :]
+        grad = self.grad
+        out = X * _dot(Y, grad)[..., None]
+        out += Y * _dot(X, grad)[..., None]
+        out -= _dot(X, Y)[..., None] * grad
         return out
 
-    def nabla_j_frame(self, frame) -> np.ndarray:
-        """J_{ab,k} from the closed form of nabla J for a constant J.
+    def nabla_j_frame(self, frame, legs) -> np.ndarray:
+        """J_{ab,k} from the closed form of nabla J for a constant J, with k
+        over the frame indices ``legs``: shape (..., k, a, b).
 
         (nabla_X J) Y = X dlam(JY) - JX dlam(Y) - (X.JY) grad lam
         + (X.Y) J grad lam.  With u_a = dlam(e_a), v_a = dlam(J e_a) and
@@ -666,12 +673,13 @@ class _ConformalSample(_Sample):
 
         Everything is built component-major, one contiguous node field
         per component, from four-term sums in ``_dot``'s order: no
-        per-node 4x4 product is formed.  M is symmetric and N
-        antisymmetric term by term, so only M_kb for k <= b and N_kb for
-        k < b are summed; the table is antisymmetric in (a, b), so only
-        a < b is summed, (b, a) is its negation and the diagonal is 0,
-        all exactly.  The (k, a, b) axes lead in memory, so each reader's
-        J_{ab,k} slice is a contiguous node field.
+        per-node 4x4 product is formed.  M is symmetric term by term, and
+        N antisymmetric: N_kb is summed for k < b and negated from N_bk
+        for k > b, so a row has the bits it has in the table of every leg.
+        The table is antisymmetric in (a, b), so only a < b is summed,
+        (b, a) is its negation and the diagonal is 0, all exactly.  The
+        (k, a, b) axes lead in memory, so each reader's J_{ab,k} slice is
+        a contiguous node field.
         """
         factor = self.factor
         grad = np.moveaxis(self.grad, -1, 0)
@@ -683,15 +691,14 @@ class _ConformalSample(_Sample):
         u = factor * _dot_major(e, grad)  # exp(2 lam) dlam(e_a)
         v = factor * _dot_major(e, jgrad)  # exp(2 lam) dlam(J e_a)
         nodes = e.shape[2:]
-        M = np.empty((4, 4) + nodes)  # [k, b] = e_k.e_b
-        N = np.empty((4, 4) + nodes)  # [k, b] = (J e_k).e_b
-        for k in range(4):
-            M[k, k:] = _dot_major(e[:, k], e[:, k:])
-            M[k + 1:, k] = M[k, k + 1:]
-            N[k, k] = 0.0
-            N[k, k + 1:] = _dot_major([c[k] for c in je], e[:, k + 1:])
-            np.negative(N[k, k + 1:], out=N[k + 1:, k])
-        table = np.empty((4, 4, 4) + nodes)  # [k, a, b]
+        M = np.empty((len(legs), 4) + nodes)  # [l, b] = e_k.e_b, k = legs[l]
+        N = np.empty((len(legs), 4) + nodes)  # [l, b] = (J e_k).e_b
+        for row, k in enumerate(legs):
+            M[row] = _dot_major(e[:, k], e)
+            np.negative(_dot_major([c[:k] for c in je], e[:, k]), out=N[row, :k])
+            N[row, k] = 0.0
+            N[row, k + 1:] = _dot_major([c[k] for c in je], e[:, k + 1:])
+        table = np.empty((len(legs), 4, 4) + nodes)  # [l, a, b]
         for a in range(4):
             table[:, a, a] = 0.0
             for b in range(a + 1, 4):

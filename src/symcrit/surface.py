@@ -437,15 +437,15 @@ class SurfaceGeometry:
     def _accel_entries(self):
         """(W_00, W_01, W_10, W_11), i and j in {0, 1} = {theta, phi}:
         W_ij = d_i d_j F plus the ambient's Christoffel term Gamma(F_i, F_j),
-        each a contiguous (..., 4) field.  In a flat ambient they are the
-        ``_second_partials`` themselves, W_01 and W_10 one array."""
+        each a contiguous (..., 4) field, W_01 and W_10 one array.  In a
+        flat ambient they are the ``_second_partials`` themselves."""
         dtt, dpp, dtp = self._second_partials
         if self._sample.flat:
             return dtt, dtp, dtp, dpp
-        F = np.stack([self.fth, self.fph], axis=-2)
-        gamma = self._sample.christoffel_pairs(F, F)
-        return tuple(d + gamma[..., i, j, :] for d, (i, j) in
-                     zip((dtt, dtp, dtp, dpp), ((0, 0), (0, 1), (1, 0), (1, 1))))
+        fth, fph, gamma = self.fth, self.fph, self._sample.christoffel
+        W00, W01, W11 = (d + gamma(X, Y) for d, X, Y in
+                         ((dtt, fth, fth), (dtp, fth, fph), (dpp, fph, fph)))
+        return W00, W01, W01, W11
 
     @cached_property
     def _normal_covectors(self):
@@ -466,9 +466,9 @@ class SurfaceGeometry:
         sum's +0.0 start and comes before the halving, as the start does;
         it turns the -0.0 of an underflowing coefficient product into
         +0.0.  So the bits are those of the general sum, signs of zero
-        included.  w_10 is read on its own: a general
-        ambient's Christoffel term makes W_10 and W_01 differ at roundoff
-        (they are equal bit for bit in flat and conformal ambients).
+        included.  w_10 is read on its own, so the form is the general
+        sum's for any W_ij, although ``_accel_entries`` makes W_01 and
+        W_10 one array.
         """
         W00, W01, W10, W11 = self._accel_entries
         co = self._normal_covectors
@@ -536,8 +536,9 @@ class SurfaceGeometry:
         """
         d = self.frame_derivative(vfield)
         if not self._sample.flat:
-            pair = self.adapted_frame.matrix[..., :2, :]
-            d += self._sample.christoffel_pairs(pair, vfield[..., None, :]).reshape(d.shape)
+            frame, gamma = self.adapted_frame.matrix, self._sample.christoffel
+            for a in range(2):
+                d[..., a, :] += gamma(frame[..., a, :], vfield)
         return d
 
     def laplace_beltrami(self, field):
@@ -556,15 +557,24 @@ class SurfaceGeometry:
 
     @cached_property
     def nabla_j_frame(self):
-        """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g, shape (..., k, a, b).
+        """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g along the tangent legs,
+        shape (..., k, a, b) = (..., 2, 4, 4).
 
-        k runs over the full frame, like a and b.  In a flat ambient it is
-        a read-only zero table, and no frame is built for it.
+        k runs over (e1, e2) and a and b over the full frame: the tangent
+        block that every reader but the cyclic condition reads, and that
+        the symmetric condition bounds.  ``nabla_j_along`` gives other legs.
+        """
+        return self.nabla_j_along((0, 1))
+
+    def nabla_j_along(self, legs):
+        """The J_{ab,k} table with k over the 0-based frame indices ``legs``,
+        shape (..., len(legs), 4, 4), taken afresh on each call.  In a flat
+        ambient it is a read-only zero table, and no frame is built for it.
         """
         if self._sample.flat:  # read-only: every reader slices the table
             S = self.surface
-            return np.broadcast_to(0.0, (S.n_theta, S.n_phi, 4, 4, 4))
-        return self._sample.nabla_j_frame(self.adapted_frame.matrix)
+            return np.broadcast_to(0.0, (S.n_theta, S.n_phi, len(legs), 4, 4))
+        return self._sample.nabla_j_frame(self.adapted_frame.matrix, legs)
 
     @cached_property
     def curvature_frame_components(self):
@@ -600,8 +610,8 @@ class SurfaceGeometry:
         the node.  Zero for a parallel J, so zeros in a flat ambient."""
         if self._sample.flat:
             return np.zeros(self.cos_alpha.shape)
-        jf = self.nabla_j_frame  # (..., k, a, b)
-        phi = jf[..., :2, 0, 1]  # J_{12,k} for tangent k, (..., k)
+        jf = self.nabla_j_frame  # (..., k, a, b), k tangent
+        phi = jf[..., 0, 1]  # J_{12,k}, (..., k)
         # e_k(phi_k)
         dphi = self.frame_derivative(phi)  # (..., a, k)
         total = dphi[..., 0, 0] + dphi[..., 1, 1]

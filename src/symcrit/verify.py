@@ -250,7 +250,7 @@ def verify_gradient_identities(surfaces, ambient: AmbientManifold) -> Report:
         # component read in the frame carries the roundoff of the whole form
         return {
             "grad_cos": G.grad_cos_frame,
-            "j12": G.nabla_j_frame[..., :2, 0, 1],
+            "j12": G.nabla_j_frame[..., 0, 1],
             "second_fundamental": G.sin_alpha[..., None, None, None]
             * G.second_fundamental,
             "residual": _max_abs(r1, r2),
@@ -323,7 +323,7 @@ def verify_laplacian_identity(surfaces, ambient: AmbientManifold) -> Report:
         # max |f| from the extremes, so no |f| copy of the covariant-J table
         j_term = max(
             abs(float(max(np.max(f), -np.min(f))))
-            for f in (out["j_second"], out["j_coupling"], G.nabla_j_frame[..., :2, :, :])
+            for f in (out["j_second"], out["j_coupling"], G.nabla_j_frame)
         )
         return out
 
@@ -377,13 +377,15 @@ def critical_identity_terms(G: SurfaceGeometry, beta: float) -> dict:
 def condition_cyclic_residuals(G: SurfaceGeometry):
     """Cyclic covariant-J sums over (tangent, tangent, normal) triples.
 
-    c_xi = J_{12,xi} + J_{2xi,1} + J_{xi1,2}, read from ``nabla_j_frame``
-    for xi = e3 and e4.  Equals the exterior derivative of the ambient
+    c_xi = J_{12,xi} + J_{2xi,1} + J_{xi1,2} for xi = e3 and e4: J_{12,xi}
+    is read from the table along the normal legs, the other two from
+    ``nabla_j_frame``.  Equals the exterior derivative of the ambient
     2-form evaluated on (xi, e1, e2).
     """
     jf = G.nabla_j_frame
-    c3 = jf[..., 2, 0, 1] + jf[..., 0, 1, 2] + jf[..., 1, 2, 0]
-    c4 = jf[..., 3, 0, 1] + jf[..., 0, 1, 3] + jf[..., 1, 3, 0]
+    j12 = G.nabla_j_along((2, 3))[..., 0, 1]  # J_{12,xi}, (..., xi)
+    c3 = j12[..., 0] + jf[..., 0, 1, 2] + jf[..., 1, 2, 0]
+    c4 = j12[..., 1] + jf[..., 0, 1, 3] + jf[..., 1, 3, 0]
     return c3, c4
 
 

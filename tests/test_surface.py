@@ -733,12 +733,18 @@ def test_frame_coeff_writes_the_tangent_pair_in_the_parametric_tangents(
 
 @pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
 def test_nabla_j_frame_matches_one_shot_contraction(surface):
+    """The tangent rows the geometry caches, and the J_{12,xi} along the
+    normal legs that the cyclic condition reads, against one contraction
+    of the whole table."""
     G = geometry(surface, CONF)
     fr = G.adapted_frame.matrix
     dj = np.einsum("...kc,...cab->...kab", fr, CONF.nabla_j_tensor_at(G.pos))
     g = CONF.metric_at(G.pos)
     want = np.einsum("...kab,...mb,...ad,...nd->...kmn", dj, fr, g, fr)
-    assert np.max(np.abs(G.nabla_j_frame - want)) < 1e-12
+    assert G.nabla_j_frame.shape == want.shape[:-3] + (2, 4, 4)
+    assert np.max(np.abs(G.nabla_j_frame - want[..., :2, :, :])) < 1e-12
+    j12 = G.nabla_j_along((2, 3))[..., 0, 1]
+    assert np.max(np.abs(j12 - want[..., 2:, 0, 1])) < 1e-12
 
 
 @pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
@@ -954,16 +960,21 @@ def mean_curvature_einsum(G):
 def test_raw_mean_curvature_is_the_einsum_bit_for_bit(surface, ambient):
     G = geometry(surface, ambient)
     W01, W10 = G._accel_entries[1:3]
-    if ambient is CONF_GENERIC_J and surface is SECOND_FUNDAMENTAL_SURFACES[0]:
-        # the sampled connection makes W_01 and W_10 differ at roundoff, so
-        # the order of the two off-diagonal terms shows in the bits
-        assert not np.array_equal(W01, W10)
-        assert np.max(np.abs(W01 - W10)) < 1e-12 * np.max(np.abs(W01))
-    elif ambient is not CONF_GENERIC_J:
-        assert W01.tobytes() == W10.tobytes()
+    assert W01 is W10  # one Christoffel term Gamma(F_theta, F_phi) in every ambient
     for W in G._accel_entries:
         assert W.flags.c_contiguous
     assert G._raw_mean_curvature.tobytes() == mean_curvature_einsum(G).tobytes()
+
+
+def test_closed_forms_read_w01_and_w10_apart_bit_for_bit():
+    """g^ij W_ij and the second fundamental form keep the order of their
+    general sums for W_ij with W_01 != W_10, as a connection that is not
+    symmetric at roundoff would give."""
+    G = geometry(FRAME_SURFACES[0])
+    rng = np.random.default_rng(3)
+    G._accel_entries = tuple(rng.standard_normal(G.fth.shape) for _ in range(4))
+    assert G._raw_mean_curvature.tobytes() == mean_curvature_einsum(G).tobytes()
+    assert G.second_fundamental.tobytes() == second_fundamental_general_sum(G).tobytes()
 
 
 def test_raw_mean_curvature_of_negative_zero_products_is_positive_zero():
@@ -1078,6 +1089,10 @@ def test_frame_free_operators_match_frame_formulas(surface, ambient, beta):
         assert rel_err(got, want) < 1e-13, name
 
 
+# every leg of a frame, for the samples' nabla J tables
+ALL_LEGS = (0, 1, 2, 3)
+
+
 def skewed(frame):
     """Rows mixed by a fixed matrix: neither unit nor orthogonal vectors."""
     mix = np.eye(4) + 0.3 * np.random.default_rng(7).standard_normal((4, 4))
@@ -1091,44 +1106,55 @@ def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
     conformal ambient against the base class's contraction of
     ``christoffel_at``, ``nabla_j_tensor_at`` and ``curvature_at``.
 
-    The torus has unadapted nodes, and the skewed frame shows that the
-    closed forms do not assume an orthonormal frame.  The nabla J table
-    is also taken at the torus's unadapted nodes alone, as (m, 4) points,
-    and on a stack of two grids; it is antisymmetric in (a, b) bit for bit,
-    with an exactly zero diagonal.
+    Gamma is taken on the pairs the geometry forms, (F_i, F_j) and
+    (e_k, H), and is symmetric bit for bit.  The torus has unadapted
+    nodes, and the skewed frame shows that the closed forms do not assume
+    an orthonormal frame.  The nabla J table is also taken at the torus's
+    unadapted nodes alone, as (m, 4) points, and on a stack of two grids;
+    it is antisymmetric in (a, b) bit for bit, with an exactly zero
+    diagonal, and its rows have the same bits whichever legs are asked for.
     """
     G = geometry(surface, CONF)
-    pos, F = G.pos, tangent_pair(G)
+    pos = G.pos
     fr = G.adapted_frame.matrix
     if frame == "skewed":
         fr = skewed(fr)
-    H = G.mean_curvature[..., None, :]
+    H = G.mean_curvature
     closed, base = CONF.sample(pos), AmbientManifold.sample(CONF, pos)
-    table = closed.nabla_j_frame(fr)
+    table = closed.nabla_j_frame(fr, ALL_LEGS)
     # other points and frames on a second grid, paired arbitrarily
     stacked = (np.stack([pos, np.roll(pos, 3, axis=0)]),
                np.stack([fr, np.roll(fr, 5, axis=1)]))
     pairs = {
-        "Gamma(F_i, F_j)": (closed.christoffel_pairs(F, F), base.christoffel_pairs(F, F)),
-        "Gamma(e_k, H)": (closed.christoffel_pairs(fr, H), base.christoffel_pairs(fr, H)),
-        "nabla J table": (table, base.nabla_j_frame(fr)),
+        "nabla J table": (table, base.nabla_j_frame(fr, ALL_LEGS)),
         "nabla J table, stacked grids": (
-            CONF.sample(stacked[0]).nabla_j_frame(stacked[1]),
-            AmbientManifold.sample(CONF, stacked[0]).nabla_j_frame(stacked[1]),
+            CONF.sample(stacked[0]).nabla_j_frame(stacked[1], ALL_LEGS),
+            AmbientManifold.sample(CONF, stacked[0]).nabla_j_frame(stacked[1], ALL_LEGS),
         ),
     }
+    args = {"F_theta, F_theta": (G.fth, G.fth), "F_theta, F_phi": (G.fth, G.fph),
+            "F_phi, F_phi": (G.fph, G.fph)}
+    args.update({f"e_{k + 1}, H": (fr[..., k, :], H) for k in range(4)})
+    for name, (X, Y) in args.items():
+        gamma = closed.christoffel(X, Y)
+        assert gamma.tobytes() == closed.christoffel(Y, X).tobytes(), name
+        pairs[f"Gamma({name})"] = (gamma, base.christoffel(X, Y))
     if surface is FRAME_SURFACES[1]:
         unadapted = ~G.adapted_frame.adapted
         assert unadapted.any()
         nodes, nodes_fr = pos[unadapted], fr[unadapted]
         pairs["nabla J table, unadapted nodes"] = (
-            CONF.sample(nodes).nabla_j_frame(nodes_fr),
-            AmbientManifold.sample(CONF, nodes).nabla_j_frame(nodes_fr),
+            CONF.sample(nodes).nabla_j_frame(nodes_fr, ALL_LEGS),
+            AmbientManifold.sample(CONF, nodes).nabla_j_frame(nodes_fr, ALL_LEGS),
         )
     off = ~np.eye(4, dtype=bool)
     flipped = np.negative(np.swapaxes(table, -1, -2))
     assert table[..., off].tobytes() == flipped[..., off].tobytes()
     assert not np.any(np.diagonal(table, axis1=-2, axis2=-1))
+    # a row has the same bits whichever legs are asked for with it
+    for legs in ((0, 1), (2, 3), (3, 1)):
+        rows = closed.nabla_j_frame(fr, legs)
+        assert rows.tobytes() == table[..., list(legs), :, :].tobytes(), legs
     k_closed = closed.curvature_frame(fr)
     k_base = base.curvature_frame(fr)
     pairs["K_1213"] = (k_closed[0], k_base[0])
@@ -1147,10 +1173,11 @@ def test_constant_conformal_factor_scales_area_and_keeps_the_angle(surface):
     area = np.sum(scaled.area_weights) / np.sum(flat.area_weights)
     assert abs(area / np.exp(0.6) - 1.0) < 1e-14
     assert np.max(np.abs(scaled.cos_alpha - flat.cos_alpha)) < 1e-14
-    pos, F, fr = scaled.pos, tangent_pair(scaled), scaled.adapted_frame.matrix
+    pos, fr = scaled.pos, scaled.adapted_frame.matrix
     samples = scaled.ambient.sample(pos), AmbientManifold.sample(scaled.ambient, pos)
     closed, contracted = (
-        [s.christoffel_pairs(F, F), s.nabla_j_frame(fr), *s.curvature_frame(fr)]
+        [s.christoffel(scaled.fth, scaled.fph), s.nabla_j_frame(fr, ALL_LEGS),
+         *s.curvature_frame(fr)]
         for s in samples
     )
     for got, want in zip(closed, contracted):
@@ -1160,8 +1187,10 @@ def test_constant_conformal_factor_scales_area_and_keeps_the_angle(surface):
 
 def test_nabla_j_frame_is_exactly_zero_on_flat_kahler():
     G = geometry(FRAME_SURFACES[0])
-    assert G.nabla_j_frame.shape == (24, 24, 4, 4, 4)
+    assert G.nabla_j_frame.shape == (24, 24, 2, 4, 4)
     assert not np.any(G.nabla_j_frame)
+    assert G.nabla_j_along((2, 3)).shape == (24, 24, 2, 4, 4)
+    assert not np.any(G.nabla_j_along((2, 3)))
 
 
 def test_condition_cyclic_residuals_are_exactly_zero_on_flat_kahler():
@@ -1312,10 +1341,11 @@ def test_conformal_entry_points_raise_typed_error_on_overflow(entry):
     amb = conformal("400*p1")
     pos = FRAME_SURFACES[0].positions()
     frame = np.broadcast_to(np.eye(4), pos.shape[:-1] + (4, 4))
+    args = (frame, ALL_LEGS) if entry == "nabla_j_frame" else (frame,)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(AmbientDegenerate):
-            getattr(amb.sample(pos), entry)(frame)
+            getattr(amb.sample(pos), entry)(*args)
 
 
 @pytest.mark.parametrize(
@@ -1329,7 +1359,9 @@ def test_conformal_entry_points_raise_typed_error_on_underflow(entry):
     amb = conformal("-400")
     pos = FRAME_SURFACES[0].positions()
     frame = np.broadcast_to(np.eye(4), pos.shape[:-1] + (4, 4))
-    if entry in ("nabla_j_frame", "curvature_frame"):
+    if entry == "nabla_j_frame":
+        owner, args = amb.sample(pos), (frame, ALL_LEGS)
+    elif entry == "curvature_frame":
         owner, args = amb.sample(pos), (frame,)
     else:
         owner, args = amb, (pos,)

@@ -245,7 +245,7 @@ def test_laplacian_terms_sum_to_lhs():
 
 def test_general_sample_takes_the_node_connection_once(monkeypatch):
     """The geometry's W_ij (``_accel_entries``) and its two covariant frame
-    derivatives read ``christoffel_pairs`` of one sample, which takes the
+    derivatives read ``christoffel`` of one sample, which takes the
     Christoffel tensor once; nabla J and the curvature take their own, and
     the curvature's partials difference 16 more."""
     shapes = []
@@ -313,6 +313,107 @@ def test_symmetric_condition_value_reported_on_conformal():
     rep = V.check_condition_symmetric(ladder((32,))[0], CONF)
     assert rep.values["condition_res_linf"] > 1e-3
     assert "consequence_res" not in rep.values
+
+
+# -- the symmetric condition bounds nabla J along the surface -------------
+#
+# At a node, in an orthonormal frame, nabla_X J is skew and anticommutes
+# with J; such maps form a 2-dimensional space, so (nabla_{e1} J,
+# nabla_{e2} J) has 4 coordinates c.  The symmetric condition reads
+# ((nabla_X J) Y + (nabla_Y J) X)^perp = 0 for tangent X, Y: 6 equations
+# r = L c.  Where L has rank 4 the condition forces nabla J = 0 along the
+# surface, and its residual bounds the tangent rows of the table.
+
+# the smallest singular value of L is at least this times cos(alpha)
+SIGMA_FLOOR = 0.5
+# |J_{ab,k}| <= |nabla_{e_k} J|_F <= |c|_2 <= |r|_2 / (SIGMA_FLOOR cos a)
+# and |r|_2 <= sqrt(6) max |r|, so max |J_{ab,k}| cos a <= C max |r|
+BOUND_C = np.sqrt(6.0) / SIGMA_FLOOR
+SYMMETRIC_PAIRS = ((0, 0), (0, 1), (1, 1))
+
+
+def frame_j(alpha):
+    """J in the adapted orthonormal frame at Kahler angle alpha, acting on
+    frame components: J e1 = cos a e2 + sin a e3, e4 = J(cos a e3 - sin a e2)."""
+    c, s = np.cos(alpha), np.sin(alpha)
+    return np.array([[0.0, -c, -s, 0.0],
+                     [c, 0.0, 0.0, s],
+                     [s, 0.0, 0.0, -c],
+                     [0.0, -s, c, 0.0]])
+
+
+def anticommuting_skew_basis(J):
+    """A Frobenius-orthonormal basis of {A : A^T = -A, A J = -J A}: the null
+    space of the two constraints on the 16 entries of A."""
+    units = np.eye(16).reshape(16, 4, 4)
+    K = np.stack([np.concatenate([(E + E.T).ravel(), (E @ J + J @ E).ravel()])
+                  for E in units], axis=1)
+    _, sv, vt = np.linalg.svd(K)
+    return vt[np.sum(sv > 1e-12):].reshape(-1, 4, 4)
+
+
+def symmetric_condition_map(alpha):
+    """L: the 4 coordinates of (nabla_{e1} J, nabla_{e2} J) to the 6 residuals
+    J_{ij,n} + J_{ji,n}, with J_{ab,k} = <(nabla_{e_k} J) e_a, e_b> = A_k[b, a]."""
+    basis = anticommuting_skew_basis(frame_j(alpha))
+    assert basis.shape == (2, 4, 4)
+    L = np.empty((2, 3, 4))  # (normal n, pair (i, j), coordinate)
+    for u in range(4):
+        A = np.zeros((2, 4, 4))
+        A[u // 2] = basis[u % 2]
+        for col, (i, j) in enumerate(SYMMETRIC_PAIRS):
+            L[:, col, u] = A[i, 2:, j] + A[j, 2:, i]
+    return L.reshape(6, 4)
+
+
+def test_symmetric_condition_has_rank_four_for_every_angle():
+    """On a grid of alpha in (0, pi/2) the map has rank 4, its smallest
+    singular value at least SIGMA_FLOOR cos(alpha)."""
+    for alpha in np.linspace(1e-3, np.pi / 2 - 1e-4, 60):
+        sv = np.linalg.svd(symmetric_condition_map(alpha), compute_uv=False)
+        assert sv[-1] >= SIGMA_FLOOR * np.cos(alpha), alpha
+
+
+def transvection(v):
+    """An almost-Hermitian ambient g = S^T S, J = S^-1 J0 S with
+    S = I + 0.3 sin(p1) v (J0 v)^T: (J0 v).v = 0, so S^-1 = I - 0.3 sin(p1)
+    v (J0 v)^T.  Its nabla J does not vanish, and it repeats along p1."""
+    vw = np.outer(v, STANDARD_J @ np.asarray(v, dtype=float))
+
+    def shear(points, sign):
+        return np.eye(4) + sign * 0.3 * np.sin(points[..., 0])[..., None, None] * vw
+
+    return AmbientManifold(
+        metric_field=lambda p: np.swapaxes(shear(p, 1.0), -1, -2) @ shear(p, 1.0),
+        j_field=lambda p: shear(p, -1.0) @ STANDARD_J @ shear(p, 1.0),
+        name=f"transvection{tuple(v)}",
+    )
+
+
+@pytest.mark.parametrize(
+    "ambient",
+    [CONF, transvection((1.0, 0.0, 1.0, 0.0)), transvection((0.0, 1.0, 0.0, 1.0))],
+    ids=["conformal", "transvection-e1-e3", "transvection-e2-e4"],
+)
+@pytest.mark.parametrize("make", [lambda: perturbed_graph(0.5, 0.05, n_theta=32, n_phi=32),
+                                  lambda: perturbed_holomorphic_graph(n_theta=32, n_phi=32)],
+                         ids=["graph", "holomorphic"])
+def test_symmetric_condition_bounds_the_tangent_nabla_j_table(ambient, make):
+    """Node by node, max |J_{ab,k}| cos(alpha) <= C max |symmetric residual|
+    for the (e1, e2) rows that ``nabla_j_frame`` holds, with C from the
+    singular-value floor above, in ambients where nabla J does not vanish."""
+    S = make()
+    check_winding_periodic(S, ambient)
+    G = SurfaceGeometry(S, ambient)
+    table = G.nabla_j_frame
+    assert table.shape == (32, 32, 2, 4, 4)
+    res = V.condition_symmetric_residuals(G)
+    ca = G.cos_alpha
+    assert np.all(ca > 0.0)
+    lhs = np.max(np.abs(table), axis=(-3, -2, -1)) * ca
+    rhs = BOUND_C * np.max(np.abs(res), axis=(-2, -1))
+    assert np.max(lhs) > 1e-3  # the bound is not read on a zero table
+    assert np.all(lhs <= rhs)
 
 
 # -- first variation --------------------------------------------------
