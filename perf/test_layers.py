@@ -22,18 +22,24 @@ projection runs on a fresh geometry that ``l_beta`` has already read
 ``apply_j`` and ``project_normal`` take a fixed random chart vector
 field.  The
 ``_n128`` group runs the functional, frame, parametric partials, W_ij fields,
-second-fundamental-form, g^ij W_ij, mean-curvature-derivative, covariant-J,
-curvature, critical operator, cyclic-condition (residuals and the whole
-check with its d(omega) oracle) and Laplacian-identity layers at
-128x128, the finest level of the refinement studies, in the flat and
-the conformal ambient; the whole gradient and Laplacian refinement
-studies run over levels 32, 64 and 128 in both ambients, and the
+second-fundamental-form, g^ij W_ij, mean-curvature-derivative,
+tangent-connection, covariant-J, curvature, critical operator,
+cyclic-condition (residuals and the whole check with its d(omega)
+oracle) and Laplacian-identity layers at 128x128, the finest level of
+the refinement studies, in the flat and the conformal ambient; the
+frame layers read the frame's four contiguous (..., 4) legs one at a
+time.  The whole gradient and Laplacian refinement studies run over
+levels 32, 64 and 128 in both ambients; the Laplacian-identity terms
+and the gradient-identity residuals are timed on a fresh 128x128
+geometry, and the ``tracemalloc`` peak of each, taken in a separate
+traced run, goes to ``extra_info`` in MiB.  Also at 128x128: the
 conformal curvature tensor ``curvature_at``, the conformal sample's
 pairwise connection ``christoffel`` on the pair (F_theta, F_phi) of W_01
 and on the pair (e1, H) of the covariant derivative of the mean
-curvature (grad lam sampled before the rounds, as a geometry samples it
-once) and the lowered tangents ``_coordinate_covectors`` (fresh geometry: the
-metric factor is sampled in the round) at 128x128.  The set-up group
+curvature, e1 the frame's contiguous leg (grad lam sampled before the
+rounds, as a geometry samples it once), and the lowered tangents
+``_coordinate_covectors`` (fresh geometry: the metric factor is sampled
+in the round).  The set-up group
 builds the inputs every check pays for: ``perturbed_graph`` and
 ``ImmersedSurface.positions`` at 128x128, and ``conformal`` parsing
 its exponent after ``sympy.core.cache.clear_cache()``, as the first
@@ -57,6 +63,8 @@ the cyclic check and the first-variation check build their geometry
 inside the round, as their callers do.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy
@@ -74,6 +82,7 @@ from symcrit.surface import (
 from symcrit.verify import (
     check_condition_cyclic,
     condition_cyclic_residuals,
+    gradient_identity_residuals,
     laplacian_identity_terms,
     verify_first_variation,
     verify_gradient_identities,
@@ -231,6 +240,7 @@ FINE_LAYERS = {
     "mean_curvature_normal_derivative": (
         "mean_curvature", "adapted_frame", "_sample.factor", "_sample.grad",
     ),
+    "tangent_connection": ("adapted_frame", "_sample.factor", "_sample.grad"),
     "nabla_j_frame": ("adapted_frame", "_sample.grad"),
     "curvature_frame_components": ("adapted_frame", "_sample.grad"),
 }
@@ -280,14 +290,24 @@ def test_el_operator_fresh_geometry_n128(benchmark, ambient):
     assert el.norm_linf > 0
 
 
-@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
-def test_laplacian_identity_terms_fresh_geometry_n128(benchmark, ambient):
-    def run():
-        G = SurfaceGeometry(SURFACE_FINE, AMBIENTS[ambient])
-        return laplacian_identity_terms(G)["residual"]
+IDENTITY_TERMS = {"laplacian": laplacian_identity_terms,
+                  "gradient": gradient_identity_residuals}
 
-    residual = benchmark.pedantic(run, rounds=ROUNDS_FINE)
-    assert residual.shape == (N_FINE, N_FINE)
+
+@pytest.mark.parametrize("ambient", sorted(AMBIENTS))
+@pytest.mark.parametrize("identity", sorted(IDENTITY_TERMS))
+def test_identity_terms_fresh_geometry_n128(benchmark, identity, ambient):
+    terms = IDENTITY_TERMS[identity]
+    G = SurfaceGeometry(SURFACE_FINE, AMBIENTS[ambient])
+    tracemalloc.start()
+    try:
+        terms(G)
+        benchmark.extra_info["peak_mib"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    benchmark.pedantic(
+        lambda: terms(SurfaceGeometry(SURFACE_FINE, AMBIENTS[ambient])), rounds=ROUNDS_FINE
+    )
 
 
 @pytest.mark.parametrize("ambient", sorted(AMBIENTS))
@@ -316,10 +336,9 @@ def _conformal_christoffel_args():
     """The pairs a conformal geometry forms at 128x128: (F_i, F_j) for W_ij
     and (e_a, H) for the covariant derivative of H."""
     G = SurfaceGeometry(SURFACE_FINE, AMBIENTS["conformal"])
-    frame, H = G.adapted_frame.matrix, G.mean_curvature
     return G._sample, {
         "F_theta-F_phi": (G.fth, G.fph),
-        "e1-H": (frame[..., 0, :], H),
+        "e1-H": (G.adapted_frame.e1, G.mean_curvature),
     }
 
 

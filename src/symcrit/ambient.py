@@ -30,7 +30,8 @@ connection, nabla J and curvature itself; the general one holds g and J
 and contracts the tensors above into ``christoffel`` (Gamma(X, Y) of
 one pair of (..., 4) fields), ``nabla_j_frame`` (the nabla J table
 J_{ab,k} of a frame along the legs k it is asked for, (..., legs, 4,
-4)) and ``curvature_frame`` (K_1213, K_1224); the conformal one holds
+4)) and ``curvature_frame`` (K_1213, K_1224), each given the frame as
+its four legs e1 .. e4, (..., 4) fields; the conformal one holds
 exp(2 lam) and grad lam and evaluates all three in closed form, per
 node.  Every sample's ``factor`` is exp(2 lam) where g = exp(2 lam)
 delta: 1.0 on the flat one, which reads no positions for it, and None on
@@ -592,11 +593,13 @@ class _GeneralSample(_Sample):
     def nabla_j_frame(self, frame, legs) -> np.ndarray:
         """J_{ab,k} = <(nabla_{e_k} J) e_a, e_b>_g, shape (..., k, a, b).
 
-        ``frame`` is (..., 4, 4) with ``frame[..., a, :]`` = e_{a+1}; a and
-        b run over the four frame vectors and k over the frame indices
-        ``legs``, 0-based.
+        ``frame`` holds the four legs, ``frame[a]`` = e_{a+1} a (..., 4)
+        field; a and b run over the four frame vectors and k over the frame
+        indices ``legs``, 0-based.  The legs are stacked as the rows of
+        one (..., 4, 4) array for the batched products below.
         """
         S = self.ambient.nabla_j_tensor_at(self.points)  # (..., c, a, b)
+        frame = np.stack(frame, axis=-2)
         rows = frame[..., list(legs), :]
         shape = rows.shape[:-1] + (4, 4)
         # [k, a, b] = (nabla_{e_k} J)^a_b as one batched (k x 4) @ (4 x 16) product
@@ -610,10 +613,10 @@ class _GeneralSample(_Sample):
     def curvature_frame(self, frame):
         """(K_1213, K_1224) = (K(e1, e2, e1, e3), K(e1, e2, e2, e4)).
 
-        ``frame`` is (..., 4, 4) with ``frame[..., a, :]`` = e_{a+1}.
+        ``frame`` holds the four legs, ``frame[a]`` = e_{a+1} a (..., 4) field.
         """
         K = self.ambient.curvature_at(self.points)
-        e1, e2, e3, e4 = (frame[..., a, :] for a in range(4))
+        e1, e2, e3, e4 = frame
         # K(e1, e2, ., .) once, as a 4x4 block per node
         k12 = np.einsum("...abcd,...a->...bcd", K, e1)
         k12 = np.einsum("...bcd,...b->...cd", k12, e2)
@@ -679,12 +682,16 @@ class _ConformalSample(_Sample):
         The table is antisymmetric in (a, b), so only a < b is summed,
         (b, a) is its negation and the diagonal is 0, all exactly.  The
         (k, a, b) axes lead in memory, so each reader's J_{ab,k} slice is
-        a contiguous node field.
+        a contiguous node field.  ``frame`` holds the four legs,
+        ``frame[a]`` = e_{a+1} a (..., 4) field.
         """
         factor = self.factor
         grad = np.moveaxis(self.grad, -1, 0)
-        # e[c, a] is the node field of e_a^c, component first
-        e = np.ascontiguousarray(np.moveaxis(frame, (-1, -2), (0, 1)), dtype=float)
+        # e[c, a] is the node field of e_a^c, component first, copied in
+        # from the legs
+        e = np.empty((4, 4) + np.shape(frame[0])[:-1])
+        for a, leg in enumerate(frame):
+            e[:, a] = np.moveaxis(leg, -1, 0)
         # J^T grad lam and J e_a for STANDARD_J, component by component
         jgrad = (grad[1], -grad[0], grad[3], -grad[2])
         je = (-e[1], e[0], -e[3], e[2])
@@ -719,9 +726,12 @@ class _ConformalSample(_Sample):
         the contraction behind ``curvature_at``.  Expanded,
         (T o delta)(X, Y, Z, W) = T(X, W) Y.Z + T(Y, Z) X.W - T(X, Z) Y.W
         - T(Y, W) X.Z, so only T(e_a, e_b) and e_a.e_b for a in {1, 2}
-        are formed.
+        are formed.  ``frame`` holds the four legs, ``frame[a]`` = e_{a+1}
+        a (..., 4) field, stacked here as the rows of the (..., 4, 4)
+        array that the batched products below read.
         """
         grad = self.grad
+        frame = np.stack(frame, axis=-2)
         top = frame[..., :2, :]
         frt = np.swapaxes(frame, -1, -2)
         M = top @ frt  # e_a.e_b, (..., 2, 4)

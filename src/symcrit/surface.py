@@ -15,7 +15,11 @@ parts are taken in coordinates, v - g^ij <v, F_j> F_i with F_i the
 parametric tangents and g^ij the inverse induced metric, so the
 functional, the critical operator and the flow build no frame at all;
 the orthonormal frame below is assembled only for the frame components
-the checks read.
+the checks read.  It is held as its four legs, each a contiguous
+(..., 4) node field, and the frame quantities below reduce one leg or
+one direction field at a time: derivatives along e1 and e2 are taken as
+one contiguous field per direction.  The ambient samples stack the legs
+where their batched products need one array.
 
 Frame conventions at a node:
 
@@ -187,15 +191,30 @@ def _neighbours(field: np.ndarray, axis: int):
 
 
 def periodic_d1(field: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """4th-order periodic central first derivative along a grid axis."""
+    """4th-order periodic central first derivative along a grid axis,
+    (8 (f[i+1] - f[i-1]) - (f[i+2] - f[i-2])) / (12 h), evaluated in place
+    into one output in that order."""
     fm2, fm1, fp1, fp2 = _neighbours(field, axis)
-    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * spacing)
+    out = np.subtract(fp1, fm1)
+    out *= 8.0
+    out -= fp2 - fm2
+    out /= 12.0 * spacing
+    return out
 
 
 def periodic_d2(field: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """4th-order periodic central second derivative along a grid axis."""
+    """4th-order periodic central second derivative along a grid axis,
+    (-30 f[i] + 16 (f[i+1] + f[i-1]) - (f[i+2] + f[i-2])) / (12 h^2),
+    evaluated in place into one output and one scratch field in that
+    order: 16 (...) + (-30 f[i]) has the bits of -30 f[i] + 16 (...)."""
     fm2, fm1, fp1, fp2 = _neighbours(field, axis)
-    return (-30.0 * field + 16.0 * (fp1 + fm1) - (fp2 + fm2)) / (12.0 * spacing**2)
+    out = np.add(fp1, fm1)
+    out *= 16.0
+    tmp = np.multiply(field, -30.0)
+    out += tmp
+    out -= np.add(fp2, fm2, out=tmp)
+    out /= 12.0 * spacing**2
+    return out
 
 
 # -- node-level geometry ----------------------------------------------
@@ -228,7 +247,10 @@ def _sum4(p):
 class AdaptedFrame:
     """Orthonormal 4-frames with the normal pair in the adapted gauge.
 
-    ``matrix[..., a, :]`` is e_{a+1}; ``e1`` .. ``e4`` are views of it.
+    The legs ``e1`` .. ``e4`` are held as four C-contiguous (..., 4) node
+    fields, so every reduction over a leg's components reads contiguous
+    memory.  ``matrix`` stacks them afresh on each read, ``matrix[..., a,
+    :]`` = e_{a+1}, for a reader that wants one (..., 4, 4) array.
     ``coeff[..., i, a]`` writes the tangent pair in the parametric
     tangents: e_a = sum_i coeff[i, a] d_i F for a, i in {0, 1}.
     Gram-Schmidt makes it upper triangular, and ``coeff[..., 1, 0]`` is
@@ -236,17 +258,25 @@ class AdaptedFrame:
     ``SurfaceGeometry.second_fundamental`` drops the terms it multiplies.
     """
 
-    matrix: np.ndarray  # (..., 4, 4)
+    e1: np.ndarray  # (..., 4) each
+    e2: np.ndarray
+    e3: np.ndarray
+    e4: np.ndarray
     coeff: np.ndarray  # (..., 2, 2), upper triangular
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
     adapted: np.ndarray  # bool mask, False where sin(alpha) <= FRAME_TOL
 
-    e1 = property(lambda self: self.matrix[..., 0, :])
-    e2 = property(lambda self: self.matrix[..., 1, :])
-    e3 = property(lambda self: self.matrix[..., 2, :])
-    e4 = property(lambda self: self.matrix[..., 3, :])
+    @property
+    def legs(self):
+        """(e1, e2, e3, e4)."""
+        return self.e1, self.e2, self.e3, self.e4
+
+    @property
+    def matrix(self):
+        """The legs stacked as rows, (..., 4, 4), built on each read."""
+        return np.stack(self.legs, axis=-2)
 
 
 class SurfaceGeometry:
@@ -255,8 +285,8 @@ class SurfaceGeometry:
     Every array is indexed (n_theta, n_phi, ...).  Tangent frame indices
     run over {1, 2} and are stored 0-based; normal indices {3, 4} live
     in axes of length 2 ordered (e3, e4).  The frame is held once, in
-    ``adapted_frame``: every frame quantity reads its ``matrix`` and its
-    tangent coefficients ``coeff``.
+    ``adapted_frame``: every frame quantity reads its four contiguous
+    legs and its tangent coefficients ``coeff``.
 
     Node fields that the package contracts entry by entry are held as
     contiguous fields, in one form each: the induced metric and its
@@ -309,15 +339,17 @@ class SurfaceGeometry:
 
     def dot(self, u, v):
         """Ambient inner product of chart vector fields on the grid."""
-        # v is lowered as a one-row stack, so axes of v before the node axes
-        # broadcast like those of u
-        return _dot(u, self._sample.lower(np.asarray(v)[..., None, :])[..., 0, :])
+        return _dot(u, self._lower(v))
+
+    def _lower(self, v):
+        """g v for a chart vector field, lowered as a one-row stack, so
+        axes of v before the node axes broadcast like those of a field."""
+        return self._sample.lower(np.asarray(v)[..., None, :])[..., 0, :]
 
     @cached_property
     def _coordinate_covectors(self):
         """(g F_theta, g F_phi): the parametric tangents lowered."""
-        fth, fph = self.fth, self.fph
-        return tuple(self._sample.lower(f[..., None, :])[..., 0, :] for f in (fth, fph))
+        return self._lower(self.fth), self._lower(self.fph)
 
     @cached_property
     def _metric_entries(self):
@@ -424,12 +456,7 @@ class SurfaceGeometry:
         e4 -= self.dot(e4, e3)[..., None] * e3
         e4 /= np.sqrt(self.dot(e4, e4))[..., None]
         z = self.dot(je1, e4)
-        # the legs are built contiguous and copied in once: the arithmetic
-        # above runs slower on the strided rows of the frame array
-        frame = np.empty(e1.shape[:-1] + (4, 4))
-        for a, e in enumerate((e1, e2, e3, e4)):
-            frame[..., a, :] = e
-        return AdaptedFrame(frame, coeff, x, y, z, ok)
+        return AdaptedFrame(e1, e2, e3, e4, coeff, x, y, z, ok)
 
     # ---- second fundamental form and mean curvature
 
@@ -449,8 +476,11 @@ class SurfaceGeometry:
 
     @cached_property
     def _normal_covectors(self):
-        """(g e3, g e4) stacked like the normal pair."""
-        return self._sample.lower(self.adapted_frame.matrix[..., 2:, :])
+        """(g e3, g e4), two contiguous (..., 4) fields: the pair is
+        lowered as one stack, whose rows are copied out."""
+        fr = self.adapted_frame
+        co = self._sample.lower(np.stack((fr.e3, fr.e4), axis=-2))
+        return np.ascontiguousarray(co[..., 0, :]), np.ascontiguousarray(co[..., 1, :])
 
     @cached_property
     def second_fundamental(self):
@@ -471,18 +501,19 @@ class SurfaceGeometry:
         W_10 one array.
         """
         W00, W01, W10, W11 = self._accel_entries
-        co = self._normal_covectors
-        w00, w10, w01, w11 = (_dot(W[..., None, :], co) for W in (W00, W10, W01, W11))
         C = self.adapted_frame.coeff
-        c00, c01, c11 = C[..., 0, 0, None], C[..., 0, 1, None], C[..., 1, 1, None]
-        h = np.empty(co.shape[:-1] + (2, 2))
-        h[..., 0, 0] = (c00 * c00) * w00 + 0.0
-        h[..., 0, 1] = ((((c00 * c01) * w00 + (c00 * c11) * w01)
-                         + ((c01 * c00) * w00 + (c11 * c00) * w10)) + 0.0) * 0.5
-        h[..., 1, 0] = h[..., 0, 1]
-        h[..., 1, 1] = ((((c01 * c01) * w00 + (c11 * c01) * w10)
-                         + (c01 * c11) * w01) + (c11 * c11) * w11) + 0.0
-        return h
+        c00, c01, c11 = C[..., 0, 0], C[..., 0, 1], C[..., 1, 1]
+        out = np.empty(c00.shape + (2, 2, 2))
+        for n, co in enumerate(self._normal_covectors):
+            w00, w10, w01, w11 = (_dot(W, co) for W in (W00, W10, W01, W11))
+            h = out[..., n, :, :]
+            h[..., 0, 0] = (c00 * c00) * w00 + 0.0
+            h[..., 0, 1] = ((((c00 * c01) * w00 + (c00 * c11) * w01)
+                             + ((c01 * c00) * w00 + (c11 * c00) * w10)) + 0.0) * 0.5
+            h[..., 1, 0] = h[..., 0, 1]
+            h[..., 1, 1] = ((((c01 * c01) * w00 + (c11 * c01) * w10)
+                             + (c01 * c11) * w01) + (c11 * c11) * w11) + 0.0
+        return out
 
     @cached_property
     def _raw_mean_curvature(self):
@@ -511,35 +542,55 @@ class SurfaceGeometry:
 
     # ---- derivatives of the angle
 
+    def _frame_derivatives(self, field):
+        """[e1(field), e2(field)]: the derivatives of a grid field along e1
+        and e2, each a contiguous field of the shape of ``field``, taken as
+        coeff[0, a] d_theta field + coeff[1, a] d_phi field, each
+        parametric partial taken once."""
+        S = self.surface
+        d_theta = periodic_d1(field, 0, S.h_theta)
+        d_phi = periodic_d1(field, 1, S.h_phi)
+        C = self.adapted_frame.coeff
+        C = C.reshape(C.shape + (1,) * (field.ndim - 2))
+        out = []
+        for a in range(2):
+            d = C[:, :, 0, a] * d_theta
+            d += C[:, :, 1, a] * d_phi
+            out.append(d)
+        return out
+
     def frame_derivative(self, field):
         """Derivatives of a grid field along (e1, e2), the direction as axis 2.
 
         A scalar field gives (..., 2), a chart vector field (..., 2, 4):
-        sum_i coeff[i, a] d_i field, each parametric partial taken once.
+        the two fields of ``_frame_derivatives``, stacked.
         """
-        S = self.surface
-        d_theta = periodic_d1(field, 0, S.h_theta)[:, :, None]
-        d_phi = periodic_d1(field, 1, S.h_phi)[:, :, None]
-        C = self.adapted_frame.coeff
-        C = C.reshape(C.shape + (1,) * (field.ndim - 2))
-        return C[:, :, 0] * d_theta + C[:, :, 1] * d_phi
+        return np.stack(self._frame_derivatives(field), axis=2)
 
     @cached_property
     def grad_cos_frame(self):
         """Frame components (e1, e2) of the surface gradient of cos(alpha)."""
         return self.frame_derivative(self.cos_alpha)
 
+    def _covariant_frame_derivatives(self, vfield):
+        """[bar nabla_{e1} V, bar nabla_{e2} V] for a chart vector field V,
+        each a contiguous (..., 4) field: ``_frame_derivatives`` plus the
+        Christoffel term Gamma(e_a, V) on the contiguous leg."""
+        ds = self._frame_derivatives(vfield)
+        if not self._sample.flat:
+            gamma = self._sample.christoffel
+            fr = self.adapted_frame
+            for d, e in zip(ds, (fr.e1, fr.e2)):
+                d += gamma(e, vfield)
+        return ds
+
     def covariant_frame_derivative(self, vfield):
         """Ambient covariant derivatives of a chart vector field along (e1, e2).
 
-        Shape (..., 2, 4), the direction as axis 2, like ``frame_derivative``.
+        Shape (..., 2, 4), the direction as axis 2, like ``frame_derivative``:
+        the two fields of ``_covariant_frame_derivatives``, stacked.
         """
-        d = self.frame_derivative(vfield)
-        if not self._sample.flat:
-            frame, gamma = self.adapted_frame.matrix, self._sample.christoffel
-            for a in range(2):
-                d[..., a, :] += gamma(frame[..., a, :], vfield)
-        return d
+        return np.stack(self._covariant_frame_derivatives(vfield), axis=2)
 
     def laplace_beltrami(self, field):
         """Divergence-form Laplace-Beltrami of a scalar grid field."""
@@ -574,14 +625,14 @@ class SurfaceGeometry:
         if self._sample.flat:  # read-only: every reader slices the table
             S = self.surface
             return np.broadcast_to(0.0, (S.n_theta, S.n_phi, len(legs), 4, 4))
-        return self._sample.nabla_j_frame(self.adapted_frame.matrix, legs)
+        return self._sample.nabla_j_frame(self.adapted_frame.legs, legs)
 
     @cached_property
     def curvature_frame_components(self):
         """(K_1213, K_1224) = (K(e1, e2, e1, e3), K(e1, e2, e2, e4))."""
         if self._sample.flat:
             return np.zeros(self.cos_alpha.shape), np.zeros(self.cos_alpha.shape)
-        return self._sample.curvature_frame(self.adapted_frame.matrix)
+        return self._sample.curvature_frame(self.adapted_frame.legs)
 
     # ---- assembled second-order frame quantities
 
@@ -589,18 +640,26 @@ class SurfaceGeometry:
     def mean_curvature_normal_derivative(self):
         """H^n_{,a} = <bar nabla_{e_a} H, e_{n+3}>, shape (..., a, n).
 
-        The sum over chart components runs in ``_dot``'s fixed order.
+        Each entry is one ``_dot`` of a contiguous direction field with a
+        contiguous normal covector, in ``_dot``'s fixed order.
         """
-        dH = self.covariant_frame_derivative(self.mean_curvature)
-        return _dot(dH[..., :, None, :], self._normal_covectors[..., None, :, :])
+        dH = self._covariant_frame_derivatives(self.mean_curvature)
+        co = self._normal_covectors
+        out = np.empty(dH[0].shape[:-1] + (2, 2))
+        for a in range(2):
+            for n in range(2):
+                out[..., a, n] = _dot(dH[a], co[n])
+        return out
 
     @cached_property
     def tangent_connection(self):
         """theta_a = <bar nabla_{e_a} e1, e2> for a in {1, 2}."""
-        # direction axis first, so the per-node metric broadcasts over it
         fr = self.adapted_frame
-        de1 = np.moveaxis(self.covariant_frame_derivative(fr.e1), 2, 0)
-        return np.moveaxis(self.dot(de1, fr.e2), 0, -1)
+        ge2 = self._lower(fr.e2)
+        out = np.empty(ge2.shape[:-1] + (2,))
+        for a, de1 in enumerate(self._covariant_frame_derivatives(fr.e1)):
+            out[..., a] = _dot(de1, ge2)
+        return out
 
     @cached_property
     def j12_kk(self):
@@ -613,8 +672,8 @@ class SurfaceGeometry:
         jf = self.nabla_j_frame  # (..., k, a, b), k tangent
         phi = jf[..., 0, 1]  # J_{12,k}, (..., k)
         # e_k(phi_k)
-        dphi = self.frame_derivative(phi)  # (..., a, k)
-        total = dphi[..., 0, 0] + dphi[..., 1, 1]
+        d1, d2 = self._frame_derivatives(phi)  # e_a(phi), (..., k) each
+        total = d1[..., 0] + d2[..., 1]
         # tangential part of nabla_{e_k} e_k: <nabla_{e_k} e_k, e_l> phi_l
         theta = self.tangent_connection
         # <nabla_{e1} e1, e2> = theta_1, <nabla_{e2} e2, e1> = -<nabla_{e2} e1, e2>

@@ -150,7 +150,10 @@ def _level(G: SurfaceGeometry, identity_terms, order: int):
 
 def _refinement_study(check, surfaces, ambient, identity_terms, order, single_tol):
     """Refinement study of an identity over ``surfaces``, one surface or a
-    non-empty list whose grid sizes strictly increase.
+    non-empty list of ``ImmersedSurface`` levels of one torus: the same
+    linear part and periods, with grid sizes that strictly increase.
+    Anything else raises, TypeError for a level that is not a surface and
+    ValueError for the rest, before any level is evaluated.
 
     Each level's geometry is built when the study reaches it and handed
     to ``_level`` (which ``identity_terms`` and ``order`` are for), so one
@@ -164,6 +167,18 @@ def _refinement_study(check, surfaces, ambient, identity_terms, order, single_to
     finest level make the study inconclusive.
     """
     surfaces = [surfaces] if isinstance(surfaces, ImmersedSurface) else list(surfaces)
+    for k, S in enumerate(surfaces):
+        if not isinstance(S, ImmersedSurface):
+            raise TypeError(
+                f"refinement level {k} is a {type(S).__name__}, not an ImmersedSurface"
+            )
+    for k, S in enumerate(surfaces[1:], start=1):
+        if not (np.array_equal(S.linear_part, surfaces[0].linear_part)
+                and (S.t_theta, S.t_phi) == (surfaces[0].t_theta, surfaces[0].t_phi)):
+            raise ValueError(
+                f"refinement levels must share the linear part and the periods: "
+                f"level {k} differs from level 0"
+            )
     sizes = [(S.n_theta, S.n_phi) for S in surfaces]
     if not sizes or np.any(np.diff(sizes, axis=0) <= 0):
         raise ValueError(

@@ -1,5 +1,6 @@
 """Tests for immersed tori, adapted frames, and surface geometry."""
 
+import dataclasses
 import re
 import warnings
 
@@ -20,7 +21,6 @@ from symcrit.errors import AmbientDegenerate, NotImmersed, NotSymplectic
 from symcrit.flow import stable_step
 from symcrit.functional import _l_beta_along, el_operator, l_beta
 from symcrit.surface import (
-    AdaptedFrame,
     ImmersedSurface,
     SurfaceGeometry,
     holomorphic_graph,
@@ -147,18 +147,24 @@ def cached_arrays(value):
 
 
 @pytest.mark.parametrize("ambient", [EUC, CONF], ids=["euclid", "conformal"])
-def test_frame_is_held_in_one_array(ambient):
-    """e1..e4 are views of the rows of the adapted frame's one array, also
-    with unadapted nodes (the torus of revolution), and once every frame
+def test_frame_is_held_as_four_contiguous_legs(ambient):
+    """e1..e4 are four C-contiguous (..., 4) node fields, and so are the
+    lowered normal legs, also with unadapted nodes (the torus of
+    revolution); no (..., 4, 4) frame is
+    cached, ``matrix`` is the legs stacked as rows, and once every frame
     quantity is built no other cached entry holds e1 or e2."""
     G = geometry(revolution_torus(n_theta=24, n_phi=24), ambient)
     fr = G.adapted_frame
     assert not fr.adapted.all()
-    for a, e in enumerate((fr.e1, fr.e2, fr.e3, fr.e4)):
-        assert e.base is fr.matrix
-        assert np.array_equal(e, fr.matrix[..., a, :])
+    for e in fr.legs + G._normal_covectors:
+        assert e.shape == (24, 24, 4) and e.flags.c_contiguous
+    assert fr.matrix.tobytes() == np.stack(fr.legs, axis=-2).tobytes()
+    assert fr.matrix is not fr.matrix  # stacked on each read, not cached
     G.j12_kk, G.curvature_frame_components, G.mean_curvature_normal_derivative
-    G.grad_cos_frame
+    G.grad_cos_frame, G.tangent_connection, G.second_fundamental
+    frame_fields = [getattr(fr, f.name) for f in dataclasses.fields(fr)]
+    for arr in frame_fields + [a for v in vars(G).values() for a in cached_arrays(v)]:
+        assert arr.shape != (24, 24, 4, 4)
     for name, value in vars(G).items():
         if name == "adapted_frame":
             continue
@@ -846,7 +852,8 @@ def test_kernels_match_einsum_reference(surface, ambient):
             np.einsum("...ab,...b->...a", proj, jtang),
         ),
         "_normal_covectors": (
-            G._normal_covectors, np.einsum("...ab,...nb->...na", g, normals)
+            np.stack(G._normal_covectors, axis=-2),
+            np.einsum("...ab,...nb->...na", g, normals),
         ),
         **{f"W_{i}{j}": (W, accel[..., i, j, :])
            for (i, j), W in zip(BLOCK_INDICES, G._accel_entries)},
@@ -880,9 +887,10 @@ def test_kernels_match_einsum_reference(surface, ambient):
             assert got.tobytes() == want.tobytes(), name
     # the loop that the fixed-order _dot replaced: the same bits, in every ambient
     dH = G.covariant_frame_derivative(G.mean_curvature)
+    co = np.stack(G._normal_covectors, axis=-2)
     loop = np.zeros(dH.shape[:-1] + (2,))
     for c in range(4):
-        loop += dH[..., :, None, c] * G._normal_covectors[..., None, :, c]
+        loop += dH[..., :, None, c] * co[..., None, :, c]
     assert G.mean_curvature_normal_derivative.tobytes() == loop.tobytes()
 
 
@@ -893,7 +901,7 @@ def second_fundamental_general_sum(G):
     sum_ij (C_ia C_jb) wn_nij over all four (i, j) pairs from +0.0,
     then the symmetric part.
     """
-    W, co = block(*G._accel_entries), G._normal_covectors
+    W, co = block(*G._accel_entries), np.stack(G._normal_covectors, axis=-2)
     wn = np.zeros(W.shape[:-3] + (2, 2, 2))
     for c in range(4):
         wn += W[..., None, :, :, c] * co[..., :, None, None, c]
@@ -930,17 +938,17 @@ def test_second_fundamental_signs_of_zero_at_the_ends_of_the_range():
     fr = G.adapted_frame
     coeff = fr.coeff.copy()
     coeff[..., 0, 0] = 1e-170  # squares to +0.0
-    G.adapted_frame = AdaptedFrame(fr.matrix, coeff, fr.x, fr.y, fr.z, fr.adapted)
-    assert (_dot(G._accel_entries[0][..., None, :], G._normal_covectors) < 0).any()
+    G.adapted_frame = dataclasses.replace(fr, coeff=coeff)
+    assert any((_dot(G._accel_entries[0], co) < 0).any() for co in G._normal_covectors)
     assert not G.second_fundamental[..., 0, 0].any()
     assert G.second_fundamental.tobytes() == second_fundamental_general_sum(G).tobytes()
 
     H = geometry(FRAME_SURFACES[0])
     n = H.fth.shape[:2]
-    H.adapted_frame = AdaptedFrame(fr.matrix, np.broadcast_to(np.eye(2), n + (2, 2)),
-                                   fr.x, fr.y, fr.z, fr.adapted)
-    H._normal_covectors = np.zeros(n + (2, 4))
-    H._normal_covectors[..., 0] = 1.0
+    H.adapted_frame = dataclasses.replace(fr, coeff=np.broadcast_to(np.eye(2), n + (2, 2)))
+    H._normal_covectors = (np.zeros(n + (4,)), np.zeros(n + (4,)))
+    for co in H._normal_covectors:
+        co[..., 0] = 1.0
     W = np.zeros(n + (2, 2, 4))
     W[..., 0, 1, 0] = -5e-324
     H._accel_entries = (W[..., 0, 0, :], W[..., 0, 1, :], W[..., 1, 0, :], W[..., 1, 1, :])
@@ -988,6 +996,59 @@ def test_raw_mean_curvature_of_negative_zero_products_is_positive_zero():
     want = mean_curvature_einsum(G)
     assert not want.any() and not np.signbit(want).any()
     assert G._raw_mean_curvature.tobytes() == want.tobytes()
+
+
+def frame_derivative_stacked(G, field):
+    """The stacked frame derivative the per-direction fields replaced,
+    kept as reference: the direction as axis 2, both in one expression."""
+    S = G.surface
+    d_theta = periodic_d1(field, 0, S.h_theta)[:, :, None]
+    d_phi = periodic_d1(field, 1, S.h_phi)[:, :, None]
+    C = G.adapted_frame.coeff
+    C = C.reshape(C.shape + (1,) * (field.ndim - 2))
+    return C[:, :, 0] * d_theta + C[:, :, 1] * d_phi
+
+
+def covariant_frame_derivative_stacked(G, vfield):
+    """The stacked covariant frame derivative, Gamma(e_a, V) added on the
+    rows of the stacked frame, kept as reference."""
+    d = frame_derivative_stacked(G, vfield)
+    if not G._sample.flat:
+        frame = G.adapted_frame.matrix
+        for a in range(2):
+            d[..., a, :] += G._sample.christoffel(frame[..., a, :], vfield)
+    return d
+
+
+@THREE_AMBIENTS
+@pytest.mark.parametrize("surface", FRAME_SURFACES, ids=["graph", "torus"])
+def test_frame_derivatives_per_direction_match_the_stacked_formula_bit_for_bit(
+        surface, ambient):
+    """Each direction taken as its own contiguous field, and the public
+    stacked forms, against the one-expression stacked formula, for a
+    scalar field, a (..., 2) field and chart vector fields; and the frame
+    quantities built on them against their stacked reductions."""
+    G = geometry(surface, ambient)
+    fields = {"cos_alpha": G.cos_alpha, "J_{12,k}": G.nabla_j_frame[..., 0, 1],
+              "H": G.mean_curvature, "e1": G.adapted_frame.e1}
+    for name, field in fields.items():
+        want = frame_derivative_stacked(G, field)
+        assert G.frame_derivative(field).tobytes() == want.tobytes(), name
+        for a, d in enumerate(G._frame_derivatives(field)):
+            assert d.flags.c_contiguous and d.tobytes() == want[:, :, a].tobytes(), name
+    for name in ("H", "e1"):
+        want = covariant_frame_derivative_stacked(G, fields[name])
+        assert G.covariant_frame_derivative(fields[name]).tobytes() == want.tobytes(), name
+        for a, d in enumerate(G._covariant_frame_derivatives(fields[name])):
+            assert d.flags.c_contiguous and d.tobytes() == want[:, :, a].tobytes(), name
+    dH = covariant_frame_derivative_stacked(G, G.mean_curvature)
+    co = np.stack(G._normal_covectors, axis=-2)
+    want = _dot(dH[..., :, None, :], co[..., None, :, :])
+    assert G.mean_curvature_normal_derivative.tobytes() == want.tobytes()
+    fr = G.adapted_frame
+    de1 = np.moveaxis(covariant_frame_derivative_stacked(G, fr.e1), 2, 0)
+    want = np.moveaxis(G.dot(de1, fr.matrix[..., 1, :]), 0, -1)
+    assert G.tangent_connection.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def stacked_metric(G):
@@ -1093,10 +1154,10 @@ def test_frame_free_operators_match_frame_formulas(surface, ambient, beta):
 ALL_LEGS = (0, 1, 2, 3)
 
 
-def skewed(frame):
-    """Rows mixed by a fixed matrix: neither unit nor orthogonal vectors."""
+def skewed(legs):
+    """Legs mixed by a fixed matrix: neither unit nor orthogonal vectors."""
     mix = np.eye(4) + 0.3 * np.random.default_rng(7).standard_normal((4, 4))
-    return frame @ mix
+    return tuple(e @ mix for e in legs)
 
 
 @pytest.mark.parametrize("frame", ["adapted", "skewed"])
@@ -1116,7 +1177,7 @@ def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
     """
     G = geometry(surface, CONF)
     pos = G.pos
-    fr = G.adapted_frame.matrix
+    fr = G.adapted_frame.legs
     if frame == "skewed":
         fr = skewed(fr)
     H = G.mean_curvature
@@ -1124,7 +1185,7 @@ def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
     table = closed.nabla_j_frame(fr, ALL_LEGS)
     # other points and frames on a second grid, paired arbitrarily
     stacked = (np.stack([pos, np.roll(pos, 3, axis=0)]),
-               np.stack([fr, np.roll(fr, 5, axis=1)]))
+               tuple(np.stack([e, np.roll(e, 5, axis=1)]) for e in fr))
     pairs = {
         "nabla J table": (table, base.nabla_j_frame(fr, ALL_LEGS)),
         "nabla J table, stacked grids": (
@@ -1134,7 +1195,7 @@ def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
     }
     args = {"F_theta, F_theta": (G.fth, G.fth), "F_theta, F_phi": (G.fth, G.fph),
             "F_phi, F_phi": (G.fph, G.fph)}
-    args.update({f"e_{k + 1}, H": (fr[..., k, :], H) for k in range(4)})
+    args.update({f"e_{k + 1}, H": (fr[k], H) for k in range(4)})
     for name, (X, Y) in args.items():
         gamma = closed.christoffel(X, Y)
         assert gamma.tobytes() == closed.christoffel(Y, X).tobytes(), name
@@ -1142,7 +1203,7 @@ def test_conformal_closed_forms_match_base_class_contraction(surface, frame):
     if surface is FRAME_SURFACES[1]:
         unadapted = ~G.adapted_frame.adapted
         assert unadapted.any()
-        nodes, nodes_fr = pos[unadapted], fr[unadapted]
+        nodes, nodes_fr = pos[unadapted], tuple(e[unadapted] for e in fr)
         pairs["nabla J table, unadapted nodes"] = (
             CONF.sample(nodes).nabla_j_frame(nodes_fr, ALL_LEGS),
             AmbientManifold.sample(CONF, nodes).nabla_j_frame(nodes_fr, ALL_LEGS),
@@ -1173,7 +1234,7 @@ def test_constant_conformal_factor_scales_area_and_keeps_the_angle(surface):
     area = np.sum(scaled.area_weights) / np.sum(flat.area_weights)
     assert abs(area / np.exp(0.6) - 1.0) < 1e-14
     assert np.max(np.abs(scaled.cos_alpha - flat.cos_alpha)) < 1e-14
-    pos, fr = scaled.pos, scaled.adapted_frame.matrix
+    pos, fr = scaled.pos, scaled.adapted_frame.legs
     samples = scaled.ambient.sample(pos), AmbientManifold.sample(scaled.ambient, pos)
     closed, contracted = (
         [s.christoffel(scaled.fth, scaled.fph), s.nabla_j_frame(fr, ALL_LEGS),
@@ -1340,7 +1401,7 @@ def test_conformal_entry_points_raise_typed_error_on_overflow(entry):
     """The closed forms read exp(2 lam) themselves; an overflow is typed too."""
     amb = conformal("400*p1")
     pos = FRAME_SURFACES[0].positions()
-    frame = np.broadcast_to(np.eye(4), pos.shape[:-1] + (4, 4))
+    frame = tuple(np.broadcast_to(e, pos.shape) for e in np.eye(4))
     args = (frame, ALL_LEGS) if entry == "nabla_j_frame" else (frame,)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1358,7 +1419,7 @@ def test_conformal_entry_points_raise_typed_error_on_underflow(entry):
     reads the factor refuses it, as ``metric_at`` does."""
     amb = conformal("-400")
     pos = FRAME_SURFACES[0].positions()
-    frame = np.broadcast_to(np.eye(4), pos.shape[:-1] + (4, 4))
+    frame = tuple(np.broadcast_to(e, pos.shape) for e in np.eye(4))
     if entry == "nabla_j_frame":
         owner, args = amb.sample(pos), (frame, ALL_LEGS)
     elif entry == "curvature_frame":

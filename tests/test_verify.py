@@ -73,6 +73,28 @@ def test_refinement_levels_must_strictly_increase(levels):
         V.verify_laplacian_identity(surfaces, EUC)
 
 
+@pytest.mark.parametrize("study", ["gradient", "laplacian"])
+def test_refinement_level_that_is_not_a_surface_is_named(study):
+    check = {"gradient": V.verify_gradient_identities,
+             "laplacian": V.verify_laplacian_identity}[study]
+    with pytest.raises(TypeError, match="level 0 is a int, not an ImmersedSurface"):
+        check([1], EUC)
+    with pytest.raises(TypeError, match="level 1 is a ndarray"):
+        check([ladder((16,))[0], np.zeros((32, 32, 4))], EUC)
+
+
+@pytest.mark.parametrize("change", ["linear_part", "periods"])
+def test_refinement_levels_must_share_linear_part_and_periods(change):
+    coarse, fine = ladder((16, 32))
+    if change == "linear_part":
+        other = ImmersedSurface(2.0 * fine.linear_part, fine.periodic_part)
+    else:
+        other = ImmersedSurface(fine.linear_part, fine.periodic_part, 1.0, 1.0)
+    for check in (V.verify_gradient_identities, V.verify_laplacian_identity):
+        with pytest.raises(ValueError, match="level 1 differs from level 0"):
+            check([coarse, other], EUC)
+
+
 def test_laplacian_identity_j_terms_vanish_on_flat_kahler():
     rep = V.verify_laplacian_identity(ladder((32,)), EUC)
     assert rep.values["max_j_term"] < 1e-12
