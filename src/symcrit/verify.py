@@ -47,6 +47,12 @@ ORDER_TOL = 1.9  # least observed convergence order a study accepts
 EXACT_ULPS = 16
 ORACLE_TOL = 1e-6  # cyclic condition against the d(omega) oracle
 CONSEQUENCE_FLOOR = 1e-12  # absolute floor of the symmetric consequence bound
+# The symmetric condition maps the four coordinates c of (nabla_{e1} J,
+# nabla_{e2} J) to six residuals r with smallest singular value at least
+# 0.5 cos(alpha) (test_symmetric_condition_has_rank_four_for_every_angle),
+# so |J_{ab,k}| <= |nabla_{e_k} J|_F <= |c|_2 <= |r|_2 / (0.5 cos(alpha))
+# and |r|_2 <= sqrt(6) max |r|: max |J_{ab,k}| cos(alpha) <= C max |r|
+CONSEQUENCE_C = math.sqrt(6.0) / 0.5
 
 
 def _fmt(x) -> str:
@@ -356,37 +362,28 @@ def critical_identity_terms(G: SurfaceGeometry, beta: float) -> dict:
 
     Valid where the surface satisfies the critical equations and the
     ambient satisfies the two covariant-J conditions; the caller grades
-    applicability.  The reciprocal factors 1/sin(alpha), 1/cos(alpha)
-    and 1/D, D = cos^2(alpha) + beta sin^2(alpha), are left to the
-    caller's node mask: where one vanishes the fields are non-finite,
-    and no floating-point warning is raised.
+    applicability.  The identity's covariant-J terms are left out: the
+    symmetric condition has rank 4 on (nabla_{e1} J, nabla_{e2} J)
+    wherever cos(alpha) > 0, so where it holds every J_{ab,k} with k
+    tangent vanishes (test_symmetric_condition_has_rank_four_for_every_angle),
+    and with it each such term.  The reciprocal factors 1/sin(alpha),
+    1/cos(alpha) and 1/D, D = cos^2(alpha) + beta sin^2(alpha), are left
+    to the caller's node mask: where one vanishes the fields are
+    non-finite, and no floating-point warning is raised.
     """
     ca, sa = G.cos_alpha, G.sin_alpha
     sa2 = np.where(sa > 0, sa**2, 1.0)
     grad = G.grad_cos_frame
-    grad2 = grad[..., 0] ** 2 + grad[..., 1] ** 2
-    grad_alpha2 = grad2 / sa2
+    grad_alpha2 = (grad[..., 0] ** 2 + grad[..., 1] ** 2) / sa2
     D = ca**2 + beta * sa**2
-    jf = G.nabla_j_frame
-    j121, j122 = jf[..., 0, 0, 1], jf[..., 1, 0, 1]
-    j132 = jf[..., 1, 0, 2]  # <(nabla_{e2} J) e1, e3>
-    j142 = jf[..., 1, 0, 3]  # <(nabla_{e2} J) e1, e4>
-    pairing = grad[..., 0] * j121 + grad[..., 1] * j122
-    theta = (
-        2.0 * ca / sa2 * (1.0 + ca**2 / D) * pairing
-        + ca**2 / D * G.j12_kk
-        - 2.0 * ca**3 / (sa2 * D) * (j121**2 + j122**2)
-    )
     k1213, k1224 = G.curvature_frame_components
     rhs = (
         2.0 * beta * sa**2 / (ca * D) * grad_alpha2
         - 2.0 * ca * grad_alpha2
         + sa * ca**2 / D * (k1213 - k1224)
-        + theta
-        - beta * sa / D * (grad[..., 0] * j142 + 3.0 * grad[..., 1] * j132)
     )
     lhs = G.laplace_beltrami(ca)
-    return {"lhs": lhs, "rhs": rhs, "theta": theta, "residual": lhs - rhs}
+    return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs}
 
 
 def condition_cyclic_residuals(G: SurfaceGeometry):
@@ -455,29 +452,24 @@ def check_condition_symmetric(surface: ImmersedSurface,
                               ambient: AmbientManifold) -> Report:
     """Evaluate the symmetric normal condition.
 
-    When the condition holds, three consequences are spot-checked: the
-    diagonal components vanish and two off-diagonal components pair up,
-    to within ten times the condition's residual plus ``CONSEQUENCE_FLOOR``.
+    When the condition holds, its consequence is checked node by node:
+    max |J_{ab,k}| |cos(alpha)| over the ``nabla_j_frame`` table is at
+    most ``CONSEQUENCE_C`` times the node's largest residual plus
+    ``CONSEQUENCE_FLOOR``.  ``consequence_res`` is the largest left side.
     """
     check_winding_periodic(surface, ambient)
     G = SurfaceGeometry(surface, ambient)
-    res = np.abs(condition_symmetric_residuals(G))
+    res = np.max(np.abs(condition_symmetric_residuals(G)), axis=(-2, -1))
     cond = float(np.max(res))
     holds = cond < CONDITION_TOL
-    jf = G.nabla_j_frame
     values = {"condition_res_linf": cond, "condition_holds": float(holds)}
     notes = []
     ok = True
     if holds:
-        diag = max(
-            float(np.max(np.abs(jf[..., i, i, n + 2])))
-            for i in range(2)
-            for n in range(2)
-        )
-        pair1 = float(np.max(np.abs(jf[..., 1, 0, 2] - jf[..., 0, 2, 1])))
-        pair2 = float(np.max(np.abs(jf[..., 0, 3, 1] - jf[..., 1, 0, 3])))
-        values["consequence_res"] = max(diag, pair1, pair2)
-        ok = values["consequence_res"] < 10.0 * cond + CONSEQUENCE_FLOOR
+        jf = G.nabla_j_frame
+        lhs = np.max(np.abs(jf), axis=(-3, -2, -1)) * np.abs(G.cos_alpha)
+        values["consequence_res"] = float(np.max(lhs))
+        ok = bool(np.all(lhs <= CONSEQUENCE_C * res + CONSEQUENCE_FLOOR))
     else:
         notes.append("condition violated: consequence identities not applicable")
     return Report(
@@ -487,8 +479,8 @@ def check_condition_symmetric(surface: ImmersedSurface,
         tolerances={"consequence_floor": CONSEQUENCE_FLOOR},
         values=values,
         notes=notes,
-        total_nodes=int(res[..., 0, 0].size),
-        residual_field=np.max(res, axis=(-2, -1)),
+        total_nodes=int(res.size),
+        residual_field=res,
     )
 
 

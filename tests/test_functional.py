@@ -19,13 +19,16 @@ from symcrit.surface import (
     zbar_graph,
 )
 from symcrit.verify import (
+    ORDER_TOL,
     _variation_fields,
     critical_identity_terms,
     gradient_identity_residuals,
     laplacian_identity_terms,
 )
 
+from reduced_tori import kahler_torus
 from reference import (
+    KAHLER_PRODUCT,
     block,
     counted,
     el_components,
@@ -273,6 +276,24 @@ def test_el_norms_match_manual_reduction():
     l2 = np.sqrt(np.sum(mag**2 * G.area_weights))
     assert abs(el.norm_l2 - l2) < 1e-12
     assert abs(el.norm_linf - np.max(mag)) < 1e-14
+
+
+# the reduced L_beta of the exact Kaehler tori, to 10 digits, from an
+# independent build of the first-integral solver
+REDUCED_L = {1.0: 82.6370314606, 2.0: 138.2617026678}
+
+
+@pytest.mark.parametrize("beta", sorted(REDUCED_L))
+def test_exact_kahler_torus_is_critical_at_positive_beta(beta):
+    """On the torus the symmetry reduction makes critical, l_beta is the
+    reduced L_beta to 1e-10 at n = 64, and E falls at the stencils' order."""
+    E = []
+    for n in (16, 32, 64):
+        S, L = kahler_torus(beta, n)
+        E.append(el_operator(S, KAHLER_PRODUCT, beta).norm_linf)
+    assert L == pytest.approx(REDUCED_L[beta], abs=1e-9)
+    assert abs(l_beta(S, KAHLER_PRODUCT, beta) - L) < 1e-10
+    assert min(np.log2(np.divide(E[:-1], E[1:]))) >= ORDER_TOL
 
 
 def test_el_operator_deterministic():

@@ -23,7 +23,7 @@ from symcrit.surface import (
 )
 from symcrit import verify as V
 
-from reference import counted, full_grids, grid_variation_fields
+from reference import KAHLER_PRODUCT, counted, full_grids, grid_variation_fields
 
 EUC = euclidean_c2()
 CONF = conformal("0.1*sin(p1) + 0.05*cos(p2)")
@@ -337,6 +337,31 @@ def test_symmetric_condition_value_reported_on_conformal():
     assert "consequence_res" not in rep.values
 
 
+def test_symmetric_condition_holds_with_a_nonzero_connection():
+    """In the Kaehler product the condition holds and nabla J vanishes,
+    while the Christoffel symbols do not."""
+    S = zbar_graph(0.5, n_theta=24, n_phi=24)
+    gamma = KAHLER_PRODUCT.christoffel_at(SurfaceGeometry(S, KAHLER_PRODUCT).pos)
+    assert np.max(np.abs(gamma)) > 0.1
+    rep = V.check_condition_symmetric(S, KAHLER_PRODUCT)
+    assert rep.status == "pass"
+    assert rep.values["condition_holds"] == 1.0
+    assert rep.values["consequence_res"] <= 1e-12
+
+
+@pytest.mark.parametrize("residual", [0.0, 0.99 * V.CONDITION_TOL], ids=["zero", "at-the-gate"])
+def test_symmetric_consequence_bound_is_live(monkeypatch, residual):
+    """With the residuals forced to zero, or to the largest value the gate
+    admits, on an ambient whose nabla J does not vanish, the condition
+    reads as holding and the bound fails."""
+    monkeypatch.setattr(V, "condition_symmetric_residuals",
+                        lambda G: np.full(G.cos_alpha.shape + (2, 3), residual))
+    rep = V.check_condition_symmetric(ladder((32,))[0], CONF)
+    assert rep.values["condition_holds"] == 1.0
+    assert rep.values["consequence_res"] > 1e-3
+    assert rep.status == "fail"
+
+
 # -- the symmetric condition bounds nabla J along the surface -------------
 #
 # At a node, in an orthonormal frame, nabla_X J is skew and anticommutes
@@ -436,6 +461,8 @@ def test_symmetric_condition_bounds_the_tangent_nabla_j_table(ambient, make):
     rhs = BOUND_C * np.max(np.abs(res), axis=(-2, -1))
     assert np.max(lhs) > 1e-3  # the bound is not read on a zero table
     assert np.all(lhs <= rhs)
+    # the constant that check_condition_symmetric reads
+    assert BOUND_C == V.CONSEQUENCE_C
 
 
 # -- first variation --------------------------------------------------
@@ -615,6 +642,17 @@ def test_critical_identity_conditional_on_critical_surface():
     assert rep.status == "conditional"
     assert rep.passed
     assert rep.values["res_linf"] < 1e-10
+
+
+def test_critical_identity_terms_read_no_covariant_j():
+    """The terms the symmetric condition forces to zero are left out, so
+    the identity builds neither the covariant-J table nor the connection
+    and second fundamental form that its J terms read."""
+    G = SurfaceGeometry(ladder((16,))[0], CONF)
+    V.critical_identity_terms(G, 1.0)
+    for name in ("nabla_j_frame", "j12_kk", "tangent_connection", "second_fundamental",
+                 "_normal_covectors", "_accel_entries", "_second_partials"):
+        assert name not in G.__dict__, name
 
 
 def test_critical_identity_flags_noncritical_surface():
